@@ -3,9 +3,10 @@
 A scalar of order N is a vector of rationals over the power basis
 {zeta_N^k : 0 <= k < phi(N)}, kept reduced modulo the N-th cyclotomic
 polynomial.  N = 1 encodes plain rationals.  Arithmetic between scalars of
-different orders embeds both operands into Q(zeta_lcm) first, so the field
-tower is handled transparently.  Conjugation maps zeta to zeta^(N-1), and
-float evaluation substitutes exp(2*pi*i/N).
+different orders embeds both operands into Q(zeta_lcm) first (a rational
+operand skips that step, see Cyc), so the field tower is handled
+transparently.  Conjugation maps zeta to zeta^(N-1), and float evaluation
+substitutes exp(2*pi*i/N).
 
 The scalar text grammar used by the file format and the CLI:
 
@@ -104,7 +105,14 @@ def _reduce_poly(coeffs: list[Fraction], order: int) -> list[Fraction]:
 
 
 class Cyc:
-    """An exact element of Q(zeta_order) in the reduced power basis."""
+    """An exact element of Q(zeta_order) in the reduced power basis.
+
+    A rational operand meets a scalar of order N > 1 without an embedding:
+    it shifts the constant coefficient (+, -), scales every coefficient
+    (*), or compares against a constant-only vector (==).  The result keeps
+    the order and coefficients the embedding into Q(zeta_N) produces, so
+    rendering is unchanged.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -136,7 +144,7 @@ class Cyc:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -175,18 +183,28 @@ class Cyc:
     def __add__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyc(1, [self.coeffs[0] + other.coeffs[0]], reduce=False)
-        a, b = Cyc._common(self, other)
-        return Cyc(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)], reduce=False)
+        a, b = self.coeffs, other.coeffs
+        if self.order == other.order:
+            return Cyc(self.order, [x + y for x, y in zip(a, b)], reduce=False)
+        if self.order == 1:
+            return Cyc(other.order, (a[0] + b[0],) + b[1:], reduce=False)
+        if other.order == 1:
+            return Cyc(self.order, (a[0] + b[0],) + a[1:], reduce=False)
+        x, y = Cyc._common(self, other)
+        return Cyc(x.order, [p + q for p, q in zip(x.coeffs, y.coeffs)], reduce=False)
 
     def __sub__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyc(1, [self.coeffs[0] - other.coeffs[0]], reduce=False)
-        a, b = Cyc._common(self, other)
-        return Cyc(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)], reduce=False)
+        a, b = self.coeffs, other.coeffs
+        if self.order == other.order:
+            return Cyc(self.order, [x - y for x, y in zip(a, b)], reduce=False)
+        if self.order == 1:
+            return Cyc(other.order, (a[0] - b[0],) + tuple(-y for y in b[1:]), reduce=False)
+        if other.order == 1:
+            return Cyc(self.order, (a[0] - b[0],) + a[1:], reduce=False)
+        x, y = Cyc._common(self, other)
+        return Cyc(x.order, [p - q for p, q in zip(x.coeffs, y.coeffs)], reduce=False)
 
     def __neg__(self):
         return Cyc(self.order, [-c for c in self.coeffs], reduce=False)
@@ -194,8 +212,12 @@ class Cyc:
     def __mul__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyc(1, [self.coeffs[0] * other.coeffs[0]], reduce=False)
+        if self.order == 1:
+            r = self.coeffs[0]
+            return Cyc(other.order, [r * y for y in other.coeffs], reduce=False)
+        if other.order == 1:
+            r = other.coeffs[0]
+            return Cyc(self.order, [x * r for x in self.coeffs], reduce=False)
         a, b = Cyc._common(self, other)
         prod = [_F0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
@@ -264,6 +286,10 @@ class Cyc:
             return NotImplemented
         if self.order == other.order:
             return self.coeffs == other.coeffs
+        if self.order == 1:
+            return other.coeffs[0] == self.coeffs[0] and not any(other.coeffs[1:])
+        if other.order == 1:
+            return self.coeffs[0] == other.coeffs[0] and not any(self.coeffs[1:])
         a, b = Cyc._common(self, other)
         return a.coeffs == b.coeffs
 
@@ -329,7 +355,10 @@ class Cyc:
                 raise ValueError(f"bad scalar term {term!r} in {text!r}")
             rat, starz, exp1, zalone, exp2 = tm.groups()
             if rat is not None:
-                coeff = Fraction(rat)
+                try:
+                    coeff = Fraction(rat)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in scalar string {text!r}") from None
                 k = 0 if starz is None else (1 if exp1 is None else int(exp1))
             else:
                 coeff = _F1

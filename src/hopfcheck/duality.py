@@ -43,9 +43,8 @@ def dual_hopf(h: HopfData) -> HopfData:
         star = Mat.zero(d, d)
         for k in range(d):
             se = h.star_of(h.antipode_of(h.basis(k)))
-            for j, c in enumerate(se.coords):
-                if not c.is_zero():
-                    star.entries[k * d + j] = c.conjugate()
+            for j, c in se.support:
+                star.entries[k * d + j] = c.conjugate()
     return HopfData(
         name=dual_name(h.name), dim=d, field_order=h.field_order,
         mult=Tensor3(d, mult), unit=Elem(h.counit.coords),
@@ -56,8 +55,9 @@ def dual_hopf(h: HopfData) -> HopfData:
 def pairing(f: Elem, a: Elem) -> Cyc:
     """<f, a> for f in the dual basis and a in the original basis."""
     acc = CYC_ZERO
-    for x, y in zip(f.coords, a.coords):
-        if not x.is_zero() and not y.is_zero():
+    for i, x in f.support:
+        y = a.coords[i]
+        if not y.is_zero():
             acc = acc + x * y
     return acc
 
@@ -65,12 +65,11 @@ def pairing(f: Elem, a: Elem) -> Cyc:
 def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
     """f |> a, the dual hitting the right coproduct slot."""
     acc = [CYC_ZERO] * h.dim
-    for k, ak in enumerate(a.coords):
-        if ak.is_zero():
-            continue
+    f_at = dict(f.support)
+    for k, ak in a.support:
         for i, j, c in h.comult_terms[k]:
-            fj = f.coords[j]
-            if not fj.is_zero():
+            fj = f_at.get(j)
+            if fj is not None:
                 acc[i] = acc[i] + ak * c * fj
     return Elem(tuple(acc))
 
@@ -78,19 +77,18 @@ def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
 def act_right(h: HopfData, a: Elem, f: Elem) -> Elem:
     """a <| f, the dual hitting the left coproduct slot."""
     acc = [CYC_ZERO] * h.dim
-    for k, ak in enumerate(a.coords):
-        if ak.is_zero():
-            continue
+    f_at = dict(f.support)
+    for k, ak in a.support:
         for i, j, c in h.comult_terms[k]:
-            fi = f.coords[i]
-            if not fi.is_zero():
+            fi = f_at.get(i)
+            if fi is not None:
                 acc[j] = acc[j] + ak * c * fi
     return Elem(tuple(acc))
 
 
 def fourier(h: HopfData, md: ModularData, a: Elem) -> Elem:
     """a |-> sum_j phi(e_j a) e_j^, as an element of the dual."""
-    return Elem(tuple(md.gram.matvec(list(a.coords))))
+    return h.apply(md.gram, a)
 
 
 def verify_dual(hd: HopfData) -> list:
@@ -102,75 +100,100 @@ def verify_dual(hd: HopfData) -> list:
     return out
 
 
+def _lincomb(terms) -> dict:
+    """Sum of c * vec over (c, vec) in terms, each vec a sparse {index: Cyc};
+    zero sums are dropped, so two results compare as vectors."""
+    acc: dict = {}
+    for c, vec in terms:
+        for k, v in vec.items():
+            t = c * v
+            acc[k] = acc[k] + t if k in acc else t
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def _first_diff(lhs: dict, rhs: dict):
+    """Smallest index at which two sparse vectors differ, or None."""
+    return next((k for k in sorted(lhs.keys() | rhs.keys())
+                 if lhs.get(k, CYC_ZERO) != rhs.get(k, CYC_ZERO)), None)
+
+
 def verify_pairing(h: HopfData, hd: HopfData) -> Check:
     """The structural pairing laws, the module laws for both actions, the
     compatibilities moving an action across the pairing, and the rank
-    condition that makes the actions unital."""
+    condition that makes the actions unital.
+
+    Every law is evaluated on sparse tables built once: hit[j][a] is
+    e_j^ |> e_a and rhit[i][a] is a <| e_i^ (both read off D(e_a)),
+    prod[i][j] is e_i^ e_j^, cop[i][j][a] is the coefficient of e_i (x) e_j
+    in D(e_a), and coef[k][(a, b)] is the coefficient of e_k in e_a e_b.
+    """
     law = ("<fg,a>=<f,a1><g,a2>, <f,ab>=<f1,a><f2,b>, <Sf,a>=<f,Sa>, "
            "(fg)|>a=f|>(g|>a), a<|(fg)=(a<|f)<|g, (f|>a)<|g=f|>(a<|g), "
            "<f|>a,g>=<a,gf>, <a<|f,g>=<a,fg>, span{f|>a}=A")
     d = h.dim
+    hit = [[{} for _ in range(d)] for _ in range(d)]
+    rhit = [[{} for _ in range(d)] for _ in range(d)]
+    cop = [[{} for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        for p, q, c in h.comult_terms[a]:
+            hit[q][a][p] = c
+            rhit[p][a][q] = c
+            cop[p][q][a] = c
+    coef = [{} for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            for k, c in h.mult_pairs[a][b]:
+                coef[k][(a, b)] = c
+    prod = [[dict(pairs) for pairs in row] for row in hd.mult_pairs]
+
     for i in range(d):
         for j in range(d):
-            fg = hd.mul(hd.basis(i), hd.basis(j))
-            for a in range(d):
-                lhs = pairing(fg, h.basis(a))
-                rhs = CYC_ZERO
-                for p, q, c in h.comult_terms[a]:
-                    if i == p and j == q:
-                        rhs = rhs + c
-                if lhs != rhs:
-                    return fail("pairing-actions", law, f"product law fails at ({i},{j},{a})")
+            a = _first_diff(prod[i][j], cop[i][j])
+            if a is not None:
+                return fail("pairing-actions", law, f"product law fails at ({i},{j},{a})")
+    for i in range(d):
+        cop_i = {(p, q): c for p, q, c in hd.comult_terms[i]}
+        ab = _first_diff(coef[i], cop_i)
+        if ab is not None:
+            return fail("pairing-actions", law, f"coproduct law fails at ({i},{ab[0]},{ab[1]})")
     for i in range(d):
         for a in range(d):
-            for b in range(d):
-                prod = h.mul(h.basis(a), h.basis(b))
-                lhs = pairing(hd.basis(i), prod)
-                rhs = CYC_ZERO
-                for p, q, c in hd.comult_terms[i]:
-                    rhs = rhs + c * pairing(hd.basis(p), h.basis(a)) * pairing(
-                        hd.basis(q), h.basis(b))
-                if lhs != rhs:
-                    return fail("pairing-actions", law, f"coproduct law fails at ({i},{a},{b})")
-    for i in range(d):
-        lhs = Elem(tuple(hd.antipode.get(k, i) for k in range(d)))
-        for a in range(d):
-            if pairing(lhs, h.basis(a)) != pairing(hd.basis(i), h.antipode_of(h.basis(a))):
+            if hd.antipode.get(a, i) != h.antipode.get(i, a):
                 return fail("pairing-actions", law, f"antipode transpose fails at ({i},{a})")
     for i in range(d):
         for j in range(d):
-            fg = hd.mul(hd.basis(i), hd.basis(j))
+            fg = prod[i][j]
             for a in range(d):
-                e = h.basis(a)
-                if act_left(h, fg, e) != act_left(h, hd.basis(i), act_left(h, hd.basis(j), e)):
+                lhs = _lincomb((c, hit[k][a]) for k, c in fg.items())
+                if lhs != _lincomb((c, hit[i][b]) for b, c in hit[j][a].items()):
                     return fail("pairing-actions", law, f"left module law fails at ({i},{j},{a})")
-                if act_right(h, e, fg) != act_right(h, act_right(h, e, hd.basis(i)), hd.basis(j)):
+                lhs = _lincomb((c, rhit[k][a]) for k, c in fg.items())
+                if lhs != _lincomb((c, rhit[j][b]) for b, c in rhit[i][a].items()):
                     return fail("pairing-actions", law, f"right module law fails at ({i},{j},{a})")
-    unit_dual = Elem(h.counit.coords)
+    unit_dual = Elem(h.counit.coords).support
     for a in range(d):
-        e = h.basis(a)
-        if act_left(h, unit_dual, e) != e or act_right(h, e, unit_dual) != e:
+        e = {a: CYC_ONE}
+        if (_lincomb((c, hit[j][a]) for j, c in unit_dual) != e
+                or _lincomb((c, rhit[j][a]) for j, c in unit_dual) != e):
             return fail("pairing-actions", law, f"unit acts nontrivially at basis {a}")
     for i in range(d):
         for j in range(d):
             for a in range(d):
-                e = h.basis(a)
-                f, g = hd.basis(i), hd.basis(j)
-                if act_right(h, act_left(h, f, e), g) != act_left(h, f, act_right(h, e, g)):
+                if (_lincomb((c, rhit[j][b]) for b, c in hit[i][a].items())
+                        != _lincomb((c, hit[i][b]) for b, c in rhit[j][a].items())):
                     return fail("pairing-actions", law,
                                 f"actions fail to commute at ({i},{a},{j})")
-                if pairing(g, act_left(h, f, e)) != pairing(hd.mul(g, f), e):
+                if hit[i][a].get(j, CYC_ZERO) != prod[j][i].get(a, CYC_ZERO):
                     return fail("pairing-actions", law,
                                 f"left action pairing fails at ({i},{a},{j})")
-                if pairing(g, act_right(h, e, f)) != pairing(hd.mul(f, g), e):
+                if rhit[i][a].get(j, CYC_ZERO) != prod[i][j].get(a, CYC_ZERO):
                     return fail("pairing-actions", law,
                                 f"right action pairing fails at ({i},{a},{j})")
     # unital action: the hit elements span everything
     span = Mat.zero(d * d, d)
     for j in range(d):
         for k in range(d):
-            hit = act_left(h, hd.basis(j), h.basis(k))
-            for i, c in enumerate(hit.coords):
+            for i, c in hit[j][k].items():
                 span.entries[(j * d + k) * d + i] = c
     if rank(span) != d:
         return fail("pairing-actions", law, f"action span has rank {rank(span)} < {d}")
@@ -199,13 +222,13 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData):
     dual.  Returns (psihat, phihat).
     """
     d = h.dim
+    eps = Elem(h.counit.coords).support
     vals = []
     for j in range(d):
         acc = CYC_ZERO
-        for i in range(d):
-            e = h.counit.coords[i]
+        for i, e in eps:
             c = md.gram_inv.get(i, j)
-            if not e.is_zero() and not c.is_zero():
+            if not c.is_zero():
                 acc = acc + e * c
         vals.append(acc)
     psi_hat = Functional(tuple(vals))

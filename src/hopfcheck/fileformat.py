@@ -80,6 +80,14 @@ def _tensor(raw, d: int, order: int, where: str) -> Tensor3:
     return Tensor3(d, entries)
 
 
+def _positive_int(doc: dict, field: str) -> int:
+    raw = doc[field]
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise FormatError(f"{field} must be a positive integer")
+    return raw
+
+
 def hopf_from_text(text: str) -> HopfData:
     try:
         doc = json.loads(text)
@@ -96,12 +104,8 @@ def hopf_from_text(text: str) -> HopfData:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise FormatError("name must be a nonempty string")
-    d = doc["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise FormatError("dim must be a positive integer")
-    order = doc["field_order"]
-    if not isinstance(order, int) or order < 1:
-        raise FormatError("field_order must be a positive integer")
+    d = _positive_int(doc, "dim")
+    order = _positive_int(doc, "field_order")
     star = None
     if "star" in doc:
         star = _matrix(doc["star"], d, order, "star")

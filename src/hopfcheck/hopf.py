@@ -10,6 +10,13 @@ Conventions, fixed once for the whole package:
     (coefficient conjugation first, then the stored matrix):
     (sum_i c_i e_i)^* = sum_k ( sum_i star.get(k, i) * conj(c_i) ) e_k.
 
+Elements are immutable.  An Elem computes its support, the (index, coeff)
+pairs of its nonzero coordinates in index order, once, on first use, and
+every product, coproduct, matrix action and functional iterates over the
+support instead of scanning all dim coordinates.  HopfData.basis(i) hands
+out the same cached Elem each time, so a basis element's support is built
+once per algebra.
+
 Verifiers return Check records instead of raising, so a report can list
 every failure location deterministically.
 """
@@ -30,8 +37,13 @@ from .report import Check, fail, ok, skip
 class Elem:
     coords: tuple
 
+    @cached_property
+    def support(self) -> tuple:
+        """The (index, coeff) pairs with coeff nonzero, in index order."""
+        return tuple((i, c) for i, c in enumerate(self.coords) if not c.is_zero())
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self.support
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,14 @@ class HopfData:
             raise DimMismatch("coordinate length mismatch")
         return Elem(coords)
 
+    @cached_property
+    def _basis(self) -> tuple:
+        d = self.dim
+        return tuple(Elem(tuple(CYC_ONE if k == i else CYC_ZERO for k in range(d)))
+                     for i in range(d))
+
     def basis(self, i: int) -> Elem:
-        return Elem(tuple(CYC_ONE if k == i else CYC_ZERO for k in range(self.dim)))
+        return self._basis[i]
 
     def zero(self) -> Elem:
         return Elem((CYC_ZERO,) * self.dim)
@@ -109,14 +127,12 @@ class HopfData:
     def mul(self, a: Elem, b: Elem) -> Elem:
         acc = [CYC_ZERO] * self.dim
         pairs = self.mult_pairs
-        for i, ai in enumerate(a.coords):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b.coords):
-                if bj.is_zero():
-                    continue
+        b_support = b.support
+        for i, ai in a.support:
+            row = pairs[i]
+            for j, bj in b_support:
                 s = ai * bj
-                for k, c in pairs[i][j]:
+                for k, c in row[j]:
                     acc[k] = acc[k] + s * c
         return Elem(tuple(acc))
 
@@ -129,9 +145,7 @@ class HopfData:
     def coprod(self, a: Elem) -> dict:
         """Coproduct as a sparse dict {(i, j): coeff}."""
         acc: dict = {}
-        for k, ak in enumerate(a.coords):
-            if ak.is_zero():
-                continue
+        for k, ak in a.support:
             for i, j, c in self.comult_terms[k]:
                 key = (i, j)
                 v = acc.get(key)
@@ -154,14 +168,10 @@ class HopfData:
         return {k: v for k, v in acc.items() if not v.is_zero()}
 
     def apply(self, m: Mat, a: Elem) -> Elem:
-        return Elem(tuple(m.matvec(list(a.coords))))
+        return Elem(tuple(m.matvec(a.coords, a.support)))
 
     def counit_of(self, a: Elem) -> Cyc:
-        acc = CYC_ZERO
-        for c, e in zip(self.counit.coords, a.coords):
-            if not c.is_zero() and not e.is_zero():
-                acc = acc + c * e
-        return acc
+        return self.functional_of(self.counit, a)
 
     def antipode_of(self, a: Elem) -> Elem:
         return self.apply(self.antipode, a)
@@ -174,20 +184,11 @@ class HopfData:
 
     def functional_of(self, f: Functional, a: Elem) -> Cyc:
         acc = CYC_ZERO
-        for c, e in zip(f.coords, a.coords):
-            if not c.is_zero() and not e.is_zero():
+        for i, e in a.support:
+            c = f.coords[i]
+            if not c.is_zero():
                 acc = acc + c * e
         return acc
-
-    def scalar_order(self) -> int:
-        """lcm of the orders of every stored scalar; divides field_order for valid data."""
-        n = 1
-        for t in (self.mult.entries, self.comult.entries, list(self.unit.coords),
-                  list(self.counit.coords), self.antipode.entries,
-                  self.star.entries if self.star is not None else []):
-            for c in t:
-                n = lcm(n, c.order)
-        return n
 
 
 def same_structure(h1: HopfData, h2: HopfData, include_star: bool = True) -> bool:
@@ -267,14 +268,7 @@ def verify_bialgebra(h: HopfData) -> Check:
     law = "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1"
     one = h.unit
     d1 = h.coprod(one)
-    want = {}
-    for i, ui in enumerate(one.coords):
-        if ui.is_zero():
-            continue
-        for j, uj in enumerate(one.coords):
-            if uj.is_zero():
-                continue
-            want[(i, j)] = ui * uj
+    want = {(i, j): ui * uj for i, ui in one.support for j, uj in one.support}
     if d1 != want:
         return fail("bialgebra", law, "coproduct of the unit is not 1(x)1")
     if h.counit_of(one) != CYC_ONE:
@@ -300,11 +294,10 @@ def verify_antipode(h: HopfData) -> Check:
         for i, j, c in h.comult_terms[k]:
             si = h.antipode_of(h.basis(i))
             sj = h.antipode_of(h.basis(j))
-            left = h.mul(si, h.basis(j))
-            right = h.mul(h.basis(i), sj)
-            for t in range(h.dim):
-                lacc[t] = lacc[t] + c * left.coords[t]
-                racc[t] = racc[t] + c * right.coords[t]
+            for t, v in h.mul(si, h.basis(j)).support:
+                lacc[t] = lacc[t] + c * v
+            for t, v in h.mul(h.basis(i), sj).support:
+                racc[t] = racc[t] + c * v
         want = tuple(h.counit.coords[k] * u for u in h.unit.coords)
         if tuple(lacc) != want:
             return fail("antipode", law, f"left convolution law fails at basis {k}")
@@ -337,12 +330,8 @@ def verify_antipode_derived(h: HopfData) -> Check:
         for i, j, c in h.comult_terms[k]:
             si = h.antipode_of(h.basis(i))
             sj = h.antipode_of(h.basis(j))
-            for a, sa in enumerate(sj.coords):
-                if sa.is_zero():
-                    continue
-                for b, sb in enumerate(si.coords):
-                    if sb.is_zero():
-                        continue
+            for a, sa in sj.support:
+                for b, sb in si.support:
                     key = (a, b)
                     add = c * sa * sb
                     v = rhs.get(key)
@@ -378,12 +367,8 @@ def verify_star(h: HopfData) -> Check:
             si = h.star_of(h.basis(i))
             sj = h.star_of(h.basis(j))
             cc = c.conjugate()
-            for a, sa in enumerate(si.coords):
-                if sa.is_zero():
-                    continue
-                for b, sb in enumerate(sj.coords):
-                    if sb.is_zero():
-                        continue
+            for a, sa in si.support:
+                for b, sb in sj.support:
                     key = (a, b)
                     add = cc * sa * sb
                     v = rhs.get(key)
@@ -415,14 +400,7 @@ def full_axiom_suite(h: HopfData) -> list:
 def is_group_like(h: HopfData, g: Elem) -> bool:
     if h.counit_of(g) != CYC_ONE:
         return False
-    want = {}
-    for i, gi in enumerate(g.coords):
-        if gi.is_zero():
-            continue
-        for j, gj in enumerate(g.coords):
-            if gj.is_zero():
-                continue
-            want[(i, j)] = gi * gj
+    want = {(i, j): gi * gj for i, gi in g.support for j, gj in g.support}
     return h.coprod(g) == want
 
 
@@ -532,8 +510,8 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
             if not any(p == g for g in likes):
                 return fail("group-likes", law, "product escapes the list")
     for a in likes:
-        la = Mat.from_rows([[h.mul(a, h.basis(j)).coords[i] for j in range(h.dim)]
-                            for i in range(h.dim)])
+        cols = [h.mul(a, h.basis(j)).coords for j in range(h.dim)]
+        la = Mat.from_rows([list(row) for row in zip(*cols)])
         try:
             inv = mat_inverse(la)
         except Exception:

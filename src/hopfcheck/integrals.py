@@ -136,8 +136,8 @@ def scaling_constant(h: HopfData, phi: Functional) -> Cyc:
     for i in range(d):
         acc = CYC_ZERO
         s2i = h.antipode_of(h.antipode_of(h.basis(i)))
-        for k, c in enumerate(s2i.coords):
-            if not c.is_zero() and not phi.coords[k].is_zero():
+        for k, c in s2i.support:
+            if not phi.coords[k].is_zero():
                 acc = acc + phi.coords[k] * c
         comp.append(acc)
     lead = next(i for i in range(d) if not phi.coords[i].is_zero())
@@ -212,12 +212,8 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
         for i, j, c in h.comult_terms[k]:
             vi = h.apply(s2, h.basis(i))
             vj = h.apply(md.sigma, h.basis(j))
-            for a, ca in enumerate(vi.coords):
-                if ca.is_zero():
-                    continue
-                for b, cb in enumerate(vj.coords):
-                    if cb.is_zero():
-                        continue
+            for a, ca in vi.support:
+                for b, cb in vj.support:
                     key = (a, b)
                     add = c * ca * cb
                     v = rhs.get(key)
@@ -247,22 +243,20 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     bad2 = None
     for a in range(h.dim):
         for b in range(h.dim):
-            lacc = h.zero()
+            lacc = [CYC_ZERO] * h.dim
             for i, j, c in h.comult_terms[a]:
                 prod = h.mul(h.basis(j), h.basis(b))
                 val = h.functional_of(md.phi, prod)
                 if not val.is_zero():
-                    lacc = Elem(tuple(x + c * val * y for x, y in
-                                      zip(lacc.coords, h.basis(i).coords)))
-            lhs = h.antipode_of(lacc)
-            racc = h.zero()
+                    lacc[i] = lacc[i] + c * val
+            lhs = h.antipode_of(Elem(tuple(lacc)))
+            racc = [CYC_ZERO] * h.dim
             for i, j, c in h.comult_terms[b]:
                 prod = h.mul(h.basis(a), h.basis(j))
                 val = h.functional_of(md.phi, prod)
                 if not val.is_zero():
-                    racc = Elem(tuple(x + c * val * y for x, y in
-                                      zip(racc.coords, h.basis(i).coords)))
-            if lhs != racc:
+                    racc[i] = racc[i] + c * val
+            if lhs != Elem(tuple(racc)):
                 bad2 = (a, b)
                 break
         if bad2 is not None:

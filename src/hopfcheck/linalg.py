@@ -74,18 +74,22 @@ class Mat:
                         out[i * other.cols + j] = out[i * other.cols + j] + a * b
         return Mat(self.rows, other.cols, out)
 
-    def matvec(self, v: list) -> list:
+    def matvec(self, v, support=None) -> list:
+        """self * v.  `support`, when given, lists v's nonzero (index, value)
+        pairs; otherwise it is collected once, and only those coordinates
+        are visited."""
         if len(v) != self.cols:
             raise DimMismatch("vector length mismatch")
+        if support is None:
+            support = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
         out = [CYC_ZERO] * self.rows
         for i in range(self.rows):
             base = i * self.cols
             acc = CYC_ZERO
-            for j, x in enumerate(v):
-                if not x.is_zero():
-                    e = self.entries[base + j]
-                    if not e.is_zero():
-                        acc = acc + e * x
+            for j, x in support:
+                e = self.entries[base + j]
+                if not e.is_zero():
+                    acc = acc + e * x
             out[i] = acc
         return out
 

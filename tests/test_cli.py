@@ -189,3 +189,23 @@ def test_console_script_is_installed():
     proc = subprocess.run(["hopfcheck", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("unit", 0), "1/0", "unit[0]: zero denominator"),
+    (("dim",), True, "dim must be a positive integer"),
+    (("field_order",), True, "field_order must be a positive integer"),
+])
+def test_verify_rejects_bad_values_with_one_error_line(sweedler_file, tmp_path, capsys,
+                                                       path, value, message):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    p = _corrupt(sweedler_file, tmp_path, mutate)
+    code, out, err = run_cli("verify", str(p), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err

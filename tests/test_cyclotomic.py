@@ -38,6 +38,35 @@ def test_ring_axioms(a, b, c):
     assert a - a == CYC_ZERO
 
 
+def _embedded_add(x, y, sign=1):
+    a, b = Cyc._common(x, y)
+    return Cyc(a.order, [p + sign * q for p, q in zip(a.coeffs, b.coeffs)], reduce=False)
+
+
+def _embedded_mul(x, y):
+    a, b = Cyc._common(x, y)
+    prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+    for i, p in enumerate(a.coeffs):
+        for j, q in enumerate(b.coeffs):
+            prod[i + j] += p * q
+    return Cyc(a.order, prod)
+
+
+@given(cycs(order=1), cycs())
+@settings(max_examples=120, deadline=None)
+def test_rational_fast_paths_keep_the_embedded_representation(r, c):
+    # rendering reads the stored order and coefficients, so value equality
+    # is not enough: a rational operand must give exactly what embedding
+    # both operands into the common field gives
+    cases = [(r * c, _embedded_mul(r, c)), (c * r, _embedded_mul(c, r)),
+             (r + c, _embedded_add(r, c)), (c + r, _embedded_add(c, r)),
+             (r - c, _embedded_add(r, c, -1)), (c - r, _embedded_add(c, r, -1))]
+    for got, want in cases:
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+    a, b = Cyc._common(r, c)
+    assert (r == c) == (c == r) == (a.coeffs == b.coeffs)
+
+
 @given(cycs())
 @settings(max_examples=80, deadline=None)
 def test_multiplicative_inverse(a):

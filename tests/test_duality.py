@@ -23,6 +23,7 @@ from hopfcheck import (
 from hopfcheck.duality import dual_name, fourier_bijective, verify_dual, verify_pairing
 from hopfcheck.errors import NotBijective
 from hopfcheck.hopf import same_structure
+from hopfcheck.linalg import Mat, Tensor3
 
 
 def test_dual_name_round_trip():
@@ -208,3 +209,30 @@ def test_action_span_is_full(zoo):
             for k in range(d):
                 rows.append(list(act_left(h, hd.basis(j), h.basis(k)).coords))
         assert rank(M.from_rows(rows)) == d
+
+
+@pytest.mark.parametrize("field, index, value, detail", [
+    ("mult", (1, 1, 0), "1", "product law fails at (1,1,0)"),
+    ("mult", (2, 3, 1), "1", "product law fails at (2,3,1)"),
+    ("comult", (0, 0, 0), "2", "coproduct law fails at (0,0,0)"),
+    ("comult", (3, 1, 2), "2", "coproduct law fails at (3,1,2)"),
+    ("antipode", (2, 2), "1", "antipode transpose fails at (2,2)"),
+    # the antipode law names (dual index, basis index): entry (3,2) is S^(e_2^) at e_3^
+    ("antipode", (3, 2), "-1", "antipode transpose fails at (2,3)"),
+])
+def test_pairing_fails_on_a_corrupted_dual(field, index, value, detail):
+    # one entry of the dual's stored structure changes; the first law
+    # that reads it must FAIL and name the first failing index
+    h = sweedler()
+    hd = dual_hopf(h)
+    d = hd.dim
+    entries = list(getattr(hd, field).entries)
+    pos = 0
+    for x in index:  # row-major flat position
+        pos = pos * d + x
+    assert entries[pos] != Cyc.parse(value, 1)
+    entries[pos] = Cyc.parse(value, 1)
+    new = Mat(d, d, entries) if field == "antipode" else Tensor3(d, entries)
+    check = verify_pairing(h, dataclasses.replace(hd, **{field: new}))
+    assert check.status == "FAIL"
+    assert check.detail == detail

@@ -90,6 +90,9 @@ def test_dim_mismatch_rejected():
         dataclasses.replace(h, unit=Elem((CYC_ONE,)))
     with pytest.raises(DimMismatch):
         dataclasses.replace(h, antipode=Mat.identity(3))
+    for n in (3, 5):
+        with pytest.raises(DimMismatch):
+            h.apply(h.antipode, Elem((CYC_ONE,) * n))
 
 
 def test_group_likes_of_cyclic_group_algebra(zoo):

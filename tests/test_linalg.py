@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Cyc, Mat
-from hopfcheck.errors import SingularMatrix
+from hopfcheck.errors import DimMismatch, SingularMatrix
 from hopfcheck.linalg import mat_inverse, mat_pow, rank, solve_null_space
 
 rational = st.fractions(
@@ -98,5 +98,8 @@ def test_matvec_and_transpose():
     m = Mat.from_rows([[CYC_ONE, Cyc.rational(2)], [Cyc.rational(3), Cyc.rational(4)]])
     v = [Cyc.rational(1), Cyc.rational(-1)]
     assert m.matvec(v) == [Cyc.rational(-1), Cyc.rational(-1)]
+    assert m.matvec(v, [(0, v[0]), (1, v[1])]) == m.matvec(v)
+    with pytest.raises(DimMismatch):
+        m.matvec(v + [CYC_ONE])
     assert m.transpose().get(0, 1) == Cyc.rational(3)
     assert m.transpose().transpose() == m
