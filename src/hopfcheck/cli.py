@@ -1,9 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 all printed checks pass, 1 at least one FAIL, 2 malformed
-input (unparseable file, unknown zoo name, bad scalar).  Output is plain
-text, one CHECK line per verifier, and is byte-identical across runs on
-the same input, which the test suite relies on.
+input (unparseable file, unknown zoo name, bad scalar), reported as one
+"error:" line.  Only a HopfError counts as malformed input; any other
+exception is a defect and propagates.  Output is plain text, one CHECK line
+per verifier, and is byte-identical across runs on the same input, which
+the test suite relies on.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import reduce
 
-from .cyclotomic import Cyc
-from .errors import HopfError
+from .cyclotomic import Cyc, lcm
+from .errors import FormatError, HopfError
 from .fileformat import hopf_to_text, load_cayley, load_hopf
 from .pipeline import NOTES, run_pipeline
 from .report import FAIL
@@ -36,17 +39,15 @@ def cmd_zoo(args) -> int:
     if name in builtin:
         h = builtin[name]
     elif name == "taft":
-        if args.n is None:
-            print("zoo taft requires --n", file=sys.stderr)
-            return _EXIT_INPUT
+        if args.n is None or args.n < 2:
+            raise FormatError("zoo taft requires --n >= 2")
         q = None
         if args.q is not None:
             q = Cyc.parse(args.q, args.n)
         h = taft(args.n, q)
     elif name in ("group", "function"):
         if args.cayley is None:
-            print(f"zoo {name} requires --cayley", file=sys.stderr)
-            return _EXIT_INPUT
+            raise FormatError(f"zoo {name} requires --cayley")
         table = load_cayley(args.cayley)
         stem = os.path.splitext(os.path.basename(args.cayley))[0]
         if name == "group":
@@ -55,8 +56,7 @@ def cmd_zoo(args) -> int:
             h = function_algebra(args.label or f"F({stem})", table)
     else:
         known = ", ".join(sorted(builtin) + ["taft", "group", "function"])
-        print(f"unknown zoo name {name!r}; known: {known}", file=sys.stderr)
-        return _EXIT_INPUT
+        raise FormatError(f"unknown zoo name {name!r}; known: {known}")
     _write_out(hopf_to_text(h), args.output)
     return _EXIT_OK
 
@@ -84,7 +84,10 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _fmt_vector(h, coords) -> str:
-    exact = "[" + ", ".join(c.text(h.field_order) for c in coords) + "]"
+    # group-likes may need a larger field than the structure constants; one
+    # order for the whole vector keeps z the same root in every entry
+    order = reduce(lcm, (c.order for c in coords), h.field_order)
+    exact = "[" + ", ".join(c.text(order) for c in coords) + "]"
     approx = "[" + ", ".join(_fmt_complex(c.to_complex()) for c in coords) + "]"
     return f"{exact} ~ {approx}"
 
@@ -141,7 +144,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="numeric tolerance for the float-backed checks")
     p.add_argument("--seed", type=int, default=42,
-                   help="seed for the pseudo-random sample elements")
+                   help="selects the pseudo-random Plancherel sample elements; "
+                        "no verdict depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HopfError, ValueError) as e:
+    except HopfError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import FormatError
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -335,13 +337,13 @@ class Cyc:
 
     @staticmethod
     def parse(text: str, order: int) -> "Cyc":
-        """Parse the scalar grammar; z denotes zeta_order."""
+        """Parse the scalar grammar; z denotes zeta_order.  Raises FormatError."""
         s = text.replace(" ", "")
         if not s:
-            raise ValueError("empty scalar string")
+            raise FormatError("empty scalar string")
         matches = list(_TERM_SPLIT.finditer(s))
         if "".join(m.group(0) for m in matches) != s:
-            raise ValueError(f"malformed scalar string {text!r}")
+            raise FormatError(f"malformed scalar string {text!r}")
         poly: dict[int, Fraction] = {}
         for m in matches:
             term = m.group(0)
@@ -352,13 +354,13 @@ class Cyc:
                 term = term[1:]
             tm = _TERM_RE.fullmatch(term)
             if tm is None:
-                raise ValueError(f"bad scalar term {term!r} in {text!r}")
+                raise FormatError(f"bad scalar term {term!r} in {text!r}")
             rat, starz, exp1, zalone, exp2 = tm.groups()
             if rat is not None:
                 try:
                     coeff = Fraction(rat)
                 except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in scalar string {text!r}") from None
+                    raise FormatError(f"zero denominator in scalar string {text!r}") from None
                 k = 0 if starz is None else (1 if exp1 is None else int(exp1))
             else:
                 coeff = _F1

@@ -1,12 +1,15 @@
 """Exception taxonomy shared by all modules.
 
 Every failure mode that a caller can reasonably branch on gets its own
-class; anything else surfaces as a plain ValueError.
+class.  The command line reports a HopfError as malformed input (exit 2)
+and lets every other exception through as a defect.
 """
 
 
 class HopfError(ValueError):
     """Base class for all structured errors raised by this package."""
+
+    stage: str | None = None  # name of the pipeline check that raised, where known
 
 
 class DimMismatch(HopfError):
@@ -55,10 +58,6 @@ class NotAutomorphism(HopfError):
 
 class NotProportional(HopfError):
     """Two functionals expected to be proportional are not."""
-
-
-class ExactificationFailed(HopfError):
-    """Float candidate could not be rounded to an exact cyclotomic vector."""
 
 
 class DualVerificationFailed(HopfError):

@@ -49,7 +49,7 @@ def _scalar(raw, order: int, where: str) -> Cyc:
         raise FormatError(f"{where}: scalar entries must be strings")
     try:
         return Cyc.parse(raw, order)
-    except ValueError as e:
+    except FormatError as e:
         raise FormatError(f"{where}: {e}") from e
 
 

@@ -95,7 +95,6 @@ class GNSData:
     nabla: np.ndarray
     nabla_inv: np.ndarray
     J: np.ndarray            # modular conjugation, as J . conj
-    P: np.ndarray            # rescaling generator; identity at finite dimension
 
 
 def gns_build(h: HopfData, state: Functional, tol: float = 1e-9) -> GNSData:
@@ -123,8 +122,7 @@ def gns_build(h: HopfData, state: Functional, tol: float = 1e-9) -> GNSData:
     inv_sqrt = vecs @ np.diag(evs ** -0.5) @ vecs.conj().T
     j_mat = a_mat @ np.conj(inv_sqrt)
     return GNSData(C=c, C_inv=c_inv, rep=rep, A=a_mat,
-                   nabla=nabla, nabla_inv=np.linalg.inv(nabla), J=j_mat,
-                   P=np.eye(d))
+                   nabla=nabla, nabla_inv=np.linalg.inv(nabla), J=j_mat)
 
 
 def _close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -133,7 +131,8 @@ def _close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
 
 def gns_representation_check(h: HopfData, state: Functional, gns: GNSData,
                              tol: float = 1e-9) -> Check:
-    """rep is a unital *-homomorphism and the star lift squares to nothing."""
+    """rep is a unital *-homomorphism and the star lift squares to the identity
+    (P, the rescaling generator, is the identity at finite dimension)."""
     law = "rep(ab)=rep(a)rep(b), rep(a*)=rep(a)^H, rep(1)=1, T^2=P=1"
     d = h.dim
     unit_f = elem_float(h.unit)

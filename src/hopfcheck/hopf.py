@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
-from .errors import DimMismatch, ExactificationFailed, NoStarStructure
-from .linalg import Mat, Tensor3, mat_inverse
+from .errors import DimMismatch, NoStarStructure, NumericalFailure
+from .linalg import Mat, Tensor3, mat_inverse, solve_null_space
 from .report import Check, fail, ok, skip
 
 
@@ -404,97 +404,121 @@ def is_group_like(h: HopfData, g: Elem) -> bool:
     return h.coprod(g) == want
 
 
-def _exactify(value: complex, orders: list, tol: float, denom_bound: int) -> Cyc | None:
+# Phases theta of the weights w_j = exp(2 pi i theta (j+1)^2) tried in turn.
+_WEIGHT_PHASES = (0.5772156649, 0.7071067812, 0.3183098862)
+
+
+def _exactify(value: complex, orders: list) -> Cyc | None:
     # recognise r * zeta_L^t with r rational of bounded denominator
     import cmath
 
+    tol = 1e-9
     if abs(value) < tol:
         return CYC_ZERO
     for order in orders:
         for t in range(order):
             w = value * cmath.exp(-2j * cmath.pi * t / order)
             if abs(w.imag) < tol:
-                fr = Fraction(w.real).limit_denominator(denom_bound)
+                fr = Fraction(w.real).limit_denominator(10**6)
                 if abs(fr - w.real) < tol and fr != 0:
                     return Cyc.rational(fr) * Cyc.root(order, t)
     return None
 
 
-def find_group_likes(h: HopfData, seed: int = 42, tol: float = 1e-9,
-                     denom_bound: int = 10**6) -> list:
-    """All group-like elements, found numerically and verified exactly.
+def _reduce_into(rows: list, v: list) -> bool:
+    """Append v, reduced against rows, unless it reduces to zero.  rows are
+    (pivot, row) pairs, each row 1 at its pivot and 0 at earlier pivots."""
+    for p, row in rows:
+        c = v[p]
+        if not c.is_zero():
+            v = [x if y.is_zero() else x - c * y for x, y in zip(v, row)]
+    lead = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+    if lead is not None:
+        inv = v[lead].inverse()
+        rows.append((lead, [x if x.is_zero() else x * inv for x in v]))
+    return lead is not None
 
-    A group-like is a joint eigenvector of the right-slot coproduct
-    operators R_j(e_k) = sum_i comult[k][i][j] e_i, so a random seeded
-    combination of the R_j separates the candidates over floats.  Each
-    candidate is normalised to counit 1, rounded coordinate-by-coordinate
-    to cyclotomic values of order dividing lcm(field_order, d) for divisors
-    d of dim, then confirmed with the exact coproduct.  Raises
-    ExactificationFailed when a float candidate survives the joint
-    eigenvector test but cannot be rounded.
+
+def find_group_likes(h: HopfData) -> list:
+    """All group-likes of h, counted exactly and confirmed exactly.
+
+    G(H) is the set of characters of A = H^* (Montgomery, CBMS 82), where
+    e_a^ e_b^ = sum_k comult[k][a][b] e_k^.  Their common kernel is
+    J = rad A + A[A,A].  rad A is the kernel of the trace form Tr L_{ab}
+    (Dickson's criterion, characteristic 0).  A[A,A], the span of the e_c v
+    for v in [A,A], is already a two-sided ideal: [a,b]c = [a,bc] - b[a,c]
+    gives A[A,A]A = A[A,A].  A/J is commutative semisimple, so |G(H)| is
+    n = dim J^perp.  The group-likes span J^perp, where the right-slot
+    operators R_j(e_k) = sum_i comult[k][i][j] e_i commute and R_j g = g_j g,
+    so one eigenproblem on a fixed combination gives each coordinate g_j as
+    an eigenvalue.  Each is rounded by _exactify and each candidate is
+    confirmed with the exact coproduct; NumericalFailure is raised unless
+    n of them are, so a returned list is all of G(H).
     """
     import numpy as np
 
     d = h.dim
-    r_ops = np.zeros((d, d, d), dtype=complex)
-    for k in range(d):
-        for i, j, c in h.comult_terms[k]:
-            r_ops[j][i][k] += c.to_complex()
-    eps_vec = np.array([c.to_complex() for c in h.counit.coords])
+    dual_mul = [[[] for _ in range(d)] for _ in range(d)]  # e_a^ e_b^ as (k, coeff)
+    r_ops = np.zeros((d, d, d), dtype=complex)            # r_ops[j][i][k] = comult[k][i][j]
+    for k, terms in enumerate(h.comult_terms):
+        for a, b, c in terms:
+            dual_mul[a][b].append((k, c))
+            r_ops[b, a, k] += c.to_complex()
 
-    orders = []
-    for div in range(1, d + 1):
-        if d % div == 0:
-            o = lcm(h.field_order, div)
-            if o not in orders:
-                orders.append(o)
-    orders.sort()
+    def times(a: int, u) -> list:  # e_a^ u
+        v = [CYC_ZERO] * d
+        for b, x in enumerate(u):
+            if not x.is_zero():
+                for k, c in dual_mul[a][b]:
+                    v[k] = v[k] + x * c
+        return v
 
-    found: list[Elem] = []
-    for attempt in range(8):
-        rng = np.random.default_rng(seed + attempt)
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        combo = np.tensordot(w, r_ops, axes=1)
-        vals, vecs = np.linalg.eig(combo)
-        if attempt < 7:
-            sorted_vals = np.sort_complex(vals)
-            gaps = np.abs(np.diff(sorted_vals))
-            if len(sorted_vals) > 1 and np.min(gaps) < 1e-6:
-                continue  # degenerate combination, redraw
-        candidates = []
-        for idx in range(d):
-            v = vecs[:, idx]
-            joint = all(
-                np.linalg.norm(r_ops[j] @ v - (v.conj() @ r_ops[j] @ v) / (v.conj() @ v) * v)
-                < 1e-6 * max(1.0, np.linalg.norm(v))
-                for j in range(d))
-            if not joint:
-                continue
-            e = eps_vec @ v
-            if abs(e) < 1e-8:
-                continue
-            candidates.append(v / e)
-        for v in candidates:
-            coords = []
-            bad = False
-            for x in v:
-                c = _exactify(complex(x), orders, tol, denom_bound)
-                if c is None:
-                    bad = True
-                    break
-                coords.append(c)
-            if bad:
-                raise ExactificationFailed(
-                    f"group-like candidate in {h.name} has a coordinate outside "
-                    f"Q(zeta_L) for L in {orders} at denominator bound {denom_bound}")
-            g = Elem(tuple(coords))
-            if is_group_like(h, g) and not any(g == f for f in found):
-                found.append(g)
-        break
-    key_order = 1
-    for g in found:
-        for c in g.coords:
-            key_order = lcm(key_order, c.order)
+    trace = [sum((c for b in range(d) for k, c in dual_mul[a][b] if k == b), CYC_ZERO)
+             for a in range(d)]
+    form = [[sum((c * trace[k] for k, c in dual_mul[a][b] if not trace[k].is_zero()),
+                 CYC_ZERO) for b in range(d)] for a in range(d)]
+    rows: list = []  # semi-echelon basis of J, rad A first
+    for v in solve_null_space(Mat.from_rows(form)):
+        _reduce_into(rows, v)
+    commutators = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            if dual_mul[a][b] != dual_mul[b][a]:
+                v = times(a, h.basis(b).coords)
+                for k, c in dual_mul[b][a]:
+                    v[k] = v[k] - c
+                if _reduce_into(rows, v):
+                    commutators.append(rows[-1][1])
+    for u in commutators:
+        for a in range(d):
+            _reduce_into(rows, times(a, u))
+    free = sorted(set(range(d)) - {p for p, _ in rows})
+    j_rows = Mat.from_rows([r for _, r in sorted(rows)]) if rows else Mat.zero(1, d)
+    basis = solve_null_space(j_rows)  # J^perp, each vector 1 at its own free slot
+    n = len(basis)
+
+    w = np.array([[c.to_complex() for c in v] for v in basis]).reshape(n, d).T
+    ops = r_ops[:, free, :] @ w  # R_j on J^perp, in free-slot coordinates
+    orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
+    found: list = []
+    for theta in _WEIGHT_PHASES:
+        if len(found) == n:
+            break
+        weights = np.exp(2j * np.pi * theta * np.arange(1, d + 1) ** 2)
+        vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))[1]
+        try:
+            values = np.einsum("mi,jik,km->mj", np.linalg.inv(vecs), ops, vecs)
+        except np.linalg.LinAlgError:
+            continue
+        confirmed: list = []
+        for row in values:
+            g = Elem(tuple(_exactify(complex(x), orders) for x in row))
+            if None not in g.coords and is_group_like(h, g) and g not in confirmed:
+                confirmed.append(g)
+        found = max(found, confirmed, key=len)
+    if len(found) < n:
+        raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
+    key_order = reduce(lcm, (c.order for g in found for c in g.coords), 1)
     found.sort(key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))
     return found
 

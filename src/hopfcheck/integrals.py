@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
-from .errors import (InconsistentSystem, NoIntegral, NonUniqueIntegral, NotAutomorphism,
-                     NotFaithful, NotGroupLike, NotProportional, RightInvarianceFailed,
-                     SingularMatrix)
+from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
+                     NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
+                     RightInvarianceFailed, SingularMatrix)
 from .hopf import Elem, Functional, HopfData, is_group_like
 from .linalg import Mat, mat_inverse, solve_null_space
 from .report import Check, fail, ok
@@ -163,17 +163,30 @@ class ModularData:
 
 
 def compute_modular(h: HopfData) -> ModularData:
-    phi = left_integral(h)
-    psi = right_integral(h, phi)
-    delta = modular_element(h, phi)
-    delta_inv = h.antipode_of(delta)  # inverse of a group-like
-    sigma = modular_automorphism(h, phi, "sigma")
-    sigma_prime = modular_automorphism(h, Functional(psi.coords), "sigma'")
-    nu = scaling_constant(h, phi)
-    gram = gram_matrix(h, phi)
-    return ModularData(phi=phi, psi=psi, delta=delta, delta_inv=delta_inv,
+    """All modular data; a HopfError raised on the way names its integral
+    check in .stage, the Gram inverse counting as scaling-constant."""
+    stage = "left-integral"
+    try:
+        phi = left_integral(h)
+        stage = "right-integral"
+        psi = right_integral(h, phi)
+        stage = "modular-element"
+        delta = modular_element(h, phi)
+        stage = "modular-automorphism"
+        sigma = modular_automorphism(h, phi, "sigma")
+        stage = "modular-automorphism-right"
+        sigma_prime = modular_automorphism(h, Functional(psi.coords), "sigma'")
+        stage = "scaling-constant"
+        nu = scaling_constant(h, phi)
+        gram = gram_matrix(h, phi)
+        gram_inv = mat_inverse(gram)
+    except HopfError as e:
+        e.stage = stage
+        raise
+    return ModularData(phi=phi, psi=psi, delta=delta,
+                       delta_inv=h.antipode_of(delta),  # inverse of a group-like
                        sigma=sigma, sigma_prime=sigma_prime, nu=nu,
-                       gram=gram, gram_inv=mat_inverse(gram))
+                       gram=gram, gram_inv=gram_inv)
 
 
 # ---------------------------------------------------------------------------

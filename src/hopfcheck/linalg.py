@@ -136,17 +136,6 @@ class Tensor3:
         d = self.dim
         return self.entries[(i * d + j) * d + k]
 
-    @staticmethod
-    def from_nested(nested: list) -> "Tensor3":
-        d = len(nested)
-        flat = []
-        for plane in nested:
-            for row in plane:
-                if len(row) != d or len(plane) != d:
-                    raise DimMismatch("ragged tensor")
-                flat.extend(row)
-        return Tensor3(d, flat)
-
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented

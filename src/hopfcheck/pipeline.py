@@ -18,7 +18,7 @@ from .errors import HopfError
 from .gns import (GNSData, gns_build, gns_representation_check,
                   kac_collapse_check, operator_radford_check,
                   positivity_verdict, tomita_check)
-from .hopf import (Elem, Functional, HopfData, find_group_likes, full_axiom_suite,
+from .hopf import (Elem, HopfData, find_group_likes, full_axiom_suite,
                    group_like_closure_check)
 from .integrals import (ModularData, compute_modular, modular_element,
                         modular_identity_checks, left_integral)
@@ -76,14 +76,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     if not core_ok:
         checks.append(skip("group-likes", _LAW_GROUP_LIKES, "prerequisite-failed"))
     else:
-        try:
-            likes = find_group_likes(h, seed=seed, tol=tol)
-            glc = group_like_closure_check(h, likes)
-            checks.append(glc)
-            if glc.status == FAIL:
-                likes = None
-        except HopfError as e:
-            checks.append(fail("group-likes", _LAW_GROUP_LIKES, str(e)))
+        likes = _group_like_stage(h, "group-likes", checks)
     vals["group_likes"] = likes
 
     md = None
@@ -120,15 +113,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     if not dual_ok:
         checks.append(skip("dual-group-likes", _LAW_GROUP_LIKES, "prerequisite-failed"))
     else:
-        try:
-            dual_likes = find_group_likes(hd, seed=seed, tol=tol)
-            glc = group_like_closure_check(hd, dual_likes)
-            checks.append(Check(name="dual-group-likes", status=glc.status,
-                                identity=glc.identity, detail=glc.detail))
-            if glc.status == FAIL:
-                dual_likes = None
-        except HopfError as e:
-            checks.append(fail("dual-group-likes", _LAW_GROUP_LIKES, str(e)))
+        dual_likes = _group_like_stage(hd, "dual-group-likes", checks)
 
     if not dual_ok:
         checks.append(skip("pairing-actions", "pairing laws", "prerequisite-failed"))
@@ -247,15 +232,26 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     return res
 
 
+def _group_like_stage(h: HopfData, name: str, checks: list) -> list | None:
+    """All group-likes and their closure check, reported as `name`; None unless it passes."""
+    try:
+        likes = find_group_likes(h)
+        glc = group_like_closure_check(h, likes)
+    except HopfError as e:
+        checks.append(fail(name, _LAW_GROUP_LIKES, str(e)))
+        return None
+    checks.append(Check(name, glc.status, glc.identity, glc.detail))
+    return likes if glc.passed() else None
+
+
 def _integral_stages(h: HopfData, checks: list) -> ModularData | None:
     """One named check per computed object; None as soon as one fails."""
     try:
         md = compute_modular(h)
     except HopfError as e:
-        failed_at = _blame_integral_stage(h)
         reached = True
         for name, law in _INTEGRAL_LAWS:
-            if name == failed_at:
+            if name == e.stage:
                 checks.append(fail(name, law, str(e)))
                 reached = False
             elif reached:
@@ -266,30 +262,3 @@ def _integral_stages(h: HopfData, checks: list) -> ModularData | None:
     for name, law in _INTEGRAL_LAWS:
         checks.append(ok(name, law))
     return md
-
-
-def _blame_integral_stage(h: HopfData) -> str:
-    """Replay the modular computation step by step to name the failing stage."""
-    from .integrals import (gram_matrix, modular_automorphism, right_integral,
-                            scaling_constant)
-    try:
-        phi = left_integral(h)
-    except HopfError:
-        return "left-integral"
-    try:
-        psi = right_integral(h, phi)
-    except HopfError:
-        return "right-integral"
-    try:
-        modular_element(h, phi)
-    except HopfError:
-        return "modular-element"
-    try:
-        modular_automorphism(h, phi, "sigma")
-    except HopfError:
-        return "modular-automorphism"
-    try:
-        modular_automorphism(h, Functional(psi.coords), "sigma'")
-    except HopfError:
-        return "modular-automorphism-right"
-    return "scaling-constant"

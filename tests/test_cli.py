@@ -209,3 +209,37 @@ def test_verify_rejects_bad_values_with_one_error_line(sweedler_file, tmp_path, 
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_report_renders_cyclotomic_group_likes(tmp_path, capsys):
+    # F(Z3) is rational, but its group-likes (the characters of Z3) need zeta_3
+    p = tmp_path / "fz3.hopf"
+    assert main(["zoo", "F(Z3)", "-o", str(p)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli("report", str(p), capsys=capsys)
+    assert code == 0, err
+    assert "group_likes = 3" in out
+    assert "  [1, -1-z, z] ~ [1, -0.5-0.866025i, -0.5+0.866025i]" in out
+    assert "  [1, z, -1-z] ~ [1, -0.5+0.866025i, -0.5-0.866025i]" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zoo", "taft", "--n", "0"], "requires --n >= 2"),
+    (["zoo", "taft", "--n", "3", "--q", "garbage"], "bad scalar term"),
+])
+def test_zoo_rejects_bad_parameters_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(sweedler_file, monkeypatch):
+    import hopfcheck.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+    monkeypatch.setattr(hopfcheck.cli, "run_pipeline", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["verify", str(sweedler_file)])

@@ -100,9 +100,13 @@ def test_modular_operator_trivial_on_positive_members(zoo):
 
 
 def test_rescaling_generator_is_identity(zoo):
+    # the rescaling generator P is the identity at finite dimension; it is
+    # stated in the representation law rather than stored on GNSData
     h = zoo["C[Z2]"]
     md, gns = _setup(h)
-    assert np.array_equal(gns.P, np.eye(2))
+    check = gns_representation_check(h, md.phi, gns)
+    assert check.status == "PASS"
+    assert "T^2=P=1" in check.identity
 
 
 def test_kac_collapse_passes_on_group_and_function_members(pipelines):

@@ -9,6 +9,10 @@ transcript, and say so where the change is recorded.
 
 from pathlib import Path
 
+import pytest
+
+from hopfcheck import run_pipeline
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -21,3 +25,11 @@ def test_zoo_transcripts_match_golden_files(pipelines):
     for name, res in pipelines.items():
         got = ("\n".join(res.report_lines()) + "\n").encode("utf-8")
         assert got == (GOLDEN / f"{_stem(name)}.txt").read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", [20, 34, 2097404100])
+def test_seed_decides_no_verdict(zoo, seed):
+    # the seed only picks the Plancherel samples; these seeds once broke the
+    # float group-like search on the dual of sweedler(x)sweedler
+    got = "\n".join(run_pipeline(zoo["sweedler(x)sweedler"], seed=seed).report_lines()) + "\n"
+    assert got.encode("utf-8") == (GOLDEN / "sweedler_x_sweedler.txt").read_bytes()

@@ -12,12 +12,16 @@ from hopfcheck import (
     Functional,
     Mat,
     Tensor3,
+    dual_hopf,
     find_group_likes,
     full_axiom_suite,
+    run_pipeline,
     standard_zoo,
     sweedler,
+    tensor_product,
 )
 from hopfcheck.errors import DimMismatch
+from hopfcheck import hopf
 from hopfcheck.hopf import (
     group_like_closure_check,
     is_group_like,
@@ -170,3 +174,22 @@ def test_mul_and_coprod_sweedler_relations():
     )
     assert h.counit_of(g) == CYC_ONE
     assert h.counit_of(x) == CYC_ZERO
+
+
+def test_group_likes_of_a_non_semisimple_dual_of_dimension_64():
+    # the dual of sweedler^(x)3 is not semisimple, so its coproduct operators
+    # are defective; the count 8 comes from the exact dimension of J^perp
+    s = sweedler()
+    h = dual_hopf(tensor_product("s3", tensor_product("s2", s, s), s))
+    likes = find_group_likes(h)
+    assert len(likes) == 8
+    assert all(is_group_like(h, g) for g in likes)
+    assert len({tuple(c.text() for c in g.coords) for g in likes}) == 8
+    assert group_like_closure_check(h, likes).status == "PASS"
+
+
+def test_group_likes_fail_when_candidates_cannot_be_rounded(monkeypatch, zoo):
+    monkeypatch.setattr(hopf, "_exactify", lambda value, orders: None)
+    checks = {c.name: c for c in run_pipeline(zoo["C[Z2]"]).checks}
+    assert checks["group-likes"].status == "FAIL"
+    assert checks["group-likes"].detail == "C[Z2]: found 0 of 2 group-likes"

@@ -222,3 +222,24 @@ def test_unimodular_flags(pipelines):
     }
     for name, res in pipelines.items():
         assert res.values["unimodular"] == expected_unimodular[name], name
+
+
+def test_failing_stage_is_named_by_the_exception(monkeypatch):
+    from hopfcheck import integrals, run_pipeline
+    from hopfcheck.errors import NotFaithful
+
+    def degenerate(h, f, label="sigma"):
+        raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
+    monkeypatch.setattr(integrals, "modular_automorphism", degenerate)
+    lines = run_pipeline(sweedler()).report_lines()
+    names = ["left-integral", "right-integral", "modular-element", "modular-automorphism",
+             "modular-automorphism-right", "scaling-constant", "modular-sandwich",
+             "modular-conjugation", "modular-coproduct", "modular-commutation",
+             "modular-scaling", "modular-flip"]
+    start = next(i for i, l in enumerate(lines) if l.split()[1] == names[0])
+    got = lines[start:start + len(names)]
+    assert [l.split()[1] for l in got] == names
+    assert [l.split()[2] for l in got[:3]] == ["PASS"] * 3
+    assert got[3].split()[2] == "FAIL"
+    assert got[3].endswith("! sweedler: bilinear form of sigma source functional is degenerate")
+    assert [l.split()[2] for l in got[4:]] == ["SKIP:prerequisite-failed"] * 8
