@@ -1,19 +1,40 @@
-"""Golden transcripts: the CHECK lines of every zoo member at seed 42.
+"""Golden transcripts: the CHECK lines of every zoo member at seed 42, and
+the full `verify` output of single-entry corruptions.
 
 tests/golden/<stem>.txt holds report_lines() of one standard_zoo() member,
 one line each, where the stem is the algebra name with every
-non-alphanumeric character replaced by '_'.  A refactor or speed-up must
-leave these bytes alone; rewrite a file only for an intended change of the
-transcript, and say so where the change is recorded.
+non-alphanumeric character replaced by '_'.  tests/golden/fail/<stem>.txt
+holds the stdout of `verify --seed 42` on one corrupted input, FAIL
+details included, followed by an `exit <code>` line.  A refactor or
+speed-up must leave these bytes alone; rewrite a file only for an intended
+change of the transcript, and say so where the change is recorded.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from hopfcheck import run_pipeline
+from hopfcheck.cli import main
+from hopfcheck.fileformat import hopf_to_text
+from hopfcheck.zoo import sweedler, taft, tensor_product
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# (golden stem, builder, entry path in the .hopf document, new value).  The
+# first four are the benchmark's fault mutants, the next three the
+# corruptions of acceptance criterion 10.
+CORRUPTIONS = [
+    ("taft4-mult", lambda: taft(4), ("mult", 1, 4, 0), "1"),
+    ("taft4-counit", lambda: taft(4), ("counit", 4), "1"),
+    ("taft4-antipode", lambda: taft(4), ("antipode", 7, 4), "1"),
+    ("swsw-star", lambda: tensor_product("sweedler(x)sweedler", sweedler(), sweedler()),
+     ("star", 4, 4), "-1"),
+    ("sweedler-mult", sweedler, ("mult", 1, 2, 0), "1"),
+    ("sweedler-counit", sweedler, ("counit", 2), "1"),
+    ("sweedler-antipode", sweedler, ("antipode", 3, 2), "1"),
+]
 
 
 def _stem(name: str) -> str:
@@ -33,3 +54,23 @@ def test_seed_decides_no_verdict(zoo, seed):
     # float group-like search on the dual of sweedler(x)sweedler
     got = "\n".join(run_pipeline(zoo["sweedler(x)sweedler"], seed=seed).report_lines()) + "\n"
     assert got.encode("utf-8") == (GOLDEN / "sweedler_x_sweedler.txt").read_bytes()
+
+
+def fail_transcript(build, where, value, tmp_path, capsys) -> str:
+    """stdout of `verify --seed 42` on build() with one entry replaced, plus the exit code."""
+    doc = json.loads(hopf_to_text(build()))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "corrupt.hopf"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    code = main(["verify", "--seed", "42", str(path)])
+    return capsys.readouterr().out + f"exit {code}\n"
+
+
+@pytest.mark.parametrize("stem, build, where, value", CORRUPTIONS,
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_fail_transcripts_match_golden_files(stem, build, where, value, tmp_path, capsys):
+    got = fail_transcript(build, where, value, tmp_path, capsys)
+    assert got == (GOLDEN / "fail" / f"{stem}.txt").read_text(encoding="utf-8")
