@@ -338,6 +338,8 @@ class Cyc:
     @staticmethod
     def parse(text: str, order: int) -> "Cyc":
         """Parse the scalar grammar; z denotes zeta_order.  Raises FormatError."""
+        if order < 1:
+            raise FormatError(f"field order must be positive, got {order}")
         s = text.replace(" ", "")
         if not s:
             raise FormatError("empty scalar string")

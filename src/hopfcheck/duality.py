@@ -13,11 +13,12 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
-from .errors import InconsistentWithDirectComputation, NotBijective
-from .hopf import Elem, Functional, HopfData, full_axiom_suite
+from .errors import InconsistentWithDirectComputation, NotBijective, SingularMatrix
+from .hopf import (Elem, Functional, HopfData, act_left, act_right, full_axiom_suite,
+                   scale, sparse_sum)
 from .integrals import ModularData, left_integral, modular_element, right_integral
 from .linalg import Mat, Tensor3, mat_inverse, rank
-from .report import Check, fail, ok, skip
+from .report import Check, fail, first_failure, law_check, ok, skip
 
 
 def dual_name(name: str) -> str:
@@ -62,30 +63,6 @@ def pairing(f: Elem, a: Elem) -> Cyc:
     return acc
 
 
-def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
-    """f |> a, the dual hitting the right coproduct slot."""
-    acc = [CYC_ZERO] * h.dim
-    f_at = dict(f.support)
-    for k, ak in a.support:
-        for i, j, c in h.comult_terms[k]:
-            fj = f_at.get(j)
-            if fj is not None:
-                acc[i] = acc[i] + ak * c * fj
-    return Elem(tuple(acc))
-
-
-def act_right(h: HopfData, a: Elem, f: Elem) -> Elem:
-    """a <| f, the dual hitting the left coproduct slot."""
-    acc = [CYC_ZERO] * h.dim
-    f_at = dict(f.support)
-    for k, ak in a.support:
-        for i, j, c in h.comult_terms[k]:
-            fi = f_at.get(i)
-            if fi is not None:
-                acc[j] = acc[j] + ak * c * fi
-    return Elem(tuple(acc))
-
-
 def fourier(h: HopfData, md: ModularData, a: Elem) -> Elem:
     """a |-> sum_j phi(e_j a) e_j^, as an element of the dual."""
     return h.apply(md.gram, a)
@@ -101,20 +78,8 @@ def verify_dual(hd: HopfData) -> list:
 
 
 def _lincomb(terms) -> dict:
-    """Sum of c * vec over (c, vec) in terms, each vec a sparse {index: Cyc};
-    zero sums are dropped, so two results compare as vectors."""
-    acc: dict = {}
-    for c, vec in terms:
-        for k, v in vec.items():
-            t = c * v
-            acc[k] = acc[k] + t if k in acc else t
-    return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
-def _first_diff(lhs: dict, rhs: dict):
-    """Smallest index at which two sparse vectors differ, or None."""
-    return next((k for k in sorted(lhs.keys() | rhs.keys())
-                 if lhs.get(k, CYC_ZERO) != rhs.get(k, CYC_ZERO)), None)
+    """Sum of c * vec over (c, vec) in terms, each vec a sparse {index: Cyc}."""
+    return sparse_sum((k, c * v) for c, vec in terms for k, v in vec.items())
 
 
 def verify_pairing(h: HopfData, hd: HopfData) -> Check:
@@ -145,58 +110,44 @@ def verify_pairing(h: HopfData, hd: HopfData) -> Check:
             for k, c in h.mult_pairs[a][b]:
                 coef[k][(a, b)] = c
     prod = [[dict(pairs) for pairs in row] for row in hd.mult_pairs]
-
-    for i in range(d):
-        for j in range(d):
-            a = _first_diff(prod[i][j], cop[i][j])
-            if a is not None:
-                return fail("pairing-actions", law, f"product law fails at ({i},{j},{a})")
-    for i in range(d):
-        cop_i = {(p, q): c for p, q, c in hd.comult_terms[i]}
-        ab = _first_diff(coef[i], cop_i)
-        if ab is not None:
-            return fail("pairing-actions", law, f"coproduct law fails at ({i},{ab[0]},{ab[1]})")
-    for i in range(d):
-        for a in range(d):
-            if hd.antipode.get(a, i) != h.antipode.get(i, a):
-                return fail("pairing-actions", law, f"antipode transpose fails at ({i},{a})")
-    for i in range(d):
-        for j in range(d):
-            fg = prod[i][j]
-            for a in range(d):
-                lhs = _lincomb((c, hit[k][a]) for k, c in fg.items())
-                if lhs != _lincomb((c, hit[i][b]) for b, c in hit[j][a].items()):
-                    return fail("pairing-actions", law, f"left module law fails at ({i},{j},{a})")
-                lhs = _lincomb((c, rhit[k][a]) for k, c in fg.items())
-                if lhs != _lincomb((c, rhit[j][b]) for b, c in rhit[i][a].items()):
-                    return fail("pairing-actions", law, f"right module law fails at ({i},{j},{a})")
     unit_dual = Elem(h.counit.coords).support
-    for a in range(d):
-        e = {a: CYC_ONE}
-        if (_lincomb((c, hit[j][a]) for j, c in unit_dual) != e
-                or _lincomb((c, rhit[j][a]) for j, c in unit_dual) != e):
-            return fail("pairing-actions", law, f"unit acts nontrivially at basis {a}")
-    for i in range(d):
-        for j in range(d):
-            for a in range(d):
-                if (_lincomb((c, rhit[j][b]) for b, c in hit[i][a].items())
-                        != _lincomb((c, hit[i][b]) for b, c in rhit[j][a].items())):
-                    return fail("pairing-actions", law,
-                                f"actions fail to commute at ({i},{a},{j})")
-                if hit[i][a].get(j, CYC_ZERO) != prod[j][i].get(a, CYC_ZERO):
-                    return fail("pairing-actions", law,
-                                f"left action pairing fails at ({i},{a},{j})")
-                if rhit[i][a].get(j, CYC_ZERO) != prod[i][j].get(a, CYC_ZERO):
-                    return fail("pairing-actions", law,
-                                f"right action pairing fails at ({i},{a},{j})")
+    detail = first_failure(
+        d, (2, ("product law fails at ({0},{1},{slot})", lambda i, j: prod[i][j],
+                lambda i, j: cop[i][j])),
+        (1, ("coproduct law fails at ({0},{slot[0]},{slot[1]})", coef.__getitem__,
+             lambda i: {(p, q): c for p, q, c in hd.comult_terms[i]})),
+        (2, ("antipode transpose fails at ({0},{1})", lambda i, a: hd.antipode.get(a, i),
+             lambda i, a: h.antipode.get(i, a))),
+        (3, ("left module law fails at ({0},{1},{2})",
+             lambda i, j, a: _lincomb((c, hit[k][a]) for k, c in prod[i][j].items()),
+             lambda i, j, a: _lincomb((c, hit[i][b]) for b, c in hit[j][a].items())),
+            ("right module law fails at ({0},{1},{2})",
+             lambda i, j, a: _lincomb((c, rhit[k][a]) for k, c in prod[i][j].items()),
+             lambda i, j, a: _lincomb((c, rhit[j][b]) for b, c in rhit[i][a].items()))),
+        (1, ("unit acts nontrivially at basis {0}",
+             lambda a: _lincomb((c, hit[j][a]) for j, c in unit_dual), lambda a: {a: CYC_ONE}),
+            ("unit acts nontrivially at basis {0}",
+             lambda a: _lincomb((c, rhit[j][a]) for j, c in unit_dual), lambda a: {a: CYC_ONE})),
+        (3, ("actions fail to commute at ({0},{2},{1})",
+             lambda i, j, a: _lincomb((c, rhit[j][b]) for b, c in hit[i][a].items()),
+             lambda i, j, a: _lincomb((c, hit[i][b]) for b, c in rhit[j][a].items())),
+            ("left action pairing fails at ({0},{2},{1})",
+             lambda i, j, a: hit[i][a].get(j, CYC_ZERO),
+             lambda i, j, a: prod[j][i].get(a, CYC_ZERO)),
+            ("right action pairing fails at ({0},{2},{1})",
+             lambda i, j, a: rhit[i][a].get(j, CYC_ZERO),
+             lambda i, j, a: prod[i][j].get(a, CYC_ZERO))))
+    if detail is not None:
+        return fail("pairing-actions", law, detail)
     # unital action: the hit elements span everything
     span = Mat.zero(d * d, d)
     for j in range(d):
         for k in range(d):
             for i, c in hit[j][k].items():
                 span.entries[(j * d + k) * d + i] = c
-    if rank(span) != d:
-        return fail("pairing-actions", law, f"action span has rank {rank(span)} < {d}")
+    r = rank(span)
+    if r != d:
+        return fail("pairing-actions", law, f"action span has rank {r} < {d}")
     return ok("pairing-actions", law)
 
 
@@ -233,23 +184,16 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData):
         vals.append(acc)
     psi_hat = Functional(tuple(vals))
 
-    t = Elem(tuple(vals))
-    for a in range(d):
-        lhs = h.mul(t, h.basis(a))
-        want = Elem(tuple(h.counit.coords[a] * c for c in t.coords))
-        if lhs != want:
-            raise InconsistentWithDirectComputation(
-                f"{h.name}: eps.G^-1 is not right invariant at basis {a}")
-
-    phi_hat = Functional(tuple(
-        hd.functional_of(psi_hat, hd.antipode_of(hd.basis(j))) for j in range(d)))
-    s = Elem(phi_hat.coords)
-    for a in range(d):
-        lhs = h.mul(h.basis(a), s)
-        want = Elem(tuple(h.counit.coords[a] * c for c in s.coords))
-        if lhs != want:
-            raise InconsistentWithDirectComputation(
-                f"{h.name}: psihat.S^ is not left invariant at basis {a}")
+    phi_hat = Functional(tuple(hd.functional_of(psi_hat, x) for x in hd.s_basis))
+    t, s = Elem(psi_hat.coords), Elem(phi_hat.coords)
+    b, counit = h.basis, h.counit.coords
+    bad = first_failure(
+        d, (1, ("eps.G^-1 is not right invariant at basis {0}", lambda a: h.mul(t, b(a)),
+                lambda a: scale(counit[a], t))),
+        (1, ("psihat.S^ is not left invariant at basis {0}", lambda a: h.mul(b(a), s),
+             lambda a: scale(counit[a], s))))
+    if bad is not None:
+        raise InconsistentWithDirectComputation(f"{h.name}: {bad}")
 
     phi_solver = left_integral(hd)
     psi_solver = right_integral(hd, phi_solver)
@@ -265,21 +209,18 @@ def dual_modular_links(h: HopfData, md: ModularData, hd: HopfData,
     """Identities tying sigma and S^2 to the dual modular element acting on A."""
     law = ("eps(sigma(a))=<a,deltahat^-1>, sigma(a)=deltahat^-1|>S^2(a), "
            "deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a))")
-    d = h.dim
+    b, s2 = h.basis, h.s2
     delta_hat_inv = hd.antipode_of(delta_hat)
-    s2 = h.antipode.mul(h.antipode)
-    sigma_inv = mat_inverse(md.sigma)
-    for i in range(d):
-        e = h.basis(i)
-        if h.counit_of(h.apply(md.sigma, e)) != pairing(delta_hat_inv, e):
-            return fail("dual-modular-links", law, f"counit link fails at basis {i}")
-        if h.apply(md.sigma, e) != act_left(h, delta_hat_inv, h.apply(s2, e)):
-            return fail("dual-modular-links", law, f"sigma link fails at basis {i}")
-        if act_left(h, delta_hat, e) != h.apply(s2, h.apply(sigma_inv, e)):
-            return fail("dual-modular-links", law, f"left action link fails at basis {i}")
-        if act_right(h, e, delta_hat_inv) != h.apply(s2, h.apply(md.sigma_prime, e)):
-            return fail("dual-modular-links", law, f"right action link fails at basis {i}")
-    return ok("dual-modular-links", law)
+    return law_check(
+        "dual-modular-links", law, h.dim,
+        (1, ("counit link fails at basis {0}", lambda i: h.counit_of(h.apply(md.sigma, b(i))),
+             lambda i: pairing(delta_hat_inv, b(i))),
+            ("sigma link fails at basis {0}", lambda i: h.apply(md.sigma, b(i)),
+             lambda i: act_left(h, delta_hat_inv, h.apply(s2, b(i)))),
+            ("left action link fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
+             lambda i: h.apply(s2, h.apply(md.sigma_inv, b(i)))),
+            ("right action link fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
+             lambda i: h.apply(s2, h.apply(md.sigma_prime, b(i))))))
 
 
 def _seeded_elems(h: HopfData, seed: int, count: int,
@@ -325,7 +266,7 @@ def plancherel_check(h: HopfData, md: ModularData, hd: HopfData,
 def fourier_bijective(h: HopfData, md: ModularData) -> None:
     try:
         mat_inverse(md.gram)
-    except Exception as e:
+    except SingularMatrix as e:
         raise NotBijective(f"{h.name}: Fourier transform is singular") from e
 
 

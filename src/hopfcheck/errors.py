@@ -60,10 +60,6 @@ class NotProportional(HopfError):
     """Two functionals expected to be proportional are not."""
 
 
-class DualVerificationFailed(HopfError):
-    """Constructed dual fails one of the axiom verifiers."""
-
-
 class NotBijective(HopfError):
     """Linear map expected to be a bijection is singular."""
 
@@ -74,10 +70,6 @@ class InconsistentWithDirectComputation(HopfError):
 
 class NoStarStructure(HopfError):
     """Operation requires a star structure and the algebra carries none."""
-
-
-class NotPositive(HopfError):
-    """Functional fails positivity."""
 
 
 class NumericalFailure(HopfError):

@@ -9,14 +9,15 @@ coordinate of phi to 1 so every downstream quantity is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
+from .cyclotomic import Cyc
 from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
                      NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
                      RightInvarianceFailed, SingularMatrix)
-from .hopf import Elem, Functional, HopfData, is_group_like
+from .hopf import Elem, Functional, HopfData, act_left, act_right, is_group_like, scale
 from .linalg import Mat, mat_inverse, solve_null_space
-from .report import Check, fail, ok
+from .report import first_failure, law_check
 
 
 def left_integral(h: HopfData) -> Functional:
@@ -40,31 +41,20 @@ def left_integral(h: HopfData) -> Functional:
 
 def right_integral(h: HopfData, phi: Functional) -> Functional:
     """psi = phi . S, then confirm (psi (x) id) D(a) = psi(a) 1 on the basis."""
-    d = h.dim
-    psi = [CYC_ZERO] * d
-    for i in range(d):
-        for k in range(d):
-            c = h.antipode.get(k, i)
-            if not c.is_zero():
-                psi[i] = psi[i] + phi.coords[k] * c
-    for a in range(d):
-        acc = [CYC_ZERO] * d
-        for i, j, c in h.comult_terms[a]:
-            acc[j] = acc[j] + c * psi[i]
-        want = tuple(psi[a] * u for u in h.unit.coords)
-        if tuple(acc) != want:
-            raise RightInvarianceFailed(f"{h.name}: phi.S is not right invariant at basis {a}")
-    return Functional(tuple(psi))
+    psi = Elem(tuple(h.functional_of(phi, x) for x in h.s_basis))
+    bad = first_failure(h.dim, (1, ("{0}", lambda a: act_right(h, h.basis(a), psi),
+                                    lambda a: scale(psi.coords[a], h.unit))))
+    if bad is not None:
+        raise RightInvarianceFailed(f"{h.name}: phi.S is not right invariant at basis {bad}")
+    return Functional(psi.coords)
 
 
 def modular_element(h: HopfData, phi: Functional) -> Elem:
     """The group-like with (phi (x) id) D(a) = phi(a) delta for every a."""
-    d = h.dim
     delta = None
-    for a in range(d):
-        v = [CYC_ZERO] * d
-        for i, j, c in h.comult_terms[a]:
-            v[j] = v[j] + c * phi.coords[i]
+    phi_elem = Elem(phi.coords)
+    for a in range(h.dim):
+        v = act_right(h, h.basis(a), phi_elem).coords
         fa = phi.coords[a]
         if fa.is_zero():
             if any(not x.is_zero() for x in v):
@@ -82,27 +72,16 @@ def modular_element(h: HopfData, phi: Functional) -> Elem:
     if not is_group_like(h, e):
         raise NotGroupLike(f"{h.name}: modular element is not group-like")
     # phi . S = phi( . delta) pins the convention down; check it on the basis
-    for i in range(d):
-        lhs = h.functional_of(phi, h.antipode_of(h.basis(i)))
-        rhs = h.functional_of(phi, h.mul(h.basis(i), e))
-        if lhs != rhs:
-            raise InconsistentSystem(f"{h.name}: phi(S(a)) != phi(a delta) at basis {i}")
+    bad = first_failure(h.dim, (1, ("{0}", lambda i: h.functional_of(phi, h.s_basis[i]),
+                                    lambda i: h.functional_of(phi, h.mul(h.basis(i), e)))))
+    if bad is not None:
+        raise InconsistentSystem(f"{h.name}: phi(S(a)) != phi(a delta) at basis {bad}")
     return e
 
 
 def gram_matrix(h: HopfData, f: Functional) -> Mat:
     """G[i][j] = f(e_i e_j), the bilinear form of a functional."""
-    d = h.dim
-    g = Mat.zero(d, d)
-    for i in range(d):
-        for j in range(d):
-            acc = CYC_ZERO
-            for k, c in h.mult_pairs[i][j]:
-                fk = f.coords[k]
-                if not fk.is_zero():
-                    acc = acc + c * fk
-            g.entries[i * d + j] = acc
-    return g
+    return Mat(h.dim, h.dim, [h.functional_of(f, x) for row in h.products for x in row])
 
 
 def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma") -> Mat:
@@ -118,33 +97,23 @@ def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma") -> Ma
     except SingularMatrix:
         raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
     rho = ginv.mul(g.transpose())
-    if h.apply(rho, h.unit) != h.unit:
-        raise NotAutomorphism(f"{h.name}: {label} does not fix the unit")
-    for i in range(h.dim):
-        for j in range(h.dim):
-            lhs = h.apply(rho, h.mul(h.basis(i), h.basis(j)))
-            rhs = h.mul(h.apply(rho, h.basis(i)), h.apply(rho, h.basis(j)))
-            if lhs != rhs:
-                raise NotAutomorphism(f"{h.name}: {label} is not multiplicative at ({i},{j})")
+    images = [h.apply(rho, h.basis(i)) for i in range(h.dim)]
+    bad = first_failure(
+        h.dim, (0, ("does not fix the unit", lambda: h.apply(rho, h.unit), lambda: h.unit)),
+        (2, ("is not multiplicative at ({0},{1})", lambda i, j: h.apply(rho, h.products[i][j]),
+             lambda i, j: h.mul(images[i], images[j]))))
+    if bad is not None:
+        raise NotAutomorphism(f"{h.name}: {label} {bad}")
     return rho
 
 
 def scaling_constant(h: HopfData, phi: Functional) -> Cyc:
     """nu with phi . S^2 = nu phi."""
-    d = h.dim
-    comp = []
-    for i in range(d):
-        acc = CYC_ZERO
-        s2i = h.antipode_of(h.antipode_of(h.basis(i)))
-        for k, c in s2i.support:
-            if not phi.coords[k].is_zero():
-                acc = acc + phi.coords[k] * c
-        comp.append(acc)
-    lead = next(i for i in range(d) if not phi.coords[i].is_zero())
+    comp = [h.functional_of(phi, h.antipode_of(x)) for x in h.s_basis]
+    lead = next(i for i, c in enumerate(phi.coords) if not c.is_zero())
     nu = comp[lead] / phi.coords[lead]
-    for i in range(d):
-        if comp[i] != nu * phi.coords[i]:
-            raise NotProportional(f"{h.name}: phi.S^2 is not proportional to phi")
+    if any(x != nu * c for x, c in zip(comp, phi.coords)):
+        raise NotProportional(f"{h.name}: phi.S^2 is not proportional to phi")
     return nu
 
 
@@ -160,6 +129,10 @@ class ModularData:
     nu: Cyc
     gram: Mat       # G[i][j] = phi(e_i e_j)
     gram_inv: Mat
+
+    @cached_property
+    def sigma_inv(self) -> Mat:
+        return mat_inverse(self.sigma)
 
 
 def compute_modular(h: HopfData) -> ModularData:
@@ -193,87 +166,42 @@ def compute_modular(h: HopfData) -> ModularData:
 # the compatibility identities tying the modular data together
 
 
-def _s2_matrix(h: HopfData) -> Mat:
-    return h.antipode.mul(h.antipode)
-
-
 def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     """Six exact identities; each failure reports its own location."""
-    checks = []
-    s = h.antipode
-    s2 = _s2_matrix(h)
+    b, s, dim = h.basis, h.s_basis, h.dim
+    sigma = [h.apply(md.sigma, b(i)) for i in range(dim)]
+    sigma_prime = [h.apply(md.sigma_prime, b(i)) for i in range(dim)]
+    s2 = [h.apply(h.s2, b(i)) for i in range(dim)]
+    want = scale(md.nu.inverse(), md.delta)
+    # phi(e_x e_y) as functionals of y (rows) and of x (cols)
+    rows = [Elem(tuple(h.functional_of(md.phi, q) for q in h.products[x])) for x in range(dim)]
+    cols = [Elem(tuple(r.coords[y] for r in rows)) for y in range(dim)]
 
-    law = "sigma(S(sigma'(a)))=S(a)"
-    bad = next((i for i in range(h.dim)
-                if h.apply(md.sigma, h.apply(s, h.apply(md.sigma_prime, h.basis(i))))
-                != h.apply(s, h.basis(i))), None)
-    checks.append(ok("modular-sandwich", law) if bad is None else
-                  fail("modular-sandwich", law, f"fails at basis {bad}"))
+    def commutes(x, y):
+        return lambda: x.mul(y), lambda: y.mul(x)
 
-    law = "delta sigma(a)=sigma'(a) delta"
-    bad = next((i for i in range(h.dim)
-                if h.mul(md.delta, h.apply(md.sigma, h.basis(i)))
-                != h.mul(h.apply(md.sigma_prime, h.basis(i)), md.delta)), None)
-    checks.append(ok("modular-conjugation", law) if bad is None else
-                  fail("modular-conjugation", law, f"fails at basis {bad}"))
-
-    law = "D(sigma(a))=(S^2(x)sigma)D(a)"
-    bad = None
-    for k in range(h.dim):
-        lhs = h.coprod(h.apply(md.sigma, h.basis(k)))
-        rhs: dict = {}
-        for i, j, c in h.comult_terms[k]:
-            vi = h.apply(s2, h.basis(i))
-            vj = h.apply(md.sigma, h.basis(j))
-            for a, ca in vi.support:
-                for b, cb in vj.support:
-                    key = (a, b)
-                    add = c * ca * cb
-                    v = rhs.get(key)
-                    rhs[key] = add if v is None else v + add
-        rhs = {k2: v for k2, v in rhs.items() if not v.is_zero()}
-        if lhs != rhs:
-            bad = k
-            break
-    checks.append(ok("modular-coproduct", law) if bad is None else
-                  fail("modular-coproduct", law, f"fails at basis {bad}"))
-
-    law = "[S^2,sigma]=[S^2,sigma']=[sigma,sigma']=0"
-    pairs = [("S^2,sigma", s2, md.sigma), ("S^2,sigma'", s2, md.sigma_prime),
-             ("sigma,sigma'", md.sigma, md.sigma_prime)]
-    bad_pair = next((lbl for lbl, a, b in pairs if a.mul(b) != b.mul(a)), None)
-    checks.append(ok("modular-commutation", law) if bad_pair is None else
-                  fail("modular-commutation", law, f"[{bad_pair}] != 0"))
-
-    law = "sigma(delta)=sigma'(delta)=nu^-1 delta"
-    want = Elem(tuple(md.nu.inverse() * c for c in md.delta.coords))
-    good = (h.apply(md.sigma, md.delta) == want
-            and h.apply(md.sigma_prime, md.delta) == want)
-    checks.append(ok("modular-scaling", law) if good else
-                  fail("modular-scaling", law, "modular element scales wrongly"))
-
-    law = "S((id(x)phi)(D(a)(1(x)b)))=(id(x)phi)((1(x)a)D(b))"
-    bad2 = None
-    for a in range(h.dim):
-        for b in range(h.dim):
-            lacc = [CYC_ZERO] * h.dim
-            for i, j, c in h.comult_terms[a]:
-                prod = h.mul(h.basis(j), h.basis(b))
-                val = h.functional_of(md.phi, prod)
-                if not val.is_zero():
-                    lacc[i] = lacc[i] + c * val
-            lhs = h.antipode_of(Elem(tuple(lacc)))
-            racc = [CYC_ZERO] * h.dim
-            for i, j, c in h.comult_terms[b]:
-                prod = h.mul(h.basis(a), h.basis(j))
-                val = h.functional_of(md.phi, prod)
-                if not val.is_zero():
-                    racc[i] = racc[i] + c * val
-            if lhs != Elem(tuple(racc)):
-                bad2 = (a, b)
-                break
-        if bad2 is not None:
-            break
-    checks.append(ok("modular-flip", law) if bad2 is None else
-                  fail("modular-flip", law, f"fails at pair {bad2}"))
-    return checks
+    return [
+        law_check("modular-sandwich", "sigma(S(sigma'(a)))=S(a)", dim,
+                  (1, ("fails at basis {0}",
+                       lambda i: h.apply(md.sigma, h.antipode_of(sigma_prime[i])),
+                       lambda i: s[i]))),
+        law_check("modular-conjugation", "delta sigma(a)=sigma'(a) delta", dim,
+                  (1, ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
+                       lambda i: h.mul(sigma_prime[i], md.delta)))),
+        law_check("modular-coproduct", "D(sigma(a))=(S^2(x)sigma)D(a)", dim,
+                  (1, ("fails at basis {0}", lambda k: h.coprod(sigma[k]),
+                       lambda k: h.coprod_map(k, s2, sigma)))),
+        law_check("modular-commutation", "[S^2,sigma]=[S^2,sigma']=[sigma,sigma']=0", dim,
+                  (0, ("[S^2,sigma] != 0", *commutes(h.s2, md.sigma)),
+                      ("[S^2,sigma'] != 0", *commutes(h.s2, md.sigma_prime)),
+                      ("[sigma,sigma'] != 0", *commutes(md.sigma, md.sigma_prime)))),
+        law_check("modular-scaling", "sigma(delta)=sigma'(delta)=nu^-1 delta", dim,
+                  (0, ("modular element scales wrongly",
+                       lambda: h.apply(md.sigma, md.delta), lambda: want),
+                      ("modular element scales wrongly",
+                       lambda: h.apply(md.sigma_prime, md.delta), lambda: want))),
+        law_check("modular-flip", "S((id(x)phi)(D(a)(1(x)b)))=(id(x)phi)((1(x)a)D(b))", dim,
+                  (2, ("fails at pair ({0}, {1})",
+                       lambda x, y: h.antipode_of(act_left(h, cols[y], b(x))),
+                       lambda x, y: act_left(h, rows[x], b(y))))),
+    ]

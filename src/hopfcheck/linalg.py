@@ -31,9 +31,6 @@ class Mat:
     def row(self, i: int) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     @staticmethod
     def from_rows(rows: list) -> "Mat":
         r = len(rows)
@@ -92,19 +89,6 @@ class Mat:
                     acc = acc + e * x
             out[i] = acc
         return out
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimMismatch("shape mismatch")
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def sub(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimMismatch("shape mismatch")
-        return Mat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c: Cyc) -> "Mat":
-        return Mat(self.rows, self.cols, [c * a for a in self.entries])
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(

@@ -10,16 +10,10 @@ failure points at the broken step rather than the composite.
 from __future__ import annotations
 
 from .errors import NumericalFailure
-from .hopf import Elem, HopfData
+from .hopf import Elem, HopfData, act_left, act_right
 from .integrals import ModularData
-from .linalg import Mat, mat_inverse
-from .report import Check, fail, ok, skip
-
-from .duality import act_left, act_right
-
-
-def s2_matrix(h: HopfData) -> Mat:
-    return h.antipode.mul(h.antipode)
+from .linalg import Mat
+from .report import Check, fail, first_failure, law_check, ok, skip
 
 
 def _matrix_order(m: Mat, cap: int, what: str) -> int:
@@ -38,23 +32,25 @@ def s_order(h: HopfData) -> int:
 
 def s2_order(h: HopfData) -> int:
     """Smallest k with (S^2)^k = id."""
-    return _matrix_order(s2_matrix(h), 16 * h.dim * h.dim, f"{h.name} S^2")
+    return _matrix_order(h.s2, 16 * h.dim * h.dim, f"{h.name} S^2")
+
+
+def _sandwich(h: HopfData, left: Elem, right: Elem, a: Elem, dual_left: Elem,
+              dual_right: Elem) -> Elem:
+    """left (dual_left |> a <| dual_right) right."""
+    return h.mul_many(left, act_left(h, dual_left, act_right(h, a, dual_right)), right)
 
 
 def radford_check(h: HopfData, md: ModularData, hd: HopfData,
                   delta_hat: Elem) -> Check:
     """S^4(a) = delta^-1 (deltahat |> a <| deltahat^-1) delta on the basis."""
     law = "S^4(a)=delta^-1(deltahat|>a<|deltahat^-1)delta"
-    s2 = s2_matrix(h)
-    s4 = s2.mul(s2)
     delta_hat_inv = hd.antipode_of(delta_hat)
-    for i in range(h.dim):
-        a = h.basis(i)
-        lhs = h.apply(s4, a)
-        mid = act_left(h, delta_hat, act_right(h, a, delta_hat_inv))
-        rhs = h.mul_many(md.delta_inv, mid, md.delta)
-        if lhs != rhs:
-            return fail("radford-s4", law, f"fails at basis {i}")
+    bad = first_failure(h.dim, (1, (
+        "fails at basis {0}", lambda i: h.apply(h.s4, h.basis(i)),
+        lambda i: _sandwich(h, md.delta_inv, md.delta, h.basis(i), delta_hat, delta_hat_inv))))
+    if bad is not None:
+        return fail("radford-s4", law, bad)
     return ok("radford-s4", law, f"ord(S^2)={s2_order(h)}")
 
 
@@ -66,29 +62,24 @@ def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,
     S^2(delta)=delta, and finally the assembled sandwich."""
     law = ("deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a)), "
            "sigma'(a)=delta sigma(a) delta^-1, S^2(delta)=delta, composed=S^4")
-    s2 = s2_matrix(h)
-    s4 = s2.mul(s2)
-    if h.apply(s2, md.delta) != md.delta:
-        return fail("radford-factorization", law, "S^2 moves the modular element")
-    sigma_inv = mat_inverse(md.sigma)
+    b, s2 = h.basis, h.s2
     delta_hat_inv = hd.antipode_of(delta_hat)
-    for i in range(h.dim):
-        a = h.basis(i)
-        if act_left(h, delta_hat, a) != h.apply(s2, h.apply(sigma_inv, a)):
-            return fail("radford-factorization", law, f"left factor fails at basis {i}")
-        if act_right(h, a, delta_hat_inv) != h.apply(s2, h.apply(md.sigma_prime, a)):
-            return fail("radford-factorization", law, f"right factor fails at basis {i}")
-        if h.apply(md.sigma_prime, a) != h.mul_many(md.delta, h.apply(md.sigma, a),
-                                                    md.delta_inv):
-            return fail("radford-factorization", law, f"inner relation fails at basis {i}")
-        path = h.apply(md.sigma_prime, a)
-        path = h.apply(s2, path)
-        path = h.apply(sigma_inv, path)
-        path = h.apply(s2, path)
-        path = h.mul_many(md.delta_inv, path, md.delta)
-        if path != h.apply(s4, a):
-            return fail("radford-factorization", law, f"composition fails at basis {i}")
-    return ok("radford-factorization", law)
+
+    def composed(i):
+        path = h.apply(s2, h.apply(md.sigma_prime, b(i)))
+        path = h.apply(s2, h.apply(md.sigma_inv, path))
+        return h.mul_many(md.delta_inv, path, md.delta)
+
+    return law_check(
+        "radford-factorization", law, h.dim,
+        (0, ("S^2 moves the modular element", lambda: h.apply(s2, md.delta), lambda: md.delta)),
+        (1, ("left factor fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
+             lambda i: h.apply(s2, h.apply(md.sigma_inv, b(i)))),
+            ("right factor fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
+             lambda i: h.apply(s2, h.apply(md.sigma_prime, b(i)))),
+            ("inner relation fails at basis {0}", lambda i: h.apply(md.sigma_prime, b(i)),
+             lambda i: h.mul_many(md.delta, h.apply(md.sigma, b(i)), md.delta_inv)),
+            ("composition fails at basis {0}", composed, lambda i: h.apply(h.s4, b(i)))))
 
 
 def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
@@ -104,36 +95,33 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
     law = "deltahat=1^ => phi(ab)=phi(b S^2(a)); r^2=delta => S^2(a)=r^-1 a r, phi(ab r)=phi(ba r)"
     if delta_hat != Elem(h.counit.coords):
         return skip("s2-conjugation", law, "not-counimodular")
-    s2 = s2_matrix(h)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            lhs = h.functional_of(md.phi, h.mul(h.basis(i), h.basis(j)))
-            rhs = h.functional_of(md.phi, h.mul(h.basis(j), h.apply(s2, h.basis(i))))
-            if lhs != rhs:
-                return fail("s2-conjugation", law, f"phi twist fails at ({i},{j})")
-    root = None
-    for cand in group_like_roots(h, likes, md.delta):
-        cand_inv = h.antipode_of(cand)
-        if all(h.apply(s2, h.basis(i)) == h.mul_many(cand_inv, h.basis(i), cand)
-               for i in range(h.dim)):
-            root = cand
-            break
+    b, p, phi = h.basis, h.products, md.phi
+    s2 = [h.apply(h.s2, b(i)) for i in range(h.dim)]
+    bad = first_failure(h.dim, (2, ("phi twist fails at ({0},{1})",
+                                    lambda i, j: h.functional_of(phi, p[i][j]),
+                                    lambda i, j: h.functional_of(phi, h.mul(b(j), s2[i])))))
+    if bad is not None:
+        return fail("s2-conjugation", law, bad)
+
+    def conjugates_to_s2(r):
+        r_inv = h.antipode_of(r)
+        return first_failure(h.dim, (1, ("", s2.__getitem__,
+                                         lambda i: h.mul_many(r_inv, b(i), r)))) is None
+
+    root = next((r for r in group_like_roots(h, likes, md.delta) if conjugates_to_s2(r)), None)
     if root is None:
         # no root of delta implements S^2; the square of the statement still holds
-        s4 = s2.mul(s2)
-        for i in range(h.dim):
-            a = h.basis(i)
-            if h.apply(s4, a) != h.mul_many(md.delta_inv, a, md.delta):
-                return fail("s2-conjugation", law, f"S^4 inner form fails at basis {i}")
+        bad = first_failure(h.dim, (1, ("S^4 inner form fails at basis {0}",
+                                        lambda i: h.apply(h.s4, b(i)),
+                                        lambda i: h.mul_many(md.delta_inv, b(i), md.delta))))
+        if bad is not None:
+            return fail("s2-conjugation", law, bad)
         return ok("s2-conjugation", law,
                   "no conjugating group-like square root of delta; squared form verified")
-    for i in range(h.dim):
-        for j in range(h.dim):
-            lhs = h.functional_of(md.phi, h.mul(h.mul(h.basis(i), h.basis(j)), root))
-            rhs = h.functional_of(md.phi, h.mul(h.mul(h.basis(j), h.basis(i)), root))
-            if lhs != rhs:
-                return fail("s2-conjugation", law, f"trace property fails at ({i},{j})")
-    return ok("s2-conjugation", law)
+    return law_check("s2-conjugation", law, h.dim,
+                     (2, ("trace property fails at ({0},{1})",
+                          lambda i, j: h.functional_of(phi, h.mul(p[i][j], root)),
+                          lambda i, j: h.functional_of(phi, h.mul(p[j][i], root)))))
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
@@ -145,17 +133,12 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
     dual_roots = group_like_roots(hd, dual_likes, delta_hat)
     if not roots or not dual_roots:
         return skip("s2-half-power", law, "no-group-like-square-root")
-    s2 = s2_matrix(h)
 
     def works(root, dual_root):
-        root_inv = h.antipode_of(root)
-        dual_root_inv = hd.antipode_of(dual_root)
-        for i in range(h.dim):
-            a = h.basis(i)
-            mid = act_left(h, dual_root, act_right(h, a, dual_root_inv))
-            if h.apply(s2, a) != h.mul_many(root_inv, mid, root):
-                return False
-        return True
+        root_inv, dual_root_inv = h.antipode_of(root), hd.antipode_of(dual_root)
+        return first_failure(h.dim, (1, (
+            "", lambda i: h.apply(h.s2, h.basis(i)),
+            lambda i: _sandwich(h, root_inv, root, h.basis(i), dual_root, dual_root_inv)))) is None
 
     # the sandwich needs a compatible pair of roots, so scan them all
     if any(works(r, rh) for r in roots for rh in dual_roots):

@@ -8,7 +8,7 @@ here shows up as a red check rather than a silent wrong answer.
 from __future__ import annotations
 
 from .cyclotomic import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, lcm
-from .errors import InvalidCayleyTable, NotPrimitiveRoot
+from .errors import FormatError, InvalidCayleyTable, NotPrimitiveRoot
 from .hopf import Elem, Functional, HopfData
 from .linalg import Mat, Tensor3
 
@@ -168,7 +168,7 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
     1, g, ..., g^(n-1), x, gx, ..., g^(n-1)x, ..., g^(n-1)x^(n-1),
     so index(g^i x^j) = j*n + i.  No star structure for n > 2."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise FormatError("need n >= 2")
     if q is None:
         q = Cyc.root(n, 1)
     # q must be a primitive n-th root of unity

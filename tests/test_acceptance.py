@@ -36,7 +36,6 @@ from hopfcheck.gns import (
 )
 from hopfcheck.integrals import modular_identity_checks
 from hopfcheck.linalg import mat_pow, solve_null_space
-from hopfcheck.radford import s2_matrix
 
 POSITIVE = ("C[Z2]", "C[Z3]", "C[Z6]", "C[S3]",
             "F(Z2)", "F(Z3)", "F(Z6)", "F(S3)")
@@ -181,7 +180,7 @@ def test_criterion_07_collapse_in_the_positive_case(zoo, pipelines):
             "deltahat=1": delta_hat == hd.unit,
             "nu=1": md.nu == CYC_ONE,
             "sigma=id": md.sigma.is_identity(),
-            "S^2=id": s2_matrix(h).is_identity(),
+            "S^2=id": h.s2.is_identity(),
         }
         for label, ok in facts.items():
             if not ok:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
+from hopfcheck.errors import FormatError
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -173,6 +174,12 @@ def test_parse_rejects_garbage():
                 "--1", "+", "1+*z", "z^-1"]:
         with pytest.raises(ValueError):
             Cyc.parse(bad, 4)
+
+
+def test_parse_rejects_a_nonpositive_field_order():
+    for order in (0, -3):
+        with pytest.raises(FormatError, match="field order must be positive"):
+            Cyc.parse("z", order)
 
 
 def test_parse_accepts_spaces_and_order_reduction():

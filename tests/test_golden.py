@@ -18,13 +18,14 @@ import pytest
 from hopfcheck import run_pipeline
 from hopfcheck.cli import main
 from hopfcheck.fileformat import hopf_to_text
-from hopfcheck.zoo import sweedler, taft, tensor_product
+from hopfcheck.zoo import cyclic_table, group_algebra, sweedler, taft, tensor_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # (golden stem, builder, entry path in the .hopf document, new value).  The
 # first four are the benchmark's fault mutants, the next three the
-# corruptions of acceptance criterion 10.
+# corruptions of acceptance criterion 10; the last makes S singular, so the
+# star exchange law has no S^-1 to test against.
 CORRUPTIONS = [
     ("taft4-mult", lambda: taft(4), ("mult", 1, 4, 0), "1"),
     ("taft4-counit", lambda: taft(4), ("counit", 4), "1"),
@@ -34,6 +35,8 @@ CORRUPTIONS = [
     ("sweedler-mult", sweedler, ("mult", 1, 2, 0), "1"),
     ("sweedler-counit", sweedler, ("counit", 2), "1"),
     ("sweedler-antipode", sweedler, ("antipode", 3, 2), "1"),
+    ("CZ2-singular-antipode", lambda: group_algebra("C[Z2]", cyclic_table(2)),
+     ("antipode", 1, 1), "0"),
 ]
 
 

@@ -18,9 +18,10 @@ from hopfcheck import (
     run_pipeline,
     standard_zoo,
     sweedler,
+    taft,
     tensor_product,
 )
-from hopfcheck.errors import DimMismatch
+from hopfcheck.errors import DimMismatch, FormatError
 from hopfcheck import hopf
 from hopfcheck.hopf import (
     group_like_closure_check,
@@ -106,6 +107,23 @@ def test_group_likes_of_cyclic_group_algebra(zoo):
     check = group_like_closure_check(zoo["C[Z2]"], likes)
     assert check.status == "PASS"
     assert "2" in check.detail
+
+
+def test_closure_fails_on_an_incomplete_group_like_list(zoo):
+    h = zoo["C[Z3]"]
+    likes = find_group_likes(h)
+    assert len(likes) == 3 and h.unit in likes
+    for dropped in likes:
+        rest = [g for g in likes if g != dropped]
+        want = ("product escapes the list" if dropped != h.unit
+                else "unit missing from the group-like list")
+        check = group_like_closure_check(h, rest)
+        assert (check.status, check.detail) == ("FAIL", want)
+
+
+def test_taft_rejects_n_below_two_as_a_format_error():
+    with pytest.raises(FormatError, match="need n >= 2"):
+        taft(1)
 
 
 def test_group_likes_of_function_algebra_are_characters(zoo):
