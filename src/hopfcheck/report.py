@@ -58,8 +58,8 @@ def first_failure(dim: int, *groups) -> str | None:
     A group is (arity, *rows) and a row is (template, lhs, rhs), where lhs
     and rhs are plain callables taking `arity` basis indices.  Groups run in
     the order given.  Within a group the index tuples run over
-    range(dim)**arity in lexicographic order, and at each tuple every row is
-    compared in turn, so a law with several parts reports the first failing
+    range(dim)**arity in lexicographic order (arity 0 runs its rows once),
+    and at each tuple every row is compared in turn, so a law with several parts reports the first failing
     part at the first failing index (the coproduct before the counit at each
     pair, say), never a later index of an earlier part.  The first mismatch
     returns template.format(*idx, slot=...), where slot is the smallest key
