@@ -309,8 +309,9 @@ class Cyc:
         return sum(complex(c) * z**k for k, c in enumerate(self.coeffs) if c)
 
     def text(self, order: int | None = None) -> str:
-        """Canonical string per the scalar grammar, relative to the given order."""
-        c = self.embed(order) if order else self
+        """Canonical string per the scalar grammar, relative to the given order.
+        A rational renders the same in every field, so it is not embedded."""
+        c = self.embed(order) if order and self.order != 1 else self
         parts = []
         for k, f in enumerate(c.coeffs):
             if f == 0:

@@ -44,31 +44,41 @@ def hopf_to_text(h: HopfData) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _scalar(raw, order: int, where: str) -> Cyc:
-    if not isinstance(raw, str):
-        raise FormatError(f"{where}: scalar entries must be strings")
-    try:
-        return Cyc.parse(raw, order)
-    except FormatError as e:
-        raise FormatError(f"{where}: {e}") from e
+def _scalar_reader(order: int):
+    """read(raw, where) -> Cyc, parsing each distinct string once; Cyc is
+    immutable, so equal entries share one instance."""
+    parsed: dict = {}
+
+    def read(raw, where: str) -> Cyc:
+        if not isinstance(raw, str):
+            raise FormatError(f"{where}: scalar entries must be strings")
+        c = parsed.get(raw)
+        if c is None:
+            try:
+                c = parsed[raw] = Cyc.parse(raw, order)
+            except FormatError as e:
+                raise FormatError(f"{where}: {e}") from e
+        return c
+
+    return read
 
 
-def _vector(raw, d: int, order: int, where: str) -> tuple:
+def _vector(raw, d: int, read, where: str) -> tuple:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a length-{d} array")
-    return tuple(_scalar(x, order, f"{where}[{i}]") for i, x in enumerate(raw))
+    return tuple(read(x, f"{where}[{i}]") for i, x in enumerate(raw))
 
 
-def _matrix(raw, d: int, order: int, where: str) -> Mat:
+def _matrix(raw, d: int, read, where: str) -> Mat:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d} array")
     entries = []
     for r, row in enumerate(raw):
-        entries.extend(_vector(row, d, order, f"{where}[{r}]"))
+        entries.extend(_vector(row, d, read, f"{where}[{r}]"))
     return Mat(d, d, entries)
 
 
-def _tensor(raw, d: int, order: int, where: str) -> Tensor3:
+def _tensor(raw, d: int, read, where: str) -> Tensor3:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d}x{d} array")
     entries = []
@@ -76,7 +86,7 @@ def _tensor(raw, d: int, order: int, where: str) -> Tensor3:
         if not isinstance(plane, list) or len(plane) != d:
             raise FormatError(f"{where}[{a}]: expected a {d}x{d} array")
         for b, row in enumerate(plane):
-            entries.extend(_vector(row, d, order, f"{where}[{a}][{b}]"))
+            entries.extend(_vector(row, d, read, f"{where}[{a}][{b}]"))
     return Tensor3(d, entries)
 
 
@@ -106,16 +116,17 @@ def hopf_from_text(text: str) -> HopfData:
         raise FormatError("name must be a nonempty string")
     d = _positive_int(doc, "dim")
     order = _positive_int(doc, "field_order")
+    read = _scalar_reader(order)
     star = None
     if "star" in doc:
-        star = _matrix(doc["star"], d, order, "star")
+        star = _matrix(doc["star"], d, read, "star")
     return HopfData(
         name=name, dim=d, field_order=order,
-        mult=_tensor(doc["mult"], d, order, "mult"),
-        unit=Elem(_vector(doc["unit"], d, order, "unit")),
-        comult=_tensor(doc["comult"], d, order, "comult"),
-        counit=Functional(_vector(doc["counit"], d, order, "counit")),
-        antipode=_matrix(doc["antipode"], d, order, "antipode"),
+        mult=_tensor(doc["mult"], d, read, "mult"),
+        unit=Elem(_vector(doc["unit"], d, read, "unit")),
+        comult=_tensor(doc["comult"], d, read, "comult"),
+        counit=Functional(_vector(doc["counit"], d, read, "counit")),
+        antipode=_matrix(doc["antipode"], d, read, "antipode"),
         star=star)
 
 

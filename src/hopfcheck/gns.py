@@ -163,12 +163,15 @@ def gns_representation_check(h: HopfData, state: Functional, gns: GNSData,
 
 
 def commutant_basis(rep: list, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (rows of shape (d,d)) of everything commuting with rep."""
+    """Orthonormal basis (rows of shape (d,d)) of everything commuting with rep.
+
+    rep is nonempty, so the stacked system has at least d^2 rows and the
+    thin SVD still returns all d^2 right singular vectors."""
     d = rep[0].shape[0]
     eye = np.eye(d)
     blocks = [np.kron(r, eye) - np.kron(eye, r.T) for r in rep]
     stacked = np.vstack(blocks)
-    _u, s, vh = np.linalg.svd(stacked)
+    _u, s, vh = np.linalg.svd(stacked, full_matrices=False)
     null_dim = int(np.sum(s <= tol * max(1.0, s.max()))) + (d * d - len(s))
     if null_dim == 0:
         return np.zeros((0, d, d))
@@ -180,7 +183,15 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
     """J is an involutive antiunitary, J nabla J = nabla^-1, nabla is the
     identity (so invariance of the algebra under its flow is automatic),
     and conjugating the represented algebra by J lands in (all of) its
-    commutant, whose dimension is confirmed twice."""
+    commutant, whose dimension is confirmed twice.
+
+    The two methods: the null space of X -> [rep(g), X] over the
+    generators g of h, and the span of J rep(A) J, which must have
+    dimension d and lie in that null space.  The first needs only the
+    generators because rep is multiplicative (gns-representation): what
+    commutes with every rep(g) commutes with rep of every monomial in
+    them, and those monomials span A.  At d = 1 there are no generators
+    and A is spanned by its unit."""
     law = "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'"
     d = h.dim
     if not _close(gns.J @ np.conj(gns.J), np.eye(d), tol):
@@ -194,7 +205,7 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
     if nabla_dist > tol:
         return fail("tomita-commutant", law,
                     f"modular operator is not the identity, distance {nabla_dist:.3g}")
-    comm = commutant_basis(gns.rep, tol)
+    comm = commutant_basis([gns.rep[k] for k in h.generators] or gns.rep, tol)
     if comm.shape[0] != d:
         return fail("tomita-commutant", law,
                     f"commutant dimension {comm.shape[0]} != {d}")

@@ -149,6 +149,44 @@ class HopfData:
         """s_basis[i] = S(e_i)."""
         return tuple(self.antipode_of(x) for x in self._basis)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices whose left-nested monomials g1(g2(...(gk 1))) span A.
+
+        Greedy in index order: e_k joins unless it already lies in the span W
+        of 1 and the monomials of the indices chosen so far; W is then closed
+        under left multiplication by every chosen generator.  W is an exact
+        echelon of monomials, and its reaching rank dim is the certificate.
+        C[Z_n] gives (1,), C[S3] (1, 3); F(G) needs dim - 1 indices.
+        """
+        d = self.dim
+        rows: list = []
+        monomials: list = []
+        applied: list = []  # applied[m] = how many generators have hit monomials[m]
+        gens: list = []
+
+        def add(x: Elem) -> None:
+            if _reduce_into(rows, list(x.coords)):
+                monomials.append(x)
+                applied.append(0)
+
+        add(self.unit)
+        for k in range(d):
+            if len(rows) == d:
+                break
+            if not _reduce_into(list(rows), list(self.basis(k).coords)):
+                continue
+            gens.append(k)
+            m = 0
+            while m < len(monomials) and len(rows) < d:
+                for g in gens[applied[m]:]:
+                    add(self.mul(self.basis(g), monomials[m]))
+                applied[m] = len(gens)
+                m += 1
+        if len(rows) != d:
+            raise RuntimeError(f"{self.name}: monomials of {gens} span {len(rows)} of {d}")
+        return tuple(gens)
+
     # -- element constructors -------------------------------------------
 
     def elem(self, coords) -> Elem:
@@ -178,9 +216,11 @@ class HopfData:
         for i, ai in a.support:
             row = pairs[i]
             for j, bj in b_support:
-                s = ai * bj
-                for k, c in row[j]:
-                    acc[k] = acc[k] + s * c
+                terms = row[j]
+                if terms:
+                    s = ai * bj
+                    for k, c in terms:
+                        acc[k] = acc[k] + s * c
         return Elem(tuple(acc))
 
     def mul_many(self, *elems: Elem) -> Elem:
@@ -518,12 +558,36 @@ def find_group_likes(h: HopfData) -> list:
 
 
 def group_like_closure_check(h: HopfData, likes: list) -> Check:
-    """The group-likes form a group: closed under product and inverse, contain 1."""
+    """The group-likes form a group: closed under product and inverse, contain 1.
+
+    Closure is checked on generators.  An element of L = likes that is not
+    yet reached from 1 by left multiplication by S joins S, and the reached
+    set is closed under left multiplication by S, so the check computes s.l
+    for every s in S and l in L: |S||L| products, with |S| = 1 on a cyclic
+    group.  That is enough, given associativity and the unit law (checked
+    by `algebra`): every l is a word s1(s2(...(sk 1))) in S, so
+    l.l' = s1(s2(...(sk l'))) and each step stays in L.
+    """
     law = "G(A) is a group under multiplication"
     if h.unit not in likes:
         return fail("group-likes", law, "unit missing from the group-like list")
-    if any(h.mul(a, b) not in likes for a in likes for b in likes):
-        return fail("group-likes", law, "product escapes the list")
+    gens: list = []
+    reached, applied = [h.unit], [0]  # applied[r] = how many of gens have hit reached[r]
+    for g in likes:
+        if g in reached:
+            continue
+        gens.append(g)
+        r = 0
+        while r < len(reached):
+            for s in gens[applied[r]:]:
+                x = h.mul(s, reached[r])
+                if x not in likes:
+                    return fail("group-likes", law, "product escapes the list")
+                if x not in reached:
+                    reached.append(x)
+                    applied.append(0)
+            applied[r] = len(gens)
+            r += 1
     for a in likes:
         a_inv = h.antipode_of(a)  # the inverse of a group-like is its antipode
         if h.mul(a_inv, a) != h.unit:

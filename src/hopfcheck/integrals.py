@@ -84,18 +84,26 @@ def gram_matrix(h: HopfData, f: Functional) -> Mat:
     return Mat(h.dim, h.dim, [h.functional_of(f, x) for row in h.products for x in row])
 
 
-def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma") -> Mat:
+def faithful_gram(h: HopfData, f: Functional, label: str = "sigma") -> tuple:
+    """(G, G^-1) for the bilinear Gram G of f; NotFaithful if G is singular."""
+    g = gram_matrix(h, f)
+    try:
+        return g, mat_inverse(g)
+    except SingularMatrix:
+        raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
+
+
+def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma",
+                         gram: tuple | None = None) -> Mat:
     """The algebra automorphism with f(ab) = f(b rho(a)), as a matrix.
 
     Exists iff the bilinear Gram of f is invertible, and then rho equals
-    G^-1 G^T.  Raises NotFaithful for a singular Gram and NotAutomorphism
-    if the result fails to be a unital multiplicative bijection.
+    G^-1 G^T.  gram, when given, is faithful_gram(h, f, label), so a caller
+    that keeps G^-1 inverts G once.  Raises NotFaithful for a singular Gram
+    and NotAutomorphism if the result fails to be a unital multiplicative
+    bijection.
     """
-    g = gram_matrix(h, f)
-    try:
-        ginv = mat_inverse(g)
-    except SingularMatrix:
-        raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
+    g, ginv = gram if gram is not None else faithful_gram(h, f, label)
     rho = ginv.mul(g.transpose())
     images = [h.apply(rho, h.basis(i)) for i in range(h.dim)]
     bad = first_failure(
@@ -137,7 +145,8 @@ class ModularData:
 
 def compute_modular(h: HopfData) -> ModularData:
     """All modular data; a HopfError raised on the way names its integral
-    check in .stage, the Gram inverse counting as scaling-constant."""
+    check in .stage.  The Gram of phi is inverted once, for sigma and for
+    gram_inv."""
     stage = "left-integral"
     try:
         phi = left_integral(h)
@@ -146,13 +155,12 @@ def compute_modular(h: HopfData) -> ModularData:
         stage = "modular-element"
         delta = modular_element(h, phi)
         stage = "modular-automorphism"
-        sigma = modular_automorphism(h, phi, "sigma")
+        gram, gram_inv = faithful_gram(h, phi, "sigma")
+        sigma = modular_automorphism(h, phi, "sigma", (gram, gram_inv))
         stage = "modular-automorphism-right"
         sigma_prime = modular_automorphism(h, Functional(psi.coords), "sigma'")
         stage = "scaling-constant"
         nu = scaling_constant(h, phi)
-        gram = gram_matrix(h, phi)
-        gram_inv = mat_inverse(gram)
     except HopfError as e:
         e.stage = stage
         raise

@@ -198,7 +198,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
             checks.append(gns_representation_check(h, md.phi, gns, tol))
         except HopfError as e:
             checks.append(fail("gns-representation", "rep is a *-homomorphism", str(e)))
-        if gns is None:
+        if gns is None or not checks[-1].passed():  # the commutant rests on multiplicativity
             checks.append(skip("tomita-commutant", "modular conjugation",
                                "prerequisite-failed"))
         else:

@@ -107,6 +107,14 @@ def test_text_parse_round_trip(order, data):
     assert Cyc.parse(a.text(order), order) == a
 
 
+@given(st.integers(-50, 50), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_rational_text_needs_no_embedding(num, den):
+    c = Cyc.rational(num, den)
+    for n in range(1, 13):
+        assert c.text(n) == c.embed(n).text(n)
+
+
 @given(cycs(), cycs())
 @settings(max_examples=60, deadline=None)
 def test_sort_key_consistent_with_equality(a, b):

@@ -1,5 +1,6 @@
 """Serialization: canonical text form, loading, and rejection of bad input."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,3 +115,45 @@ def test_scalars_render_relative_to_field_order(zoo):
     assert '"z"' in text
     back = hopf_from_text(text)
     assert hopf_to_text(back) == text
+
+
+def test_a_repeated_bad_scalar_is_reported_where_it_first_occurs(zoo):
+    doc = json.loads(hopf_to_text(zoo["C[Z2]"]))
+    doc["mult"][1][0][1] = "1/0"
+    doc["antipode"][1][1] = "1/0"
+    with pytest.raises(FormatError, match=r"^mult\[1\]\[0\]\[1\]: zero denominator"):
+        hopf_from_text(json.dumps(doc))
+    doc["mult"][1][0][1] = "1"
+    with pytest.raises(FormatError, match=r"^antipode\[1\]\[1\]: zero denominator"):
+        hopf_from_text(json.dumps(doc))
+
+
+# sha256 of hopf_to_text, written by the code before the writer stopped
+# embedding rationals into the document's field
+TEXT_DIGESTS = {
+    "C[S3]": "c85f6d9a864cb23b6c74a5b490ede5a610276466e5254627a897d5cb2fa1bd50",
+    "C[Z12]": "8dfcbb8d25dba1d3e91d1532ad4ff430b7268140d85937819ef21d585456d28b",
+    "C[Z2]": "beb8a91c837e2230f6c49fd9f1e708897f3296a665e4f53b95944a16059b4f5e",
+    "C[Z3]": "125123b7210a08e8dc7c5df5888356c59e0ab93182e16995a60e446b8c7db50a",
+    "C[Z6]": "363a2833dde2008693cd5d5898a7c17b03b0ec9c56227d194cc51662672faf2c",
+    "F(S3)": "073dbc053a6e4adaa1c586424ba60c33baa58066efbf1abc7d7b0e19096bb2ff",
+    "F(Z2)": "635f71e747f996639830be2b0c1ebb7393de6e05e4f2d5f72b64c5bb66f48c9e",
+    "F(Z3)": "6df25bf1fda4c6a272f823f2739a45ade5a772d80bad142a078fb9c75199ae86",
+    "F(Z6)": "0b05bcc34ef53c825ed2fb111884fec59f6dc8337aed9757e2c12f2aeb42de9e",
+    "sweedler": "b1d4426f031807389cf2e3e4616d3037b67401e0497aee99705ba8da5058db0c",
+    "sweedler(x)C[Z2]": "2042e75beaa9786bab82491bab2f31bdb941301c124e96721638c36304e7d133",
+    "sweedler(x)sweedler": "f41b58cbf73c17959c1d2ae11f2ac10d8267898fd61ebe1504ef656cac65e0b4",
+    "taft(2)": "7a034c8dc5f45c31fbc4ecf1ab2cc6c9c2f5b087c644cac961854af7992becb5",
+    "taft(3)": "2fb9ac666224b1ad056f1bcac09579b849fc089f9e39b5cb63815a505bc989f7",
+    "taft(4)": "35085552dd6640cfd17a7a9fffc51dff478275aae2ef8a8e6fc327b8dab3b783",
+}
+
+
+def test_written_text_is_unchanged(zoo):
+    from hopfcheck import group_algebra, taft
+    from hopfcheck.zoo import cyclic_table
+
+    algebras = list(zoo.values()) + [taft(4), group_algebra("C[Z12]", cyclic_table(12))]
+    got = {h.name: hashlib.sha256(hopf_to_text(h).encode("utf-8")).hexdigest()
+           for h in algebras}
+    assert got == TEXT_DIGESTS

@@ -155,3 +155,48 @@ def test_representation_multiplicativity_float(zoo):
         uv = left_mult_float(h, u.astype(complex)) @ v
         puv = sum(uv[i] * gns.rep[i] for i in range(h.dim))
         assert np.linalg.norm(pu @ pv - puv) <= 1e-8
+
+
+def _same_subspace(a: np.ndarray, b: np.ndarray) -> bool:
+    """Orthonormal row bases a and b (as stacks of matrices) span one subspace."""
+    fa, fb = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)
+    return fa.shape == fb.shape and np.linalg.norm(
+        fa.T @ fa.conj() - fb.T @ fb.conj()) <= 1e-8
+
+
+def test_commutant_of_the_generators_is_the_commutant_of_the_algebra(zoo):
+    for name in ("C[Z6]", "C[S3]", "F(Z6)", "F(S3)"):
+        h = zoo[name]
+        _md, gns = _setup(h)
+        whole = commutant_basis(gns.rep)
+        assert whole.shape[0] == h.dim, name
+        reduced = commutant_basis([gns.rep[k] for k in h.generators])
+        assert _same_subspace(whole, reduced), name
+    # one of the two generators of C[S3] is not enough: its commutant is larger
+    h = zoo["C[S3]"]
+    _md, gns = _setup(h)
+    assert commutant_basis([gns.rep[h.generators[0]]]).shape[0] > h.dim
+
+
+def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):
+    from hopfcheck import pipeline, run_pipeline
+
+    def perturbed(h, state, tol=1e-9):
+        gns = gns_build(h, state, tol)
+        gns.rep[1] = gns.rep[1] + 1e-3 * np.eye(h.dim)
+        return gns
+
+    monkeypatch.setattr(pipeline, "gns_build", perturbed)
+    checks = {c.name: c for c in run_pipeline(zoo["C[Z3]"]).checks}
+    assert checks["gns-representation"].status == "FAIL"
+    assert checks["tomita-commutant"].line() == (
+        "CHECK tomita-commutant SKIP:prerequisite-failed modular conjugation")
+
+
+def test_tomita_passes_in_dimension_one():
+    from hopfcheck import group_algebra
+    from hopfcheck.zoo import cyclic_table
+
+    h = group_algebra("C[Z1]", cyclic_table(1))
+    md, gns = _setup(h)
+    assert tomita_check(h, gns).line().startswith("CHECK tomita-commutant PASS")

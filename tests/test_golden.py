@@ -5,7 +5,9 @@ tests/golden/<stem>.txt holds report_lines() of one standard_zoo() member,
 one line each, where the stem is the algebra name with every
 non-alphanumeric character replaced by '_'.  tests/golden/fail/<stem>.txt
 holds the stdout of `verify --seed 42` on one corrupted input, FAIL
-details included, followed by an `exit <code>` line.  A refactor or
+details included, followed by an `exit <code>` line.  tests/golden/ladder/
+holds report_lines() of the cyclic group algebras in LADDER, at the ends
+of the range the zoo does not cover: dimension 1 and dimension 18.  A refactor or
 speed-up must leave these bytes alone; rewrite a file only for an intended
 change of the transcript, and say so where the change is recorded.
 """
@@ -40,6 +42,12 @@ CORRUPTIONS = [
 ]
 
 
+LADDER = {
+    "C_Z1_": lambda: group_algebra("C[Z1]", cyclic_table(1)),
+    "C_Z18_": lambda: group_algebra("C[Z18]", cyclic_table(18)),
+}
+
+
 def _stem(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name)
 
@@ -49,6 +57,13 @@ def test_zoo_transcripts_match_golden_files(pipelines):
     for name, res in pipelines.items():
         got = ("\n".join(res.report_lines()) + "\n").encode("utf-8")
         assert got == (GOLDEN / f"{_stem(name)}.txt").read_bytes(), name
+
+
+@pytest.mark.parametrize("stem", sorted(LADDER))
+def test_ladder_transcripts_match_golden_files(stem):
+    assert sorted(p.stem for p in (GOLDEN / "ladder").glob("*.txt")) == sorted(LADDER)
+    got = ("\n".join(run_pipeline(LADDER[stem]()).report_lines()) + "\n").encode("utf-8")
+    assert got == (GOLDEN / "ladder" / f"{stem}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("seed", [20, 34, 2097404100])

@@ -15,6 +15,7 @@ from hopfcheck import (
     dual_hopf,
     find_group_likes,
     full_axiom_suite,
+    group_algebra,
     run_pipeline,
     standard_zoo,
     sweedler,
@@ -22,6 +23,7 @@ from hopfcheck import (
     tensor_product,
 )
 from hopfcheck.errors import DimMismatch, FormatError
+from hopfcheck.zoo import cyclic_table
 from hopfcheck import hopf
 from hopfcheck.hopf import (
     group_like_closure_check,
@@ -211,3 +213,88 @@ def test_group_likes_fail_when_candidates_cannot_be_rounded(monkeypatch, zoo):
     checks = {c.name: c for c in run_pipeline(zoo["C[Z2]"]).checks}
     assert checks["group-likes"].status == "FAIL"
     assert checks["group-likes"].detail == "C[Z2]: found 0 of 2 group-likes"
+
+
+# greedy generating sets: basis indices of each zoo member and of its dual
+GENERATORS = {
+    "C[Z2]": ((1,), (0,)),
+    "C[Z3]": ((1,), (0, 1)),
+    "C[Z6]": ((1,), (0, 1, 2, 3, 4)),
+    "C[S3]": ((1, 3), (0, 1, 2, 3, 4)),
+    "F(Z2)": ((0,), (1,)),
+    "F(Z3)": ((0, 1), (1,)),
+    "F(Z6)": ((0, 1, 2, 3, 4), (1,)),
+    "F(S3)": ((0, 1, 2, 3, 4), (1, 3)),
+    "sweedler": ((1, 2), (0, 2, 3)),
+    "taft(2)": ((1, 2), (0, 2, 3)),
+    "taft(3)": ((1, 3), (0, 1, 3, 4, 5)),
+    "sweedler(x)C[Z2]": ((1, 2, 4), (0, 1, 2, 4, 5, 6, 7)),
+    "sweedler(x)sweedler": ((1, 2, 4, 8), (0, 1, 2, 3, 4, 6, 7, 8, 9, 12, 13)),
+}
+
+
+def _monomial_rank(h, gens) -> int:
+    """Float rank of the span of 1 and the left-nested monomials in gens,
+    by repeated multiplication until the span stops growing."""
+    import numpy as np
+
+    from hopfcheck.gns import left_mult_float
+
+    ops = [left_mult_float(h, np.eye(h.dim, dtype=complex)[g]) for g in gens]
+    span = np.array([[c.to_complex() for c in h.unit.coords]]).T
+    while True:
+        grown = np.hstack([span] + [op @ span for op in ops])
+        u, s, _vh = np.linalg.svd(grown, full_matrices=False)
+        r = int(np.sum(s > 1e-9 * s[0]))
+        if r == span.shape[1]:
+            return r
+        span = u[:, :r]
+
+
+def test_generators_are_pinned_and_generate(zoo):
+    assert sorted(GENERATORS) == sorted(zoo)
+    for name, h in zoo.items():
+        hd = dual_hopf(h)
+        assert (h.generators, hd.generators) == GENERATORS[name], name
+        for a in (h, hd):
+            assert _monomial_rank(a, a.generators) == a.dim, a.name
+            # greedy: no generator lies in the span the earlier ones generate
+            for n, g in enumerate(a.generators):
+                assert _monomial_rank(a, a.generators[:n]) < _monomial_rank(
+                    a, a.generators[:n] + (g,)), (a.name, g)
+
+
+def test_generators_of_a_one_dimensional_algebra_are_empty():
+    h = group_algebra("C[Z1]", cyclic_table(1))
+    assert h.generators == ()
+
+
+def _closure_all_pairs(h, likes):
+    """The closure check on every ordered pair, as it was before it used generators."""
+    if h.unit not in likes:
+        return "FAIL", "unit missing from the group-like list"
+    if any(h.mul(a, b) not in likes for a in likes for b in likes):
+        return "FAIL", "product escapes the list"
+    for a in likes:
+        a_inv = h.antipode_of(a)
+        if h.mul(a_inv, a) != h.unit:
+            return "FAIL", "group-like not invertible"
+        if a_inv not in likes:
+            return "FAIL", "inverse escapes the list"
+    return "PASS", f"count={len(likes)}"
+
+
+@pytest.mark.parametrize("name, dual", [("C[S3]", False), ("C[Z6]", True)])
+def test_closure_on_generators_agrees_with_all_pairs(zoo, name, dual):
+    h = dual_hopf(zoo[name]) if dual else zoo[name]
+    likes = find_group_likes(h)
+    assert len(likes) == 6
+    outcomes = set()
+    for mask in range(64):
+        subset = [g for n, g in enumerate(likes) if mask >> n & 1]
+        check = group_like_closure_check(h, subset)
+        want = _closure_all_pairs(h, subset)
+        assert (check.status, check.detail) == want, (name, dual, mask)
+        outcomes.add(want[1])
+    assert {"unit missing from the group-like list", "product escapes the list",
+            "count=6"} <= outcomes

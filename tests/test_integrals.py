@@ -230,7 +230,7 @@ def test_failing_stage_is_named_by_the_exception(monkeypatch):
 
     def degenerate(h, f, label="sigma"):
         raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
-    monkeypatch.setattr(integrals, "modular_automorphism", degenerate)
+    monkeypatch.setattr(integrals, "faithful_gram", degenerate)
     lines = run_pipeline(sweedler()).report_lines()
     names = ["left-integral", "right-integral", "modular-element", "modular-automorphism",
              "modular-automorphism-right", "scaling-constant", "modular-sandwich",
