@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Measure corruption detection of the axiom suite.
+
+Every single-entry +1 corruption of the multiplication, comultiplication,
+antipode and star tables of each standard_zoo() member with dim <= 8, and of
+its dual, goes through full_axiom_suite.  A corruption counts as detected
+when some check FAILs.  The script prints detected/total for each member and
+table, then one sha256 over every transcript (each case's label and its
+CHECK lines), so two checkouts compare by running it once in each:
+
+    PYTHONPATH=src python3 scripts/mutation_sweep.py
+
+It exits 1 if any corruption goes undetected.
+"""
+
+import dataclasses
+import hashlib
+import sys
+import time
+
+from hopfcheck import CYC_ONE, Mat, Tensor3, dual_hopf, full_axiom_suite, standard_zoo
+
+MAX_DIM = 8
+
+
+def corruptions(h):
+    """(table, flat index, corrupted copy of h) for every entry of every table."""
+    tables = [("mult", h.mult), ("comult", h.comult), ("antipode", h.antipode)]
+    if h.star is not None:
+        tables.append(("star", h.star))
+    for field, t in tables:
+        for n in range(len(t.entries)):
+            entries = list(t.entries)
+            entries[n] = entries[n] + CYC_ONE
+            new = (Tensor3(t.dim, entries) if isinstance(t, Tensor3)
+                   else Mat(t.rows, t.cols, entries))
+            yield field, n, dataclasses.replace(h, **{field: new})
+
+
+def main() -> int:
+    start = time.monotonic()
+    digest = hashlib.sha256()
+    detected = total = 0
+    for base in standard_zoo():
+        if base.dim > MAX_DIM:
+            continue
+        for h in (base, dual_hopf(base)):
+            counts: dict = {}
+            for field, n, bad in corruptions(h):
+                checks = full_axiom_suite(bad)
+                lines = [f"{h.name} {field} {n}"] + [c.line() for c in checks]
+                digest.update(("\n".join(lines) + "\n").encode())
+                hit = any(c.status == "FAIL" for c in checks)
+                got, seen = counts.get(field, (0, 0))
+                counts[field] = (got + hit, seen + 1)
+            for field, (got, seen) in counts.items():
+                print(f"{h.name} {field} {got}/{seen}")
+                detected += got
+                total += seen
+    print(f"detected {detected}/{total} in {time.monotonic() - start:.1f}s")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0 if detected == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
-from .errors import InconsistentWithDirectComputation, NotBijective, SingularMatrix
+from .errors import (HopfError, InconsistentWithDirectComputation, NotBijective,
+                     SingularMatrix)
 from .hopf import (Elem, Functional, HopfData, act_left, act_right, full_axiom_suite,
                    scale, sparse_sum)
 from .integrals import ModularData, left_integral, modular_element, right_integral
@@ -162,7 +163,8 @@ def _proportional(name: str, what: str, got, ref) -> None:
                 f"{name}: {what} disagrees with the kernel solver")
 
 
-def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData):
+def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData,
+                           phi_solver: Functional | HopfError | None = None):
     """Integrals on the dual in the Plancherel normalisation.
 
     psihat = eps . G^-1, equivalently psihat(F(a)) = eps(a); phihat is
@@ -170,7 +172,9 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData):
     the canonical identification (the coefficient vectors, read in A, must
     absorb multiplication on the matching side), and both functionals must
     be nonzero multiples of what the generic kernel solver finds on the
-    dual.  Returns (psihat, phihat).
+    dual.  phi_solver is left_integral(hd) when the caller has already
+    solved it, or the HopfError that solve raised, raised here after the
+    invariance checks; None solves it here.  Returns (psihat, phihat).
     """
     d = h.dim
     eps = Elem(h.counit.coords).support
@@ -195,7 +199,10 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData):
     if bad is not None:
         raise InconsistentWithDirectComputation(f"{h.name}: {bad}")
 
-    phi_solver = left_integral(hd)
+    if phi_solver is None:
+        phi_solver = left_integral(hd)
+    elif isinstance(phi_solver, HopfError):
+        raise phi_solver
     psi_solver = right_integral(hd, phi_solver)
     _proportional(h.name, "closed-form right dual integral",
                   list(psi_hat.coords), list(psi_solver.coords))

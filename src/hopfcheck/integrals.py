@@ -101,15 +101,18 @@ def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma",
     G^-1 G^T.  gram, when given, is faithful_gram(h, f, label), so a caller
     that keeps G^-1 inverts G once.  Raises NotFaithful for a singular Gram
     and NotAutomorphism if the result fails to be a unital multiplicative
-    bijection.
+    bijection.  Multiplicativity rho(ab) = rho(a)rho(b) is checked for a in
+    h.generators only, which needs h associative with a unit (the theorem in
+    report.first_failure).
     """
     g, ginv = gram if gram is not None else faithful_gram(h, f, label)
     rho = ginv.mul(g.transpose())
     images = [h.apply(rho, h.basis(i)) for i in range(h.dim)]
     bad = first_failure(
         h.dim, (0, ("does not fix the unit", lambda: h.apply(rho, h.unit), lambda: h.unit)),
-        (2, ("is not multiplicative at ({0},{1})", lambda i, j: h.apply(rho, h.products[i][j]),
-             lambda i, j: h.mul(images[i], images[j]))))
+        ((2, h.generators), ("is not multiplicative at ({0},{1})",
+                             lambda i, j: h.apply(rho, h.products[i][j]),
+                             lambda i, j: h.mul(images[i], images[j]))))
     if bad is not None:
         raise NotAutomorphism(f"{h.name}: {label} {bad}")
     return rho
@@ -146,7 +149,9 @@ class ModularData:
 def compute_modular(h: HopfData) -> ModularData:
     """All modular data; a HopfError raised on the way names its integral
     check in .stage.  The Gram of phi is inverted once, for sigma and for
-    gram_inv."""
+    gram_inv.  h must pass `algebra` first (run_pipeline runs this only
+    after the whole axiom suite passed): sigma and sigma' are checked
+    multiplicative on generators only."""
     stage = "left-integral"
     try:
         phi = left_integral(h)

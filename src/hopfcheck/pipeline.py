@@ -120,27 +120,29 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     else:
         checks.append(verify_pairing(h, hd))
 
-    psi_hat = phi_hat = None
+    psi_hat = phi_hat = delta_hat = None
     if md is None or not dual_ok:
         checks.append(skip("dual-integrals", _LAW_DUAL_INTEGRALS, "prerequisite-failed"))
+        checks.append(skip("dual-modular-element", _LAW_DUAL_DELTA, "prerequisite-failed"))
     else:
+        try:  # solved once: the kernel cross-check and deltahat both read it
+            dual_phi = left_integral(hd)
+        except HopfError as e:
+            dual_phi = e
         try:
-            psi_hat, phi_hat = compute_dual_integrals(h, md, hd)
+            psi_hat, phi_hat = compute_dual_integrals(h, md, hd, dual_phi)
             checks.append(ok("dual-integrals", _LAW_DUAL_INTEGRALS))
         except HopfError as e:
             checks.append(fail("dual-integrals", _LAW_DUAL_INTEGRALS, str(e)))
-    vals["psi_hat"] = psi_hat
-    vals["phi_hat"] = phi_hat
-
-    delta_hat = None
-    if md is None or not dual_ok:
-        checks.append(skip("dual-modular-element", _LAW_DUAL_DELTA, "prerequisite-failed"))
-    else:
         try:
-            delta_hat = modular_element(hd, left_integral(hd))
+            if isinstance(dual_phi, HopfError):
+                raise dual_phi
+            delta_hat = modular_element(hd, dual_phi)
             checks.append(ok("dual-modular-element", _LAW_DUAL_DELTA))
         except HopfError as e:
             checks.append(fail("dual-modular-element", _LAW_DUAL_DELTA, str(e)))
+    vals["psi_hat"] = psi_hat
+    vals["phi_hat"] = phi_hat
     vals["delta_hat"] = delta_hat
     if delta_hat is not None:
         vals["counimodular"] = delta_hat == Elem(h.counit.coords)

@@ -55,23 +55,61 @@ def skip(name: str, identity: str, reason: str) -> Check:
 def first_failure(dim: int, *groups) -> str | None:
     """The detail of the first failing row, or None when every row holds.
 
-    A group is (arity, *rows) and a row is (template, lhs, rhs), where lhs
-    and rhs are plain callables taking `arity` basis indices.  Groups run in
-    the order given.  Within a group the index tuples run over
-    range(dim)**arity in lexicographic order (arity 0 runs its rows once),
-    and at each tuple every row is compared in turn, so a law with several parts reports the first failing
-    part at the first failing index (the coproduct before the counit at each
-    pair, say), never a later index of an earlier part.  The first mismatch
-    returns template.format(*idx, slot=...), where slot is the smallest key
-    at which two sparse tensors differ (both sides dicts with zero entries
+    A group is (head, *rows) and a row is (template, lhs, rhs), where lhs
+    and rhs are plain callables taking `arity` basis indices.  The head is
+    the arity, or (arity, first) to run the first slot over the indices in
+    `first` only (in the order given, which must be increasing) instead of
+    all of range(dim).  Groups run in the order given.  Within a group the
+    index tuples run in lexicographic order (arity 0 runs its rows once),
+    and at each tuple every row is compared in turn, so a law with several
+    parts reports the first failing part at the first failing index (the
+    coproduct before the counit at each pair, say), never a later index of
+    an earlier part.  The first mismatch returns
+    template.format(*idx, slot=...), where slot is the smallest key at
+    which two sparse tensors differ (both sides dicts with zero entries
     dropped, so a missing key is zero), and None otherwise.
 
     Sides are callables over the HopfData primitives rather than terms of a
     small expression language: each verifier already names its maps, and a
     second language would be one more layer to read before the law.
+
+    Bilinear laws on generators.  Let the unit law hold and let
+    first = h.generators, the greedy generating set (see its docstring).
+    Then a group ((3, first), associativity) decides associativity on all
+    of A, and with the same first failing index tuple as the full scan:
+
+      - Let X be the set of x with (xb)c = x(bc) for all b and c.  X is a
+        subspace, X contains 1 by the unit law, and X is closed under
+        products: ((xy)b)c = (x(yb))c = x((yb)c) = x(y(bc)) = (xy)(bc).
+        So if every generator lies in X, X holds every left-nested
+        monomial of generators, and X = A.
+      - Let i* be the first slot of the full scan's first failure.  Every
+        basis index below i* lies in X.  If i* were not a generator, then
+        e_i* would lie in the span of 1 and the monomials of the
+        generators below i* (that is how `generators` skips an index), so
+        it would lie in X, a contradiction.  So i* is a generator, and the
+        reduced scan, which visits the full scan's tuples in the same
+        order, stops at the same tuple and the same row.
+
+    Given associativity, the same argument holds for each law below when
+    its arity-0 unit row runs (and passes) first, with X the set of x that
+    satisfy the law for every b:
+
+      - D(xb) = D(x)D(b) and eps(xb) = eps(x)eps(b), after D(1) = 1(x)1 and
+        eps(1) = 1;
+      - S(xb) = S(b)S(x), after S(1) = 1;
+      - (xb)* = b*x*, after 1* = 1; X is still a subspace because * is
+        conjugate-linear;
+      - rho(xb) = rho(x)rho(b), after rho(1) = 1, for sigma and sigma'.
+
+    A group with several rows uses the intersection of their sets X.
     """
-    for arity, *rows in groups:
-        for idx in product(range(dim), repeat=arity):
+    for head, *rows in groups:
+        arity, first = head if isinstance(head, tuple) else (head, None)
+        slots = [range(dim)] * arity
+        if first is not None:
+            slots[0] = first
+        for idx in product(*slots):
             for template, lhs, rhs in rows:
                 left, right = lhs(*idx), rhs(*idx)
                 if left != right:

@@ -18,10 +18,11 @@ from hopfcheck import (
     fourier,
     pairing,
     plancherel_check,
+    run_pipeline,
     sweedler,
 )
 from hopfcheck.duality import dual_name, fourier_bijective, verify_dual, verify_pairing
-from hopfcheck.errors import NotBijective
+from hopfcheck.errors import NoIntegral, NotBijective
 from hopfcheck.hopf import same_structure
 from hopfcheck.linalg import Mat, Tensor3
 
@@ -236,3 +237,32 @@ def test_pairing_fails_on_a_corrupted_dual(field, index, value, detail):
     check = verify_pairing(h, dataclasses.replace(hd, **{field: new}))
     assert check.status == "FAIL"
     assert check.detail == detail
+
+
+def test_dual_left_integral_is_solved_once(monkeypatch, zoo):
+    from hopfcheck import duality, integrals, pipeline
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.name)
+        return integrals.left_integral(h)
+
+    for module in (pipeline, duality):
+        monkeypatch.setattr(module, "left_integral", counted)
+    checks = {c.name: c for c in run_pipeline(zoo["sweedler"]).checks}
+    assert calls == ["sweedler^"]
+    assert checks["dual-integrals"].passed() and checks["dual-modular-element"].passed()
+
+
+def test_a_failed_dual_left_integral_fails_both_stages(monkeypatch, zoo):
+    from hopfcheck import pipeline
+
+    def no_kernel(h):
+        raise NoIntegral(f"{h.name}: invariance system has no kernel")
+
+    monkeypatch.setattr(pipeline, "left_integral", no_kernel)
+    checks = {c.name: c for c in run_pipeline(zoo["sweedler"]).checks}
+    for name in ("dual-integrals", "dual-modular-element"):
+        assert (checks[name].status, checks[name].detail) == (
+            "FAIL", "sweedler^: invariance system has no kernel"), name

@@ -26,8 +26,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # (golden stem, builder, entry path in the .hopf document, new value).  The
 # first four are the benchmark's fault mutants, the next three the
-# corruptions of acceptance criterion 10; the last makes S singular, so the
-# star exchange law has no S^-1 to test against.
+# corruptions of acceptance criterion 10; the next makes S singular, so the
+# star exchange law has no S^-1 to test against; the last zeroes the unit,
+# so the generators, whose certificate needs the unit law, must not be read.
 CORRUPTIONS = [
     ("taft4-mult", lambda: taft(4), ("mult", 1, 4, 0), "1"),
     ("taft4-counit", lambda: taft(4), ("counit", 4), "1"),
@@ -39,6 +40,7 @@ CORRUPTIONS = [
     ("sweedler-antipode", sweedler, ("antipode", 3, 2), "1"),
     ("CZ2-singular-antipode", lambda: group_algebra("C[Z2]", cyclic_table(2)),
      ("antipode", 1, 1), "0"),
+    ("sweedler-zero-unit", sweedler, ("unit", 0), "0"),
 ]
 
 

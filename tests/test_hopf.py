@@ -1,6 +1,7 @@
 """Structure axioms, fault injection, and group-like detection."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -70,6 +71,42 @@ def test_corrupted_product_fails_associativity():
     check = verify_algebra(bad)
     assert check.status == "FAIL"
     assert "assoc" in check.detail or "unit" in check.detail
+
+
+def _single_entry_corruptions(h, fields):
+    """h with one entry of one of the named tables raised by 1, for every entry."""
+    for field in fields:
+        t = getattr(h, field)
+        for n in range(len(t.entries)):
+            entries = list(t.entries)
+            entries[n] = entries[n] + CYC_ONE
+            new = (Tensor3(t.dim, entries) if isinstance(t, Tensor3)
+                   else Mat(t.rows, t.cols, entries))
+            yield dataclasses.replace(h, **{field: new})
+
+
+# sha256 of the full_axiom_suite lines of every corruption in the test below,
+# written when every bilinear law still scanned all basis pairs and triples
+FULL_SCAN_DIGEST = "85dcaff049b87f513cc80ab267014b48e722b48bd471187ad478defd63b30501"
+
+
+def test_generator_scans_fail_where_full_scans_did(zoo):
+    cases = [*_single_entry_corruptions(zoo["sweedler"], ("mult", "comult", "antipode", "star")),
+             *_single_entry_corruptions(zoo["C[S3]"], ("mult",))]
+    assert len(cases) == 160 + 216
+    digest = hashlib.sha256()
+    for bad in cases:
+        digest.update(("\n".join(c.line() for c in full_axiom_suite(bad)) + "\n").encode())
+    assert digest.hexdigest() == FULL_SCAN_DIGEST
+
+
+def test_first_failure_lands_on_a_generator(zoo):
+    # e_5 e_5 is corrupted, but C[S3]'s generators are (1, 3): the first
+    # failing triple of the full scan already starts at a generator
+    h = zoo["C[S3]"]
+    assert h.generators == (1, 3)
+    bad = dataclasses.replace(h, mult=_tweak_tensor(h.mult, 5, 5, 0, CYC_ONE))
+    assert verify_algebra(bad).detail == "associativity fails at triple (1,3,5)"
 
 
 def test_corrupted_counit_fails_bialgebra():
