@@ -4,9 +4,11 @@
 Every single-entry +1 corruption of the multiplication, comultiplication,
 antipode and star tables of each standard_zoo() member with dim <= 8, and of
 its dual, goes through full_axiom_suite.  A corruption counts as detected
-when some check FAILs.  The script prints detected/total for each member and
-table, then one sha256 over every transcript (each case's label and its
-CHECK lines), so two checkouts compare by running it once in each:
+when some check FAILs.  Each corruption h' also goes through
+verify_pairing(h', dual_hopf(h')), the full pairing scan.  The script prints
+detected/total for each member and table, then one sha256 over every axiom
+transcript (each case's label and its CHECK lines) and a second over every
+pairing line, so two checkouts compare by running it once in each:
 
     PYTHONPATH=src python3 scripts/mutation_sweep.py
 
@@ -19,6 +21,7 @@ import sys
 import time
 
 from hopfcheck import CYC_ONE, Mat, Tensor3, dual_hopf, full_axiom_suite, standard_zoo
+from hopfcheck.duality import verify_pairing
 
 MAX_DIM = 8
 
@@ -40,6 +43,7 @@ def corruptions(h):
 def main() -> int:
     start = time.monotonic()
     digest = hashlib.sha256()
+    pairing_digest = hashlib.sha256()
     detected = total = 0
     for base in standard_zoo():
         if base.dim > MAX_DIM:
@@ -50,6 +54,8 @@ def main() -> int:
                 checks = full_axiom_suite(bad)
                 lines = [f"{h.name} {field} {n}"] + [c.line() for c in checks]
                 digest.update(("\n".join(lines) + "\n").encode())
+                pairing = verify_pairing(bad, dual_hopf(bad))
+                pairing_digest.update(f"{lines[0]}\n{pairing.line()}\n".encode())
                 hit = any(c.status == "FAIL" for c in checks)
                 got, seen = counts.get(field, (0, 0))
                 counts[field] = (got + hit, seen + 1)
@@ -59,6 +65,7 @@ def main() -> int:
                 total += seen
     print(f"detected {detected}/{total} in {time.monotonic() - start:.1f}s")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"pairing sha256 {pairing_digest.hexdigest()}")
     return 0 if detected == total else 1
 
 

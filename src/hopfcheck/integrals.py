@@ -20,16 +20,35 @@ from .linalg import Mat, mat_inverse, solve_null_space
 from .report import first_failure, law_check
 
 
-def left_integral(h: HopfData) -> Functional:
-    """Solve (id (x) phi) D(a) = phi(a) 1 coordinate-wise; the kernel must be a line."""
+def left_integral(h: HopfData, first: tuple | None = None) -> Functional:
+    """Solve (id (x) phi) D(a) = phi(a) 1 coordinate-wise; the kernel must be a line.
+
+    Row (a, i) is coordinate i of the law at e_a, that is
+    (e_i^ phi)(e_a) = epsh(e_i^) phi(e_a) in the dual H* (product
+    (f g)(a) = f(a1) g(a2), unit eps, counit epsh(f) = f(1)).  The rows run
+    over i in `first` only; None is every basis index.
+
+    Generators of H* suffice.  X = {f : f phi = epsh(f) phi} is a subspace.
+    It contains 1^ = eps, by the counit law and eps(1) = 1.  If f, g lie in
+    X, then (fg) phi = f (epsh(g) phi) = epsh(g) epsh(f) phi = epsh(fg) phi,
+    using that H* is associative (coassociativity) and epsh is
+    multiplicative (D(1) = 1 (x) 1).  So once every generator of H* lies in
+    X, X = H* and phi is a left integral: with first = the dual's
+    generators (dual_hopf(h).generators), the kernel is exactly that of the
+    full d^2 x d system, and so are phi and the NoIntegral and
+    NonUniqueIntegral verdicts.  Pass it only after `coalgebra` and
+    `bialgebra` of h have passed; the generator certificate of H* also
+    reads its unit law, which is the counit law of h.  C[Z1] has no
+    generators, and the system is 0 x 1 with the whole line as kernel.
+    """
     d = h.dim
-    rows = []
+    entries = []
     for a in range(d):
-        for i in range(d):
+        for i in range(d) if first is None else first:
             row = [h.comult.get(a, i, j) for j in range(d)]
             row[a] = row[a] - h.unit.coords[i]
-            rows.append(row)
-    basis = solve_null_space(Mat.from_rows(rows))
+            entries.extend(row)
+    basis = solve_null_space(Mat(len(entries) // d, d, entries))
     if not basis:
         raise NoIntegral(f"{h.name}: invariance system has no kernel")
     if len(basis) > 1:
@@ -146,15 +165,17 @@ class ModularData:
         return mat_inverse(self.sigma)
 
 
-def compute_modular(h: HopfData) -> ModularData:
+def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
     """All modular data; a HopfError raised on the way names its integral
     check in .stage.  The Gram of phi is inverted once, for sigma and for
     gram_inv.  h must pass `algebra` first (run_pipeline runs this only
     after the whole axiom suite passed): sigma and sigma' are checked
-    multiplicative on generators only."""
+    multiplicative on generators only.  first is handed to left_integral:
+    the dual's generators (dual_hopf(h).generators), once `coalgebra` and
+    `bialgebra` have passed too, or None for the full invariance system."""
     stage = "left-integral"
     try:
-        phi = left_integral(h)
+        phi = left_integral(h, first)
         stage = "right-integral"
         psi = right_integral(h, phi)
         stage = "modular-element"

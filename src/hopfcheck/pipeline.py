@@ -79,12 +79,17 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
         likes = _group_like_stage(h, "group-likes", checks)
     vals["group_likes"] = likes
 
+    # built before the integrals: each side's left integral is solved on
+    # the generators of the other side (see integrals.left_integral)
+    hd = dual_hopf(h) if core_ok else None
+    vals["dual"] = hd
+
     md = None
     if not core_ok:
         for name, law in _INTEGRAL_LAWS:
             checks.append(skip(name, law, "prerequisite-failed"))
     else:
-        md = _integral_stages(h, checks)
+        md = _integral_stages(h, hd.generators, checks)
     vals["modular"] = md
 
     if md is None:
@@ -97,8 +102,6 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
         vals["s2_order"] = s2_order(h)
         vals["unimodular"] = md.delta == h.unit
 
-    hd = dual_hopf(h) if core_ok else None
-    vals["dual"] = hd
     dual_ok = False
     if hd is None:
         for name in ("dual-algebra", "dual-coalgebra", "dual-bialgebra",
@@ -118,7 +121,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     if not dual_ok:
         checks.append(skip("pairing-actions", "pairing laws", "prerequisite-failed"))
     else:
-        checks.append(verify_pairing(h, hd))
+        checks.append(verify_pairing(h, hd, hd.generators))
 
     psi_hat = phi_hat = delta_hat = None
     if md is None or not dual_ok:
@@ -126,7 +129,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
         checks.append(skip("dual-modular-element", _LAW_DUAL_DELTA, "prerequisite-failed"))
     else:
         try:  # solved once: the kernel cross-check and deltahat both read it
-            dual_phi = left_integral(hd)
+            dual_phi = left_integral(hd, h.generators)
         except HopfError as e:
             dual_phi = e
         try:
@@ -246,10 +249,11 @@ def _group_like_stage(h: HopfData, name: str, checks: list) -> list | None:
     return likes if glc.passed() else None
 
 
-def _integral_stages(h: HopfData, checks: list) -> ModularData | None:
-    """One named check per computed object; None as soon as one fails."""
+def _integral_stages(h: HopfData, first: tuple, checks: list) -> ModularData | None:
+    """One named check per computed object; None as soon as one fails.
+    first is the dual's generators, handed to compute_modular."""
     try:
-        md = compute_modular(h)
+        md = compute_modular(h, first)
     except HopfError as e:
         reached = True
         for name, law in _INTEGRAL_LAWS:

@@ -1,6 +1,7 @@
 """The dual object: transposed structure, pairing, transform, summation law."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -63,6 +64,40 @@ def test_dual_axioms_entire_zoo(zoo):
 def test_pairing_against_structure(zoo):
     for name in ("sweedler", "C[S3]", "taft(3)"):
         assert verify_pairing(zoo[name], dual_hopf(zoo[name])).status == "PASS"
+
+
+def test_pairing_on_dual_generators_matches_the_full_scan(zoo):
+    for h in zoo.values():
+        hd = dual_hopf(h)
+        assert verify_pairing(h, hd, hd.generators) == verify_pairing(h, hd), h.name
+
+
+# sha256 over "<table> <flat index> <CHECK line>" for every single-entry +1
+# corruption h' of sweedler's mult, comult, antipode and star tables, with
+# the line from verify_pairing(h', dual_hopf(h')).  Pinned from the full scan
+# as it stood with the action-span rank test, which the unit-action rows make
+# redundant; 64 of the 160 lines are FAILs.
+_SWEEDLER_PAIRING_SWEEP = "a861aa5de585133b48d02308f9e9239cf13a0d179540e32a28065bc341bdce05"
+
+
+def test_pairing_transcripts_of_sweedler_corruptions_are_pinned():
+    h = sweedler()
+    digest = hashlib.sha256()
+    cases = fails = 0
+    for field in ("mult", "comult", "antipode", "star"):
+        t = getattr(h, field)
+        for n in range(len(t.entries)):
+            entries = list(t.entries)
+            entries[n] = entries[n] + CYC_ONE
+            new = Tensor3(t.dim, entries) if field in ("mult", "comult") else Mat(
+                t.rows, t.cols, entries)
+            bad = dataclasses.replace(h, **{field: new})
+            check = verify_pairing(bad, dual_hopf(bad))
+            digest.update(f"{field} {n} {check.line()}\n".encode())
+            cases += 1
+            fails += check.status == "FAIL"
+    assert (cases, fails) == (160, 64)
+    assert digest.hexdigest() == _SWEEDLER_PAIRING_SWEEP
 
 
 def test_pairing_values_sweedler():
@@ -244,7 +279,7 @@ def test_dual_left_integral_is_solved_once(monkeypatch, zoo):
 
     calls = []
 
-    def counted(h):
+    def counted(h, first=None):
         calls.append(h.name)
         return integrals.left_integral(h)
 
@@ -258,7 +293,7 @@ def test_dual_left_integral_is_solved_once(monkeypatch, zoo):
 def test_a_failed_dual_left_integral_fails_both_stages(monkeypatch, zoo):
     from hopfcheck import pipeline
 
-    def no_kernel(h):
+    def no_kernel(h, first=None):
         raise NoIntegral(f"{h.name}: invariance system has no kernel")
 
     monkeypatch.setattr(pipeline, "left_integral", no_kernel)

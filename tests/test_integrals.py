@@ -13,18 +13,38 @@ from hopfcheck import (
     Cyc,
     Mat,
     compute_modular,
+    dual_hopf,
     left_integral,
     modular_element,
     pairing,
     sweedler,
+    taft,
 )
 from hopfcheck.errors import NoIntegral
 from hopfcheck.integrals import modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import solve_null_space
+from hopfcheck.zoo import cyclic_table, group_algebra
 
 
 def texts(f, order):
     return tuple(c.text(order) for c in f.coords)
+
+
+def test_left_integral_on_generators_matches_the_full_system(zoo):
+    # each side's invariance rows restricted to the generators of the other
+    # side have the kernel of the full d^2 x d system
+    for h in [*zoo.values(), taft(5)]:
+        hd = dual_hopf(h)
+        for x, first in ((h, hd.generators), (hd, h.generators)):
+            assert left_integral(x, first) == left_integral(x), x.name
+
+
+def test_left_integral_of_the_trivial_group_solves_no_rows():
+    h = group_algebra("C[Z1]", cyclic_table(1))
+    hd = dual_hopf(h)
+    assert h.generators == () == hd.generators
+    assert left_integral(h, hd.generators).coords == (CYC_ONE,)
+    assert left_integral(hd, h.generators).coords == (CYC_ONE,)
 
 
 def test_sweedler_left_integral_frozen():
@@ -83,7 +103,6 @@ def test_sweedler_scaling_constant():
 
 
 def test_taft3_scaling_constant():
-    from hopfcheck import taft
     md = compute_modular(taft(3))
     assert md.nu == Cyc.root(3, 2)
 
