@@ -1,7 +1,7 @@
 """Runs every verifier in a fixed order with prerequisite gating.
 
-Each stage appends exactly one named check (the dual axiom suite appends
-its six), so two runs over the same input produce byte-identical reports.
+Each stage appends exactly one named check (the dual axiom checks append
+six), so two runs over the same input produce byte-identical reports.
 A compute stage that throws surfaces as a FAIL under its own name, and
 everything depending on it reports SKIP:prerequisite-failed instead of
 cascading exceptions.
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .duality import (biduality_check, compute_dual_integrals, dual_hopf,
-                      dual_modular_links, plancherel_check, verify_dual,
-                      verify_pairing)
+from .duality import (biduality_check, compute_dual_integrals, dual_axiom_checks,
+                      dual_hopf, dual_modular_links, plancherel_check,
+                      transpose_failure, verify_pairing)
 from .errors import HopfError
 from .gns import (GNSData, gns_build, gns_representation_check,
                   kac_collapse_check, operator_radford_check,
@@ -79,17 +79,20 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
         likes = _group_like_stage(h, "group-likes", checks)
     vals["group_likes"] = likes
 
-    # built before the integrals: each side's left integral is solved on
-    # the generators of the other side (see integrals.left_integral)
+    # built and certified before the integrals: each side's left integral
+    # is solved on the generators of the other side (integrals.left_integral),
+    # and hd's generate only once the certificate makes hd the transpose of
+    # h, hence an algebra (duality.transpose_failure); else the full system
     hd = dual_hopf(h) if core_ok else None
     vals["dual"] = hd
+    not_transpose = None if hd is None else transpose_failure(h, hd)
 
     md = None
     if not core_ok:
         for name, law in _INTEGRAL_LAWS:
             checks.append(skip(name, law, "prerequisite-failed"))
     else:
-        md = _integral_stages(h, hd.generators, checks)
+        md = _integral_stages(h, hd.generators if not_transpose is None else None, checks)
     vals["modular"] = md
 
     if md is None:
@@ -108,7 +111,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
                      "dual-antipode", "dual-antipode-derived", "dual-star"):
             checks.append(skip(name, "axioms on the dual", "prerequisite-failed"))
     else:
-        dual_core = verify_dual(hd)
+        dual_core = dual_axiom_checks(core, hd, not_transpose)
         checks.extend(dual_core)
         dual_ok = not any(c.status == FAIL for c in dual_core)
 
@@ -232,7 +235,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResu
     if not core_ok:
         checks.append(skip("biduality", "dual(dual(A))=A", "prerequisite-failed"))
     else:
-        checks.append(biduality_check(h))
+        checks.append(biduality_check(h, hd))
 
     return res
 
@@ -249,9 +252,10 @@ def _group_like_stage(h: HopfData, name: str, checks: list) -> list | None:
     return likes if glc.passed() else None
 
 
-def _integral_stages(h: HopfData, first: tuple, checks: list) -> ModularData | None:
+def _integral_stages(h: HopfData, first: tuple | None,
+                     checks: list) -> ModularData | None:
     """One named check per computed object; None as soon as one fails.
-    first is the dual's generators, handed to compute_modular."""
+    first is the dual's generators (None for all), handed to compute_modular."""
     try:
         md = compute_modular(h, first)
     except HopfError as e:

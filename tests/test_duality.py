@@ -22,10 +22,12 @@ from hopfcheck import (
     run_pipeline,
     sweedler,
 )
-from hopfcheck.duality import dual_name, fourier_bijective, verify_dual, verify_pairing
+from hopfcheck.duality import (dual_axiom_checks, dual_name, fourier_bijective,
+                               transpose_failure, verify_dual, verify_pairing)
 from hopfcheck.errors import NoIntegral, NotBijective
-from hopfcheck.hopf import same_structure
+from hopfcheck.hopf import Elem, Functional, full_axiom_suite, same_structure
 from hopfcheck.linalg import Mat, Tensor3
+from hopfcheck.zoo import cyclic_table, group_algebra, taft
 
 
 def test_dual_name_round_trip():
@@ -49,7 +51,7 @@ def test_dual_of_function_algebra_is_group_algebra(zoo):
 
 def test_double_dual_is_the_identity(zoo):
     for h in zoo.values():
-        assert biduality_check(h).status == "PASS", h.name
+        assert biduality_check(h, dual_hopf(h)).status == "PASS", h.name
         hdd = dual_hopf(dual_hopf(h))
         assert same_structure(hdd, h, include_star=True)
         assert hdd.name == h.name
@@ -59,6 +61,80 @@ def test_dual_axioms_entire_zoo(zoo):
     for h in zoo.values():
         for check in verify_dual(dual_hopf(h)):
             assert check.status != "FAIL", f"{h.name}: {check.line()}"
+
+
+def test_transposed_dual_checks_match_the_full_scan(zoo):
+    members = list(zoo.values()) + [taft(4), taft(5), group_algebra("C[Z12]", cyclic_table(12))]
+    for h in members:
+        hd = dual_hopf(h)
+        failure = transpose_failure(h, hd)
+        assert failure is None, f"{h.name}: {failure}"
+        derived = dual_axiom_checks(full_axiom_suite(h), hd, failure)
+        scanned = verify_dual(hd)
+        assert [(c.name, c.status, c.identity) for c in derived] == [
+            (c.name, c.status, c.identity) for c in scanned], h.name
+
+
+def _with_entry(m: Mat, i: int, j: int, value: Cyc) -> Mat:
+    entries = list(m.entries)
+    entries[i * m.cols + j] = value
+    return Mat(m.rows, m.cols, entries)
+
+
+def _sweedler_dual_with(part: str):
+    hd = dual_hopf(sweedler())
+    if part == "unit":
+        return dataclasses.replace(hd, unit=Elem((CYC_ONE, CYC_ONE, CYC_ONE, CYC_ZERO)))
+    if part == "counit":
+        return dataclasses.replace(hd, counit=Functional((CYC_ONE, CYC_ZERO, CYC_ZERO, CYC_ONE)))
+    if part == "s_inv":
+        hd.s_inv = _with_entry(hd.s_inv, 3, 2, CYC_ONE)
+    else:
+        hd.s_inv = None
+    return hd
+
+
+@pytest.mark.parametrize("part, detail", [
+    ("unit", "unit transpose fails at basis 2"),
+    ("counit", "counit transpose fails at basis 3"),
+    # named (dual index, basis index), as the antipode transpose: entry (3,2) is at (2,3)
+    ("s_inv", "S^-1 transpose fails at (2,3)"),
+    ("no s_inv", "S^-1 transpose fails: exactly one side is singular"),
+])
+def test_transpose_certificate_reports_a_perturbed_table(part, detail):
+    assert transpose_failure(sweedler(), _sweedler_dual_with(part)) == detail
+
+
+def test_a_broken_dual_fails_the_transposed_checks(monkeypatch, tmp_path, capsys):
+    from hopfcheck import pipeline
+    from hopfcheck.cli import main
+
+    path = tmp_path / "sweedler.hopf"
+    assert main(["zoo", "sweedler", "-o", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    built = []
+
+    def broken_dual(h):  # one entry of the dual's product moves: e_1^ e_1^ gains e_0^
+        hd = dual_hopf(h)
+        mult = list(hd.mult.entries)
+        mult[(1 * 4 + 1) * 4 + 0] = mult[(1 * 4 + 1) * 4 + 0] + CYC_ONE
+        built.append(dataclasses.replace(hd, mult=Tensor3(4, mult)))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "dual_hopf", broken_dual)
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [line.split()[:2] for line in clean]
+    lines = {line.split()[1]: line for line in out if line.startswith("CHECK ")}
+    for name in ("dual-algebra", "dual-coalgebra", "dual-bialgebra", "dual-antipode",
+                 "dual-antipode-derived"):
+        assert lines[name].split()[2] == "FAIL", lines[name]
+        assert lines[name].endswith(" ! product law fails at (1,1,0)"), lines[name]
+    for name in ("dual-group-likes", "pairing-actions", "dual-integrals",
+                 "dual-modular-element"):
+        assert lines[name].split()[2] == "SKIP:prerequisite-failed", lines[name]
+    assert "generators" not in vars(built[0])  # the broken dual's generators are never read
 
 
 def test_pairing_against_structure(zoo):
