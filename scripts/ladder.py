@@ -2,27 +2,39 @@
 """Time the whole pipeline on a fixed ladder of algebras, largest last.
 
 Each member is built with the `hopfcheck.zoo` builders and verified
-in-process by `run_pipeline` (seed 42) `--runs` times (default 3).  The
-script prints one JSON record: for each member its name, dim, every run's
-wall time, their median, and the sha256 of its CHECK transcript (which
-must not differ between runs).  Two checkouts compare by running it once
-in each, with that checkout's sources first on the path:
+in-process by `run_pipeline` (seed 42) RUNS times.  The script prints one
+JSON record: for each member its name, dim, every run's wall time, their
+median, and the sha256 of what `hopfcheck verify` and then
+`hopfcheck report` print for the member's file.  That transcript holds
+the CHECK lines and the computed values (phi, psi, delta, delta_hat, nu,
+the orders of S and S^2, the group-likes, positivity and kac); it comes
+from one more pass through the command line, which is not timed.  Two
+checkouts compare by running it once in each, with that checkout's
+sources first on the path:
 
     PYTHONPATH=src python3 scripts/ladder.py > ladder.json
-    PYTHONPATH=src python3 scripts/ladder.py taft(4) taft(5)   # a subset
 
-It is not part of the test suite: the whole ladder takes minutes.
+The member file is written to a temporary directory (TMPDIR decides
+where).  It is not part of the test suite: the whole ladder takes minutes.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 from hopfcheck import group_algebra, run_pipeline, sweedler, taft, tensor_product
+from hopfcheck.cli import main as cli_main
+from hopfcheck.fileformat import hopf_to_text
 from hopfcheck.zoo import cyclic_table
+
+RUNS = 3
 
 
 def _sweedler_cubed():
@@ -36,37 +48,40 @@ for _n in (18, 24):
     MEMBERS[f"C[Z{_n}]"] = lambda n=_n: group_algebra(f"C[Z{n}]", cyclic_table(n))
 
 
-def measure(build, runs: int) -> dict:
-    times, digests = [], set()
-    for _ in range(runs):
+def transcript_sha256(h) -> str:
+    """sha256 of the stdout of `verify` then `report` on h's file."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "member.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(hopf_to_text(h))
+        with contextlib.redirect_stdout(out):
+            cli_main(["verify", path])
+            cli_main(["report", path])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def measure(build) -> dict:
+    times = []
+    for _ in range(RUNS):
         h = build()  # fresh, so no cached table carries over between runs
         t0 = time.perf_counter()
-        res = run_pipeline(h)
+        run_pipeline(h)
         times.append(time.perf_counter() - t0)
-        digests.add(hashlib.sha256("\n".join(res.report_lines()).encode()).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"{h.name}: the transcript differs between runs")
     return {"dim": h.dim, "runs_s": [round(t, 3) for t in times],
-            "median_s": round(statistics.median(times), 3), "sha256": digests.pop()}
+            "median_s": round(statistics.median(times), 3),
+            "sha256": transcript_sha256(build())}
 
 
-def main(argv) -> int:
-    runs = 3
-    if argv[:1] == ["--runs"]:
-        runs, argv = int(argv[1]), argv[2:]
-    unknown = [name for name in argv if name not in MEMBERS]
-    if unknown:
-        raise SystemExit(f"unknown member(s) {unknown}; known: {list(MEMBERS)}")
-    record = {"python": platform.python_version(), "runs": runs, "seed": 42,
+def main() -> int:
+    record = {"python": platform.python_version(), "runs": RUNS, "seed": 42,
               "members": {}}
     for name, build in MEMBERS.items():
-        if argv and name not in argv:
-            continue
-        record["members"][name] = measure(build, runs)
+        record["members"][name] = measure(build)
         print(f"{name}: {record['members'][name]['median_s']} s", file=sys.stderr)
     print(json.dumps(record, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
