@@ -7,19 +7,26 @@ non-alphanumeric character replaced by '_'.  tests/golden/fail/<stem>.txt
 holds the stdout of `verify --seed 42` on one corrupted input, FAIL
 details included, followed by an `exit <code>` line.  tests/golden/ladder/
 holds report_lines() of the cyclic group algebras in LADDER, at the ends
-of the range the zoo does not cover: dimension 1 and dimension 18.  A refactor or
+of the range the zoo does not cover: dimension 1 and dimension 18.
+tests/golden/stage/<algebra>-<fault>.txt holds report_lines() of C[Z3]
+(positive) or sweedler (not positive) with one pipeline entry point made
+to raise or to FAIL (STAGE_FAULTS), so every skip reason the gating can
+give is pinned.  A refactor or
 speed-up must leave these bytes alone; rewrite a file only for an intended
 change of the transcript, and say so where the change is recorded.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from hopfcheck import run_pipeline
+from hopfcheck import pipeline, run_pipeline
+from hopfcheck.errors import HopfError
 from hopfcheck.cli import main
 from hopfcheck.fileformat import hopf_to_text
+from hopfcheck.report import FAIL
 from hopfcheck.zoo import cyclic_table, group_algebra, sweedler, taft, tensor_product
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,3 +101,52 @@ def fail_transcript(build, where, value, tmp_path, capsys) -> str:
 def test_fail_transcripts_match_golden_files(stem, build, where, value, tmp_path, capsys):
     got = fail_transcript(build, where, value, tmp_path, capsys)
     assert got == (GOLDEN / "fail" / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+def _raises(name, stage=None):
+    def broken(*args, **kwargs):
+        e = HopfError(f"{name} made to fail")
+        e.stage = stage
+        raise e
+    return broken
+
+
+def _fails(name):
+    real = getattr(pipeline, name)
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), status=FAIL,
+                                   detail=f"{name} made to fail")
+    return failing
+
+
+# (fault stem, pipeline binding, replacement factory): every entry point whose
+# HopfError the pipeline catches, compute_modular once per stage it can name,
+# and the two checks whose FAIL gates a later check
+STAGE_FAULTS = [
+    ("find_group_likes", "find_group_likes", lambda: _raises("find_group_likes")),
+    *[(f"compute_modular-{stage}", "compute_modular",
+       lambda stage=stage: _raises("compute_modular", stage))
+      for stage in ("left-integral", "right-integral", "modular-element",
+                    "modular-automorphism", "modular-automorphism-right",
+                    "scaling-constant")],
+    ("left_integral", "left_integral", lambda: _raises("left_integral")),
+    ("compute_dual_integrals", "compute_dual_integrals",
+     lambda: _raises("compute_dual_integrals")),
+    ("modular_element", "modular_element", lambda: _raises("modular_element")),
+    ("gns_build", "gns_build", lambda: _raises("gns_build")),
+    ("group_like_closure_check", "group_like_closure_check",
+     lambda: _fails("group_like_closure_check")),
+    ("gns_representation_check", "gns_representation_check",
+     lambda: _fails("gns_representation_check")),
+]
+STAGE_ALGEBRAS = {"CZ3": "C[Z3]", "sweedler": "sweedler"}
+
+
+@pytest.mark.parametrize("algebra", sorted(STAGE_ALGEBRAS))
+@pytest.mark.parametrize("fault, attr, make", STAGE_FAULTS, ids=[f[0] for f in STAGE_FAULTS])
+def test_stage_failure_transcripts_match_golden_files(algebra, fault, attr, make, zoo,
+                                                      monkeypatch):
+    monkeypatch.setattr(pipeline, attr, make())
+    got = "\n".join(run_pipeline(zoo[STAGE_ALGEBRAS[algebra]]).report_lines()) + "\n"
+    assert got == (GOLDEN / "stage" / f"{algebra}-{fault}.txt").read_text(encoding="utf-8")
