@@ -92,15 +92,22 @@ def _fmt_vector(h, coords) -> str:
     return f"{exact} ~ {approx}"
 
 
+def _passing_run(args):
+    """run_pipeline on args.file, or None once its FAIL lines are printed."""
+    res = run_pipeline(load_hopf(args.file), tol=args.tolerance, seed=args.seed)
+    if not res.failed():
+        return res
+    for c in res.checks:
+        if c.status == FAIL:
+            print(c.line())
+    return None
+
+
 def cmd_report(args) -> int:
-    h = load_hopf(args.file)
-    res = run_pipeline(h, tol=args.tolerance, seed=args.seed)
-    if res.failed():
-        for c in res.checks:
-            if c.status == FAIL:
-                print(c.line())
+    res = _passing_run(args)
+    if res is None:
         return _EXIT_FAIL
-    v = res.values
+    h, v = res.h, res.values
     md = v["modular"]
     print(f"REPORT {h.name} seed={args.seed}")
     print(f"dim = {h.dim}")
@@ -129,12 +136,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    h = load_hopf(args.file)
-    res = run_pipeline(h, tol=args.tolerance, seed=args.seed)
-    if res.failed():
-        for c in res.checks:
-            if c.status == FAIL:
-                print(c.line())
+    res = _passing_run(args)
+    if res is None:
         return _EXIT_FAIL
     _write_out(hopf_to_text(res.values["dual"]), args.output)
     return _EXIT_OK

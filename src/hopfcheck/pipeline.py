@@ -1,27 +1,33 @@
 """Runs every verifier in a fixed order with prerequisite gating.
 
-Each stage appends exactly one named check (the dual axiom checks append
-six), so two runs over the same input produce byte-identical reports.
-A compute stage that throws surfaces as a FAIL under its own name, and
-everything depending on it reports SKIP:prerequisite-failed instead of
-cascading exceptions.
+STAGES is the pipeline, run in order.  A Stage gives the (check name, law
+text) pairs it prints when skipped; the keys of PipelineResult.values it
+requires; whether it also needs a positive left integral; and run(h,
+values), which returns its checks and sets its values.  A value that gates
+a later stage is set only when the checks computing it pass.  One rule
+gives every skip reason (_skip_reason): a positivity-gated stage whose
+verdict exists and is not `positive` skips with the verdict; else a stage
+missing a required value skips with `prerequisite-failed`.  A stage that
+throws surfaces as a FAIL under its own name, and two runs over one input
+print byte-identical reports.  run functions look the verifiers up in this
+module's globals when called, so a binding patched here is the one that runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .duality import (biduality_check, compute_dual_integrals, dual_axiom_checks,
                       dual_hopf, dual_modular_links, plancherel_check,
                       transpose_failure, verify_pairing)
 from .errors import HopfError
-from .gns import (GNSData, gns_build, gns_representation_check,
-                  kac_collapse_check, operator_radford_check,
-                  positivity_verdict, tomita_check)
+from .gns import (gns_build, gns_representation_check, kac_collapse_check,
+                  operator_radford_check, positivity_verdict, tomita_check)
 from .hopf import (Elem, HopfData, find_group_likes, full_axiom_suite,
                    group_like_closure_check)
-from .integrals import (ModularData, compute_modular, modular_element,
-                        modular_identity_checks, left_integral)
+from .integrals import (compute_modular, left_integral, modular_element,
+                        modular_identity_checks)
 from .radford import (counimodular_check, half_power_check, radford_check,
                       radford_factorization, s2_order, s_order)
 from .report import Check, FAIL, fail, ok, skip
@@ -39,6 +45,8 @@ _LAW_DUAL_INTEGRALS = ("psihat(F(a))=eps(a) right invariant, phihat=psihat.S^ "
                        "left invariant, both match the kernel solver")
 _LAW_DUAL_DELTA = "(phihat(x)id)D^(b)=phihat(b)deltahat, deltahat group-like"
 _LAW_POSITIVITY = "phi(a*a)>0 for a!=0"
+_LAW_OPERATOR_RADFORD = "operator fourth-power identity"
+_PREREQ = "prerequisite-failed"
 
 NOTES = (
     "multipliers of the dual coincide with the dual itself at finite dimension",
@@ -56,219 +64,187 @@ class PipelineResult:
     def failed(self) -> bool:
         return any(c.status == FAIL for c in self.checks)
 
-    def report_lines(self, only: str | None = None) -> list:
-        lines = [c.line() for c in self.checks
-                 if only is None or c.name == only]
-        return lines
+    def report_lines(self) -> list:
+        return [c.line() for c in self.checks]
+
+
+class Stage(NamedTuple):
+    laws: tuple
+    requires: tuple
+    run: Callable
+    positive: bool = False
 
 
 def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResult:
-    res = PipelineResult(h=h)
-    checks = res.checks
-    vals = res.values
-    vals.update({"seed": seed, "tolerance": tol})
-
-    core = full_axiom_suite(h)
-    checks.extend(core)
-    core_ok = not any(c.status == FAIL for c in core)
-
-    likes = None
-    if not core_ok:
-        checks.append(skip("group-likes", _LAW_GROUP_LIKES, "prerequisite-failed"))
-    else:
-        likes = _group_like_stage(h, "group-likes", checks)
-    vals["group_likes"] = likes
-
-    # built and certified before the integrals: each side's left integral
-    # is solved on the generators of the other side (integrals.left_integral),
-    # and hd's generate only once the certificate makes hd the transpose of
-    # h, hence an algebra (duality.transpose_failure); else the full system
-    hd = dual_hopf(h) if core_ok else None
-    vals["dual"] = hd
-    not_transpose = None if hd is None else transpose_failure(h, hd)
-
-    md = None
-    if not core_ok:
-        for name, law in _INTEGRAL_LAWS:
-            checks.append(skip(name, law, "prerequisite-failed"))
-    else:
-        md = _integral_stages(h, hd.generators if not_transpose is None else None, checks)
-    vals["modular"] = md
-
-    if md is None:
-        for name in ("modular-sandwich", "modular-conjugation", "modular-coproduct",
-                     "modular-commutation", "modular-scaling", "modular-flip"):
-            checks.append(skip(name, "modular identity", "prerequisite-failed"))
-    else:
-        checks.extend(modular_identity_checks(h, md))
-        vals["s_order"] = s_order(h)
-        vals["s2_order"] = s2_order(h)
-        vals["unimodular"] = md.delta == h.unit
-
-    dual_ok = False
-    if hd is None:
-        for name in ("dual-algebra", "dual-coalgebra", "dual-bialgebra",
-                     "dual-antipode", "dual-antipode-derived", "dual-star"):
-            checks.append(skip(name, "axioms on the dual", "prerequisite-failed"))
-    else:
-        dual_core = dual_axiom_checks(core, hd, not_transpose)
-        checks.extend(dual_core)
-        dual_ok = not any(c.status == FAIL for c in dual_core)
-
-    dual_likes = None
-    if not dual_ok:
-        checks.append(skip("dual-group-likes", _LAW_GROUP_LIKES, "prerequisite-failed"))
-    else:
-        dual_likes = _group_like_stage(hd, "dual-group-likes", checks)
-
-    if not dual_ok:
-        checks.append(skip("pairing-actions", "pairing laws", "prerequisite-failed"))
-    else:
-        checks.append(verify_pairing(h, hd, hd.generators))
-
-    psi_hat = phi_hat = delta_hat = None
-    if md is None or not dual_ok:
-        checks.append(skip("dual-integrals", _LAW_DUAL_INTEGRALS, "prerequisite-failed"))
-        checks.append(skip("dual-modular-element", _LAW_DUAL_DELTA, "prerequisite-failed"))
-    else:
-        try:  # solved once: the kernel cross-check and deltahat both read it
-            dual_phi = left_integral(hd, h.generators)
-        except HopfError as e:
-            dual_phi = e
-        try:
-            psi_hat, phi_hat = compute_dual_integrals(h, md, hd, dual_phi)
-            checks.append(ok("dual-integrals", _LAW_DUAL_INTEGRALS))
-        except HopfError as e:
-            checks.append(fail("dual-integrals", _LAW_DUAL_INTEGRALS, str(e)))
-        try:
-            if isinstance(dual_phi, HopfError):
-                raise dual_phi
-            delta_hat = modular_element(hd, dual_phi)
-            checks.append(ok("dual-modular-element", _LAW_DUAL_DELTA))
-        except HopfError as e:
-            checks.append(fail("dual-modular-element", _LAW_DUAL_DELTA, str(e)))
-    vals["psi_hat"] = psi_hat
-    vals["phi_hat"] = phi_hat
-    vals["delta_hat"] = delta_hat
-    if delta_hat is not None:
-        vals["counimodular"] = delta_hat == Elem(h.counit.coords)
-
-    if md is None or delta_hat is None:
-        checks.append(skip("dual-modular-links", "modular data vs dual action",
-                           "prerequisite-failed"))
-        checks.append(skip("radford-s4", "S^4 as a double conjugation",
-                           "prerequisite-failed"))
-        checks.append(skip("radford-factorization", "S^4 from the modular data",
-                           "prerequisite-failed"))
-    else:
-        checks.append(dual_modular_links(h, md, hd, delta_hat))
-        checks.append(radford_check(h, md, hd, delta_hat))
-        checks.append(radford_factorization(h, md, hd, delta_hat))
-
-    if md is None or delta_hat is None or likes is None:
-        checks.append(skip("s2-conjugation", "S^2 under a trivial dual modular element",
-                           "prerequisite-failed"))
-    else:
-        checks.append(counimodular_check(h, md, hd, delta_hat, likes))
-    if md is None or delta_hat is None or likes is None or dual_likes is None:
-        checks.append(skip("s2-half-power", "S^2 as a half sandwich",
-                           "prerequisite-failed"))
-    else:
-        checks.append(half_power_check(h, md, hd, delta_hat, likes, dual_likes))
-
-    verdict = None
-    if md is None:
-        checks.append(skip("positivity", _LAW_POSITIVITY, "prerequisite-failed"))
-    else:
-        verdict, vdetail = positivity_verdict(h, md.phi, tol)
-        vals["positivity"] = (verdict, vdetail)
-        if verdict == "positive":
-            checks.append(ok("positivity", _LAW_POSITIVITY, vdetail))
+    res = PipelineResult(h=h, values={"seed": seed, "tolerance": tol})
+    for stage in STAGES:
+        reason = _skip_reason(stage, res.values)
+        if reason is None:
+            res.checks.extend(stage.run(h, res.values))
         else:
-            checks.append(skip("positivity", _LAW_POSITIVITY, verdict))
-
-    positive = verdict == "positive"
-    gate_reason = "prerequisite-failed" if verdict is None else verdict
-    if not positive or delta_hat is None or psi_hat is None:
-        checks.append(skip("kac-collapse", "phi>0 => modular family collapses",
-                           gate_reason))
-    else:
-        checks.append(kac_collapse_check(h, md, hd, delta_hat, psi_hat, verdict, tol))
-        vals["kac"] = checks[-1].passed()
-
-    gns = gns_dual = None
-    if not positive:
-        for name in ("gns-representation", "tomita-commutant", "operator-radford"):
-            checks.append(skip(name, "represented form", gate_reason))
-    else:
-        try:
-            gns = gns_build(h, md.phi, tol)
-            checks.append(gns_representation_check(h, md.phi, gns, tol))
-        except HopfError as e:
-            checks.append(fail("gns-representation", "rep is a *-homomorphism", str(e)))
-        if gns is None or not checks[-1].passed():  # the commutant rests on multiplicativity
-            checks.append(skip("tomita-commutant", "modular conjugation",
-                               "prerequisite-failed"))
-        else:
-            checks.append(tomita_check(h, gns, max(tol, 1e-8)))
-        if gns is None or psi_hat is None or delta_hat is None:
-            checks.append(skip("operator-radford", "operator fourth-power identity",
-                               "prerequisite-failed"))
-        else:
-            try:
-                gns_dual = gns_build(hd, psi_hat, tol)
-                checks.append(operator_radford_check(h, md, hd, delta_hat,
-                                                     gns, gns_dual, tol))
-            except HopfError as e:
-                checks.append(fail("operator-radford",
-                                   "operator fourth-power identity", str(e)))
-    vals["gns"] = gns
-    vals["gns_dual"] = gns_dual
-
-    if md is None or psi_hat is None:
-        checks.append(skip("plancherel", "psihat(F(a)*F(a))=phi(a*a)",
-                           "prerequisite-failed"))
-    else:
-        checks.append(plancherel_check(h, md, hd, psi_hat,
-                                       verdict or "prerequisite-failed", seed))
-
-    if not core_ok:
-        checks.append(skip("biduality", "dual(dual(A))=A", "prerequisite-failed"))
-    else:
-        checks.append(biduality_check(h, hd))
-
+            res.checks.extend(skip(name, law, reason) for name, law in stage.laws)
     return res
 
 
-def _group_like_stage(h: HopfData, name: str, checks: list) -> list | None:
-    """All group-likes and their closure check, reported as `name`; None unless it passes."""
-    try:
-        likes = find_group_likes(h)
-        glc = group_like_closure_check(h, likes)
-    except HopfError as e:
-        checks.append(fail(name, _LAW_GROUP_LIKES, str(e)))
-        return None
-    checks.append(Check(name, glc.status, glc.identity, glc.detail))
-    return likes if glc.passed() else None
+def _skip_reason(stage: Stage, values: dict) -> str | None:
+    verdict = values.get("positivity", (None,))[0]
+    if stage.positive and verdict not in (None, "positive"):
+        return verdict
+    return _PREREQ if any(values.get(key) is None for key in stage.requires) else None
 
 
-def _integral_stages(h: HopfData, first: tuple | None,
-                     checks: list) -> ModularData | None:
-    """One named check per computed object; None as soon as one fails.
-    first is the dual's generators (None for all), handed to compute_modular."""
+def _axioms(h: HopfData, v: dict) -> list:
+    """h's suite; once it passes, the dual and its transposition certificate,
+    which decides whether A's integrals may be solved on hd's generators."""
+    core = full_axiom_suite(h)
+    if not any(c.status == FAIL for c in core):
+        v["core"] = core
+        v["dual"] = dual_hopf(h)
+        v["not_transpose"] = transpose_failure(h, v["dual"])
+    return core
+
+
+def _group_likes(a: HopfData, name: str, v: dict, key: str) -> list:
+    """All group-likes of a and their closure check, reported as name."""
     try:
-        md = compute_modular(h, first)
+        likes = find_group_likes(a)
+        glc = group_like_closure_check(a, likes)
     except HopfError as e:
-        reached = True
-        for name, law in _INTEGRAL_LAWS:
-            if name == e.stage:
-                checks.append(fail(name, law, str(e)))
-                reached = False
-            elif reached:
-                checks.append(ok(name, law))
-            else:
-                checks.append(skip(name, law, "prerequisite-failed"))
-        return None
-    for name, law in _INTEGRAL_LAWS:
-        checks.append(ok(name, law))
-    return md
+        return [fail(name, _LAW_GROUP_LIKES, str(e))]
+    if glc.passed():
+        v[key] = likes
+    return [Check(name, glc.status, glc.identity, glc.detail)]
+
+
+def _integrals(h: HopfData, v: dict) -> list:
+    """One named check per computed object, up to the first that fails."""
+    first = v["dual"].generators if v["not_transpose"] is None else None
+    try:
+        v["modular"] = compute_modular(h, first)
+    except HopfError as e:
+        at = [name for name, _ in _INTEGRAL_LAWS].index(e.stage)
+        return ([ok(*law) for law in _INTEGRAL_LAWS[:at]]
+                + [fail(*_INTEGRAL_LAWS[at], str(e))]
+                + [skip(*law, _PREREQ) for law in _INTEGRAL_LAWS[at + 1:]])
+    return [ok(*law) for law in _INTEGRAL_LAWS]
+
+
+def _modular_identities(h: HopfData, v: dict) -> list:
+    v.update(s_order=s_order(h), s2_order=s2_order(h),
+             unimodular=v["modular"].delta == h.unit)
+    return modular_identity_checks(h, v["modular"])
+
+
+def _dual_axioms(h: HopfData, v: dict) -> list:
+    checks = dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])
+    if not any(c.status == FAIL for c in checks):
+        v["dual_ok"] = True
+    return checks
+
+
+def _dual_integrals(h: HopfData, v: dict) -> list:
+    md, hd = v["modular"], v["dual"]
+    try:  # solved once: the kernel cross-check and deltahat both read it
+        dual_phi = left_integral(hd, h.generators)
+    except HopfError as e:
+        dual_phi = e
+    try:
+        v["psi_hat"], v["phi_hat"] = compute_dual_integrals(h, md, hd, dual_phi)
+        checks = [ok("dual-integrals", _LAW_DUAL_INTEGRALS)]
+    except HopfError as e:
+        checks = [fail("dual-integrals", _LAW_DUAL_INTEGRALS, str(e))]
+    try:
+        if isinstance(dual_phi, HopfError):
+            raise dual_phi
+        v["delta_hat"] = modular_element(hd, dual_phi)
+        v["counimodular"] = v["delta_hat"] == Elem(h.counit.coords)
+        checks.append(ok("dual-modular-element", _LAW_DUAL_DELTA))
+    except HopfError as e:
+        checks.append(fail("dual-modular-element", _LAW_DUAL_DELTA, str(e)))
+    return checks
+
+
+def _positivity(h: HopfData, v: dict) -> list:
+    v["positivity"] = verdict, detail = positivity_verdict(h, v["modular"].phi, v["tolerance"])
+    if verdict == "positive":
+        return [ok("positivity", _LAW_POSITIVITY, detail)]
+    return [skip("positivity", _LAW_POSITIVITY, verdict)]
+
+
+def _kac(h: HopfData, v: dict) -> list:
+    check = kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"],
+                               v["positivity"][0], v["tolerance"])
+    v["kac"] = check.passed()
+    return [check]
+
+
+def _gns(h: HopfData, v: dict) -> list:
+    """The representation, then the commutant, which rests on its
+    multiplicativity, then the operator identity on the dual's GNS."""
+    md, tol = v["modular"], v["tolerance"]
+    gns = None
+    try:
+        gns = v["gns"] = gns_build(h, md.phi, tol)
+        rep = gns_representation_check(h, md.phi, gns, tol)
+    except HopfError as e:
+        rep = fail("gns-representation", "rep is a *-homomorphism", str(e))
+    checks = [rep]
+    if gns is None or not rep.passed():
+        checks.append(skip("tomita-commutant", "modular conjugation", _PREREQ))
+    else:
+        checks.append(tomita_check(h, gns, max(tol, 1e-8)))
+    if gns is None or v.get("psi_hat") is None or v.get("delta_hat") is None:
+        checks.append(skip("operator-radford", _LAW_OPERATOR_RADFORD, _PREREQ))
+        return checks
+    try:
+        v["gns_dual"] = gns_build(v["dual"], v["psi_hat"], tol)
+        checks.append(operator_radford_check(h, md, v["dual"], v["delta_hat"],
+                                             gns, v["gns_dual"], tol))
+    except HopfError as e:
+        checks.append(fail("operator-radford", _LAW_OPERATOR_RADFORD, str(e)))
+    return checks
+
+
+STAGES = (
+    Stage((), (), _axioms),
+    Stage((("group-likes", _LAW_GROUP_LIKES),), ("core",),
+          lambda h, v: _group_likes(h, "group-likes", v, "group_likes")),
+    Stage(_INTEGRAL_LAWS, ("dual",), _integrals),
+    Stage(tuple((name, "modular identity") for name in (
+        "modular-sandwich", "modular-conjugation", "modular-coproduct",
+        "modular-commutation", "modular-scaling", "modular-flip")),
+          ("modular",), _modular_identities),
+    Stage(tuple((name, "axioms on the dual") for name in (
+        "dual-algebra", "dual-coalgebra", "dual-bialgebra", "dual-antipode",
+        "dual-antipode-derived", "dual-star")), ("dual",), _dual_axioms),
+    Stage((("dual-group-likes", _LAW_GROUP_LIKES),), ("dual_ok",),
+          lambda h, v: _group_likes(v["dual"], "dual-group-likes", v, "dual_likes")),
+    Stage((("pairing-actions", "pairing laws"),), ("dual_ok",),
+          lambda h, v: [verify_pairing(h, v["dual"], v["dual"].generators)]),
+    Stage((("dual-integrals", _LAW_DUAL_INTEGRALS), ("dual-modular-element", _LAW_DUAL_DELTA)),
+          ("modular", "dual_ok"), _dual_integrals),
+    Stage((("dual-modular-links", "modular data vs dual action"),
+           ("radford-s4", "S^4 as a double conjugation"),
+           ("radford-factorization", "S^4 from the modular data")), ("modular", "delta_hat"),
+          lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"]) for check in
+                        (dual_modular_links, radford_check, radford_factorization)]),
+    Stage((("s2-conjugation", "S^2 under a trivial dual modular element"),),
+          ("modular", "delta_hat", "group_likes"),
+          lambda h, v: [counimodular_check(h, v["modular"], v["dual"], v["delta_hat"],
+                                           v["group_likes"])]),
+    Stage((("s2-half-power", "S^2 as a half sandwich"),),
+          ("modular", "delta_hat", "group_likes", "dual_likes"),
+          lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
+                                         v["group_likes"], v["dual_likes"])]),
+    Stage((("positivity", _LAW_POSITIVITY),), ("modular",), _positivity),
+    Stage((("kac-collapse", "phi>0 => modular family collapses"),),
+          ("modular", "delta_hat", "psi_hat"), _kac, positive=True),
+    Stage(tuple((name, "represented form") for name in (
+        "gns-representation", "tomita-commutant", "operator-radford")),
+          ("modular",), _gns, positive=True),
+    Stage((("plancherel", "psihat(F(a)*F(a))=phi(a*a)"),), ("modular", "psi_hat"),
+          lambda h, v: [plancherel_check(h, v["modular"], v["dual"], v["psi_hat"],
+                                         v["positivity"][0], v["seed"])]),
+    Stage((("biduality", "dual(dual(A))=A"),), ("dual",),
+          lambda h, v: [biduality_check(h, v["dual"])]),
+)

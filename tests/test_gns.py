@@ -193,6 +193,22 @@ def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):
         "CHECK tomita-commutant SKIP:prerequisite-failed modular conjugation")
 
 
+def test_kac_collapse_skips_when_a_dual_integral_fails(monkeypatch, zoo):
+    # the integral is positive, so the skip reason is the failed prerequisite
+    from hopfcheck import pipeline, run_pipeline
+    from hopfcheck.errors import InconsistentWithDirectComputation
+
+    def inconsistent(*args, **kwargs):
+        raise InconsistentWithDirectComputation("the two routes to psihat disagree")
+
+    monkeypatch.setattr(pipeline, "compute_dual_integrals", inconsistent)
+    checks = {c.name: c for c in run_pipeline(zoo["C[Z3]"]).checks}
+    assert checks["positivity"].passed()
+    assert checks["dual-integrals"].status == "FAIL"
+    assert checks["kac-collapse"].line() == (
+        "CHECK kac-collapse SKIP:prerequisite-failed phi>0 => modular family collapses")
+
+
 def test_tomita_passes_in_dimension_one():
     from hopfcheck import group_algebra
     from hopfcheck.zoo import cyclic_table
