@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
 from .errors import DimMismatch, NoStarStructure, NumericalFailure, SingularMatrix
-from .linalg import Mat, Tensor3, mat_inverse, solve_null_space
+from .linalg import Mat, Tensor3, mat_inverse, null_basis, reduce_into, solve_null_space
 from .report import Check, fail, first_failure, law_check, ok, skip
 
 
@@ -174,7 +174,7 @@ class HopfData:
         gens: list = []
 
         def add(x: Elem) -> None:
-            if _reduce_into(rows, list(x.coords)):
+            if reduce_into(rows, list(x.coords)):
                 monomials.append(x)
                 applied.append(0)
 
@@ -182,7 +182,7 @@ class HopfData:
         for k in range(d):
             if len(rows) == d:
                 break
-            if not _reduce_into(list(rows), list(self.basis(k).coords)):
+            if not reduce_into(list(rows), list(self.basis(k).coords)):
                 continue
             gens.append(k)
             m = 0
@@ -484,20 +484,6 @@ def _exactify(value: complex, orders: list) -> Cyc | None:
     return None
 
 
-def _reduce_into(rows: list, v: list) -> bool:
-    """Append v, reduced against rows, unless it reduces to zero.  rows are
-    (pivot, row) pairs, each row 1 at its pivot and 0 at earlier pivots."""
-    for p, row in rows:
-        c = v[p]
-        if not c.is_zero():
-            v = [x if y.is_zero() else x - c * y for x, y in zip(v, row)]
-    lead = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-    if lead is not None:
-        inv = v[lead].inverse()
-        rows.append((lead, [x if x.is_zero() else x * inv for x in v]))
-    return lead is not None
-
-
 def find_group_likes(h: HopfData) -> list:
     """All group-likes of h, counted exactly and confirmed exactly.
 
@@ -538,7 +524,7 @@ def find_group_likes(h: HopfData) -> list:
                  CYC_ZERO) for b in range(d)] for a in range(d)]
     rows: list = []  # semi-echelon basis of J, rad A first
     for v in solve_null_space(Mat.from_rows(form)):
-        _reduce_into(rows, v)
+        reduce_into(rows, v)
     commutators = []
     for a in range(d):
         for b in range(a + 1, d):
@@ -546,14 +532,13 @@ def find_group_likes(h: HopfData) -> list:
                 v = times(a, h.basis(b).coords)
                 for k, c in dual_mul[b][a]:
                     v[k] = v[k] - c
-                if _reduce_into(rows, v):
+                if reduce_into(rows, v):
                     commutators.append(rows[-1][1])
     for u in commutators:
         for a in range(d):
-            _reduce_into(rows, times(a, u))
+            reduce_into(rows, times(a, u))
     free = sorted(set(range(d)) - {p for p, _ in rows})
-    j_rows = Mat.from_rows([r for _, r in sorted(rows)]) if rows else Mat.zero(1, d)
-    basis = solve_null_space(j_rows)  # J^perp, each vector 1 at its own free slot
+    basis = null_basis(rows, d)  # J^perp, each vector 1 at its own free slot
     n = len(basis)
 
     w = np.array([[c.to_complex() for c in v] for v in basis]).reshape(n, d).T

@@ -162,7 +162,8 @@ class ModularData:
 
     @cached_property
     def sigma_inv(self) -> Mat:
-        return mat_inverse(self.sigma)
+        """sigma = G^-1 G^T, so sigma^-1 = (G^-1)^T G, with no inverse of its own."""
+        return self.gram_inv.transpose().mul(self.gram)
 
 
 def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:

@@ -1,10 +1,18 @@
 """Exact dense linear algebra over cyclotomic scalars.
 
-Elimination is fraction-free in the Bareiss style with deterministic
-pivoting (first nonzero entry in column order), so identical inputs always
-produce identical echelon forms.  Null-space bases come out in reduced
-echelon shape: free variables in increasing index order, each basis vector
-has a 1 in its own free slot and zeros in the other free slots.
+One elimination serves the package.  reduce_into keeps a semi-echelon row
+store: a new vector is reduced against the stored rows and what is left is
+scaled by the inverse of its first nonzero entry, its pivot.  That is one
+inverse per pivot and no other division.  reduced_echelon clears each pivot
+column in the other rows and sorts by pivot; rank, solve_null_space and
+mat_inverse are read off the store.
+
+No output depends on the elimination order.  A row space has exactly one
+set of pivot columns and one reduced echelon form, so the rank, the inverse
+(the right half of the reduced echelon form of [M | I]) and the null basis
+(for each free column f in increasing order, the null vector that is 1 at f
+and 0 at the other free columns) are the same values whatever loop
+computes them.
 """
 
 from __future__ import annotations
@@ -126,91 +134,83 @@ class Tensor3:
         return self.dim == other.dim and all(a == b for a, b in zip(self.entries, other.entries))
 
 
-def _echelon(rows: list, ncols: int) -> list:
-    """Fraction-free forward elimination in place; returns pivot (row, col) pairs."""
-    prev = CYC_ONE
-    pr = 0
-    pivots = []
-    nrows = len(rows)
-    for pc in range(ncols):
-        hit = None
-        for r in range(pr, nrows):
-            if not rows[r][pc].is_zero():
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pr:
-            rows[pr], rows[hit] = rows[hit], rows[pr]
-        piv = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            rc = rows[r][pc]
-            if rc.is_zero():
-                for c in range(pc, ncols):
-                    if not rows[r][c].is_zero():
-                        rows[r][c] = (piv * rows[r][c]) / prev
-            else:
-                for c in range(pc, ncols):
-                    rows[r][c] = (piv * rows[r][c] - rc * rows[pr][c]) / prev
-        prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+def reduce_into(rows: list, v: list) -> bool:
+    """Append v, reduced against rows, unless it reduces to zero.  rows are
+    (pivot, row) pairs, each row 1 at its pivot and 0 at earlier pivots."""
+    for p, row in rows:
+        c = v[p]
+        if not c.is_zero():
+            v = [x if y.is_zero() else x - c * y for x, y in zip(v, row)]
+    lead = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+    if lead is not None:
+        inv = v[lead].inverse()
+        rows.append((lead, [x if x.is_zero() else x * inv for x in v]))
+    return lead is not None
+
+
+def reduced_echelon(rows: list) -> list:
+    """The reduced echelon form of a reduce_into row store, as a new list of
+    (pivot, row) pairs sorted by pivot, each row 0 at every other pivot.
+
+    A row is 0 before its own pivot, so pivot p is cleared from the rows
+    with smaller pivots only, largest p first; the row subtracted is then
+    already 0 at every larger pivot."""
+    rows = sorted(rows, key=lambda pr: pr[0])
+    for j in reversed(range(len(rows))):
+        p, row = rows[j]
+        for i in range(j):
+            q, other = rows[i]
+            c = other[p]
+            if not c.is_zero():
+                rows[i] = (q, [x if y.is_zero() else x - c * y for x, y in zip(other, row)])
+    return rows
+
+
+def null_basis(rows: list, ncols: int) -> list:
+    """Exact basis of the v with row . v = 0 for every row of a reduce_into
+    row store: for each free column f, v[f] = 1 and v[p] = -row_p[f]."""
+    rows = reduced_echelon(rows)
+    pivots = {p for p, _ in rows}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [CYC_ZERO] * ncols
+            v[f] = CYC_ONE
+            for p, row in rows:
+                if not row[f].is_zero():
+                    v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
+def _row_store(vectors) -> list:
+    rows: list = []
+    for v in vectors:
+        reduce_into(rows, v)
+    return rows
 
 
 def rank(m: Mat) -> int:
-    rows = [m.row(i) for i in range(m.rows)]
-    return len(_echelon(rows, m.cols))
+    return len(_row_store(m.row(i) for i in range(m.rows)))
 
 
 def solve_null_space(m: Mat) -> list:
     """Exact basis of the right null space, one vector per free column."""
-    rows = [m.row(i) for i in range(m.rows)]
-    pivots = _echelon(rows, m.cols)
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        v = [CYC_ZERO] * m.cols
-        v[f] = CYC_ONE
-        for r, pc in reversed(pivots):
-            acc = CYC_ZERO
-            for c in range(pc + 1, m.cols):
-                rc = rows[r][c]
-                if not rc.is_zero() and not v[c].is_zero():
-                    acc = acc + rc * v[c]
-            v[pc] = -acc / rows[r][pc]
-        basis.append(v)
-    return basis
+    return null_basis(_row_store(m.row(i) for i in range(m.rows)), m.cols)
 
 
 def mat_inverse(m: Mat) -> "Mat":
-    """Exact inverse by Gauss-Jordan elimination; raises SingularMatrix."""
+    """Exact inverse, the right half of the reduced echelon form of [M | I];
+    raises SingularMatrix when a pivot lands in the right half."""
     if m.rows != m.cols:
         raise DimMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = [m.row(i) + [CYC_ONE if i == j else CYC_ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        hit = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                hit = r
-                break
-        if hit is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if hit != col:
-            aug[col], aug[hit] = aug[hit], aug[col]
-        piv = aug[col][col]
-        if not piv == CYC_ONE:
-            aug[col] = [x / piv for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                f = aug[r][col]
-                if not f.is_zero():
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return Mat.from_rows([row[n:] for row in aug])
+    rows = reduced_echelon(_row_store(
+        m.row(i) + [CYC_ONE if i == j else CYC_ZERO for j in range(n)] for i in range(n)))
+    missing = next((c for c, (p, _) in enumerate(rows) if p != c), None)
+    if missing is not None:
+        raise SingularMatrix(f"no pivot in column {missing}")
+    return Mat.from_rows([row[n:] for _, row in rows])
 
 
 def mat_pow(m: Mat, k: int) -> Mat:

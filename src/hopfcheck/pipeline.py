@@ -173,7 +173,7 @@ def _positivity(h: HopfData, v: dict) -> list:
 
 def _kac(h: HopfData, v: dict) -> list:
     check = kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"],
-                               v["positivity"][0], v["tolerance"])
+                               v["tolerance"])
     v["kac"] = check.passed()
     return [check]
 

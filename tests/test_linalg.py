@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Cyc, Mat
+from hopfcheck.cyclotomic import euler_phi
 from hopfcheck.errors import DimMismatch, SingularMatrix
 from hopfcheck.linalg import mat_inverse, mat_pow, rank, solve_null_space
 
@@ -103,3 +104,108 @@ def test_matvec_and_transpose():
         m.matvec(v + [CYC_ONE])
     assert m.transpose().get(0, 1) == Cyc.rational(3)
     assert m.transpose().transpose() == m
+
+
+def _cyc(order, coeffs):
+    """sum_k coeffs[k] zeta_order^k."""
+    out = CYC_ZERO
+    for k, c in enumerate(coeffs):
+        if c:
+            out = out + Cyc.rational(c) * Cyc.root(order, k)
+    return out
+
+
+@st.composite
+def cyclotomic_matrices(draw, order, rows=None, cols=None):
+    """Small matrices over Q(zeta_order), often of deficient rank."""
+    r = rows if rows is not None else draw(st.integers(1, 3))
+    c = cols if cols is not None else draw(st.integers(1, 4))
+    span = euler_phi(order)
+    entry = st.lists(st.integers(-1, 1), min_size=span, max_size=span)
+    grid = [[_cyc(order, draw(entry)) for _ in range(c)] for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        s = _cyc(order, draw(entry))
+        grid[-1] = [s * x for x in grid[0]]  # plant a dependent row
+    return Mat.from_rows(grid)
+
+
+def _gauss_jordan(m):
+    """Textbook reduced echelon form: (nonzero rows, pivot columns)."""
+    a = [m.row(i) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, m.rows) if not a[i][c].is_zero()), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        piv = a[r][c]
+        a[r] = [x / piv for x in a[r]]
+        for i in range(m.rows):
+            f = a[i][c]
+            if i != r and not f.is_zero():
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+def _reference_null_space(m):
+    rows, pivots = _gauss_jordan(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [CYC_ZERO] * m.cols
+        v[f] = CYC_ONE
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_cyclotomic_entries_match_gauss_jordan(order, data):
+    m = data.draw(cyclotomic_matrices(order))
+    assert rank(m) == len(_gauss_jordan(m)[1])
+    assert solve_null_space(m) == _reference_null_space(m)
+    sq = data.draw(cyclotomic_matrices(order, rows=m.rows, cols=m.rows))
+    n = sq.rows
+    aug = Mat.from_rows([sq.row(i) + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
+                         for i in range(n)])
+    rows, pivots = _gauss_jordan(aug)
+    if pivots[:n] == list(range(n)):
+        assert mat_inverse(sq) == Mat.from_rows([row[n:] for row in rows])
+    else:
+        missing = next(c for c in range(n) if c not in pivots)
+        with pytest.raises(SingularMatrix, match=f"no pivot in column {missing}$"):
+            mat_inverse(sq)
+
+
+def test_one_inverse_per_pivot(monkeypatch):
+    z = Cyc.root(5)
+    m = Mat.from_rows([[CYC_ONE, z, z * z, Cyc.rational(2)],
+                       [z, z * z, z * z * z, z + z],
+                       [Cyc.rational(3), CYC_ZERO, z, CYC_ONE]])  # row 1 = z * row 0
+    sq = Mat.from_rows([[z, CYC_ONE, CYC_ZERO],
+                        [CYC_ONE, z * z, z],
+                        [CYC_ZERO, z, Cyc.rational(2)]])
+    counts = {"inverse": 0, "div": 0}
+    inverse, div = Cyc.inverse, Cyc.__truediv__
+
+    def counted_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    def counted_div(self, other):
+        counts["div"] += 1
+        return div(self, other)
+
+    monkeypatch.setattr(Cyc, "inverse", counted_inverse)
+    monkeypatch.setattr(Cyc, "__truediv__", counted_div)
+    assert len(solve_null_space(m)) == 2  # rank 2, so two pivots
+    assert counts == {"inverse": 2, "div": 0}
+    counts["inverse"] = 0
+    inv = mat_inverse(sq)  # invertible, so three pivots
+    assert counts == {"inverse": 3, "div": 0}
+    monkeypatch.undo()
+    assert sq.mul(inv).is_identity()
