@@ -5,10 +5,12 @@ Every single-entry +1 corruption of the multiplication, comultiplication,
 antipode and star tables of each standard_zoo() member with dim <= 8, and of
 its dual, goes through full_axiom_suite.  A corruption counts as detected
 when some check FAILs.  Each corruption h' also goes through
-verify_pairing(h', dual_hopf(h')), the full pairing scan.  The script prints
-detected/total for each member and table, then one sha256 over every axiom
-transcript (each case's label and its CHECK lines) and a second over every
-pairing line, so two checkouts compare by running it once in each:
+verify_pairing(h', dual_hopf(h')), the transposition certificate and h's
+coalgebra law.  The script prints detected/total for each member and table,
+then one sha256 over every axiom transcript (each case's label and its CHECK
+lines), the number of pairing FAILs, and a second sha256 over every pairing
+line, so two checkouts compare by running it once in each (the FAIL count
+compares the pairing statuses even where the detail text differs):
 
     PYTHONPATH=src python3 scripts/mutation_sweep.py
 
@@ -44,7 +46,7 @@ def main() -> int:
     start = time.monotonic()
     digest = hashlib.sha256()
     pairing_digest = hashlib.sha256()
-    detected = total = 0
+    detected = total = pairing_fails = 0
     for base in standard_zoo():
         if base.dim > MAX_DIM:
             continue
@@ -56,6 +58,7 @@ def main() -> int:
                 digest.update(("\n".join(lines) + "\n").encode())
                 pairing = verify_pairing(bad, dual_hopf(bad))
                 pairing_digest.update(f"{lines[0]}\n{pairing.line()}\n".encode())
+                pairing_fails += pairing.status == "FAIL"
                 hit = any(c.status == "FAIL" for c in checks)
                 got, seen = counts.get(field, (0, 0))
                 counts[field] = (got + hit, seen + 1)
@@ -65,6 +68,7 @@ def main() -> int:
                 total += seen
     print(f"detected {detected}/{total} in {time.monotonic() - start:.1f}s")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"pairing FAIL {pairing_fails}/{total}")
     print(f"pairing sha256 {pairing_digest.hexdigest()}")
     return 0 if detected == total else 1
 

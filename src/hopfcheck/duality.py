@@ -16,7 +16,7 @@ from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
 from .errors import (HopfError, InconsistentWithDirectComputation, NotBijective,
                      SingularMatrix)
 from .hopf import (Elem, Functional, HopfData, act_left, act_right, full_axiom_suite,
-                   same_structure, scale, sparse_sum, verify_star)
+                   same_structure, scale, verify_coalgebra, verify_star)
 from .integrals import ModularData, left_integral, modular_element, right_integral
 from .linalg import Mat, Tensor3, mat_inverse
 from .report import Check, fail, first_failure, law_check, ok, skip
@@ -119,8 +119,9 @@ def transpose_failure(h: HopfData, hd: HopfData) -> str | None:
 
     dual_axiom_checks derives the five dual checks from this table.  dual-star
     is not a transposition: S^* is built from both S and *, so it is
-    scanned.  verify_pairing opens with this certificate, so the
-    transposition is stated once.
+    scanned.  verify_pairing is this certificate plus h's coalgebra law:
+    every pairing law is one of its rows or re-indexes coassociativity or
+    a counit law of h (the proof is in its docstring).
     """
     d = h.dim
     cop = [[{} for _ in range(d)] for _ in range(d)]
@@ -185,84 +186,41 @@ def verify_dual(hd: HopfData) -> list:
     return [_dual(c) for c in full_axiom_suite(hd)]
 
 
-def _lincomb(terms) -> dict:
-    """Sum of c * vec over (c, vec) in terms, each vec a sparse {index: Cyc}."""
-    return sparse_sum((k, c * v) for c, vec in terms for k, v in vec.items())
+def verify_pairing(h: HopfData, hd: HopfData) -> Check:
+    """The pairing laws: transpose_failure(h, hd), then h's coalgebra law
+    (hopf.verify_coalgebra).  FAIL carries the first failing detail.
 
+    Proof that this decides every law in the line.  Let the certificate
+    hold: m^ = D^T, D^ = m^T, S^ = S^T, 1^ = eps and eps^ = 1.  With
+    f|>a = a1 <f,a2> and a<|f = <f,a1> a2, for basis f, g, a, b:
 
-def verify_pairing(h: HopfData, hd: HopfData, first: tuple | None = None) -> Check:
-    """The structural pairing laws (transpose_failure), the module laws for
-    both actions, the unit action, and the compatibilities moving an action
-    across the pairing.
+      - Structural laws.  <fg,a> = <f,a1><g,a2>, <f,ab> = <f1,a><f2,b> and
+        <Sf,a> = <f,Sa> are the product, coproduct and antipode rows of
+        the certificate.
+      - Action-pairing laws.  <f|>a,g> = <g,a1><f,a2> = <gf,a> and
+        <a<|f,g> = <f,a1><g,a2> = <fg,a> compare the same D(a) entries
+        with m^ as the product row.
+      - Module laws.  (fg)|>a = (id(x)f(x)g)(id(x)D)D(a) and
+        f|>(g|>a) = (id(x)f(x)g)(D(x)id)D(a), so the left module law for
+        all basis f and g reads every entry of coassociativity.  So do
+        a<|(fg) = (a<|f)<|g, through (f(x)g(x)id), and
+        (f|>a)<|g = f|>(a<|g), through (g(x)id(x)f).
+      - Unit action.  1^|>a = a and a<|1^ = a are the two counit laws.
+        They put every e_a = 1^|>e_a in span{f|>a}, so that span is A.
 
-    Every law after the certificate is evaluated on sparse tables built
-    once: hit[j][a] is e_j^ |> e_a and rhit[i][a] is a <| e_i^ (both read
-    off D(e_a)), and prod[i][j] is e_i^ e_j^.
-
-    The two d^3 groups run their first slot, the dual index f = e_i^, over
-    `first`: hd.generators once the dual axiom suite has passed (hd the
-    dual of h), or None for every index.  The theorem of
-    report.first_failure carries over, with H* = hd in place of A:
-
-      - Module laws.  X = {f : (fg)|>a = f|>(g|>a) and
-        a<|(fg) = (a<|f)<|g for all g, a} is a subspace, closed under
-        products when hd is associative: ((ff')g)|>a = (f(f'g))|>a =
-        f|>(f'|>(g|>a)) = (ff')|>(g|>a), and likewise on the right.  X
-        contains 1^ = eps once 1^ g = g (the dual unit law) and
-        1^|>a = a = a<|1^ (the unit-action rows).
-      - Commute and pairing laws, given the module laws for every f.
-        (f|>a)<|g = f|>(a<|g), <g, f|>a> = <gf, a> and
-        <g, a<|f> = <fg, a> each lift from f and f' to ff' the same way,
-        for example <g, (ff')|>a> = <g, f|>(f'|>a)> = <gf, f'|>a> =
-        <gff', a>, and hold at 1^ by the unit action and the unit law.
-
-    The dual unit law is the counit law of h, and so are the unit-action
-    rows, so after the dual suite the reduced scan stops at the full
-    scan's first failure (the argument of report.first_failure).  PASS
-    needs only hd associative besides: the scan opens with
-    transpose_failure, which makes hd the transpose of h, and the
-    unit-action group runs before PASS is returned.  That group also makes
-    the actions unital: 1^|>e_a = e_a puts every basis vector in
-    span{f|>a}, so that span is A without a rank computation.
+    Each law thus holds exactly when its certificate row or coalgebra row
+    does, so the status is that of scanning every law over every index;
+    only a FAIL's detail names the certificate or the coalgebra row.
     """
     law = ("<fg,a>=<f,a1><g,a2>, <f,ab>=<f1,a><f2,b>, <Sf,a>=<f,Sa>, "
            "(fg)|>a=f|>(g|>a), a<|(fg)=(a<|f)<|g, (f|>a)<|g=f|>(a<|g), "
            "<f|>a,g>=<a,gf>, <a<|f,g>=<a,fg>, span{f|>a}=A")
     failure = transpose_failure(h, hd)
-    if failure is not None:
-        return fail("pairing-actions", law, failure)
-    d = h.dim
-    hit = [[{} for _ in range(d)] for _ in range(d)]
-    rhit = [[{} for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for p, q, c in h.comult_terms[a]:
-            hit[q][a][p] = c
-            rhit[p][a][q] = c
-    prod = [[dict(pairs) for pairs in row] for row in hd.mult_pairs]
-    unit_dual = Elem(h.counit.coords).support
-    return law_check(
-        "pairing-actions", law, d,
-        ((3, first),
-         ("left module law fails at ({0},{1},{2})",
-          lambda i, j, a: _lincomb((c, hit[k][a]) for k, c in prod[i][j].items()),
-          lambda i, j, a: _lincomb((c, hit[i][b]) for b, c in hit[j][a].items())),
-         ("right module law fails at ({0},{1},{2})",
-          lambda i, j, a: _lincomb((c, rhit[k][a]) for k, c in prod[i][j].items()),
-          lambda i, j, a: _lincomb((c, rhit[j][b]) for b, c in rhit[i][a].items()))),
-        (1, ("unit acts nontrivially at basis {0}",
-             lambda a: _lincomb((c, hit[j][a]) for j, c in unit_dual), lambda a: {a: CYC_ONE}),
-            ("unit acts nontrivially at basis {0}",
-             lambda a: _lincomb((c, rhit[j][a]) for j, c in unit_dual), lambda a: {a: CYC_ONE})),
-        ((3, first),
-         ("actions fail to commute at ({0},{2},{1})",
-          lambda i, j, a: _lincomb((c, rhit[j][b]) for b, c in hit[i][a].items()),
-          lambda i, j, a: _lincomb((c, hit[i][b]) for b, c in rhit[j][a].items())),
-         ("left action pairing fails at ({0},{2},{1})",
-          lambda i, j, a: hit[i][a].get(j, CYC_ZERO),
-          lambda i, j, a: prod[j][i].get(a, CYC_ZERO)),
-         ("right action pairing fails at ({0},{2},{1})",
-          lambda i, j, a: rhit[i][a].get(j, CYC_ZERO),
-          lambda i, j, a: prod[i][j].get(a, CYC_ZERO))))
+    if failure is None:
+        coalgebra = verify_coalgebra(h)
+        failure = None if coalgebra.passed() else coalgebra.detail
+    return ok("pairing-actions", law) if failure is None else fail(
+        "pairing-actions", law, failure)
 
 
 def _proportional(name: str, what: str, got, ref) -> None:

@@ -54,8 +54,8 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Functional:
     if len(basis) > 1:
         raise NonUniqueIntegral(f"{h.name}: invariance kernel has dimension {len(basis)}")
     v = basis[0]
-    lead = next(c for c in v if not c.is_zero())
-    return Functional(tuple(c / lead for c in v))
+    inv = next(c for c in v if not c.is_zero()).inverse()
+    return Functional(tuple(c * inv for c in v))
 
 
 def right_integral(h: HopfData, phi: Functional) -> Functional:
@@ -79,12 +79,11 @@ def modular_element(h: HopfData, phi: Functional) -> Elem:
             if any(not x.is_zero() for x in v):
                 raise InconsistentSystem(
                     f"{h.name}: row {a} forces phi(a) delta != 0 with phi(a) = 0")
-        else:
-            cand = tuple(x / fa for x in v)
-            if delta is None:
-                delta = cand
-            elif delta != cand:
-                raise InconsistentSystem(f"{h.name}: rows disagree on the modular element")
+        elif delta is None:
+            inv = fa.inverse()
+            delta = tuple(x * inv for x in v)
+        elif any(x != fa * y for x, y in zip(v, delta)):
+            raise InconsistentSystem(f"{h.name}: rows disagree on the modular element")
     if delta is None:
         raise InconsistentSystem(f"{h.name}: zero integral")
     e = Elem(delta)

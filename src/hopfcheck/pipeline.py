@@ -220,7 +220,7 @@ STAGES = (
     Stage((("dual-group-likes", _LAW_GROUP_LIKES),), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], "dual-group-likes", v, "dual_likes")),
     Stage((("pairing-actions", "pairing laws"),), ("dual_ok",),
-          lambda h, v: [verify_pairing(h, v["dual"], v["dual"].generators)]),
+          lambda h, v: [verify_pairing(h, v["dual"])]),
     Stage((("dual-integrals", _LAW_DUAL_INTEGRALS), ("dual-modular-element", _LAW_DUAL_DELTA)),
           ("modular", "dual_ok"), _dual_integrals),
     Stage((("dual-modular-links", "modular data vs dual action"),
