@@ -2,15 +2,17 @@
 """Measure corruption detection of the axiom suite.
 
 Every single-entry +1 corruption of the multiplication, comultiplication,
-antipode and star tables of each standard_zoo() member with dim <= 8, and of
-its dual, goes through full_axiom_suite.  A corruption counts as detected
-when some check FAILs.  Each corruption h' also goes through
-verify_pairing(h', dual_hopf(h')), the transposition certificate and h's
-coalgebra law.  The script prints detected/total for each member and table,
-then one sha256 over every axiom transcript (each case's label and its CHECK
-lines), the number of pairing FAILs, and a second sha256 over every pairing
-line, so two checkouts compare by running it once in each (the FAIL count
-compares the pairing statuses even where the detail text differs):
+antipode, star, unit and counit tables of each standard_zoo() member with
+dim <= 8, and of its dual, goes through full_axiom_suite.  A corruption
+counts as detected when some check FAILs.  Each corruption h' also goes
+through verify_pairing, fed the transposition certificate
+transpose_failure(h', dual_hopf(h')) and the suite's own coalgebra check of
+h', as run_pipeline feeds it.  The script prints detected/total for each
+member and table, then one sha256 over every axiom transcript (each case's
+label and its CHECK lines), the number of pairing FAILs, and a second sha256
+over every pairing line, so two checkouts compare by running it once in each
+(the FAIL count compares the pairing statuses even where the detail text
+differs):
 
     PYTHONPATH=src python3 scripts/mutation_sweep.py
 
@@ -22,23 +24,28 @@ import hashlib
 import sys
 import time
 
-from hopfcheck import CYC_ONE, Mat, Tensor3, dual_hopf, full_axiom_suite, standard_zoo
-from hopfcheck.duality import verify_pairing
+from hopfcheck import (CYC_ONE, Elem, Functional, Mat, Tensor3, dual_hopf, full_axiom_suite,
+                       standard_zoo)
+from hopfcheck.duality import transpose_failure, verify_pairing
 
 MAX_DIM = 8
 
 
 def corruptions(h):
     """(table, flat index, corrupted copy of h) for every entry of every table."""
-    tables = [("mult", h.mult), ("comult", h.comult), ("antipode", h.antipode)]
-    if h.star is not None:
-        tables.append(("star", h.star))
-    for field, t in tables:
-        for n in range(len(t.entries)):
-            entries = list(t.entries)
+    fields = ["mult", "comult", "antipode"] + ["star"] * (h.star is not None) + ["unit", "counit"]
+    for field in fields:
+        t = getattr(h, field)
+        flat = t.coords if isinstance(t, (Elem, Functional)) else t.entries
+        for n in range(len(flat)):
+            entries = list(flat)
             entries[n] = entries[n] + CYC_ONE
-            new = (Tensor3(t.dim, entries) if isinstance(t, Tensor3)
-                   else Mat(t.rows, t.cols, entries))
+            if isinstance(t, Tensor3):
+                new = Tensor3(t.dim, entries)
+            elif isinstance(t, Mat):
+                new = Mat(t.rows, t.cols, entries)
+            else:
+                new = type(t)(tuple(entries))
             yield field, n, dataclasses.replace(h, **{field: new})
 
 
@@ -56,7 +63,8 @@ def main() -> int:
                 checks = full_axiom_suite(bad)
                 lines = [f"{h.name} {field} {n}"] + [c.line() for c in checks]
                 digest.update(("\n".join(lines) + "\n").encode())
-                pairing = verify_pairing(bad, dual_hopf(bad))
+                coalgebra = checks[1]  # full_axiom_suite's second check
+                pairing = verify_pairing(transpose_failure(bad, dual_hopf(bad)), coalgebra)
                 pairing_digest.update(f"{lines[0]}\n{pairing.line()}\n".encode())
                 pairing_fails += pairing.status == "FAIL"
                 hit = any(c.status == "FAIL" for c in checks)

@@ -18,7 +18,7 @@ from .pipeline import PipelineResult, run_pipeline
 from .radford import radford_check, radford_factorization, s2_order, s_order
 from .report import Check
 from .zoo import (function_algebra, group_algebra, standard_zoo, sweedler, taft,
-                  tensor_product, zoo_names)
+                  tensor_product)
 
 __version__ = "0.1.0"
 
@@ -31,5 +31,5 @@ __all__ = [
     "hopf_to_text", "left_integral", "load_hopf", "modular_element", "pairing",
     "plancherel_check", "radford_check", "radford_factorization", "right_integral",
     "run_pipeline", "s2_order", "s_order", "save_hopf", "standard_zoo", "sweedler",
-    "taft", "tensor_product", "zoo_names",
+    "taft", "tensor_product",
 ]

@@ -148,14 +148,6 @@ class Cyc:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.order != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     # -- order bookkeeping --------------------------------------------
 
     def embed(self, order: int) -> "Cyc":
@@ -259,18 +251,6 @@ class Cyc:
                 raise ZeroDivisionError("division by zero cyclotomic scalar")
             return Cyc(1, [self.coeffs[0] / other.coeffs[0]], reduce=False)
         return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CYC_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self) -> "Cyc":
         """Field conjugation zeta -> zeta^(order-1); identity on rationals."""

@@ -60,10 +60,6 @@ class NotProportional(HopfError):
     """Two functionals expected to be proportional are not."""
 
 
-class NotBijective(HopfError):
-    """Linear map expected to be a bijection is singular."""
-
-
 class InconsistentWithDirectComputation(HopfError):
     """Two independent computation routes for the same object disagree."""
 

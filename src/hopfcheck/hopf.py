@@ -197,12 +197,6 @@ class HopfData:
 
     # -- element constructors -------------------------------------------
 
-    def elem(self, coords) -> Elem:
-        coords = tuple(c if isinstance(c, Cyc) else Cyc.rational(c) for c in coords)
-        if len(coords) != self.dim:
-            raise DimMismatch("coordinate length mismatch")
-        return Elem(coords)
-
     @cached_property
     def _basis(self) -> tuple:
         d = self.dim
@@ -211,9 +205,6 @@ class HopfData:
 
     def basis(self, i: int) -> Elem:
         return self._basis[i]
-
-    def zero(self) -> Elem:
-        return Elem((CYC_ZERO,) * self.dim)
 
     # -- algebra operations ----------------------------------------------
 

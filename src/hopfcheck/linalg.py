@@ -103,9 +103,6 @@ class Mat:
             self.entries[i * self.cols + j] == (CYC_ONE if i == j else CYC_ZERO)
             for i in range(self.rows) for j in range(self.cols))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -212,15 +209,3 @@ def mat_inverse(m: Mat) -> "Mat":
         raise SingularMatrix(f"no pivot in column {missing}")
     return Mat.from_rows([row[n:] for _, row in rows])
 
-
-def mat_pow(m: Mat, k: int) -> Mat:
-    if k < 0:
-        return mat_pow(mat_inverse(m), -k)
-    out = Mat.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            out = out.mul(base)
-        base = base.mul(base)
-        k >>= 1
-    return out

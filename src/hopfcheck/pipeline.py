@@ -219,8 +219,9 @@ STAGES = (
         "dual-antipode-derived", "dual-star")), ("dual",), _dual_axioms),
     Stage((("dual-group-likes", _LAW_GROUP_LIKES),), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], "dual-group-likes", v, "dual_likes")),
+    # the certificate and h's coalgebra check (core[1]), both from _axioms
     Stage((("pairing-actions", "pairing laws"),), ("dual_ok",),
-          lambda h, v: [verify_pairing(h, v["dual"])]),
+          lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])]),
     Stage((("dual-integrals", _LAW_DUAL_INTEGRALS), ("dual-modular-element", _LAW_DUAL_DELTA)),
           ("modular", "dual_ok"), _dual_integrals),
     Stage((("dual-modular-links", "modular data vs dual action"),
@@ -243,8 +244,8 @@ STAGES = (
         "gns-representation", "tomita-commutant", "operator-radford")),
           ("modular",), _gns, positive=True),
     Stage((("plancherel", "psihat(F(a)*F(a))=phi(a*a)"),), ("modular", "psi_hat"),
-          lambda h, v: [plancherel_check(h, v["modular"], v["dual"], v["psi_hat"],
-                                         v["positivity"][0], v["seed"])]),
+          lambda h, v: [plancherel_check(h, v["modular"], v["dual"], v["psi_hat"], v["seed"])],
+          positive=True),
     Stage((("biduality", "dual(dual(A))=A"),), ("dual",),
           lambda h, v: [biduality_check(h, v["dual"])]),
 )

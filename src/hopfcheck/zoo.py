@@ -331,7 +331,3 @@ def standard_zoo() -> list:
                               group_algebra("C[Z2]", cyclic_table(2))))
     out.append(tensor_product("sweedler(x)sweedler", sweedler(), sweedler()))
     return out
-
-
-def zoo_names() -> list:
-    return [h.name for h in standard_zoo()]

@@ -27,15 +27,16 @@ from hopfcheck import (
     standard_zoo,
     sweedler,
 )
-from hopfcheck.duality import fourier_bijective, verify_pairing
+from hopfcheck.duality import transpose_failure, verify_pairing
 from hopfcheck.gns import (
     gns_build,
     gns_representation_check,
     operator_radford_check,
     tomita_check,
 )
+from hopfcheck.hopf import Elem, verify_coalgebra
 from hopfcheck.integrals import modular_identity_checks
-from hopfcheck.linalg import mat_pow, solve_null_space
+from hopfcheck.linalg import solve_null_space
 
 POSITIVE = ("C[Z2]", "C[Z3]", "C[Z6]", "C[S3]",
             "F(Z2)", "F(Z3)", "F(Z6)", "F(S3)")
@@ -84,8 +85,8 @@ def test_criterion_03_fourth_power_law(zoo, pipelines):
     # the four dimensional example, re-derived without the pipeline:
     h = sweedler()
     s = h.antipode
-    extra_ok = (mat_pow(s, 4).is_identity()
-                and not s.mul(s).is_identity())
+    s2 = s.mul(s)
+    extra_ok = s2.mul(s2).is_identity() and not s2.is_identity()
     # delta from the absorption identity (phi (x) id) D(a) = phi(a) delta,
     # solved directly on the row with phi(a) nonzero
     phi = left_integral(h)
@@ -93,7 +94,7 @@ def test_criterion_03_fourth_power_law(zoo, pipelines):
     acc = [CYC_ZERO] * 4
     for (i, j), c in h.coprod(h.basis(a)).items():
         acc[j] = acc[j] + c * phi.coords[i]
-    delta = h.elem([x / phi.coords[a] for x in acc])
+    delta = Elem(tuple(x / phi.coords[a] for x in acc))
     extra_ok = extra_ok and delta == h.basis(1)
     # dual modular element from the same solver run on the dual
     hd = dual_hopf(h)
@@ -102,7 +103,7 @@ def test_criterion_03_fourth_power_law(zoo, pipelines):
     acc = [CYC_ZERO] * 4
     for (i, j), c in hd.coprod(hd.basis(b)).items():
         acc[j] = acc[j] + c * phi_dual.coords[i]
-    delta_hat = hd.elem([x / phi_dual.coords[b] for x in acc])
+    delta_hat = Elem(tuple(x / phi_dual.coords[b] for x in acc))
     extra_ok = extra_ok and delta_hat != hd.unit
     extra_ok = extra_ok and tuple(
         c.text(1) for c in delta_hat.coords) == ("1", "-1", "0", "0")
@@ -137,11 +138,11 @@ def test_criterion_05_duality(zoo, pipelines):
         if not (same_structure(hdd, h, include_star=True)
                 and hdd.name == h.name):
             bad.append(f"{name}:double-dual")
-        try:
-            fourier_bijective(h, pipelines[name].values["modular"])
-        except Exception as e:
-            bad.append(f"{name}:fourier:{e}")
-        if verify_pairing(h, dual_hopf(h)).status != "PASS":
+        md = pipelines[name].values["modular"]
+        if not md.gram.mul(md.gram_inv).is_identity():
+            bad.append(f"{name}:fourier")
+        if verify_pairing(transpose_failure(h, dual_hopf(h)),
+                          verify_coalgebra(h)).status != "PASS":
             bad.append(f"{name}:pairing")
     for g in ("Z2", "Z3", "S3"):
         if not same_structure(dual_hopf(zoo[f"C[{g}]"]), zoo[f"F({g})"],
@@ -159,8 +160,8 @@ def test_criterion_06_summation_law(zoo):
         h = zoo[name]
         md = compute_modular(h)
         hd = dual_hopf(h)
-        psi_hat, _ = compute_dual_integrals(h, md, hd)
-        c = plancherel_check(h, md, hd, psi_hat, "positive")
+        psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
+        c = plancherel_check(h, md, hd, psi_hat)
         if c.status != "PASS":
             bad.append(f"{name}:{c.line()}")
     _criterion(6, "summation law exact on every positive member, "
@@ -220,9 +221,10 @@ def test_criterion_09_operator_side(zoo):
         if tomita_check(h, gns, tol=1e-8).status != "PASS":
             bad.append(f"{name}:commutant")
         hd = dual_hopf(h)
-        psi_hat, _ = compute_dual_integrals(h, md, hd)
-        from hopfcheck import left_integral as li, modular_element
-        delta_hat = modular_element(hd, li(hd))
+        from hopfcheck import modular_element
+        phi_dual = left_integral(hd)
+        psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
+        delta_hat = modular_element(hd, phi_dual)
         gns_dual = gns_build(hd, psi_hat)
         if operator_radford_check(h, md, hd, delta_hat, gns, gns_dual,
                                   tol=1e-9).status != "PASS":

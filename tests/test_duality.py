@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
@@ -18,15 +20,16 @@ from hopfcheck import (
     compute_modular,
     dual_hopf,
     fourier,
+    left_integral,
     pairing,
     plancherel_check,
     run_pipeline,
     sweedler,
 )
-from hopfcheck.duality import (dual_axiom_checks, dual_name, fourier_bijective,
-                               transpose_failure, verify_dual, verify_pairing)
-from hopfcheck.errors import NoIntegral, NotBijective
-from hopfcheck.hopf import Elem, Functional, full_axiom_suite, same_structure
+from hopfcheck.duality import (dual_axiom_checks, dual_name, transpose_failure, verify_dual,
+                               verify_pairing)
+from hopfcheck.errors import NoIntegral
+from hopfcheck.hopf import Elem, Functional, full_axiom_suite, same_structure, verify_coalgebra
 from hopfcheck.linalg import Mat, Tensor3
 from hopfcheck.zoo import cyclic_table, group_algebra, taft
 
@@ -140,7 +143,9 @@ def test_a_broken_dual_fails_the_transposed_checks(monkeypatch, tmp_path, capsys
 
 def test_pairing_against_structure(zoo):
     for name in ("sweedler", "C[S3]", "taft(3)"):
-        assert verify_pairing(zoo[name], dual_hopf(zoo[name])).status == "PASS"
+        h = zoo[name]
+        check = verify_pairing(transpose_failure(h, dual_hopf(h)), verify_coalgebra(h))
+        assert check.status == "PASS"
 
 
 def test_actions_agree_with_the_pairing(zoo):
@@ -161,10 +166,10 @@ def test_actions_agree_with_the_pairing(zoo):
 
 # sha256 over "<table> <flat index> <CHECK line>" for every single-entry +1
 # corruption h' of sweedler's mult, comult, antipode and star tables, with
-# the line from verify_pairing(h', dual_hopf(h')).  dual_hopf(h') is always
-# the transpose of h', so a line FAILs exactly when h' breaks its coalgebra
-# law, and the detail is that of verify_coalgebra(h'): the 64 FAILs are the
-# 64 comult entries.
+# the line from verify_pairing of transpose_failure(h', dual_hopf(h')) and
+# verify_coalgebra(h').  dual_hopf(h') is always the transpose of h', so a
+# line FAILs exactly when h' breaks its coalgebra law, and the detail is
+# that of verify_coalgebra(h'): the 64 FAILs are the 64 comult entries.
 _SWEEDLER_PAIRING_SWEEP = "42a4943c034bc992a119dcf32d9aa941e67a38a99d7ff878fc6a19ea20a68f43"
 
 
@@ -180,7 +185,8 @@ def test_pairing_transcripts_of_sweedler_corruptions_are_pinned():
             new = Tensor3(t.dim, entries) if field in ("mult", "comult") else Mat(
                 t.rows, t.cols, entries)
             bad = dataclasses.replace(h, **{field: new})
-            check = verify_pairing(bad, dual_hopf(bad))
+            check = verify_pairing(transpose_failure(bad, dual_hopf(bad)),
+                                   verify_coalgebra(bad))
             digest.update(f"{field} {n} {check.line()}\n".encode())
             cases += 1
             if check.status == "FAIL":
@@ -221,11 +227,11 @@ def test_actions_absorb_and_commute_sweedler():
     h = sweedler()
     hd = dual_hopf(h)
     x = h.basis(2)
-    delta_hat = hd.elem([CYC_ONE, CYC_MINUS_ONE, CYC_ZERO, CYC_ZERO])
+    delta_hat = Elem((CYC_ONE, CYC_MINUS_ONE, CYC_ZERO, CYC_ZERO))
     # with Delta(x) = x (x) 1 + g (x) x the left action keeps the first leg
     assert act_left(h, delta_hat, x) == x
     got = act_right(h, x, delta_hat)
-    assert got == h.elem([CYC_ZERO, CYC_ZERO, CYC_MINUS_ONE, CYC_ZERO])
+    assert got == Elem((CYC_ZERO, CYC_ZERO, CYC_MINUS_ONE, CYC_ZERO))
     for f in (hd.basis(0), hd.basis(1), delta_hat):
         for g in (hd.basis(0), hd.basis(3)):
             for a in (h.basis(1), h.basis(3)):
@@ -238,7 +244,7 @@ def test_dual_integral_frozen_sweedler():
     h = sweedler()
     md = compute_modular(h)
     hd = dual_hopf(h)
-    psi_hat, phi_hat = compute_dual_integrals(h, md, hd)
+    psi_hat, phi_hat = compute_dual_integrals(h, md, hd, left_integral(hd))
     # solving counit = psi_hat . gram by hand gives -x-hat + gx-hat
     assert tuple(c.text(1) for c in psi_hat.coords) == ("0", "0", "-1", "1")
     # the left-invariant partner is the same thing after the dual antipode
@@ -265,16 +271,8 @@ def test_fourier_transform_frozen_sweedler():
     # F(a) = phi(. a): phi(x g) = phi(-gx) = -1, so g maps to -x-hat
     got = fourier(h, md, h.basis(1))
     assert tuple(c.text(1) for c in got.coords) == ("0", "0", "-1", "0")
-    fourier_bijective(h, md)
-
-
-def test_fourier_not_bijective_on_degenerate_form():
-    from hopfcheck import Mat
-    h = sweedler()
-    md = compute_modular(h)
-    degenerate = dataclasses.replace(md, gram=Mat.zero(4, 4))
-    with pytest.raises(NotBijective):
-        fourier_bijective(h, degenerate)
+    # F is plain matrix action by G, which compute_modular has inverted
+    assert md.gram.mul(md.gram_inv).is_identity()
 
 
 def test_plancherel_exact_on_positive_members(zoo):
@@ -282,20 +280,9 @@ def test_plancherel_exact_on_positive_members(zoo):
         h = zoo[name]
         md = compute_modular(h)
         hd = dual_hopf(h)
-        psi_hat, _ = compute_dual_integrals(h, md, hd)
-        check = plancherel_check(h, md, hd, psi_hat, "positive")
+        psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
+        check = plancherel_check(h, md, hd, psi_hat)
         assert check.status == "PASS", f"{name}: {check.line()}"
-
-
-def test_plancherel_skips_honestly(zoo, pipelines):
-    h = zoo["sweedler"]
-    md = compute_modular(h)
-    hd = dual_hopf(h)
-    psi_hat, _ = compute_dual_integrals(h, md, hd)
-    verdict = pipelines["sweedler"].values["positivity"][0]
-    check = plancherel_check(h, md, hd, psi_hat, verdict)
-    assert check.status == "SKIP"
-    assert "positive" in check.detail
 
 
 def test_plancherel_twisted_form_sweedler():
@@ -305,9 +292,9 @@ def test_plancherel_twisted_form_sweedler():
     h = sweedler()
     md = compute_modular(h)
     hd = dual_hopf(h)
-    psi_hat, _ = compute_dual_integrals(h, md, hd)
+    psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
     i = Cyc.root(4)
-    a = h.elem([CYC_ZERO, CYC_ONE, i, CYC_ZERO])  # g + i x
+    a = Elem((CYC_ZERO, CYC_ONE, i, CYC_ZERO))  # g + i x
     fa = fourier(h, md, a)
     lhs = hd.functional_of(psi_hat, hd.mul(hd.star_of(fa), fa))
     # phi(a a*) = -2i while phi(a* a) = +2i: the naive law fails
@@ -316,7 +303,7 @@ def test_plancherel_twisted_form_sweedler():
     assert h.functional_of(md.phi, h.mul(a, h.star_of(a))) == minus_2i
     assert h.functional_of(md.phi, h.mul(h.star_of(a), a)) == -minus_2i
     # and on a second pair
-    b = h.elem([CYC_ONE, CYC_ZERO, CYC_ZERO, i])
+    b = Elem((CYC_ONE, CYC_ZERO, CYC_ZERO, i))
     fb = fourier(h, md, b)
     got = hd.functional_of(psi_hat, hd.mul(hd.star_of(fa), fb))
     want = h.functional_of(md.phi, h.mul(b, h.star_of(a)))
@@ -359,13 +346,14 @@ def test_pairing_fails_on_a_corrupted_dual(field, index, value, detail):
     assert entries[pos] != Cyc.parse(value, 1)
     entries[pos] = Cyc.parse(value, 1)
     new = Mat(d, d, entries) if field == "antipode" else Tensor3(d, entries)
-    check = verify_pairing(h, dataclasses.replace(hd, **{field: new}))
+    bad = dataclasses.replace(hd, **{field: new})
+    check = verify_pairing(transpose_failure(h, bad), verify_coalgebra(h))
     assert check.status == "FAIL"
     assert check.detail == detail
 
 
 def test_dual_left_integral_is_solved_once(monkeypatch, zoo):
-    from hopfcheck import duality, integrals, pipeline
+    from hopfcheck import integrals, pipeline
 
     calls = []
 
@@ -373,8 +361,7 @@ def test_dual_left_integral_is_solved_once(monkeypatch, zoo):
         calls.append(h.name)
         return integrals.left_integral(h)
 
-    for module in (pipeline, duality):
-        monkeypatch.setattr(module, "left_integral", counted)
+    monkeypatch.setattr(pipeline, "left_integral", counted)
     checks = {c.name: c for c in run_pipeline(zoo["sweedler"]).checks}
     assert calls == ["sweedler^"]
     assert checks["dual-integrals"].passed() and checks["dual-modular-element"].passed()
@@ -391,3 +378,28 @@ def test_a_failed_dual_left_integral_fails_both_stages(monkeypatch, zoo):
     for name in ("dual-integrals", "dual-modular-element"):
         assert (checks[name].status, checks[name].detail) == (
             "FAIL", "sweedler^: invariance system has no kernel"), name
+
+
+@pytest.mark.parametrize("name", ["sweedler", "C[Z3]", "taft(3)"])
+def test_one_run_evaluates_each_shared_law_once(monkeypatch, zoo, name):
+    # the pairing line reuses the axiom stage's certificate and coalgebra
+    # check, and S^2's order is computed once for report and radford-s4
+    import hopfcheck
+    from hopfcheck import duality, hopf, radford
+
+    modules = [hopfcheck] + [importlib.import_module(f"hopfcheck.{info.name}")
+                             for info in pkgutil.iter_modules(hopfcheck.__path__)]
+    calls = {}
+    for fn in (duality.transpose_failure, hopf.verify_coalgebra, radford.s2_order):
+        calls[fn.__name__] = 0
+
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    run_pipeline(zoo[name])
+    assert calls == {"transpose_failure": 1, "verify_coalgebra": 1, "s2_order": 1}

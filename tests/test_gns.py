@@ -71,8 +71,9 @@ def test_group_algebra_representation_criteria(zoo):
         assert tom.status == "PASS", tom.line()
         hd = dual_hopf(h)
         from hopfcheck import compute_dual_integrals, modular_element, left_integral
-        psi_hat, _ = compute_dual_integrals(h, md, hd)
-        delta_hat = modular_element(hd, left_integral(hd))
+        phi_dual = left_integral(hd)
+        psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
+        delta_hat = modular_element(hd, phi_dual)
         gns_dual = gns_build(hd, psi_hat)
         op = operator_radford_check(h, md, hd, delta_hat, gns, gns_dual, tol=1e-9)
         assert op.status == "PASS", op.line()

@@ -11,6 +11,7 @@ from hopfcheck import (
     CYC_ONE,
     CYC_ZERO,
     Cyc,
+    Functional,
     Mat,
     compute_modular,
     dual_hopf,
@@ -20,8 +21,8 @@ from hopfcheck import (
     sweedler,
     taft,
 )
-from hopfcheck.errors import NoIntegral
-from hopfcheck.integrals import modular_automorphism, modular_identity_checks
+from hopfcheck.errors import NoIntegral, NotFaithful
+from hopfcheck.integrals import faithful_gram, modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import solve_null_space
 from hopfcheck.zoo import cyclic_table, group_algebra
 
@@ -262,3 +263,13 @@ def test_failing_stage_is_named_by_the_exception(monkeypatch):
     assert got[3].split()[2] == "FAIL"
     assert got[3].endswith("! sweedler: bilinear form of sigma source functional is degenerate")
     assert [l.split()[2] for l in got[4:]] == ["SKIP:prerequisite-failed"] * 8
+
+
+def test_faithful_gram_rejects_a_degenerate_form():
+    # the Fourier transform is matrix action by this Gram, so its inverse
+    # is what proves the transform bijective
+    h = sweedler()
+    g, g_inv = faithful_gram(h, compute_modular(h).phi)
+    assert g.mul(g_inv).is_identity()
+    with pytest.raises(NotFaithful):
+        faithful_gram(h, Functional((CYC_ZERO,) * h.dim))

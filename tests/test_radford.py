@@ -1,7 +1,6 @@
 """The fourth power of the antipode and its square-root refinements."""
 
 from hopfcheck import s2_order, s_order, sweedler, taft
-from hopfcheck.linalg import mat_pow
 from hopfcheck.radford import group_like_roots
 
 
@@ -24,8 +23,9 @@ def test_factorization_whole_zoo(pipelines):
 def test_sweedler_fourth_power_is_identity_but_square_is_not():
     h = sweedler()
     s = h.antipode
-    assert not s.mul(s).is_identity()
-    assert mat_pow(s, 4).is_identity()
+    s2 = s.mul(s)
+    assert not s2.is_identity()
+    assert s2.mul(s2).is_identity()
     assert s_order(h) == 4
     assert s2_order(h) == 2
 
