@@ -21,31 +21,37 @@ It exits 1 if any corruption goes undetected.
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 import time
 
-from hopfcheck import (CYC_ONE, Elem, Functional, Mat, Tensor3, dual_hopf, full_axiom_suite,
-                       standard_zoo)
+from hopfcheck import (CYC_ONE, CYC_ZERO, Elem, Functional, Mat, Tensor3, dual_hopf,
+                       full_axiom_suite, standard_zoo)
 from hopfcheck.duality import transpose_failure, verify_pairing
 
 MAX_DIM = 8
+
+
+def _raised(t):
+    """(flat index, t with that entry raised by 1) for every entry of t.  Entry
+    (a, b, c) of a d x d x d table has flat index (a*d + b)*d + c."""
+    if isinstance(t, Tensor3):
+        nonzero = dict(t.items())
+        for n, key in enumerate(itertools.product(range(t.dim), repeat=3)):
+            yield n, Tensor3(t.dim, {**nonzero, key: nonzero.get(key, CYC_ZERO) + CYC_ONE})
+        return
+    flat = t.coords if isinstance(t, (Elem, Functional)) else t.entries
+    for n in range(len(flat)):
+        entries = list(flat)
+        entries[n] = entries[n] + CYC_ONE
+        yield n, Mat(t.rows, t.cols, entries) if isinstance(t, Mat) else type(t)(tuple(entries))
 
 
 def corruptions(h):
     """(table, flat index, corrupted copy of h) for every entry of every table."""
     fields = ["mult", "comult", "antipode"] + ["star"] * (h.star is not None) + ["unit", "counit"]
     for field in fields:
-        t = getattr(h, field)
-        flat = t.coords if isinstance(t, (Elem, Functional)) else t.entries
-        for n in range(len(flat)):
-            entries = list(flat)
-            entries[n] = entries[n] + CYC_ONE
-            if isinstance(t, Tensor3):
-                new = Tensor3(t.dim, entries)
-            elif isinstance(t, Mat):
-                new = Mat(t.rows, t.cols, entries)
-            else:
-                new = type(t)(tuple(entries))
+        for n, new in _raised(getattr(h, field)):
             yield field, n, dataclasses.replace(h, **{field: new})
 
 

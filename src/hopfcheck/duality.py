@@ -30,15 +30,8 @@ def dual_hopf(h: HopfData) -> HopfData:
     dual is the transpose of h's S^-1 (read, or inverted once, on h), so
     no second inverse is computed."""
     d = h.dim
-    mult = [CYC_ZERO] * (d * d * d)
-    comult = [CYC_ZERO] * (d * d * d)
-    for k in range(d):
-        for i, j, c in h.comult_terms[k]:
-            mult[(i * d + j) * d + k] = c
-    for i in range(d):
-        for j in range(d):
-            for k, c in h.mult_pairs[i][j]:
-                comult[(k * d + i) * d + j] = c
+    mult = Tensor3(d, {(i, j, k): c for (k, i, j), c in h.comult.items()})
+    comult = Tensor3(d, {(k, i, j): c for (i, j, k), c in h.mult.items()})
     antipode = h.antipode.transpose()
     star = None
     if h.star is not None:
@@ -50,8 +43,8 @@ def dual_hopf(h: HopfData) -> HopfData:
                 star.entries[k * d + j] = c.conjugate()
     hd = HopfData(
         name=dual_name(h.name), dim=d, field_order=h.field_order,
-        mult=Tensor3(d, mult), unit=Elem(h.counit.coords),
-        comult=Tensor3(d, comult), counit=Functional(h.unit.coords),
+        mult=mult, unit=Elem(h.counit.coords),
+        comult=comult, counit=Functional(h.unit.coords),
         antipode=antipode, star=star)
     hd.s_inv = None if h.s_inv is None else h.s_inv.transpose()
     return hd
@@ -75,7 +68,7 @@ def fourier(h: HopfData, md: ModularData, a: Elem) -> Elem:
 def transpose_failure(h: HopfData, hd: HopfData) -> str | None:
     """None when hd is the transpose of h, else the first entry where it is not.
 
-    The certificate compares the cached sparse tables entry by entry, in
+    The certificate compares the stored tables entry by entry, in
     O(d^2 + nnz) comparisons and no field arithmetic.  Writing ^ for hd
     and the index order of the hopf module docstring, it checks exactly
     what dual_hopf builds:
@@ -124,24 +117,21 @@ def transpose_failure(h: HopfData, hd: HopfData) -> str | None:
     """
     d = h.dim
     cop = [[{} for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for p, q, c in h.comult_terms[a]:
-            cop[p][q][a] = c
+    for (a, p, q), c in h.comult.items():
+        cop[p][q][a] = c
     coef = [{} for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            for k, c in h.mult_pairs[a][b]:
-                coef[k][(a, b)] = c
+    for (a, b, k), c in h.mult.items():
+        coef[k][(a, b)] = c
 
     def entry(m: Mat | None, i: int, j: int) -> Cyc | None:
         return None if m is None else m.get(i, j)
 
     return first_failure(
         d,
-        (2, ("product law fails at ({0},{1},{slot})", lambda i, j: dict(hd.mult_pairs[i][j]),
-             lambda i, j: cop[i][j])),
+        (2, ("product law fails at ({0},{1},{slot})",
+             lambda i, j: dict(hd.mult.rows[i].get(j, ())), lambda i, j: cop[i][j])),
         (1, ("coproduct law fails at ({0},{slot[0]},{slot[1]})", coef.__getitem__,
-             lambda i: {(p, q): c for p, q, c in hd.comult_terms[i]})),
+             lambda i: {(p, q): c for p, terms in hd.comult.rows[i].items() for q, c in terms})),
         (2, ("antipode transpose fails at ({0},{1})", lambda i, a: hd.antipode.get(a, i),
              lambda i, a: h.antipode.get(i, a))),
         (1, ("unit transpose fails at basis {0}", lambda i: hd.unit.coords[i],
@@ -338,9 +328,10 @@ def plancherel_check(h: HopfData, md: ModularData, hd: HopfData,
 def biduality_check(h: HopfData, hd: HopfData) -> Check:
     """dual(dual(A)) must reproduce every tensor of A byte for byte; hd is
     dual_hopf(h), so only the second dual is built here.  It compares the
-    tensors instead of running transpose_failure(hd, hdd), since that
-    certificate first builds hdd's sparse tables from its dense Tensor3s
-    in O(d^3), which makes it about 3 times slower."""
+    stored tables directly instead of running transpose_failure(hd, hdd):
+    that certificate visits every index pair of four d x d laws, and on
+    taft(8) it took 19 ms against same_structure's 1.4 ms (one in-process
+    run on a shared 2-core x86 box, Python 3.11)."""
     law = "dual(dual(A))=A exactly"
     hdd = dual_hopf(hd)
     if hdd.name != h.name:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .cyclotomic import Cyc
+from .cyclotomic import CYC_ZERO, Cyc
 from .errors import FormatError
 from .hopf import Elem, Functional, HopfData
 from .linalg import Mat, Tensor3
@@ -31,10 +31,8 @@ def hopf_to_text(h: HopfData) -> str:
         "name": h.name,
         "dim": d,
         "field_order": n,
-        "mult": [[[s(h.mult.get(i, j, k)) for k in range(d)]
-                  for j in range(d)] for i in range(d)],
-        "comult": [[[s(h.comult.get(k, i, j)) for j in range(d)]
-                    for i in range(d)] for k in range(d)],
+        "mult": _tensor_text(h.mult, s),
+        "comult": _tensor_text(h.comult, s),
         "unit": [s(c) for c in h.unit.coords],
         "counit": [s(c) for c in h.counit.coords],
         "antipode": [[s(h.antipode.get(r, c)) for c in range(d)] for r in range(d)],
@@ -42,6 +40,15 @@ def hopf_to_text(h: HopfData) -> str:
     if h.star is not None:
         doc["star"] = [[s(h.star.get(r, c)) for c in range(d)] for r in range(d)]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _tensor_text(t: Tensor3, s) -> list:
+    """The nested d x d x d array of scalar strings, each nonzero rendered once."""
+    d, zero = t.dim, s(CYC_ZERO)
+    out = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for (a, b, c), v in t.items():
+        out[a][b][c] = s(v)
+    return out
 
 
 def _scalar_reader(order: int):
@@ -81,12 +88,14 @@ def _matrix(raw, d: int, read, where: str) -> Mat:
 def _tensor(raw, d: int, read, where: str) -> Tensor3:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d}x{d} array")
-    entries = []
+    entries = {}
     for a, plane in enumerate(raw):
         if not isinstance(plane, list) or len(plane) != d:
             raise FormatError(f"{where}[{a}]: expected a {d}x{d} array")
         for b, row in enumerate(plane):
-            entries.extend(_vector(row, d, read, f"{where}[{a}][{b}]"))
+            for c, x in enumerate(_vector(row, d, read, f"{where}[{a}][{b}]")):
+                if not x.is_zero():
+                    entries[a, b, c] = x
     return Tensor3(d, entries)
 
 

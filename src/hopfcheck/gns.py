@@ -34,13 +34,9 @@ def left_mult_float(h: HopfData, coords: np.ndarray) -> np.ndarray:
     """Matrix of y -> a y in the basis, from the structure constants."""
     d = h.dim
     out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        ai = coords[i]
-        if ai == 0:
-            continue
-        for j in range(d):
-            for k, c in h.mult_pairs[i][j]:
-                out[k][j] += ai * c.to_complex()
+    for (i, j, k), c in h.mult.items():
+        if coords[i] != 0:
+            out[k][j] += coords[i] * c.to_complex()
     return out
 
 

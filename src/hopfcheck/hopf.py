@@ -2,13 +2,19 @@
 
 Conventions, fixed once for the whole package:
 
-  - mult.get(i, j, k) is the coefficient of e_k in e_i * e_j.
-  - comult.get(k, i, j) is the coefficient of e_i (x) e_j in coprod(e_k).
+  - mult(i, j, k) is the coefficient of e_k in e_i * e_j.
+  - comult(k, i, j) is the coefficient of e_i (x) e_j in coprod(e_k).
   - antipode.get(k, i) is the coefficient of e_k in S(e_i), columns indexed
     by the input basis vector.
   - star, when present, encodes the conjugate-linear involution as
     (coefficient conjugation first, then the stored matrix):
     (sum_i c_i e_i)^* = sum_k ( sum_i star.get(k, i) * conj(c_i) ) e_k.
+
+The two tables store their nonzeros only, in index order (linalg.Tensor3):
+mult.rows[i][j] lists the (k, coeff) terms of e_i * e_j, and
+comult.rows[k][i] the (j, coeff) terms of coprod(e_k) with left slot e_i.
+Every operation reads those rows, so a table costs its nonzero count, not
+dim^3.
 
 Elements are immutable.  An Elem computes its support, the (index, coeff)
 pairs of its nonzero coordinates in index order, once, on first use, and
@@ -23,7 +29,7 @@ every failure location deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
@@ -91,34 +97,6 @@ class HopfData:
             raise DimMismatch("antipode shape disagrees with dim")
         if self.star is not None and (self.star.rows, self.star.cols) != (d, d):
             raise DimMismatch("star shape disagrees with dim")
-
-    # -- sparse caches (data is immutable by convention) ----------------
-
-    @cached_property
-    def mult_pairs(self):
-        """mult_pairs[i][j] = list of (k, coeff) with coeff nonzero."""
-        d = self.dim
-        out = [[[] for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    c = self.mult.get(i, j, k)
-                    if not c.is_zero():
-                        out[i][j].append((k, c))
-        return out
-
-    @cached_property
-    def comult_terms(self):
-        """comult_terms[k] = list of (i, j, coeff) with coeff nonzero."""
-        d = self.dim
-        out = [[] for _ in range(d)]
-        for k in range(d):
-            for i in range(d):
-                for j in range(d):
-                    c = self.comult.get(k, i, j)
-                    if not c.is_zero():
-                        out[k].append((i, j, c))
-        return out
 
     # -- derived maps, computed once -----------------------------------
 
@@ -210,12 +188,12 @@ class HopfData:
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         acc = [CYC_ZERO] * self.dim
-        pairs = self.mult_pairs
+        rows = self.mult.rows
         b_support = b.support
         for i, ai in a.support:
-            row = pairs[i]
+            row = rows[i]
             for j, bj in b_support:
-                terms = row[j]
+                terms = row.get(j)
                 if terms:
                     s = ai * bj
                     for k, c in terms:
@@ -230,18 +208,19 @@ class HopfData:
 
     def coprod(self, a: Elem) -> dict:
         """Coproduct as a sparse dict {(i, j): coeff}."""
+        rows = self.comult.rows
         return sparse_sum(((i, j), ak * c) for k, ak in a.support
-                          for i, j, c in self.comult_terms[k])
+                          for i, terms in rows[k].items() for j, c in terms)
 
     def tensor_mul(self, t1: dict, t2: dict) -> dict:
         """Multiply two sparse elements of the tensor-square algebra."""
-        pairs = self.mult_pairs
+        rows = self.mult.rows
         acc: dict = {}
         for (a, b), x in t1.items():
             for (c, d), y in t2.items():
                 s = x * y
-                for p, cp in pairs[a][c]:
-                    for q, cq in pairs[b][d]:
+                for p, cp in rows[a].get(c, ()):
+                    for q, cq in rows[b].get(d, ()):
                         key = (p, q)
                         add = s * cp * cq
                         v = acc.get(key)
@@ -253,15 +232,16 @@ class HopfData:
         of e_i.  flip swaps the two tensor slots; conj conjugates the
         structure constants, as a conjugate-linear f and g need."""
         return sparse_sum(((b, a) if flip else (a, b), (c.conjugate() if conj else c) * x * y)
-                          for i, j, c in self.comult_terms[k]
+                          for i, terms in self.comult.rows[k].items() for j, c in terms
                           for a, x in f[i].support for b, y in g[j].support)
 
     def convolve(self, k: int, f, g) -> Elem:
         """m(f(x)g)D(e_k), where f[i] and g[i] are the images of e_i."""
         acc = [CYC_ZERO] * self.dim
-        for i, j, c in self.comult_terms[k]:
-            for t, v in self.mul(f[i], g[j]).support:
-                acc[t] = acc[t] + c * v
+        for i, terms in self.comult.rows[k].items():
+            for j, c in terms:
+                for t, v in self.mul(f[i], g[j]).support:
+                    acc[t] = acc[t] + c * v
         return Elem(tuple(acc))
 
     def apply(self, m: Mat, a: Elem) -> Elem:
@@ -293,10 +273,11 @@ def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
     acc = [CYC_ZERO] * h.dim
     f_at = dict(f.support)
     for k, ak in a.support:
-        for i, j, c in h.comult_terms[k]:
-            fj = f_at.get(j)
-            if fj is not None:
-                acc[i] = acc[i] + ak * c * fj
+        for i, terms in h.comult.rows[k].items():
+            for j, c in terms:
+                fj = f_at.get(j)
+                if fj is not None:
+                    acc[i] = acc[i] + ak * c * fj
     return Elem(tuple(acc))
 
 
@@ -305,10 +286,11 @@ def act_right(h: HopfData, a: Elem, f: Elem) -> Elem:
     acc = [CYC_ZERO] * h.dim
     f_at = dict(f.support)
     for k, ak in a.support:
-        for i, j, c in h.comult_terms[k]:
+        for i, terms in h.comult.rows[k].items():
             fi = f_at.get(i)
             if fi is not None:
-                acc[j] = acc[j] + ak * c * fi
+                for j, c in terms:
+                    acc[j] = acc[j] + ak * c * fi
     return Elem(tuple(acc))
 
 
@@ -355,7 +337,8 @@ def verify_algebra(h: HopfData) -> Check:
 
 def verify_coalgebra(h: HopfData) -> Check:
     """Coassociativity and both counit laws on every basis vector."""
-    terms, b, eps = h.comult_terms, h.basis, Elem(h.counit.coords)
+    b, eps = h.basis, Elem(h.counit.coords)
+    terms = [[(i, j, c) for i, pairs in row.items() for j, c in pairs] for row in h.comult.rows]
     return law_check(
         "coalgebra", "(D(x)id)D=(id(x)D)D, (eps(x)id)D=id=(id(x)eps)D", h.dim,
         (1, ("coassociativity fails at basis {0} slot {slot}",
@@ -496,10 +479,9 @@ def find_group_likes(h: HopfData) -> list:
     d = h.dim
     dual_mul = [[[] for _ in range(d)] for _ in range(d)]  # e_a^ e_b^ as (k, coeff)
     r_ops = np.zeros((d, d, d), dtype=complex)            # r_ops[j][i][k] = comult[k][i][j]
-    for k, terms in enumerate(h.comult_terms):
-        for a, b, c in terms:
-            dual_mul[a][b].append((k, c))
-            r_ops[b, a, k] += c.to_complex()
+    for (k, a, b), c in h.comult.items():
+        dual_mul[a][b].append((k, c))
+        r_ops[b, a, k] += c.to_complex()
 
     def times(a: int, u) -> list:  # e_a^ u
         v = [CYC_ZERO] * d

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import Cyc
+from .cyclotomic import CYC_ZERO, Cyc
 from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
                      NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
                      RightInvarianceFailed, SingularMatrix)
@@ -45,7 +45,9 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Functional:
     entries = []
     for a in range(d):
         for i in range(d) if first is None else first:
-            row = [h.comult.get(a, i, j) for j in range(d)]
+            row = [CYC_ZERO] * d
+            for j, c in h.comult.rows[a].get(i, ()):
+                row[j] = c
             row[a] = row[a] - h.unit.coords[i]
             entries.extend(row)
     basis = solve_null_space(Mat(len(entries) // d, d, entries))

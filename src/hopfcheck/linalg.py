@@ -110,25 +110,34 @@ class Mat:
             a == b for a, b in zip(self.entries, other.entries))
 
 
-@dataclass
 class Tensor3:
-    """Cubic array of scalars t[i][j][k], flattened row-major."""
+    """A d x d x d table of scalars t(a, b, c) that stores only its nonzeros:
+    rows[a] maps b to the (c, value) pairs with value nonzero, b and c
+    increasing.  Zeros are dropped on construction, so equal tables compare
+    equal whatever the mapping they were built from."""
 
-    dim: int
-    entries: list
+    def __init__(self, dim: int, entries: dict):
+        rows: list = [{} for _ in range(dim)]
+        for (a, b, c), v in sorted(entries.items()):
+            if not (0 <= a < dim and 0 <= b < dim and 0 <= c < dim):
+                raise DimMismatch(f"entry ({a},{b},{c}) outside a {dim}x{dim}x{dim} table")
+            if not v.is_zero():
+                rows[a].setdefault(b, []).append((c, v))
+        self.dim = dim
+        self.rows = [{b: tuple(pairs) for b, pairs in row.items()} for row in rows]
 
-    def __post_init__(self):
-        if len(self.entries) != self.dim**3:
-            raise DimMismatch(f"need {self.dim ** 3} entries, got {len(self.entries)}")
+    def get(self, a: int, b: int, c: int) -> Cyc:
+        return next((v for k, v in self.rows[a].get(b, ()) if k == c), CYC_ZERO)
 
-    def get(self, i: int, j: int, k: int) -> Cyc:
-        d = self.dim
-        return self.entries[(i * d + j) * d + k]
+    def items(self):
+        """The ((a, b, c), value) pairs with value nonzero, in index order."""
+        return (((a, b, c), v) for a, row in enumerate(self.rows)
+                for b, pairs in row.items() for c, v in pairs)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.dim == other.dim and all(a == b for a, b in zip(self.entries, other.entries))
+        return self.dim == other.dim and self.rows == other.rows
 
 
 def reduce_into(rows: list, v: list) -> bool:

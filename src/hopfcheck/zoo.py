@@ -13,14 +13,6 @@ from .hopf import Elem, Functional, HopfData
 from .linalg import Mat, Tensor3
 
 
-def _zeros3(d: int) -> list:
-    return [CYC_ZERO] * (d * d * d)
-
-
-def _set3(buf: list, d: int, i: int, j: int, k: int, v: Cyc) -> None:
-    buf[(i * d + j) * d + k] = v
-
-
 def _validate_cayley(table: list) -> list:
     """Check a Cayley table is a genuine group law; return the inverse map."""
     n = len(table)
@@ -58,12 +50,8 @@ def group_algebra(name: str, table: list) -> HopfData:
     """
     n = len(table)
     inv = _validate_cayley(table)
-    mult = _zeros3(n)
-    comult = _zeros3(n)
-    for i in range(n):
-        for j in range(n):
-            _set3(mult, n, i, j, table[i][j], CYC_ONE)
-        _set3(comult, n, i, i, i, CYC_ONE)
+    mult = {(i, j, table[i][j]): CYC_ONE for i in range(n) for j in range(n)}
+    comult = {(i, i, i): CYC_ONE for i in range(n)}
     antipode = Mat.zero(n, n)
     star = Mat.zero(n, n)
     for i in range(n):
@@ -85,14 +73,8 @@ def function_algebra(name: str, table: list) -> HopfData:
     """
     n = len(table)
     inv = _validate_cayley(table)
-    mult = _zeros3(n)
-    comult = _zeros3(n)
-    for i in range(n):
-        _set3(mult, n, i, i, i, CYC_ONE)
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == i:
-                    _set3(comult, n, i, a, b, CYC_ONE)
+    mult = {(i, i, i): CYC_ONE for i in range(n)}
+    comult = {(table[a][b], a, b): CYC_ONE for a in range(n) for b in range(n)}
     antipode = Mat.zero(n, n)
     for i in range(n):
         antipode.entries[inv[i] * n + i] = CYC_ONE
@@ -125,25 +107,20 @@ def sweedler() -> HopfData:
     flips the sign of gx."""
     d = 4
     I, G, X, GX = range(4)
-    mult = _zeros3(d)
     rules = {
         (I, I): [(I, 1)], (I, G): [(G, 1)], (I, X): [(X, 1)], (I, GX): [(GX, 1)],
         (G, I): [(G, 1)], (G, G): [(I, 1)], (G, X): [(GX, 1)], (G, GX): [(X, 1)],
         (X, I): [(X, 1)], (X, G): [(GX, -1)], (X, X): [], (X, GX): [],
         (GX, I): [(GX, 1)], (GX, G): [(X, -1)], (GX, X): [], (GX, GX): [],
     }
-    for (i, j), terms in rules.items():
-        for k, c in terms:
-            _set3(mult, d, i, j, k, Cyc.rational(c))
-    comult = _zeros3(d)
-    _set3(comult, d, I, I, I, CYC_ONE)
-    _set3(comult, d, G, G, G, CYC_ONE)
-    # D(x) = x (x) 1 + g (x) x
-    _set3(comult, d, X, X, I, CYC_ONE)
-    _set3(comult, d, X, G, X, CYC_ONE)
-    # D(gx) = D(g) D(x) = gx (x) g + 1 (x) gx
-    _set3(comult, d, GX, GX, G, CYC_ONE)
-    _set3(comult, d, GX, I, GX, CYC_ONE)
+    mult = {(i, j, k): Cyc.rational(c) for (i, j), terms in rules.items() for k, c in terms}
+    comult = {
+        (I, I, I): CYC_ONE, (G, G, G): CYC_ONE,
+        # D(x) = x (x) 1 + g (x) x
+        (X, X, I): CYC_ONE, (X, G, X): CYC_ONE,
+        # D(gx) = D(g) D(x) = gx (x) g + 1 (x) gx
+        (GX, GX, G): CYC_ONE, (GX, I, GX): CYC_ONE,
+    }
     antipode = Mat.zero(d, d)
     antipode.entries[I * d + I] = CYC_ONE
     antipode.entries[G * d + G] = CYC_ONE
@@ -186,19 +163,13 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
     for _ in range(1, 2 * n):
         qpow.append(qpow[-1] * q)
 
-    mult = _zeros3(d)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    # (g^i x^j)(g^k x^l) = q^(jk) g^(i+k) x^(j+l), zero past x^n
-                    if j + l < n:
-                        _set3(mult, d, idx(i, j), idx(k, l), idx((i + k) % n, j + l),
-                              qpow[(j * k) % n])
+    # (g^i x^j)(g^k x^l) = q^(jk) g^(i+k) x^(j+l), zero past x^n
+    mult = {(idx(i, j), idx(k, l), idx((i + k) % n, j + l)): qpow[(j * k) % n]
+            for i in range(n) for j in range(n) for k in range(n) for l in range(n - j)}
 
     # coproduct: D(g) = g (x) g, D(x) = x (x) 1 + g (x) x, extended
     # multiplicatively inside the tensor square
-    comult = _zeros3(d)
+    comult: dict = {}
     dx = {(idx(0, 1), idx(0, 0)): CYC_ONE, (idx(1, 0), idx(0, 1)): CYC_ONE}
 
     def tmul(t1: dict, t2: dict) -> dict:
@@ -223,7 +194,7 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
             for _ in range(j):
                 t = tmul(t, dx)
             for (a, b), c in t.items():
-                _set3(comult, d, idx(i, j), a, b, c)
+                comult[idx(i, j), a, b] = c
 
     # S(g) = g^(n-1), S(x) = -g^(n-1) x; anti-homomorphism on the basis:
     # S(g^i x^j) = S(x)^j S(g)^i = (-1)^j q^(j(j-1)/2) ... computed by
@@ -260,20 +231,10 @@ def tensor_product(name: str, h1: HopfData, h2: HopfData) -> HopfData:
     fo = lcm(h1.field_order, h2.field_order)
     idx = lambda a, b: a * d2 + b
 
-    mult = _zeros3(d)
-    for i1 in range(d1):
-        for j1 in range(d1):
-            for k1, c1 in h1.mult_pairs[i1][j1]:
-                for i2 in range(d2):
-                    for j2 in range(d2):
-                        for k2, c2 in h2.mult_pairs[i2][j2]:
-                            _set3(mult, d, idx(i1, i2), idx(j1, j2), idx(k1, k2), c1 * c2)
-    comult = _zeros3(d)
-    for k1 in range(d1):
-        for k2 in range(d2):
-            for i1, j1, c1 in h1.comult_terms[k1]:
-                for i2, j2, c2 in h2.comult_terms[k2]:
-                    _set3(comult, d, idx(k1, k2), idx(i1, i2), idx(j1, j2), c1 * c2)
+    def kron(t1: Tensor3, t2: Tensor3) -> Tensor3:
+        return Tensor3(d, {(idx(a1, a2), idx(b1, b2), idx(c1, c2)): v1 * v2
+                           for (a1, b1, c1), v1 in t1.items() for (a2, b2, c2), v2 in t2.items()})
+
     unit = [CYC_ZERO] * d
     counit = [CYC_ZERO] * d
     for a in range(d1):
@@ -307,8 +268,8 @@ def tensor_product(name: str, h1: HopfData, h2: HopfData) -> HopfData:
                             continue
                         star.entries[idx(a, b) * d + idx(i, j)] = ca * cb
     return HopfData(name=name, dim=d, field_order=fo,
-                    mult=Tensor3(d, mult), unit=Elem(tuple(unit)),
-                    comult=Tensor3(d, comult), counit=Functional(tuple(counit)),
+                    mult=kron(h1.mult, h2.mult), unit=Elem(tuple(unit)),
+                    comult=kron(h1.comult, h2.comult), counit=Functional(tuple(counit)),
                     antipode=antipode, star=star)
 
 

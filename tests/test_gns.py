@@ -15,7 +15,6 @@ from hopfcheck.gns import (
     commutant_basis,
     gns_build,
     gns_representation_check,
-    kac_collapse_check,
     operator_radford_check,
     positivity_verdict,
     tomita_check,

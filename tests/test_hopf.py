@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -55,9 +56,23 @@ def test_star_skips_only_without_star(zoo):
 
 
 def _tweak_tensor(t, i, j, k, delta):
-    entries = list(t.entries)
-    entries[(i * t.dim + j) * t.dim + k] = t.get(i, j, k) + delta
-    return Tensor3(t.dim, tuple(entries))
+    return Tensor3(t.dim, {**dict(t.items()), (i, j, k): t.get(i, j, k) + delta})
+
+
+def test_a_table_is_equal_whatever_zeros_it_was_built_with():
+    h = sweedler()
+    assert h.mult.get(2, 1, 3) == CYC_MINUS_ONE  # x g = -gx
+    raised = _tweak_tensor(h.mult, 2, 1, 3, CYC_ONE)
+    dropped = Tensor3(4, {key: c for key, c in h.mult.items() if key != (2, 1, 3)})
+    assert raised == dropped
+    assert raised != h.mult
+    assert same_structure(dataclasses.replace(h, mult=raised),
+                          dataclasses.replace(h, mult=dropped))
+    assert not same_structure(h, dataclasses.replace(h, mult=raised))
+    assert Tensor3(4, {(1, 2, 3): CYC_ZERO}) == Tensor3(4, {})
+    assert list(Tensor3(4, {(3, 0, 1): CYC_ONE, (0, 2, 1): CYC_ZERO, (0, 1, 2): CYC_ONE,
+                            (0, 1, 0): CYC_MINUS_ONE}).items()) == [
+        ((0, 1, 0), CYC_MINUS_ONE), ((0, 1, 2), CYC_ONE), ((3, 0, 1), CYC_ONE)]
 
 
 def _tweak_mat(m, r, c, value):
@@ -75,14 +90,19 @@ def test_corrupted_product_fails_associativity():
 
 
 def _single_entry_corruptions(h, fields):
-    """h with one entry of one of the named tables raised by 1, for every entry."""
+    """h with one entry of one of the named tables raised by 1, for every
+    entry, zeros included, in row-major order."""
     for field in fields:
         t = getattr(h, field)
-        for n in range(len(t.entries)):
-            entries = list(t.entries)
-            entries[n] = entries[n] + CYC_ONE
-            new = (Tensor3(t.dim, entries) if isinstance(t, Tensor3)
-                   else Mat(t.rows, t.cols, entries))
+        if isinstance(t, Tensor3):
+            nonzero = dict(t.items())
+            tables = (Tensor3(t.dim, {**nonzero, key: t.get(*key) + CYC_ONE})
+                      for key in itertools.product(range(t.dim), repeat=3))
+        else:
+            tables = (Mat(t.rows, t.cols, [x + CYC_ONE if m == n else x
+                                           for m, x in enumerate(t.entries)])
+                      for n in range(len(t.entries)))
+        for new in tables:
             yield dataclasses.replace(h, **{field: new})
 
 
@@ -135,6 +155,8 @@ def test_dim_mismatch_rejected():
         dataclasses.replace(h, unit=Elem((CYC_ONE,)))
     with pytest.raises(DimMismatch):
         dataclasses.replace(h, antipode=Mat.identity(3))
+    with pytest.raises(DimMismatch):
+        Tensor3(4, {(0, 4, 0): CYC_ONE})
     for n in (3, 5):
         with pytest.raises(DimMismatch):
             h.apply(h.antipode, Elem((CYC_ONE,) * n))
