@@ -25,26 +25,31 @@ import itertools
 import sys
 import time
 
-from hopfcheck import (CYC_ONE, CYC_ZERO, Elem, Functional, Mat, Tensor3, dual_hopf,
-                       full_axiom_suite, standard_zoo)
+from hopfcheck import (CYC_ONE, CYC_ZERO, Elem, Mat, Tensor3, dual_hopf, full_axiom_suite,
+                       standard_zoo)
 from hopfcheck.duality import transpose_failure, verify_pairing
 
 MAX_DIM = 8
 
 
 def _raised(t):
-    """(flat index, t with that entry raised by 1) for every entry of t.  Entry
-    (a, b, c) of a d x d x d table has flat index (a*d + b)*d + c."""
-    if isinstance(t, Tensor3):
-        nonzero = dict(t.items())
-        for n, key in enumerate(itertools.product(range(t.dim), repeat=3)):
-            yield n, Tensor3(t.dim, {**nonzero, key: nonzero.get(key, CYC_ZERO) + CYC_ONE})
+    """(flat index, t with that entry raised by 1) for every entry of t, zeros
+    included.  Entry (a, b, c) of a d x d x d table has flat index
+    (a*d + b)*d + c, entry (i, j) of a matrix i*cols + j, and entry i of a
+    vector i."""
+    if isinstance(t, Elem):
+        for n in range(t.dim):
+            yield n, Elem.of(t.dim, t.support + ((n, CYC_ONE),))
         return
-    flat = t.coords if isinstance(t, (Elem, Functional)) else t.entries
-    for n in range(len(flat)):
-        entries = list(flat)
-        entries[n] = entries[n] + CYC_ONE
-        yield n, Mat(t.rows, t.cols, entries) if isinstance(t, Mat) else type(t)(tuple(entries))
+    table = isinstance(t, Tensor3)
+    if table:
+        nonzero, shape = dict(t.items()), (range(t.dim),) * 3
+    else:
+        nonzero = {(i, j): c for j, col in enumerate(t.images) for i, c in col.support}
+        shape = (range(t.rows), range(t.cols))
+    for n, key in enumerate(itertools.product(*shape)):
+        entries = {**nonzero, key: nonzero.get(key, CYC_ZERO) + CYC_ONE}
+        yield n, Tensor3(t.dim, entries) if table else Mat.of(t.rows, t.cols, entries)
 
 
 def corruptions(h):

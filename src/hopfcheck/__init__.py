@@ -10,7 +10,7 @@ from .duality import (act_left, act_right, biduality_check, compute_dual_integra
                       dual_hopf, fourier, pairing, plancherel_check)
 from .errors import HopfError
 from .fileformat import hopf_from_text, hopf_to_text, load_hopf, save_hopf
-from .hopf import Elem, Functional, HopfData, find_group_likes, full_axiom_suite
+from .hopf import Elem, HopfData, find_group_likes, full_axiom_suite
 from .integrals import (ModularData, compute_modular, left_integral,
                         modular_element, right_integral)
 from .linalg import Mat, Tensor3
@@ -23,7 +23,7 @@ from .zoo import (function_algebra, group_algebra, standard_zoo, sweedler, taft,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CYC_MINUS_ONE", "CYC_ONE", "CYC_ZERO", "Cyc", "Check", "Elem", "Functional",
+    "CYC_MINUS_ONE", "CYC_ONE", "CYC_ZERO", "Cyc", "Check", "Elem",
     "HopfData", "HopfError", "Mat", "ModularData", "PipelineResult", "Tensor3",
     "act_left", "act_right", "biduality_check", "compute_dual_integrals",
     "compute_modular", "dual_hopf", "find_group_likes", "fourier",

@@ -13,8 +13,8 @@ import json
 
 from .cyclotomic import CYC_ZERO, Cyc
 from .errors import FormatError
-from .hopf import Elem, Functional, HopfData
-from .linalg import Mat, Tensor3
+from .hopf import HopfData
+from .linalg import Elem, Mat, Tensor3
 
 FIELDS = ("name", "dim", "field_order", "mult", "comult",
           "unit", "counit", "antipode", "star")
@@ -35,10 +35,10 @@ def hopf_to_text(h: HopfData) -> str:
         "comult": _tensor_text(h.comult, s),
         "unit": [s(c) for c in h.unit.coords],
         "counit": [s(c) for c in h.counit.coords],
-        "antipode": [[s(h.antipode.get(r, c)) for c in range(d)] for r in range(d)],
+        "antipode": [[s(c) for c in row] for row in h.antipode.dense_rows()],
     }
     if h.star is not None:
-        doc["star"] = [[s(h.star.get(r, c)) for c in range(d)] for r in range(d)]
+        doc["star"] = [[s(c) for c in row] for row in h.star.dense_rows()]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -52,37 +52,41 @@ def _tensor_text(t: Tensor3, s) -> list:
 
 
 def _scalar_reader(order: int):
-    """read(raw, where) -> Cyc, parsing each distinct string once; Cyc is
+    """read(raw) -> Cyc, parsing each distinct string once; Cyc is
     immutable, so equal entries share one instance."""
     parsed: dict = {}
 
-    def read(raw, where: str) -> Cyc:
+    def read(raw) -> Cyc:
         if not isinstance(raw, str):
-            raise FormatError(f"{where}: scalar entries must be strings")
+            raise FormatError("scalar entries must be strings")
         c = parsed.get(raw)
         if c is None:
-            try:
-                c = parsed[raw] = Cyc.parse(raw, order)
-            except FormatError as e:
-                raise FormatError(f"{where}: {e}") from e
+            c = parsed[raw] = Cyc.parse(raw, order)
         return c
 
     return read
 
 
-def _vector(raw, d: int, read, where: str) -> tuple:
+def _vector(raw, d: int, read, where: str) -> list:
+    """The (index, value) pairs of the entries other than the zero text "0",
+    which is skipped unparsed; an entry that fails names its location."""
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a length-{d} array")
-    return tuple(read(x, f"{where}[{i}]") for i, x in enumerate(raw))
+    out = []
+    for i, x in enumerate(raw):
+        if x != "0":
+            try:
+                out.append((i, read(x)))
+            except FormatError as e:
+                raise FormatError(f"{where}[{i}]: {e}") from e
+    return out
 
 
 def _matrix(raw, d: int, read, where: str) -> Mat:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d} array")
-    entries = []
-    for r, row in enumerate(raw):
-        entries.extend(_vector(row, d, read, f"{where}[{r}]"))
-    return Mat(d, d, entries)
+    return Mat.of(d, d, {(r, c): x for r, row in enumerate(raw)
+                         for c, x in _vector(row, d, read, f"{where}[{r}]")})
 
 
 def _tensor(raw, d: int, read, where: str) -> Tensor3:
@@ -93,9 +97,8 @@ def _tensor(raw, d: int, read, where: str) -> Tensor3:
         if not isinstance(plane, list) or len(plane) != d:
             raise FormatError(f"{where}[{a}]: expected a {d}x{d} array")
         for b, row in enumerate(plane):
-            for c, x in enumerate(_vector(row, d, read, f"{where}[{a}][{b}]")):
-                if not x.is_zero():
-                    entries[a, b, c] = x
+            for c, x in _vector(row, d, read, f"{where}[{a}][{b}]"):
+                entries[a, b, c] = x
     return Tensor3(d, entries)
 
 
@@ -132,9 +135,9 @@ def hopf_from_text(text: str) -> HopfData:
     return HopfData(
         name=name, dim=d, field_order=order,
         mult=_tensor(doc["mult"], d, read, "mult"),
-        unit=Elem(_vector(doc["unit"], d, read, "unit")),
+        unit=Elem.of(d, _vector(doc["unit"], d, read, "unit")),
         comult=_tensor(doc["comult"], d, read, "comult"),
-        counit=Functional(_vector(doc["counit"], d, read, "counit")),
+        counit=Elem.of(d, _vector(doc["counit"], d, read, "counit")),
         antipode=_matrix(doc["antipode"], d, read, "antipode"),
         star=star)
 

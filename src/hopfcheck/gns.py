@@ -16,18 +16,25 @@ import numpy as np
 
 from .cyclotomic import CYC_ONE
 from .errors import NumericalFailure
-from .hopf import Elem, Functional, HopfData
+from .hopf import HopfData
 from .integrals import ModularData
+from .linalg import Elem, pairing
 from .report import Check, fail, ok
 
 
 def elem_float(e: Elem) -> np.ndarray:
-    return np.array([c.to_complex() for c in e.coords])
+    out = np.zeros(e.dim, dtype=complex)
+    for i, c in e.support:
+        out[i] = c.to_complex()
+    return out
 
 
 def mat_float(m) -> np.ndarray:
-    return np.array([[m.get(i, j).to_complex() for j in range(m.cols)]
-                     for i in range(m.rows)])
+    out = np.zeros((m.rows, m.cols), dtype=complex)
+    for j, col in enumerate(m.images):
+        for i, c in col.support:
+            out[i, j] = c.to_complex()
+    return out
 
 
 def left_mult_float(h: HopfData, coords: np.ndarray) -> np.ndarray:
@@ -40,19 +47,17 @@ def left_mult_float(h: HopfData, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def star_gram_float(h: HopfData, state: Functional) -> np.ndarray:
+def star_gram_float(h: HopfData, state: Elem) -> np.ndarray:
     """G[i][j] = state(e_i^* e_j)."""
     d = h.dim
     out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        si = h.star_of(h.basis(i))
+    for i, si in enumerate(h.star.images):
         for j in range(d):
-            val = h.functional_of(state, h.mul(si, h.basis(j)))
-            out[i][j] = val.to_complex()
+            out[i][j] = pairing(state, h.mul(si, h.basis(j))).to_complex()
     return out
 
 
-def positivity_verdict(h: HopfData, state: Functional, tol: float = 1e-9):
+def positivity_verdict(h: HopfData, state: Elem, tol: float = 1e-9):
     """Classify state(a^* a): 'positive', 'not-positive' or 'no-star'.
 
     A definite answer needs the sesquilinear form to be self-adjoint; when
@@ -69,7 +74,7 @@ def positivity_verdict(h: HopfData, state: Functional, tol: float = 1e-9):
             if evs.min() > tol:
                 if phase == 1.0:
                     detail = f"min eigenvalue {evs.min():.6g}"
-                    at_unit = h.functional_of(state, h.unit)
+                    at_unit = pairing(state, h.unit)
                     if not at_unit.is_zero():
                         detail += (f"; phi(1)={at_unit.text()}, rescale by "
                                    f"1/{at_unit.text()} for a state")
@@ -93,7 +98,7 @@ class GNSData:
     J: np.ndarray            # modular conjugation, as J . conj
 
 
-def gns_build(h: HopfData, state: Functional, tol: float = 1e-9) -> GNSData:
+def gns_build(h: HopfData, state: Elem, tol: float = 1e-9) -> GNSData:
     """Cyclic representation from a positive faithful state."""
     d = h.dim
     g = star_gram_float(h, state)
@@ -125,7 +130,7 @@ def _close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     return np.linalg.norm(x - y) <= tol * max(1.0, np.linalg.norm(y))
 
 
-def gns_representation_check(h: HopfData, state: Functional, gns: GNSData,
+def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
                              tol: float = 1e-9) -> Check:
     """rep is a unital *-homomorphism and the star lift squares to the identity
     (P, the rescaling generator, is the identity at finite dimension)."""
@@ -135,10 +140,10 @@ def gns_representation_check(h: HopfData, state: Functional, gns: GNSData,
     rep_unit = sum(unit_f[i] * gns.rep[i] for i in range(d))
     if not _close(rep_unit, np.eye(d), tol):
         return fail("gns-representation", law, "unit is not represented by the identity")
-    for i in range(d):
-        for j in range(d):
-            prod = h.mul(h.basis(i), h.basis(j))
-            want = sum(prod.coords[k].to_complex() * gns.rep[k] for k in range(d))
+    for i, row in enumerate(h.products):
+        for j, prod in enumerate(row):
+            want = sum((c.to_complex() * gns.rep[k] for k, c in prod.support),
+                       np.zeros((d, d), dtype=complex))
             if not _close(gns.rep[i] @ gns.rep[j], want, tol):
                 return fail("gns-representation", law, f"multiplicativity fails at ({i},{j})")
     star_f = mat_float(h.star)
@@ -223,7 +228,7 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
 
 
 def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
-                       psi_hat: Functional, tol: float = 1e-9) -> Check:
+                       psi_hat: Elem, tol: float = 1e-9) -> Check:
     """A positive integral forces the whole modular family to collapse.
     The caller runs this only once phi is known to be positive."""
     law = "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0"
@@ -235,7 +240,7 @@ def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: El
         return fail("kac-collapse", law, "scaling constant is not 1")
     if md.delta != h.unit:
         return fail("kac-collapse", law, "modular element is not 1")
-    if delta_hat != Elem(h.counit.coords):
+    if delta_hat != h.counit:
         return fail("kac-collapse", law, "dual modular element is not the counit")
     dual_verdict, dual_detail = positivity_verdict(hd, psi_hat, tol)
     if dual_verdict != "positive":

@@ -4,11 +4,12 @@ Conventions, fixed once for the whole package:
 
   - mult(i, j, k) is the coefficient of e_k in e_i * e_j.
   - comult(k, i, j) is the coefficient of e_i (x) e_j in coprod(e_k).
-  - antipode.get(k, i) is the coefficient of e_k in S(e_i), columns indexed
-    by the input basis vector.
+  - antipode.images[i] is S(e_i): entry (k, i) is the coefficient of e_k
+    in S(e_i), columns indexed by the input basis vector.
   - star, when present, encodes the conjugate-linear involution as
     (coefficient conjugation first, then the stored matrix):
-    (sum_i c_i e_i)^* = sum_k ( sum_i star.get(k, i) * conj(c_i) ) e_k.
+    (sum_i c_i e_i)^* = sum_k ( sum_i star.get(k, i) * conj(c_i) ) e_k,
+    so star.images[i] is e_i^*.
 
 The two tables store their nonzeros only, in index order (linalg.Tensor3):
 mult.rows[i][j] lists the (k, coeff) terms of e_i * e_j, and
@@ -16,12 +17,12 @@ comult.rows[k][i] the (j, coeff) terms of coprod(e_k) with left slot e_i.
 Every operation reads those rows, so a table costs its nonzero count, not
 dim^3.
 
-Elements are immutable.  An Elem computes its support, the (index, coeff)
-pairs of its nonzero coordinates in index order, once, on first use, and
-every product, coproduct, matrix action and functional iterates over the
-support instead of scanning all dim coordinates.  HopfData.basis(i) hands
-out the same cached Elem each time, so a basis element's support is built
-once per algebra.
+Elements, functionals (the counit and the integrals) and maps are the
+sparse linalg.Elem and linalg.Mat: an Elem is its support, the (index,
+coeff) pairs of its nonzero coordinates in index order, and a Mat the Elem
+image of each basis vector.  Every product, coproduct, matrix action and
+pairing iterates over supports and never scans all dim coordinates, and a
+map's image of e_i is read from its stored column, not computed.
 
 Verifiers return Check records instead of raising, so a report can list
 every failure location deterministically.
@@ -35,44 +36,13 @@ from functools import cached_property, reduce
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
 from .errors import DimMismatch, NoStarStructure, NumericalFailure, SingularMatrix
-from .linalg import Mat, Tensor3, mat_inverse, null_basis, reduce_into, solve_null_space
+from .linalg import (Elem, Mat, Tensor3, mat_inverse, null_basis, pairing, reduce_into,
+                     scale, solve_null_space, sparse_sum)
 from .report import Check, fail, first_failure, law_check, ok, skip
-
-
-@dataclass(frozen=True)
-class Elem:
-    coords: tuple
-
-    @cached_property
-    def support(self) -> tuple:
-        """The (index, coeff) pairs with coeff nonzero, in index order."""
-        return tuple((i, c) for i, c in enumerate(self.coords) if not c.is_zero())
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-
-def sparse_sum(terms) -> dict:
-    """Sum (key, value) pairs by key, dropping zero sums, so two results
-    compare as sparse tensors."""
-    acc: dict = {}
-    for key, v in terms:
-        old = acc.get(key)
-        acc[key] = v if old is None else old + v
-    return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
-def scale(c: Cyc, a: Elem) -> Elem:
-    return Elem(tuple(c * x for x in a.coords))
 
 
 def _tensor_square(g: Elem) -> dict:
     return {(i, j): gi * gj for i, gi in g.support for j, gj in g.support}
-
-
-@dataclass(frozen=True)
-class Functional:
-    coords: tuple  # value on each basis vector
 
 
 @dataclass
@@ -83,7 +53,7 @@ class HopfData:
     mult: Tensor3
     unit: Elem
     comult: Tensor3
-    counit: Functional
+    counit: Elem  # a functional: its value on each basis vector
     antipode: Mat
     star: Mat | None = None
 
@@ -91,7 +61,7 @@ class HopfData:
         d = self.dim
         if self.mult.dim != d or self.comult.dim != d:
             raise DimMismatch("tensor dimension disagrees with dim")
-        if len(self.unit.coords) != d or len(self.counit.coords) != d:
+        if self.unit.dim != d or self.counit.dim != d:
             raise DimMismatch("unit/counit length disagrees with dim")
         if (self.antipode.rows, self.antipode.cols) != (d, d):
             raise DimMismatch("antipode shape disagrees with dim")
@@ -122,10 +92,10 @@ class HopfData:
         b = self._basis
         return tuple(tuple(self.mul(x, y) for y in b) for x in b)
 
-    @cached_property
+    @property
     def s_basis(self) -> tuple:
-        """s_basis[i] = S(e_i)."""
-        return tuple(self.antipode_of(x) for x in self._basis)
+        """s_basis[i] = S(e_i), the antipode's stored column."""
+        return self.antipode.images
 
     @cached_property
     def generators(self) -> tuple:
@@ -178,8 +148,7 @@ class HopfData:
     @cached_property
     def _basis(self) -> tuple:
         d = self.dim
-        return tuple(Elem(tuple(CYC_ONE if k == i else CYC_ZERO for k in range(d)))
-                     for i in range(d))
+        return tuple(Elem.of(d, ((i, CYC_ONE),)) for i in range(d))
 
     def basis(self, i: int) -> Elem:
         return self._basis[i]
@@ -187,18 +156,16 @@ class HopfData:
     # -- algebra operations ----------------------------------------------
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        acc = [CYC_ZERO] * self.dim
         rows = self.mult.rows
-        b_support = b.support
+        acc: list = []
         for i, ai in a.support:
             row = rows[i]
-            for j, bj in b_support:
+            for j, bj in b.support:
                 terms = row.get(j)
                 if terms:
                     s = ai * bj
-                    for k, c in terms:
-                        acc[k] = acc[k] + s * c
-        return Elem(tuple(acc))
+                    acc.extend((k, s * c) for k, c in terms)
+        return Elem.of(self.dim, acc)
 
     def mul_many(self, *elems: Elem) -> Elem:
         out = self.unit
@@ -237,77 +204,41 @@ class HopfData:
 
     def convolve(self, k: int, f, g) -> Elem:
         """m(f(x)g)D(e_k), where f[i] and g[i] are the images of e_i."""
-        acc = [CYC_ZERO] * self.dim
-        for i, terms in self.comult.rows[k].items():
-            for j, c in terms:
-                for t, v in self.mul(f[i], g[j]).support:
-                    acc[t] = acc[t] + c * v
-        return Elem(tuple(acc))
-
-    def apply(self, m: Mat, a: Elem) -> Elem:
-        return Elem(tuple(m.matvec(a.coords, a.support)))
+        return Elem.of(self.dim, ((t, c * v) for i, terms in self.comult.rows[k].items()
+                                  for j, c in terms for t, v in self.mul(f[i], g[j]).support))
 
     def counit_of(self, a: Elem) -> Cyc:
-        return self.functional_of(self.counit, a)
+        return pairing(self.counit, a)
 
     def antipode_of(self, a: Elem) -> Elem:
-        return self.apply(self.antipode, a)
+        return self.antipode.apply(a)
 
     def star_of(self, a: Elem) -> Elem:
         if self.star is None:
             raise NoStarStructure(f"{self.name} carries no star structure")
-        conj = Elem(tuple(c.conjugate() for c in a.coords))
-        return self.apply(self.star, conj)
-
-    def functional_of(self, f: Functional, a: Elem) -> Cyc:
-        acc = CYC_ZERO
-        for i, e in a.support:
-            c = f.coords[i]
-            if not c.is_zero():
-                acc = acc + c * e
-        return acc
+        return self.star.apply(Elem.of(a.dim, ((i, c.conjugate()) for i, c in a.support)))
 
 
 def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
     """f |> a = (id(x)f)D(a), the dual hitting the right coproduct slot."""
-    acc = [CYC_ZERO] * h.dim
     f_at = dict(f.support)
-    for k, ak in a.support:
-        for i, terms in h.comult.rows[k].items():
-            for j, c in terms:
-                fj = f_at.get(j)
-                if fj is not None:
-                    acc[i] = acc[i] + ak * c * fj
-    return Elem(tuple(acc))
+    return Elem.of(h.dim, ((i, ak * c * f_at[j]) for k, ak in a.support
+                           for i, terms in h.comult.rows[k].items()
+                           for j, c in terms if j in f_at))
 
 
 def act_right(h: HopfData, a: Elem, f: Elem) -> Elem:
     """a <| f = (f(x)id)D(a), the dual hitting the left coproduct slot."""
-    acc = [CYC_ZERO] * h.dim
     f_at = dict(f.support)
-    for k, ak in a.support:
-        for i, terms in h.comult.rows[k].items():
-            fi = f_at.get(i)
-            if fi is not None:
-                for j, c in terms:
-                    acc[j] = acc[j] + ak * c * fi
-    return Elem(tuple(acc))
+    return Elem.of(h.dim, ((j, ak * c * f_at[i]) for k, ak in a.support
+                           for i, terms in h.comult.rows[k].items() if i in f_at
+                           for j, c in terms))
 
 
-def same_structure(h1: HopfData, h2: HopfData, include_star: bool = True) -> bool:
-    """Exact equality of all structure tensors, ignoring the name."""
-    if h1.dim != h2.dim:
-        return False
-    core = (h1.mult == h2.mult and h1.comult == h2.comult
-            and h1.unit.coords == h2.unit.coords and h1.counit.coords == h2.counit.coords
-            and h1.antipode == h2.antipode)
-    if not core:
-        return False
-    if not include_star:
-        return True
-    if (h1.star is None) != (h2.star is None):
-        return False
-    return h1.star is None or h1.star == h2.star
+def same_structure(h1: HopfData, h2: HopfData) -> bool:
+    """Exact equality of all structure tensors, star included, ignoring the name."""
+    return (h1.mult == h2.mult and h1.comult == h2.comult and h1.unit == h2.unit
+            and h1.counit == h2.counit and h1.antipode == h2.antipode and h1.star == h2.star)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +268,7 @@ def verify_algebra(h: HopfData) -> Check:
 
 def verify_coalgebra(h: HopfData) -> Check:
     """Coassociativity and both counit laws on every basis vector."""
-    b, eps = h.basis, Elem(h.counit.coords)
+    b, eps = h.basis, h.counit
     terms = [[(i, j, c) for i, pairs in row.items() for j, c in pairs] for row in h.comult.rows]
     return law_check(
         "coalgebra", "(D(x)id)D=(id(x)D)D, (eps(x)id)D=id=(id(x)eps)D", h.dim,
@@ -353,8 +284,8 @@ def verify_coalgebra(h: HopfData) -> Check:
 def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
     """Coproduct and counit are unital algebra maps; the product laws run
     over a in `first` (see above)."""
-    eps, p = h.counit.coords, h.products
-    cop = [h.coprod(h.basis(i)) for i in range(h.dim)]
+    b, eps, p = h.basis, h.counit_of, h.products
+    cop = [h.coprod(b(i)) for i in range(h.dim)]
     return law_check(
         "bialgebra", "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1", h.dim,
         (0, ("coproduct of the unit is not 1(x)1",
@@ -364,7 +295,7 @@ def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
          ("coproduct not multiplicative at pair ({0},{1})",
           lambda i, j: h.coprod(p[i][j]), lambda i, j: h.tensor_mul(cop[i], cop[j])),
          ("counit not multiplicative at pair ({0},{1})",
-          lambda i, j: h.counit_of(p[i][j]), lambda i, j: eps[i] * eps[j])))
+          lambda i, j: eps(p[i][j]), lambda i, j: eps(b(i)) * eps(b(j)))))
 
 
 _SINGULAR = "antipode matrix is singular"
@@ -372,24 +303,24 @@ _SINGULAR = "antipode matrix is singular"
 
 def verify_antipode(h: HopfData) -> Check:
     """Both antipode convolution laws, plus invertibility of S as a matrix."""
-    b, s, eps = h._basis, h.s_basis, h.counit.coords
+    b, s, eps = h._basis, h.s_basis, h.counit_of
     return law_check(
         "antipode", "m(S(x)id)D=eta.eps=m(id(x)S)D", h.dim,
         (1, ("left convolution law fails at basis {0}",
-             lambda k: h.convolve(k, s, b), lambda k: scale(eps[k], h.unit)),
+             lambda k: h.convolve(k, s, b), lambda k: scale(eps(b[k]), h.unit)),
             ("right convolution law fails at basis {0}",
-             lambda k: h.convolve(k, b, s), lambda k: scale(eps[k], h.unit))),
+             lambda k: h.convolve(k, b, s), lambda k: scale(eps(b[k]), h.unit))),
         (0, (_SINGULAR, lambda: h.s_inv is None, lambda: False)))
 
 
 def verify_antipode_derived(h: HopfData, first: tuple | None = None) -> Check:
     """Consequences of the axioms: S is a unital anti-homomorphism of both
     structures; S(ab) = S(b)S(a) runs over a in `first` (see above)."""
-    s, p, eps = h.s_basis, h.products, h.counit.coords
+    b, s, p, eps = h.basis, h.s_basis, h.products, h.counit_of
     return law_check(
         "antipode-derived", "S(ab)=S(b)S(a), S(1)=1, eps.S=eps, D.S=flip(S(x)S)D", h.dim,
         (0, ("S(1) != 1", lambda: h.antipode_of(h.unit), lambda: h.unit)),
-        (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: h.counit_of(s[i]), lambda i: eps[i])),
+        (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: eps(s[i]), lambda i: eps(b(i)))),
         ((2, first), ("anti-multiplicativity fails at ({0},{1})",
                       lambda i, j: h.antipode_of(p[i][j]), lambda i, j: h.mul(s[j], s[i]))),
         (1, ("anti-comultiplicativity fails at basis {0}",
@@ -403,8 +334,7 @@ def verify_star(h: HopfData, first: tuple | None = None) -> Check:
     law = "(a*)*=a, (ab)*=b*a*, D(a*)=D(a)*, eps(a*)=conj(eps(a)), S(a)*=Sinv(a*)"
     if h.star is None:
         return skip("star", law, "no-star")
-    b, p, eps = h.basis, h.products, h.counit.coords
-    st = [h.star_of(b(i)) for i in range(h.dim)]
+    b, p, eps, st = h.basis, h.products, h.counit_of, h.star.images  # st[i] = e_i^*
     return law_check(
         "star", law, h.dim,
         (1, ("involution fails at basis {0}", lambda i: h.star_of(st[i]), b)),
@@ -414,10 +344,10 @@ def verify_star(h: HopfData, first: tuple | None = None) -> Check:
         (1, ("coproduct compatibility fails at basis {0}",
              lambda k: h.coprod(st[k]), lambda k: h.coprod_map(k, st, st, conj=True))),
         (1, ("counit compatibility fails at basis {0}",
-             lambda i: h.counit_of(st[i]), lambda i: eps[i].conjugate())),
+             lambda i: eps(st[i]), lambda i: eps(b(i)).conjugate())),
         (0, (_SINGULAR + ", so S^-1 is undefined", lambda: h.s_inv is None, lambda: False)),
         (1, ("antipode exchange fails at basis {0}",
-             lambda i: h.star_of(h.s_basis[i]), lambda i: h.apply(h.s_inv, st[i]))))
+             lambda i: h.star_of(h.s_basis[i]), lambda i: h.s_inv.apply(st[i]))))
 
 
 def full_axiom_suite(h: HopfData) -> list:
@@ -529,13 +459,16 @@ def find_group_likes(h: HopfData) -> list:
             continue
         confirmed: list = []
         for row in values:
-            g = Elem(tuple(_exactify(complex(x), orders) for x in row))
-            if None not in g.coords and is_group_like(h, g) and g not in confirmed:
+            coords = [_exactify(complex(x), orders) for x in row]
+            if None in coords:
+                continue
+            g = Elem.of(d, enumerate(coords))
+            if is_group_like(h, g) and g not in confirmed:
                 confirmed.append(g)
         found = max(found, confirmed, key=len)
     if len(found) < n:
         raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
-    key_order = reduce(lcm, (c.order for g in found for c in g.coords), 1)
+    key_order = reduce(lcm, (c.order for g in found for _, c in g.support), 1)
     found.sort(key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))
     return found
 

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .cyclotomic import CYC_ZERO, Cyc
 from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
                      NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
                      RightInvarianceFailed, SingularMatrix)
-from .hopf import Elem, Functional, HopfData, act_left, act_right, is_group_like, scale
-from .linalg import Mat, mat_inverse, solve_null_space
+from .hopf import HopfData, act_left, act_right, is_group_like
+from .linalg import Elem, Mat, mat_inverse, pairing, scale, solve_null_space
 from .report import first_failure, law_check
 
 
-def left_integral(h: HopfData, first: tuple | None = None) -> Functional:
+def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
     """Solve (id (x) phi) D(a) = phi(a) 1 coordinate-wise; the kernel must be a line.
 
     Row (a, i) is coordinate i of the law at e_a, that is
@@ -42,69 +43,67 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Functional:
     generators, and the system is 0 x 1 with the whole line as kernel.
     """
     d = h.dim
-    entries = []
-    for a in range(d):
-        for i in range(d) if first is None else first:
-            row = [CYC_ZERO] * d
-            for j, c in h.comult.rows[a].get(i, ()):
-                row[j] = c
-            row[a] = row[a] - h.unit.coords[i]
-            entries.extend(row)
-    basis = solve_null_space(Mat(len(entries) // d, d, entries))
+    unit = dict(h.unit.support)
+    slots = range(d) if first is None else first
+    entries: dict = {}
+    for r, (a, i) in enumerate(product(range(d), slots)):
+        entries.update(((r, j), c) for j, c in h.comult.rows[a].get(i, ()))
+        if i in unit:
+            entries[r, a] = entries.get((r, a), CYC_ZERO) - unit[i]
+    basis = solve_null_space(Mat.of(d * len(slots), d, entries))
     if not basis:
         raise NoIntegral(f"{h.name}: invariance system has no kernel")
     if len(basis) > 1:
         raise NonUniqueIntegral(f"{h.name}: invariance kernel has dimension {len(basis)}")
     v = basis[0]
     inv = next(c for c in v if not c.is_zero()).inverse()
-    return Functional(tuple(c * inv for c in v))
+    return Elem.of(d, ((j, c * inv) for j, c in enumerate(v)))
 
 
-def right_integral(h: HopfData, phi: Functional) -> Functional:
+def right_integral(h: HopfData, phi: Elem) -> Elem:
     """psi = phi . S, then confirm (psi (x) id) D(a) = psi(a) 1 on the basis."""
-    psi = Elem(tuple(h.functional_of(phi, x) for x in h.s_basis))
-    bad = first_failure(h.dim, (1, ("{0}", lambda a: act_right(h, h.basis(a), psi),
-                                    lambda a: scale(psi.coords[a], h.unit))))
+    psi = Elem.of(h.dim, ((i, pairing(phi, x)) for i, x in enumerate(h.s_basis)))
+    b = h.basis
+    bad = first_failure(h.dim, (1, ("{0}", lambda a: act_right(h, b(a), psi),
+                                    lambda a: scale(pairing(psi, b(a)), h.unit))))
     if bad is not None:
         raise RightInvarianceFailed(f"{h.name}: phi.S is not right invariant at basis {bad}")
-    return Functional(psi.coords)
+    return psi
 
 
-def modular_element(h: HopfData, phi: Functional) -> Elem:
+def modular_element(h: HopfData, phi: Elem) -> Elem:
     """The group-like with (phi (x) id) D(a) = phi(a) delta for every a."""
     delta = None
-    phi_elem = Elem(phi.coords)
     for a in range(h.dim):
-        v = act_right(h, h.basis(a), phi_elem).coords
-        fa = phi.coords[a]
+        v = act_right(h, h.basis(a), phi)
+        fa = pairing(phi, h.basis(a))
         if fa.is_zero():
-            if any(not x.is_zero() for x in v):
+            if not v.is_zero():
                 raise InconsistentSystem(
                     f"{h.name}: row {a} forces phi(a) delta != 0 with phi(a) = 0")
         elif delta is None:
-            inv = fa.inverse()
-            delta = tuple(x * inv for x in v)
-        elif any(x != fa * y for x, y in zip(v, delta)):
+            delta = scale(fa.inverse(), v)
+        elif v != scale(fa, delta):
             raise InconsistentSystem(f"{h.name}: rows disagree on the modular element")
     if delta is None:
         raise InconsistentSystem(f"{h.name}: zero integral")
-    e = Elem(delta)
-    if not is_group_like(h, e):
+    if not is_group_like(h, delta):
         raise NotGroupLike(f"{h.name}: modular element is not group-like")
     # phi . S = phi( . delta) pins the convention down; check it on the basis
-    bad = first_failure(h.dim, (1, ("{0}", lambda i: h.functional_of(phi, h.s_basis[i]),
-                                    lambda i: h.functional_of(phi, h.mul(h.basis(i), e)))))
+    bad = first_failure(h.dim, (1, ("{0}", lambda i: pairing(phi, h.s_basis[i]),
+                                    lambda i: pairing(phi, h.mul(h.basis(i), delta)))))
     if bad is not None:
         raise InconsistentSystem(f"{h.name}: phi(S(a)) != phi(a delta) at basis {bad}")
-    return e
+    return delta
 
 
-def gram_matrix(h: HopfData, f: Functional) -> Mat:
+def gram_matrix(h: HopfData, f: Elem) -> Mat:
     """G[i][j] = f(e_i e_j), the bilinear form of a functional."""
-    return Mat(h.dim, h.dim, [h.functional_of(f, x) for row in h.products for x in row])
+    return Mat.of(h.dim, h.dim, {(i, j): pairing(f, x) for i, row in enumerate(h.products)
+                                 for j, x in enumerate(row)})
 
 
-def faithful_gram(h: HopfData, f: Functional, label: str = "sigma") -> tuple:
+def faithful_gram(h: HopfData, f: Elem, label: str = "sigma") -> tuple:
     """(G, G^-1) for the bilinear Gram G of f; NotFaithful if G is singular."""
     g = gram_matrix(h, f)
     try:
@@ -113,7 +112,7 @@ def faithful_gram(h: HopfData, f: Functional, label: str = "sigma") -> tuple:
         raise NotFaithful(f"{h.name}: bilinear form of {label} source functional is degenerate")
 
 
-def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma",
+def modular_automorphism(h: HopfData, f: Elem, label: str = "sigma",
                          gram: tuple | None = None) -> Mat:
     """The algebra automorphism with f(ab) = f(b rho(a)), as a matrix.
 
@@ -127,23 +126,23 @@ def modular_automorphism(h: HopfData, f: Functional, label: str = "sigma",
     """
     g, ginv = gram if gram is not None else faithful_gram(h, f, label)
     rho = ginv.mul(g.transpose())
-    images = [h.apply(rho, h.basis(i)) for i in range(h.dim)]
+    images = rho.images
     bad = first_failure(
-        h.dim, (0, ("does not fix the unit", lambda: h.apply(rho, h.unit), lambda: h.unit)),
+        h.dim, (0, ("does not fix the unit", lambda: rho.apply(h.unit), lambda: h.unit)),
         ((2, h.generators), ("is not multiplicative at ({0},{1})",
-                             lambda i, j: h.apply(rho, h.products[i][j]),
+                             lambda i, j: rho.apply(h.products[i][j]),
                              lambda i, j: h.mul(images[i], images[j]))))
     if bad is not None:
         raise NotAutomorphism(f"{h.name}: {label} {bad}")
     return rho
 
 
-def scaling_constant(h: HopfData, phi: Functional) -> Cyc:
+def scaling_constant(h: HopfData, phi: Elem) -> Cyc:
     """nu with phi . S^2 = nu phi."""
-    comp = [h.functional_of(phi, h.antipode_of(x)) for x in h.s_basis]
-    lead = next(i for i, c in enumerate(phi.coords) if not c.is_zero())
-    nu = comp[lead] / phi.coords[lead]
-    if any(x != nu * c for x, c in zip(comp, phi.coords)):
+    comp = Elem.of(h.dim, ((i, pairing(phi, x)) for i, x in enumerate(h.s2.images)))
+    lead, c = phi.support[0]
+    nu = pairing(comp, h.basis(lead)) / c
+    if comp != scale(nu, phi):
         raise NotProportional(f"{h.name}: phi.S^2 is not proportional to phi")
     return nu
 
@@ -151,8 +150,8 @@ def scaling_constant(h: HopfData, phi: Functional) -> Cyc:
 @dataclass
 class ModularData:
     """Everything the duality and operator layers reuse."""
-    phi: Functional
-    psi: Functional
+    phi: Elem
+    psi: Elem
     delta: Elem
     delta_inv: Elem
     sigma: Mat
@@ -186,7 +185,7 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
         gram, gram_inv = faithful_gram(h, phi, "sigma")
         sigma = modular_automorphism(h, phi, "sigma", (gram, gram_inv))
         stage = "modular-automorphism-right"
-        sigma_prime = modular_automorphism(h, Functional(psi.coords), "sigma'")
+        sigma_prime = modular_automorphism(h, psi, "sigma'")
         stage = "scaling-constant"
         nu = scaling_constant(h, phi)
     except HopfError as e:
@@ -205,13 +204,10 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
 def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     """Six exact identities; each failure reports its own location."""
     b, s, dim = h.basis, h.s_basis, h.dim
-    sigma = [h.apply(md.sigma, b(i)) for i in range(dim)]
-    sigma_prime = [h.apply(md.sigma_prime, b(i)) for i in range(dim)]
-    s2 = [h.apply(h.s2, b(i)) for i in range(dim)]
+    sigma, sigma_prime, s2 = md.sigma.images, md.sigma_prime.images, h.s2.images
     want = scale(md.nu.inverse(), md.delta)
     # phi(e_x e_y) as functionals of y (rows) and of x (cols)
-    rows = [Elem(tuple(h.functional_of(md.phi, q) for q in h.products[x])) for x in range(dim)]
-    cols = [Elem(tuple(r.coords[y] for r in rows)) for y in range(dim)]
+    rows, cols = md.gram.transpose().images, md.gram.images
 
     def commutes(x, y):
         return lambda: x.mul(y), lambda: y.mul(x)
@@ -219,7 +215,7 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     return [
         law_check("modular-sandwich", "sigma(S(sigma'(a)))=S(a)", dim,
                   (1, ("fails at basis {0}",
-                       lambda i: h.apply(md.sigma, h.antipode_of(sigma_prime[i])),
+                       lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])),
                        lambda i: s[i]))),
         law_check("modular-conjugation", "delta sigma(a)=sigma'(a) delta", dim,
                   (1, ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
@@ -233,9 +229,9 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
                       ("[sigma,sigma'] != 0", *commutes(md.sigma, md.sigma_prime)))),
         law_check("modular-scaling", "sigma(delta)=sigma'(delta)=nu^-1 delta", dim,
                   (0, ("modular element scales wrongly",
-                       lambda: h.apply(md.sigma, md.delta), lambda: want),
+                       lambda: md.sigma.apply(md.delta), lambda: want),
                       ("modular element scales wrongly",
-                       lambda: h.apply(md.sigma_prime, md.delta), lambda: want))),
+                       lambda: md.sigma_prime.apply(md.delta), lambda: want))),
         law_check("modular-flip", "S((id(x)phi)(D(a)(1(x)b)))=(id(x)phi)((1(x)a)D(b))", dim,
                   (2, ("fails at pair ({0}, {1})",
                        lambda x, y: h.antipode_of(act_left(h, cols[y], b(x))),

@@ -1,11 +1,19 @@
-"""Exact dense linear algebra over cyclotomic scalars.
+"""Exact sparse vectors, maps and tables over cyclotomic scalars, and the
+one elimination the package uses.
 
-One elimination serves the package.  reduce_into keeps a semi-echelon row
-store: a new vector is reduced against the stored rows and what is left is
-scaled by the inverse of its first nonzero entry, its pivot.  That is one
-inverse per pivot and no other division.  reduced_echelon clears each pivot
-column in the other rows and sorts by pivot; rank, solve_null_space and
-mat_inverse are read off the store.
+Elem, Mat and Tensor3 store their nonzeros only, each in one form: an Elem
+its (index, coeff) pairs in increasing index, a Mat the Elem image of each
+basis vector, a Tensor3 the (c, value) pairs of each row (a, b).  Each
+constructor sums or keys its input by index and drops zeros, so equal
+objects compare equal whatever zeros they were built with.
+
+One elimination serves the package, over dense rows (Mat.dense_rows).
+reduce_into keeps a semi-echelon row store: a new vector is reduced against
+the stored rows and what is left is scaled by the inverse of its first
+nonzero entry, its pivot.  That is one inverse per pivot and no other
+division.  reduced_echelon clears each pivot column in the other rows and
+sorts by pivot; rank, solve_null_space and mat_inverse are read off the
+store.
 
 No output depends on the elimination order.  A row space has exactly one
 set of pivot columns and one reduced echelon form, so the rank, the inverse
@@ -23,91 +31,117 @@ from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc
 from .errors import DimMismatch, SingularMatrix
 
 
-@dataclass
+def sparse_sum(terms) -> dict:
+    """Sum (key, value) pairs by key, dropping zero sums, so two results
+    compare as sparse tensors."""
+    acc: dict = {}
+    for key, v in terms:
+        old = acc.get(key)
+        acc[key] = v if old is None else old + v
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+@dataclass(frozen=True)
+class Elem:
+    """A vector of dim coordinates: support is its (index, coeff) pairs with
+    coeff nonzero, in increasing index.  Build it with Elem.of."""
+    dim: int
+    support: tuple
+
+    @staticmethod
+    def of(dim: int, pairs) -> "Elem":
+        """The vector sum of the (index, value) pairs."""
+        support = tuple(sorted(sparse_sum(pairs).items()))  # the indices are distinct
+        if support and not (0 <= support[0][0] and support[-1][0] < dim):
+            raise DimMismatch(f"index outside a length-{dim} vector")
+        return Elem(dim, support)
+
+    @property
+    def coords(self) -> tuple:
+        """Every coordinate, zeros included."""
+        out = [CYC_ZERO] * self.dim
+        for i, c in self.support:
+            out[i] = c
+        return tuple(out)
+
+    def is_zero(self) -> bool:
+        return not self.support
+
+
+def scale(c: Cyc, a: Elem) -> Elem:
+    return Elem.of(a.dim, ((i, c * x) for i, x in a.support))
+
+
+def pairing(f: Elem, a: Elem) -> Cyc:
+    """<f, a> = sum_i f_i a_i, f a functional and a a vector in the dual bases."""
+    at = dict(a.support)
+    return sum((x * at[i] for i, x in f.support if i in at), CYC_ZERO)
+
+
+@dataclass(frozen=True)
 class Mat:
+    """A rows x cols matrix stored by columns: images[j] is the Elem image
+    of e_j.  Build it from its nonzeros with Mat.of."""
     rows: int
     cols: int
-    entries: list  # row-major, length rows*cols, Cyc
+    images: tuple
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimMismatch(f"need {self.rows * self.cols} entries, got {len(self.entries)}")
+        if len(self.images) != self.cols or any(x.dim != self.rows for x in self.images):
+            raise DimMismatch(f"need {self.cols} columns of length {self.rows}")
 
-    def get(self, i: int, j: int) -> Cyc:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @staticmethod
+    def of(rows: int, cols: int, entries: dict) -> "Mat":
+        """The matrix with entry (i, j) = entries[i, j], zero elsewhere."""
+        columns: list = [[] for _ in range(cols)]
+        for (i, j), c in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimMismatch(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
+            columns[j].append((i, c))
+        return Mat(rows, cols, tuple(Elem.of(rows, col) for col in columns))
 
     @staticmethod
     def from_rows(rows: list) -> "Mat":
-        r = len(rows)
         c = len(rows[0]) if rows else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise DimMismatch("ragged rows")
-            flat.extend(row)
-        return Mat(r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise DimMismatch("ragged rows")
+        return Mat.of(len(rows), c, {(i, j): x for i, row in enumerate(rows)
+                                     for j, x in enumerate(row)})
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, [CYC_ONE if i == j else CYC_ZERO for i in range(n) for j in range(n)])
+        return Mat.of(n, n, {(i, i): CYC_ONE for i in range(n)})
 
-    @staticmethod
-    def zero(r: int, c: int) -> "Mat":
-        return Mat(r, c, [CYC_ZERO] * (r * c))
+    def get(self, i: int, j: int) -> Cyc:
+        return next((c for k, c in self.images[j].support if k == i), CYC_ZERO)
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
+    def dense_rows(self) -> list:
+        """Every entry, zeros included, as a list of rows."""
+        out = [[CYC_ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.images):
+            for i, c in col.support:
+                out[i][j] = c
+        return out
+
+    def apply(self, v: Elem) -> Elem:
+        """self * v."""
+        if v.dim != self.cols:
+            raise DimMismatch("vector length mismatch")
+        return Elem.of(self.rows, ((i, c * x) for j, x in v.support
+                                   for i, c in self.images[j].support))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = [CYC_ZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero():
-                    continue
-                obase = k * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if not b.is_zero():
-                        out[i * other.cols + j] = out[i * other.cols + j] + a * b
-        return Mat(self.rows, other.cols, out)
+        return Mat(self.rows, other.cols, tuple(self.apply(x) for x in other.images))
 
-    def matvec(self, v, support=None) -> list:
-        """self * v.  `support`, when given, lists v's nonzero (index, value)
-        pairs; otherwise it is collected once, and only those coordinates
-        are visited."""
-        if len(v) != self.cols:
-            raise DimMismatch("vector length mismatch")
-        if support is None:
-            support = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
-        out = [CYC_ZERO] * self.rows
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = CYC_ZERO
-            for j, x in support:
-                e = self.entries[base + j]
-                if not e.is_zero():
-                    acc = acc + e * x
-            out[i] = acc
-        return out
+    def transpose(self) -> "Mat":
+        return Mat.of(self.cols, self.rows, {(j, i): c for j, col in enumerate(self.images)
+                                             for i, c in col.support})
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
-            self.entries[i * self.cols + j] == (CYC_ONE if i == j else CYC_ZERO)
-            for i in range(self.rows) for j in range(self.cols))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for a, b in zip(self.entries, other.entries))
+            col.support == ((j, CYC_ONE),) for j, col in enumerate(self.images))
 
 
 class Tensor3:
@@ -197,12 +231,12 @@ def _row_store(vectors) -> list:
 
 
 def rank(m: Mat) -> int:
-    return len(_row_store(m.row(i) for i in range(m.rows)))
+    return len(_row_store(m.dense_rows()))
 
 
 def solve_null_space(m: Mat) -> list:
     """Exact basis of the right null space, one vector per free column."""
-    return null_basis(_row_store(m.row(i) for i in range(m.rows)), m.cols)
+    return null_basis(_row_store(m.dense_rows()), m.cols)
 
 
 def mat_inverse(m: Mat) -> "Mat":
@@ -212,7 +246,8 @@ def mat_inverse(m: Mat) -> "Mat":
         raise DimMismatch("inverse of a non-square matrix")
     n = m.rows
     rows = reduced_echelon(_row_store(
-        m.row(i) + [CYC_ONE if i == j else CYC_ZERO for j in range(n)] for i in range(n)))
+        row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
+        for i, row in enumerate(m.dense_rows())))
     missing = next((c for c, (p, _) in enumerate(rows) if p != c), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")

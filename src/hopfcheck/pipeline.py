@@ -24,8 +24,7 @@ from .duality import (biduality_check, compute_dual_integrals, dual_axiom_checks
 from .errors import HopfError
 from .gns import (gns_build, gns_representation_check, kac_collapse_check,
                   operator_radford_check, positivity_verdict, tomita_check)
-from .hopf import (Elem, HopfData, find_group_likes, full_axiom_suite,
-                   group_like_closure_check)
+from .hopf import HopfData, find_group_likes, full_axiom_suite, group_like_closure_check
 from .integrals import (compute_modular, left_integral, modular_element,
                         modular_identity_checks)
 from .radford import (counimodular_check, half_power_check, radford_check,
@@ -157,7 +156,7 @@ def _dual_integrals(h: HopfData, v: dict) -> list:
         if isinstance(dual_phi, HopfError):
             raise dual_phi
         v["delta_hat"] = modular_element(hd, dual_phi)
-        v["counimodular"] = v["delta_hat"] == Elem(h.counit.coords)
+        v["counimodular"] = v["delta_hat"] == h.counit
         checks.append(ok("dual-modular-element", _LAW_DUAL_DELTA))
     except HopfError as e:
         checks.append(fail("dual-modular-element", _LAW_DUAL_DELTA, str(e)))

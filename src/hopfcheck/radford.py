@@ -10,9 +10,9 @@ failure points at the broken step rather than the composite.
 from __future__ import annotations
 
 from .errors import NumericalFailure
-from .hopf import Elem, HopfData, act_left, act_right
+from .hopf import HopfData, act_left, act_right
 from .integrals import ModularData
-from .linalg import Mat
+from .linalg import Elem, Mat, pairing
 from .report import Check, fail, first_failure, law_check, ok, skip
 
 
@@ -47,7 +47,7 @@ def radford_check(h: HopfData, md: ModularData, hd: HopfData,
     law = "S^4(a)=delta^-1(deltahat|>a<|deltahat^-1)delta"
     delta_hat_inv = hd.antipode_of(delta_hat)
     bad = first_failure(h.dim, (1, (
-        "fails at basis {0}", lambda i: h.apply(h.s4, h.basis(i)),
+        "fails at basis {0}", h.s4.images.__getitem__,
         lambda i: _sandwich(h, md.delta_inv, md.delta, h.basis(i), delta_hat, delta_hat_inv))))
     if bad is not None:
         return fail("radford-s4", law, bad)
@@ -62,24 +62,23 @@ def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,
     S^2(delta)=delta, and finally the assembled sandwich."""
     law = ("deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a)), "
            "sigma'(a)=delta sigma(a) delta^-1, S^2(delta)=delta, composed=S^4")
-    b, s2 = h.basis, h.s2
-    delta_hat_inv = hd.antipode_of(delta_hat)
+    b, s2, delta_hat_inv = h.basis, h.s2, hd.antipode_of(delta_hat)
+    sigma, sigma_prime, sigma_inv = md.sigma.images, md.sigma_prime.images, md.sigma_inv.images
 
     def composed(i):
-        path = h.apply(s2, h.apply(md.sigma_prime, b(i)))
-        path = h.apply(s2, h.apply(md.sigma_inv, path))
+        path = s2.apply(md.sigma_inv.apply(s2.apply(sigma_prime[i])))
         return h.mul_many(md.delta_inv, path, md.delta)
 
     return law_check(
         "radford-factorization", law, h.dim,
-        (0, ("S^2 moves the modular element", lambda: h.apply(s2, md.delta), lambda: md.delta)),
+        (0, ("S^2 moves the modular element", lambda: s2.apply(md.delta), lambda: md.delta)),
         (1, ("left factor fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
-             lambda i: h.apply(s2, h.apply(md.sigma_inv, b(i)))),
+             lambda i: s2.apply(sigma_inv[i])),
             ("right factor fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
-             lambda i: h.apply(s2, h.apply(md.sigma_prime, b(i)))),
-            ("inner relation fails at basis {0}", lambda i: h.apply(md.sigma_prime, b(i)),
-             lambda i: h.mul_many(md.delta, h.apply(md.sigma, b(i)), md.delta_inv)),
-            ("composition fails at basis {0}", composed, lambda i: h.apply(h.s4, b(i)))))
+             lambda i: s2.apply(sigma_prime[i])),
+            ("inner relation fails at basis {0}", sigma_prime.__getitem__,
+             lambda i: h.mul_many(md.delta, sigma[i], md.delta_inv)),
+            ("composition fails at basis {0}", composed, h.s4.images.__getitem__)))
 
 
 def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
@@ -93,13 +92,12 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
     phi(ab) = phi(b S^2(a)); with a group-like square root r of delta it is
     plain conjugation S^2(a) = r^-1 a r and phi( . r) is a trace."""
     law = "deltahat=1^ => phi(ab)=phi(b S^2(a)); r^2=delta => S^2(a)=r^-1 a r, phi(ab r)=phi(ba r)"
-    if delta_hat != Elem(h.counit.coords):
+    if delta_hat != h.counit:
         return skip("s2-conjugation", law, "not-counimodular")
-    b, p, phi = h.basis, h.products, md.phi
-    s2 = [h.apply(h.s2, b(i)) for i in range(h.dim)]
+    b, p, phi, s2 = h.basis, h.products, md.phi, h.s2.images
     bad = first_failure(h.dim, (2, ("phi twist fails at ({0},{1})",
-                                    lambda i, j: h.functional_of(phi, p[i][j]),
-                                    lambda i, j: h.functional_of(phi, h.mul(b(j), s2[i])))))
+                                    lambda i, j: pairing(phi, p[i][j]),
+                                    lambda i, j: pairing(phi, h.mul(b(j), s2[i])))))
     if bad is not None:
         return fail("s2-conjugation", law, bad)
 
@@ -112,7 +110,7 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
     if root is None:
         # no root of delta implements S^2; the square of the statement still holds
         bad = first_failure(h.dim, (1, ("S^4 inner form fails at basis {0}",
-                                        lambda i: h.apply(h.s4, b(i)),
+                                        h.s4.images.__getitem__,
                                         lambda i: h.mul_many(md.delta_inv, b(i), md.delta))))
         if bad is not None:
             return fail("s2-conjugation", law, bad)
@@ -120,8 +118,8 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
                   "no conjugating group-like square root of delta; squared form verified")
     return law_check("s2-conjugation", law, h.dim,
                      (2, ("trace property fails at ({0},{1})",
-                          lambda i, j: h.functional_of(phi, h.mul(p[i][j], root)),
-                          lambda i, j: h.functional_of(phi, h.mul(p[j][i], root)))))
+                          lambda i, j: pairing(phi, h.mul(p[i][j], root)),
+                          lambda i, j: pairing(phi, h.mul(p[j][i], root)))))
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
@@ -137,7 +135,7 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
     def works(root, dual_root):
         root_inv, dual_root_inv = h.antipode_of(root), hd.antipode_of(dual_root)
         return first_failure(h.dim, (1, (
-            "", lambda i: h.apply(h.s2, h.basis(i)),
+            "", h.s2.images.__getitem__,
             lambda i: _sandwich(h, root_inv, root, h.basis(i), dual_root, dual_root_inv)))) is None
 
     # the sandwich needs a compatible pair of roots, so scan them all

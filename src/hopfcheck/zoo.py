@@ -7,10 +7,10 @@ here shows up as a red check rather than a silent wrong answer.
 
 from __future__ import annotations
 
-from .cyclotomic import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, lcm
+from .cyclotomic import CYC_MINUS_ONE, CYC_ONE, Cyc, lcm
 from .errors import FormatError, InvalidCayleyTable, NotPrimitiveRoot
-from .hopf import Elem, Functional, HopfData
-from .linalg import Mat, Tensor3
+from .hopf import HopfData
+from .linalg import Elem, Mat, Tensor3
 
 
 def _validate_cayley(table: list) -> list:
@@ -52,16 +52,12 @@ def group_algebra(name: str, table: list) -> HopfData:
     inv = _validate_cayley(table)
     mult = {(i, j, table[i][j]): CYC_ONE for i in range(n) for j in range(n)}
     comult = {(i, i, i): CYC_ONE for i in range(n)}
-    antipode = Mat.zero(n, n)
-    star = Mat.zero(n, n)
-    for i in range(n):
-        antipode.entries[inv[i] * n + i] = CYC_ONE
-        star.entries[inv[i] * n + i] = CYC_ONE
+    inverse = Mat.of(n, n, {(inv[i], i): CYC_ONE for i in range(n)})
     return HopfData(
         name=name, dim=n, field_order=1,
-        mult=Tensor3(n, mult), unit=Elem(tuple(CYC_ONE if i == 0 else CYC_ZERO for i in range(n))),
-        comult=Tensor3(n, comult), counit=Functional((CYC_ONE,) * n),
-        antipode=antipode, star=star)
+        mult=Tensor3(n, mult), unit=Elem.of(n, ((0, CYC_ONE),)),
+        comult=Tensor3(n, comult), counit=Elem.of(n, ((i, CYC_ONE) for i in range(n))),
+        antipode=inverse, star=inverse)
 
 
 def function_algebra(name: str, table: list) -> HopfData:
@@ -75,15 +71,11 @@ def function_algebra(name: str, table: list) -> HopfData:
     inv = _validate_cayley(table)
     mult = {(i, i, i): CYC_ONE for i in range(n)}
     comult = {(table[a][b], a, b): CYC_ONE for a in range(n) for b in range(n)}
-    antipode = Mat.zero(n, n)
-    for i in range(n):
-        antipode.entries[inv[i] * n + i] = CYC_ONE
     return HopfData(
         name=name, dim=n, field_order=1,
-        mult=Tensor3(n, mult), unit=Elem((CYC_ONE,) * n),
-        comult=Tensor3(n, comult),
-        counit=Functional(tuple(CYC_ONE if i == 0 else CYC_ZERO for i in range(n))),
-        antipode=antipode, star=Mat.identity(n))
+        mult=Tensor3(n, mult), unit=Elem.of(n, ((i, CYC_ONE) for i in range(n))),
+        comult=Tensor3(n, comult), counit=Elem.of(n, ((0, CYC_ONE),)),
+        antipode=Mat.of(n, n, {(inv[i], i): CYC_ONE for i in range(n)}), star=Mat.identity(n))
 
 
 def cyclic_table(n: int) -> list:
@@ -121,22 +113,15 @@ def sweedler() -> HopfData:
         # D(gx) = D(g) D(x) = gx (x) g + 1 (x) gx
         (GX, GX, G): CYC_ONE, (GX, I, GX): CYC_ONE,
     }
-    antipode = Mat.zero(d, d)
-    antipode.entries[I * d + I] = CYC_ONE
-    antipode.entries[G * d + G] = CYC_ONE
-    antipode.entries[GX * d + X] = CYC_MINUS_ONE  # S(x) = -gx
-    antipode.entries[X * d + GX] = CYC_ONE        # S(gx) = x
-    star = Mat.zero(d, d)
-    star.entries[I * d + I] = CYC_ONE
-    star.entries[G * d + G] = CYC_ONE
-    star.entries[X * d + X] = CYC_ONE
-    star.entries[GX * d + GX] = CYC_MINUS_ONE
+    antipode = {(I, I): CYC_ONE, (G, G): CYC_ONE,
+                (GX, X): CYC_MINUS_ONE,  # S(x) = -gx
+                (X, GX): CYC_ONE}        # S(gx) = x
+    star = {(I, I): CYC_ONE, (G, G): CYC_ONE, (X, X): CYC_ONE, (GX, GX): CYC_MINUS_ONE}
     return HopfData(
         name="sweedler", dim=d, field_order=1,
-        mult=Tensor3(d, mult), unit=Elem((CYC_ONE, CYC_ZERO, CYC_ZERO, CYC_ZERO)),
-        comult=Tensor3(d, comult),
-        counit=Functional((CYC_ONE, CYC_ONE, CYC_ZERO, CYC_ZERO)),
-        antipode=antipode, star=star)
+        mult=Tensor3(d, mult), unit=Elem.of(d, ((I, CYC_ONE),)),
+        comult=Tensor3(d, comult), counit=Elem.of(d, ((I, CYC_ONE), (G, CYC_ONE))),
+        antipode=Mat.of(d, d, antipode), star=Mat.of(d, d, star))
 
 
 def taft(n: int, q: Cyc | None = None) -> HopfData:
@@ -199,15 +184,13 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
     # S(g) = g^(n-1), S(x) = -g^(n-1) x; anti-homomorphism on the basis:
     # S(g^i x^j) = S(x)^j S(g)^i = (-1)^j q^(j(j-1)/2) ... computed by
     # multiplying exact elements instead of trusting a closed form.
-    counit = Functional(tuple(CYC_ONE if v < n else CYC_ZERO for v in range(d)))
-    unit = Elem(tuple(CYC_ONE if v == 0 else CYC_ZERO for v in range(d)))
     h = HopfData(name=f"taft({n})", dim=d, field_order=q.order,
-                 mult=Tensor3(d, mult), unit=unit,
-                 comult=Tensor3(d, comult), counit=counit,
+                 mult=Tensor3(d, mult), unit=Elem.of(d, ((0, CYC_ONE),)),
+                 comult=Tensor3(d, comult), counit=Elem.of(d, ((v, CYC_ONE) for v in range(n))),
                  antipode=Mat.identity(d), star=None)
     sg = h.basis(idx(n - 1, 0))
-    sx = Elem(tuple(CYC_MINUS_ONE if v == idx(n - 1, 1) else CYC_ZERO for v in range(d)))
-    cols = []
+    sx = Elem.of(d, ((idx(n - 1, 1), CYC_MINUS_ONE),))
+    images = {}
     for i in range(n):
         for j in range(n):
             acc = h.unit
@@ -215,12 +198,8 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
                 acc = h.mul(acc, sx)
             for _ in range(i):
                 acc = h.mul(acc, sg)
-            cols.append((idx(i, j), acc))
-    antipode = Mat.zero(d, d)
-    for col, e in cols:
-        for row, c in enumerate(e.coords):
-            antipode.entries[row * d + col] = c
-    h.antipode = antipode
+            images[idx(i, j)] = acc
+    h.antipode = Mat(d, d, tuple(images[col] for col in range(d)))
     return h
 
 
@@ -235,42 +214,19 @@ def tensor_product(name: str, h1: HopfData, h2: HopfData) -> HopfData:
         return Tensor3(d, {(idx(a1, a2), idx(b1, b2), idx(c1, c2)): v1 * v2
                            for (a1, b1, c1), v1 in t1.items() for (a2, b2, c2), v2 in t2.items()})
 
-    unit = [CYC_ZERO] * d
-    counit = [CYC_ZERO] * d
-    for a in range(d1):
-        for b in range(d2):
-            unit[idx(a, b)] = h1.unit.coords[a] * h2.unit.coords[b]
-            counit[idx(a, b)] = h1.counit.coords[a] * h2.counit.coords[b]
-    antipode = Mat.zero(d, d)
-    for a in range(d1):
-        for i in range(d1):
-            ca = h1.antipode.get(a, i)
-            if ca.is_zero():
-                continue
-            for b in range(d2):
-                for j in range(d2):
-                    cb = h2.antipode.get(b, j)
-                    if cb.is_zero():
-                        continue
-                    antipode.entries[idx(a, b) * d + idx(i, j)] = ca * cb
+    def kron_elem(x: Elem, y: Elem) -> Elem:
+        return Elem.of(d, ((idx(a, b), u * v) for a, u in x.support for b, v in y.support))
+
+    def kron_mat(m1: Mat, m2: Mat) -> Mat:  # column idx(i, j) is m1(e_i) (x) m2(e_j)
+        return Mat(d, d, tuple(kron_elem(x, y) for x in m1.images for y in m2.images))
+
     star = None
     if h1.star is not None and h2.star is not None:
-        star = Mat.zero(d, d)
-        for a in range(d1):
-            for i in range(d1):
-                ca = h1.star.get(a, i)
-                if ca.is_zero():
-                    continue
-                for b in range(d2):
-                    for j in range(d2):
-                        cb = h2.star.get(b, j)
-                        if cb.is_zero():
-                            continue
-                        star.entries[idx(a, b) * d + idx(i, j)] = ca * cb
+        star = kron_mat(h1.star, h2.star)
     return HopfData(name=name, dim=d, field_order=fo,
-                    mult=kron(h1.mult, h2.mult), unit=Elem(tuple(unit)),
-                    comult=kron(h1.comult, h2.comult), counit=Functional(tuple(counit)),
-                    antipode=antipode, star=star)
+                    mult=kron(h1.mult, h2.mult), unit=kron_elem(h1.unit, h2.unit),
+                    comult=kron(h1.comult, h2.comult), counit=kron_elem(h1.counit, h2.counit),
+                    antipode=kron_mat(h1.antipode, h2.antipode), star=star)
 
 
 def standard_zoo() -> list:

@@ -94,7 +94,7 @@ def test_criterion_03_fourth_power_law(zoo, pipelines):
     acc = [CYC_ZERO] * 4
     for (i, j), c in h.coprod(h.basis(a)).items():
         acc[j] = acc[j] + c * phi.coords[i]
-    delta = Elem(tuple(x / phi.coords[a] for x in acc))
+    delta = Elem.of(4, enumerate(x / phi.coords[a] for x in acc))
     extra_ok = extra_ok and delta == h.basis(1)
     # dual modular element from the same solver run on the dual
     hd = dual_hopf(h)
@@ -103,7 +103,7 @@ def test_criterion_03_fourth_power_law(zoo, pipelines):
     acc = [CYC_ZERO] * 4
     for (i, j), c in hd.coprod(hd.basis(b)).items():
         acc[j] = acc[j] + c * phi_dual.coords[i]
-    delta_hat = Elem(tuple(x / phi_dual.coords[b] for x in acc))
+    delta_hat = Elem.of(4, enumerate(x / phi_dual.coords[b] for x in acc))
     extra_ok = extra_ok and delta_hat != hd.unit
     extra_ok = extra_ok and tuple(
         c.text(1) for c in delta_hat.coords) == ("1", "-1", "0", "0")
@@ -135,8 +135,7 @@ def test_criterion_05_duality(zoo, pipelines):
     bad = []
     for name, h in zoo.items():
         hdd = dual_hopf(dual_hopf(h))
-        if not (same_structure(hdd, h, include_star=True)
-                and hdd.name == h.name):
+        if not (same_structure(hdd, h) and hdd.name == h.name):
             bad.append(f"{name}:double-dual")
         md = pipelines[name].values["modular"]
         if not md.gram.mul(md.gram_inv).is_identity():
@@ -145,8 +144,7 @@ def test_criterion_05_duality(zoo, pipelines):
                           verify_coalgebra(h)).status != "PASS":
             bad.append(f"{name}:pairing")
     for g in ("Z2", "Z3", "S3"):
-        if not same_structure(dual_hopf(zoo[f"C[{g}]"]), zoo[f"F({g})"],
-                              include_star=True):
+        if not same_structure(dual_hopf(zoo[f"C[{g}]"]), zoo[f"F({g})"]):
             bad.append(f"dual(C[{g}])!=F({g})")
     _criterion(5, "double dual is the identity, duals of the three group "
                   "algebras equal the matching function algebras, the "

@@ -17,7 +17,7 @@ def test_round_trip_entire_zoo(zoo, tmp_path):
         back = hopf_from_text(text)
         assert back.name == h.name
         assert back.field_order == h.field_order
-        assert same_structure(back, h, include_star=True), h.name
+        assert same_structure(back, h), h.name
         # canonical form is stable under one more round trip
         assert hopf_to_text(back) == text
 

@@ -11,7 +11,7 @@ from hopfcheck import (
     CYC_ONE,
     CYC_ZERO,
     Cyc,
-    Functional,
+    Elem,
     Mat,
     compute_modular,
     dual_hopf,
@@ -189,10 +189,10 @@ def test_modular_automorphism_exchange_under_phi(zoo):
         phi = left_integral(h)
         sigma = modular_automorphism(h, phi)
         for i in range(h.dim):
-            si = h.apply(sigma, h.basis(i))
+            si = sigma.apply(h.basis(i))
             for j in range(h.dim):
-                lhs = h.functional_of(phi, h.mul(h.basis(i), h.basis(j)))
-                rhs = h.functional_of(phi, h.mul(h.basis(j), si))
+                lhs = pairing(phi, h.mul(h.basis(i), h.basis(j)))
+                rhs = pairing(phi, h.mul(h.basis(j), si))
                 assert lhs == rhs, h.name
 
 
@@ -270,4 +270,4 @@ def test_faithful_gram_rejects_a_degenerate_form():
     g, g_inv = faithful_gram(h, compute_modular(h).phi)
     assert g.mul(g_inv).is_identity()
     with pytest.raises(NotFaithful):
-        faithful_gram(h, Functional((CYC_ZERO,) * h.dim))
+        faithful_gram(h, Elem.of(h.dim, ()))
