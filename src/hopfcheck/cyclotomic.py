@@ -1,12 +1,18 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_N), on Python integers.
 
-A scalar of order N is a vector of rationals over the power basis
-{zeta_N^k : 0 <= k < phi(N)}, kept reduced modulo the N-th cyclotomic
-polynomial.  N = 1 encodes plain rationals.  Arithmetic between scalars of
-different orders embeds both operands into Q(zeta_lcm) first (a rational
-operand skips that step, see Cyc), so the field tower is handled
-transparently.  Conjugation maps zeta to zeta^(N-1), and float evaluation
-substitutes exp(2*pi*i/N).
+A scalar of order N is num / den: num holds phi(N) integers, the
+coordinates over the power basis {zeta_N^k : 0 <= k < phi(N)}, and den is
+one positive integer shared by all of them.  N = 1 encodes plain rationals.
+Arithmetic between scalars of different orders embeds both operands into
+Q(zeta_lcm) first (a rational operand skips that step, see Cyc), so the
+field tower is handled transparently.  Conjugation maps zeta to
+zeta^(N-1), and float evaluation substitutes exp(2*pi*i/N).
+
+The N-th cyclotomic polynomial is monic with integer coefficients, so
+reducing an integer polynomial in zeta modulo it stays in the integers:
+every +, -, * and embedding works on numerators and one denominator product,
+and no rational number is built.  Fraction appears only in the `coeffs`
+view.
 
 The scalar text grammar used by the file format and the CLI:
 
@@ -23,14 +29,13 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import FormatError
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -90,63 +95,116 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_poly(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    # remainder of a polynomial in zeta modulo the cyclotomic polynomial
-    phi = euler_phi(order)
+@lru_cache(maxsize=None)
+def _field(order: int) -> tuple:
+    """(phi(order), the nonzero (j, c_j), j < phi, of the monic cyclotomic
+    polynomial): zeta^phi = -sum c_j zeta^j."""
     cp = cyclotomic_polynomial(order)
-    p = list(coeffs)
-    if len(p) < phi:
-        p.extend([_F0] * (phi - len(p)))
+    return len(cp) - 1, tuple((j, c) for j, c in enumerate(cp[:-1]) if c)
+
+
+def _reduce(p: list, order: int) -> list:
+    """The integer polynomial p in zeta_order (ascending, any length), in
+    place, modulo the cyclotomic polynomial: phi(order) integers."""
+    phi, low = _field(order)
     for d in range(len(p) - 1, phi - 1, -1):
         c = p[d]
         if c:
-            for j in range(phi):
-                p[d - phi + j] -= c * cp[j]
-            p[d] = _F0
-    return p[:phi]
+            base = d - phi
+            for j, cj in low:
+                p[base + j] -= c * cj
+    if len(p) < phi:
+        p.extend([0] * (phi - len(p)))
+    else:
+        del p[phi:]
+    return p
+
+
+def _mulmod(a, b, order: int) -> list:
+    """The product of two integer polynomials in zeta_order, reduced."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _reduce(prod, order)
+
+
+def _galois(a, k: int, order: int) -> list:
+    """The image of the integer polynomial a under zeta -> zeta^k, reduced."""
+    poly = [0] * order
+    for i, x in enumerate(a):
+        if x:
+            poly[i * k % order] += x
+    return _reduce(poly, order)
 
 
 class Cyc:
-    """An exact element of Q(zeta_order) in the reduced power basis.
+    """An exact element of Q(zeta_order): num / den in the power basis.
+
+    Canonical form: num has phi(order) integers, den > 0 and
+    gcd(den, *num) == 1, and a value with no non-constant term has order 1.
+    The power basis is a basis, and num / den in lowest terms with a
+    positive den is unique, so a value of a given order has exactly one
+    stored (order, num, den): `==` at equal orders compares tuples, and
+    is_zero tests num.  Only `embed` returns a non-canonical scalar: it
+    rewrites over the requested basis without collapsing a rational, which
+    is what `text` and `sort_key` render.
 
     A rational operand meets a scalar of order N > 1 without an embedding:
     it shifts the constant coefficient (+, -), scales every coefficient
     (*), or compares against a constant-only vector (==).  The result keeps
     the order and coefficients the embedding into Q(zeta_N) produces, so
     rendering is unchanged.
+
+    The inverse of x = num / den of order N > 1 is den * q / (num * q), q
+    the product of the other Galois conjugates sigma_k(num), zeta -> zeta^k
+    for the units k != 1 mod N.  num * q is the norm of num, the product of
+    all its conjugates: fixed by the Galois group, so rational; integral,
+    so an integer; and nonzero, because num is.  No division happens until
+    that one denominator.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs, reduce: bool = True):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        """coeffs: ints or Fractions over the powers of zeta_order.  With
+        reduce=False they must already be the phi(order) coordinates."""
+        coeffs = list(coeffs)
+        den = lcm(1, *(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         if reduce:
-            coeffs = _reduce_poly(coeffs, order)
-        if order > 1 and all(c == 0 for c in coeffs[1:]):
-            # rational values always collapse to order 1
-            order, coeffs = 1, coeffs[:1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+            num = _reduce(num, order)
+        c = _make(order, num, den)
+        _fill(self, c.order, c.num, c.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as Fractions, a read-only view."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(p, q: int = 1) -> "Cyc":
-        return Cyc(1, [Fraction(p, q)], reduce=False)
+        """p / q, for an int or Fraction p and an int q."""
+        if not q:
+            raise ZeroDivisionError(f"rational {p}/0")
+        return _rational(p.numerator, p.denominator * q)
 
     @staticmethod
     def root(order: int, power: int = 1) -> "Cyc":
         """zeta_order raised to the given power."""
         power %= order
-        return Cyc(order, [_F0] * power + [_F1])
+        return _make(order, _reduce([0] * power + [1], order), 1)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     # -- order bookkeeping --------------------------------------------
 
@@ -157,19 +215,17 @@ class Cyc:
         if order % self.order:
             raise ValueError(f"cannot embed order {self.order} into {order}")
         step = order // self.order
-        poly = [_F0] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            poly[k * step] = c
-        out = Cyc.__new__(Cyc)
-        object.__setattr__(out, "order", order)
-        object.__setattr__(out, "coeffs", tuple(_reduce_poly(poly, order)))
-        return out
+        poly = [0] * ((len(self.num) - 1) * step + 1)
+        poly[::step] = self.num
+        # den stays coprime to num: Z[zeta_n] meets Q(zeta_m) in Z[zeta_m],
+        # so a prime dividing every new coordinate divides every old one
+        return _new(order, tuple(_reduce(poly, order)), self.den)
 
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:
         if a.order == b.order:
             return a, b
-        n = a.order * b.order // gcd(a.order, b.order)
+        n = lcm(a.order, b.order)
         return a.embed(n), b.embed(n)
 
     # -- arithmetic ---------------------------------------------------
@@ -177,89 +233,73 @@ class Cyc:
     def __add__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if self.order == other.order:
-            return Cyc(self.order, [x + y for x, y in zip(a, b)], reduce=False)
-        if self.order == 1:
-            return Cyc(other.order, (a[0] + b[0],) + b[1:], reduce=False)
-        if other.order == 1:
-            return Cyc(self.order, (a[0] + b[0],) + a[1:], reduce=False)
-        x, y = Cyc._common(self, other)
-        return Cyc(x.order, [p + q for p, q in zip(x.coeffs, y.coeffs)], reduce=False)
+        if self.order != other.order:
+            if self.order == 1:
+                return _affine(other, 1, self.num[0], self.den)
+            if other.order == 1:
+                return _affine(self, 1, other.num[0], other.den)
+            self, other = Cyc._common(self, other)
+        return _combine(self.order, add, self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if self.order == other.order:
-            return Cyc(self.order, [x - y for x, y in zip(a, b)], reduce=False)
-        if self.order == 1:
-            return Cyc(other.order, (a[0] - b[0],) + tuple(-y for y in b[1:]), reduce=False)
-        if other.order == 1:
-            return Cyc(self.order, (a[0] - b[0],) + a[1:], reduce=False)
-        x, y = Cyc._common(self, other)
-        return Cyc(x.order, [p - q for p, q in zip(x.coeffs, y.coeffs)], reduce=False)
+        if self.order != other.order:
+            if self.order == 1:
+                return _affine(other, -1, self.num[0], self.den)
+            if other.order == 1:
+                return _affine(self, 1, -other.num[0], other.den)
+            self, other = Cyc._common(self, other)
+        return _combine(self.order, sub, self.num, self.den, other.num, other.den)
 
     def __neg__(self):
-        return Cyc(self.order, [-c for c in self.coeffs], reduce=False)
+        return _new(self.order, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
         if self.order == 1:
-            r = self.coeffs[0]
-            return Cyc(other.order, [r * y for y in other.coeffs], reduce=False)
+            if other.order == 1:
+                return _rational(self.num[0] * other.num[0], self.den * other.den)
+            return _make(other.order, [self.num[0] * x for x in other.num],
+                         self.den * other.den)
         if other.order == 1:
-            r = other.coeffs[0]
-            return Cyc(self.order, [x * r for x in self.coeffs], reduce=False)
-        a, b = Cyc._common(self, other)
-        prod = [_F0] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyc(a.order, prod)
+            return _make(self.order, [x * other.num[0] for x in self.num],
+                         self.den * other.den)
+        if self.order != other.order:
+            self, other = Cyc._common(self, other)
+        return _make(self.order, _mulmod(self.num, other.num, self.order),
+                     self.den * other.den)
 
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if self.order == 1:
-            return Cyc(1, [1 / self.coeffs[0]], reduce=False)
-        # extended euclid against the cyclotomic polynomial, which is
-        # irreducible over Q, so the gcd is a nonzero constant
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_F0], [_F1]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return Cyc(self.order, inv)
+        num, den, order = self.num, self.den, self.order
+        if order == 1:
+            return _rational(den, num[0])
+        q = [1]
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                q = _mulmod(q, _galois(num, k, order), order)
+        norm = _mulmod(num, q, order)[0]  # num * q is the integer norm of num
+        if norm < 0:
+            norm, den = -norm, -den
+        return _make(order, [den * x for x in q], norm)
 
     def __truediv__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            if other.coeffs[0] == 0:
+            if not other.num[0]:
                 raise ZeroDivisionError("division by zero cyclotomic scalar")
-            return Cyc(1, [self.coeffs[0] / other.coeffs[0]], reduce=False)
+            return _rational(self.num[0] * other.den, self.den * other.num[0])
         return self * other.inverse()
 
     def conjugate(self) -> "Cyc":
         """Field conjugation zeta -> zeta^(order-1); identity on rationals."""
         if self.order == 1:
             return self
-        poly = [_F0] * self.order
-        for k, c in enumerate(self.coeffs):
-            poly[(-k) % self.order] += c
-        return Cyc(self.order, poly)
+        return _make(self.order, _galois(self.num, -1, self.order), self.den)
 
     # -- comparisons and rendering ------------------------------------
 
@@ -267,51 +307,53 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         if self.order == other.order:
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if self.order == 1:
-            return other.coeffs[0] == self.coeffs[0] and not any(other.coeffs[1:])
+            return (other.num[0] == self.num[0] and other.den == self.den
+                    and not any(other.num[1:]))
         if other.order == 1:
-            return self.coeffs[0] == other.coeffs[0] and not any(self.coeffs[1:])
+            return (self.num[0] == other.num[0] and self.den == other.den
+                    and not any(self.num[1:]))
         a, b = Cyc._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # mixed-order equality makes a consistent hash awkward
 
     def sort_key(self, order: int | None = None):
-        """Deterministic total-order key: coefficient tuple in a common field."""
+        """Deterministic total-order key: the (numerator, denominator) of each
+        coordinate in lowest terms, in a common field."""
         c = self.embed(order) if order else self
-        return tuple((f.numerator, f.denominator) for f in c.coeffs)
+        d = c.den
+        return tuple((x // g, d // g) for x in c.num for g in (gcd(x, d),))
 
     def to_complex(self) -> complex:
+        d = self.den
         if self.order == 1:
-            return complex(self.coeffs[0])
+            return complex(self.num[0] / d)
         z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(complex(c) * z**k for k, c in enumerate(self.coeffs) if c)
+        return sum(complex(x / d) * z**k for k, x in enumerate(self.num) if x)
 
     def text(self, order: int | None = None) -> str:
         """Canonical string per the scalar grammar, relative to the given order.
         A rational renders the same in every field, so it is not embedded."""
         c = self.embed(order) if order and self.order != 1 else self
-        parts = []
-        for k, f in enumerate(c.coeffs):
-            if f == 0:
+        d = c.den
+        out = []
+        for k, x in enumerate(c.num):
+            if not x:
                 continue
-            sign = "-" if f < 0 else "+"
-            a = abs(f)
-            rat = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-            if k == 0:
-                body = rat
-            else:
+            a = -x if x < 0 else x
+            g = gcd(a, d)
+            a, q = a // g, d // g
+            rat = str(a) if q == 1 else f"{a}/{q}"
+            if k:
                 zp = "z" if k == 1 else f"z^{k}"
-                body = zp if a == 1 else f"{rat}*{zp}"
-            parts.append((sign, body))
-        if not parts:
+                rat = zp if a == 1 and q == 1 else f"{rat}*{zp}"
+            out.append(("-" if x < 0 else "+") + rat)
+        if not out:
             return "0"
-        first_sign, first_body = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        s = "".join(out)
+        return s[1:] if s[0] == "+" else s
 
     def __repr__(self):
         return f"Cyc({self.text()!r}, order={self.order})"
@@ -327,74 +369,96 @@ class Cyc:
         matches = list(_TERM_SPLIT.finditer(s))
         if "".join(m.group(0) for m in matches) != s:
             raise FormatError(f"malformed scalar string {text!r}")
-        poly: dict[int, Fraction] = {}
+        terms = []  # (power, signed numerator, denominator)
         for m in matches:
             term = m.group(0)
-            sign = _F1
+            negative = term[0] == "-"
             if term[0] in "+-":
-                if term[0] == "-":
-                    sign = -_F1
                 term = term[1:]
             tm = _TERM_RE.fullmatch(term)
             if tm is None:
                 raise FormatError(f"bad scalar term {term!r} in {text!r}")
             rat, starz, exp1, zalone, exp2 = tm.groups()
             if rat is not None:
-                try:
-                    coeff = Fraction(rat)
-                except ZeroDivisionError:
-                    raise FormatError(f"zero denominator in scalar string {text!r}") from None
+                n, _, d = rat.partition("/")
+                n, d = int(n), int(d) if d else 1
+                if not d:
+                    raise FormatError(f"zero denominator in scalar string {text!r}")
                 k = 0 if starz is None else (1 if exp1 is None else int(exp1))
             else:
-                coeff = _F1
+                n, d = 1, 1
                 k = 1 if exp2 is None else int(exp2)
-            k %= order
-            poly[k] = poly.get(k, _F0) + sign * coeff
-        coeffs = [_F0] * (max(poly) + 1 if poly else 1)
-        for k, v in poly.items():
-            coeffs[k] = v
-        return Cyc(order, coeffs)
+            terms.append((k % order, -n if negative else n, d))
+        den = lcm(*(d for _, _, d in terms))
+        poly = [0] * (max(k for k, _, _ in terms) + 1)
+        for k, n, d in terms:
+            poly[k] += n * (den // d)
+        return _make(order, _reduce(poly, order), den)
 
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
 _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)(\*z(?:\^(\d+))?)?|(z)(?:\^(\d+))?)$")
 
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [_F0], num
-    q = [_F0] * (len(num) - dn)
-    for shift in range(len(q) - 1, -1, -1):
-        c = num[shift + dn] / lead
-        q[shift] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[shift + j] -= c * dj
-    rem = num[:dn] if dn else [_F0]
-    return q, rem
+_alloc = object.__new__
+_set_order, _set_num, _set_den = Cyc.order.__set__, Cyc.num.__set__, Cyc.den.__set__
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _fill(c: Cyc, order: int, num: tuple, den: int) -> None:
+    _set_order(c, order)
+    _set_num(c, num)
+    _set_den(c, den)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_F0] * (n - len(a))
-    b = b + [_F0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _new(order: int, num: tuple, den: int) -> Cyc:
+    """The Cyc with these fields, stored as given."""
+    c = _alloc(Cyc)
+    _fill(c, order, num, den)
+    return c
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _rational(n: int, d: int) -> Cyc:
+    """n / d in lowest terms, d nonzero."""
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return _new(1, (n // g,), d // g)
+
+
+def _make(order: int, num: list, den: int) -> Cyc:
+    """num / den (den > 0, num in the reduced basis) in canonical form."""
+    if order > 1 and not any(num[1:]):
+        order, num = 1, num[:1]
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return _new(order, tuple(num), den)
+
+
+def _combine(order: int, op, a, da: int, b, db: int) -> Cyc:
+    """op(a / da, b / db) for op add or sub, a and b in one basis."""
+    if da != db:
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        a = [x * ma for x in a]
+        b = [y * mb for y in b]
+        da *= ma
+    return _make(order, list(map(op, a, b)), da)
+
+
+def _affine(c: Cyc, sign: int, rn: int, rd: int) -> Cyc:
+    """sign * c + rn / rd."""
+    den = c.den
+    if den == rd:
+        num = [sign * x for x in c.num]
+        num[0] += rn
+    else:
+        g = gcd(den, rd)
+        m = rd // g
+        num = [sign * m * x for x in c.num]
+        num[0] += rn * (den // g)
+        den *= m
+    return _make(c.order, num, den)
 
 
 CYC_ZERO = Cyc.rational(0)

@@ -10,7 +10,6 @@ map a |-> sum_j phi(e_j a) e_j^, i.e. plain matrix action by G.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .cyclotomic import CYC_ONE, Cyc
 from .errors import HopfError, InconsistentWithDirectComputation
@@ -269,7 +268,7 @@ def _seeded_elems(h: HopfData, seed: int, count: int,
     for _ in range(count):
         coords = []
         for _i in range(h.dim):
-            c = Cyc.rational(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+            c = Cyc.rational(rng.randint(-6, 6), rng.randint(1, 3))
             if not rational_only and h.field_order > 1 and rng.random() < 0.3:
                 c = c * root
             coords.append(c)

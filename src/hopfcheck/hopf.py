@@ -413,12 +413,11 @@ def find_group_likes(h: HopfData) -> list:
         dual_mul[a][b].append((k, c))
         r_ops[b, a, k] += c.to_complex()
 
-    def times(a: int, u) -> list:  # e_a^ u
+    def times(a: int, u) -> list:  # e_a^ u, u given by its nonzero (b, x) pairs
         v = [CYC_ZERO] * d
-        for b, x in enumerate(u):
-            if not x.is_zero():
-                for k, c in dual_mul[a][b]:
-                    v[k] = v[k] + x * c
+        for b, x in u:
+            for k, c in dual_mul[a][b]:
+                v[k] = v[k] + x * c
         return v
 
     trace = [sum((c for b in range(d) for k, c in dual_mul[a][b] if k == b), CYC_ZERO)
@@ -432,14 +431,15 @@ def find_group_likes(h: HopfData) -> list:
     for a in range(d):
         for b in range(a + 1, d):
             if dual_mul[a][b] != dual_mul[b][a]:
-                v = times(a, h.basis(b).coords)
+                v = times(a, h.basis(b).support)
                 for k, c in dual_mul[b][a]:
                     v[k] = v[k] - c
                 if reduce_into(rows, v):
                     commutators.append(rows[-1][1])
     for u in commutators:
+        pairs = [(b, x) for b, x in enumerate(u) if not x.is_zero()]
         for a in range(d):
-            reduce_into(rows, times(a, u))
+            reduce_into(rows, times(a, pairs))
     free = sorted(set(range(d)) - {p for p, _ in rows})
     basis = null_basis(rows, d)  # J^perp, each vector 1 at its own free slot
     n = len(basis)

@@ -2,12 +2,14 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
+from hopfcheck.cyclotomic import cyclotomic_polynomial, euler_phi
 from hopfcheck.errors import FormatError
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -45,12 +47,15 @@ def _embedded_add(x, y, sign=1):
 
 
 def _embedded_mul(x, y):
+    # the product and its reduction in Fractions, a reference for the
+    # integer arithmetic
     a, b = Cyc._common(x, y)
     prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
     for i, p in enumerate(a.coeffs):
         for j, q in enumerate(b.coeffs):
             prod[i + j] += p * q
-    return Cyc(a.order, prod)
+    return Cyc(a.order, _divmod_fractions(prod, cyclotomic_polynomial(a.order))[1],
+               reduce=False)
 
 
 @given(cycs(order=1), cycs())
@@ -120,6 +125,110 @@ def test_rational_text_needs_no_embedding(num, den):
 def test_sort_key_consistent_with_equality(a, b):
     n = a.order * b.order
     assert (a.sort_key(n) == b.sort_key(n)) == (a == b)
+
+
+def _stored(c):
+    return c.order, c.num, c.den
+
+
+def _lowest_terms(c):
+    """num / den in lowest terms over the power basis of Q(zeta_order)."""
+    return c.den > 0 and gcd(c.den, *c.num) == 1 and len(c.num) == euler_phi(c.order)
+
+
+def _canonical(c):
+    """Lowest terms, and a rational is stored at order 1."""
+    return _lowest_terms(c) and (c.order == 1 or any(c.num[1:]))
+
+
+@given(cycs(), cycs())
+@settings(max_examples=120, deadline=None)
+def test_every_result_is_stored_in_lowest_terms(a, b):
+    n = a.order * b.order
+    results = [a + b, a - b, b - a, a * b, -a, a.conjugate(), Cyc.parse(a.text(n), n)]
+    if not b.is_zero():
+        results += [a / b, b.inverse()]
+    for c in results:
+        assert _canonical(c), _stored(c)
+    # embed rewrites over the larger basis without collapsing a rational
+    assert _lowest_terms(a.embed(n)) and a.embed(n).order == n
+
+
+@given(st.sampled_from(ORDERS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_equal_values_have_equal_stored_form(order, data):
+    # every route through Q(zeta_order) ends at one stored form: order 1 for
+    # a rational, else this order
+    a, b, c = (data.draw(cycs(order=order)) for _ in range(3))
+    pairs = [((a + b) - b, a), ((a * b) * c, a * (b * c)), (a + b, b + a),
+             (Cyc.parse(a.text(order), order), a), (a.conjugate().conjugate(), a)]
+    if not b.is_zero():
+        pairs.append(((a * b) / b, a))
+    for x, y in pairs:
+        assert x == y
+        assert _stored(x) == _stored(y)
+
+
+@given(st.sampled_from([1, 3, 5, 8, 9, 12]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_fraction_coefficients_round_trip(order, data):
+    fractions = data.draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        min_size=euler_phi(order), max_size=euler_phi(order)))
+    c = Cyc(order, fractions)
+    assert c.embed(order).coeffs == tuple(fractions)
+    assert _stored(Cyc(c.order, c.coeffs, reduce=False)) == _stored(c)
+    assert _stored(Cyc(order, [int(x) for x in fractions])) == _stored(
+        Cyc(order, [Fraction(int(x)) for x in fractions]))
+
+
+def _divmod_fractions(num, den):
+    """Quotient and remainder of Fraction polynomials, ascending coefficients."""
+    num = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + len(den) - 1] / den[-1]
+        q[shift] = c
+        for j, dj in enumerate(den):
+            num[shift + j] -= c * dj
+    return q, num[:len(den) - 1]
+
+
+def _inverse_by_euclid(coeffs, order):
+    """Reference inverse over Q: extended Euclid against the cyclotomic
+    polynomial, which is irreducible, so the last remainder is a constant."""
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(order)], list(coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) == 1:
+            break
+        q, rem = _divmod_fractions(r0, r1)
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                prod[i + j] += x * y
+        width = max(len(s0), len(prod))
+        s0, s1 = s1, [(s0[k] if k < len(s0) else 0) - (prod[k] if k < len(prod) else 0)
+                      for k in range(width)]
+        r0, r1 = r1, rem
+    inv = [x / r1[0] for x in s1] + [Fraction(0)] * euler_phi(order)
+    return tuple(inv[:euler_phi(order)])
+
+
+@given(st.sampled_from([5, 9, 24]), st.data())
+@settings(max_examples=90, deadline=None)
+def test_inverse_matches_extended_euclid_over_fractions(order, data):
+    fractions = data.draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        min_size=euler_phi(order), max_size=euler_phi(order)))
+    a = Cyc(order, fractions)
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    assert _canonical(inv)
+    assert inv.embed(order).coeffs == _inverse_by_euclid(a.embed(order).coeffs, order)
 
 
 def test_root_powers_and_reduction():
