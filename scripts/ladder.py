@@ -2,7 +2,7 @@
 """Time the whole pipeline on a fixed ladder of algebras, largest last.
 
 Each member is built with the `hopfcheck.zoo` builders and verified
-in-process by `run_pipeline` (seed 42) RUNS times.  The script prints one
+in-process by `run_pipeline` RUNS times.  The script prints one
 JSON record: for each member its name, dim, every run's wall time, their
 median, and the sha256 of what `hopfcheck verify` and then
 `hopfcheck report` print for the member's file.  That transcript holds
@@ -74,8 +74,7 @@ def measure(build) -> dict:
 
 
 def main() -> int:
-    record = {"python": platform.python_version(), "runs": RUNS, "seed": 42,
-              "members": {}}
+    record = {"python": platform.python_version(), "runs": RUNS, "members": {}}
     for name, build in MEMBERS.items():
         record["members"][name] = measure(build)
         print(f"{name}: {record['members'][name]['median_s']} s", file=sys.stderr)

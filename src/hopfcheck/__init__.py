@@ -14,13 +14,22 @@ from .hopf import Elem, HopfData, find_group_likes, full_axiom_suite
 from .integrals import (ModularData, compute_modular, left_integral,
                         modular_element, right_integral)
 from .linalg import Mat, Tensor3
-from .pipeline import PipelineResult, run_pipeline
 from .radford import radford_check, radford_factorization, s2_order, s_order
 from .report import Check
 from .zoo import (function_algebra, group_algebra, standard_zoo, sweedler, taft,
                   tensor_product)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """run_pipeline and PipelineResult, imported on first use: the pipeline
+    reaches the float GNS layer and so numpy, which `import hopfcheck`, the
+    zoo and the file format then do without."""
+    if name in ("PipelineResult", "run_pipeline"):
+        from . import pipeline
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CYC_MINUS_ONE", "CYC_ONE", "CYC_ZERO", "Cyc", "Check", "Elem",

@@ -65,7 +65,7 @@ def cmd_verify(args) -> int:
     worst = _EXIT_OK
     for path in args.files:
         h = load_hopf(path)
-        res = run_pipeline(h, tol=args.tolerance, seed=args.seed)
+        res = run_pipeline(h, tol=args.tolerance)
         print(f"VERIFY {h.name} dim={h.dim} seed={args.seed} tolerance={args.tolerance:g}")
         shown = [c for c in res.checks if args.only is None or c.name == args.only]
         for c in shown:
@@ -94,7 +94,7 @@ def _fmt_vector(h, coords) -> str:
 
 def _passing_run(args):
     """run_pipeline on args.file, or None once its FAIL lines are printed."""
-    res = run_pipeline(load_hopf(args.file), tol=args.tolerance, seed=args.seed)
+    res = run_pipeline(load_hopf(args.file), tol=args.tolerance)
     if not res.failed():
         return res
     for c in res.checks:
@@ -147,8 +147,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="numeric tolerance for the float-backed checks")
     p.add_argument("--seed", type=int, default=42,
-                   help="selects the pseudo-random Plancherel sample elements; "
-                        "no verdict depends on it")
+                   help="printed in the VERIFY and REPORT headers only; no check "
+                        "draws samples, so it selects nothing")
 
 
 def build_parser() -> argparse.ArgumentParser:

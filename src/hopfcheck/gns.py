@@ -18,7 +18,7 @@ from .cyclotomic import CYC_ONE
 from .errors import NumericalFailure
 from .hopf import HopfData
 from .integrals import ModularData
-from .linalg import Elem, pairing
+from .linalg import Elem, Mat, pairing
 from .report import Check, fail, ok
 
 
@@ -29,7 +29,7 @@ def elem_float(e: Elem) -> np.ndarray:
     return out
 
 
-def mat_float(m) -> np.ndarray:
+def mat_float(m: Mat) -> np.ndarray:
     out = np.zeros((m.rows, m.cols), dtype=complex)
     for j, col in enumerate(m.images):
         for i, c in col.support:
@@ -47,26 +47,18 @@ def left_mult_float(h: HopfData, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def star_gram_float(h: HopfData, state: Elem) -> np.ndarray:
-    """G[i][j] = state(e_i^* e_j)."""
-    d = h.dim
-    out = np.zeros((d, d), dtype=complex)
-    for i, si in enumerate(h.star.images):
-        for j in range(d):
-            out[i][j] = pairing(state, h.mul(si, h.basis(j))).to_complex()
-    return out
-
-
-def positivity_verdict(h: HopfData, state: Elem, tol: float = 1e-9):
+def positivity_verdict(h: HopfData, state: Elem, b: Mat | None, tol: float = 1e-9):
     """Classify state(a^* a): 'positive', 'not-positive' or 'no-star'.
 
-    A definite answer needs the sesquilinear form to be self-adjoint; when
-    it is not, no phase multiple c in {1, i} can rescue it here either, and
-    the verdict reports which obstruction fired.
+    b is the exact star-Gram of state, integrals.star_gram(h,
+    gram_matrix(h, state)), or None when h has no star.  A definite answer
+    needs the sesquilinear form to be self-adjoint; when it is not, no
+    phase multiple c in {1, i} can rescue it here either, and the verdict
+    reports which obstruction fired.
     """
     if h.star is None:
         return "no-star", "no star structure"
-    g = star_gram_float(h, state)
+    g = mat_float(b)
     for phase, label in ((1.0, "1"), (1j, "i")):
         gp = phase * g
         if np.linalg.norm(gp - gp.conj().T) <= tol * max(1.0, np.linalg.norm(gp)):
@@ -98,10 +90,11 @@ class GNSData:
     J: np.ndarray            # modular conjugation, as J . conj
 
 
-def gns_build(h: HopfData, state: Elem, tol: float = 1e-9) -> GNSData:
-    """Cyclic representation from a positive faithful state."""
+def gns_build(h: HopfData, b: Mat, tol: float = 1e-9) -> GNSData:
+    """Cyclic representation from a positive faithful state, given by its
+    exact star-Gram b (integrals.star_gram)."""
     d = h.dim
-    g = star_gram_float(h, state)
+    g = mat_float(b)
     g = (g + g.conj().T) / 2
     try:
         ell = np.linalg.cholesky(g)
@@ -228,9 +221,10 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
 
 
 def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
-                       psi_hat: Elem, tol: float = 1e-9) -> Check:
+                       psi_hat: Elem, b_hat: Mat, tol: float = 1e-9) -> Check:
     """A positive integral forces the whole modular family to collapse.
-    The caller runs this only once phi is known to be positive."""
+    The caller runs this only once phi is known to be positive; b_hat is
+    the star-Gram of psi_hat on hd."""
     law = "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0"
     if not h.s2.is_identity():
         return fail("kac-collapse", law, "S^2 != id")
@@ -242,7 +236,7 @@ def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: El
         return fail("kac-collapse", law, "modular element is not 1")
     if delta_hat != h.counit:
         return fail("kac-collapse", law, "dual modular element is not the counit")
-    dual_verdict, dual_detail = positivity_verdict(hd, psi_hat, tol)
+    dual_verdict, dual_detail = positivity_verdict(hd, psi_hat, b_hat, tol)
     if dual_verdict != "positive":
         return fail("kac-collapse", law, f"dual integral not positive: {dual_detail}")
     return ok("kac-collapse", law)

@@ -103,6 +103,14 @@ def gram_matrix(h: HopfData, f: Elem) -> Mat:
                                  for j, x in enumerate(row)})
 
 
+def star_gram(h: HopfData, gram: Mat) -> Mat:
+    """B[i][j] = f(e_i^* e_j), the sesquilinear form of a functional f,
+    from gram = gram_matrix(h, f).  e_i^* is star.images[i], so
+    f(e_i^* e_j) = sum_k star(k, i) f(e_k e_j) and B = Star^T G.  h must
+    carry a star."""
+    return h.star.transpose().mul(gram)
+
+
 def faithful_gram(h: HopfData, f: Elem, label: str = "sigma") -> tuple:
     """(G, G^-1) for the bilinear Gram G of f; NotFaithful if G is singular."""
     g = gram_matrix(h, f)

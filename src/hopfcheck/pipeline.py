@@ -25,8 +25,8 @@ from .errors import HopfError
 from .gns import (gns_build, gns_representation_check, kac_collapse_check,
                   operator_radford_check, positivity_verdict, tomita_check)
 from .hopf import HopfData, find_group_likes, full_axiom_suite, group_like_closure_check
-from .integrals import (compute_modular, left_integral, modular_element,
-                        modular_identity_checks)
+from .integrals import (compute_modular, gram_matrix, left_integral, modular_element,
+                        modular_identity_checks, star_gram)
 from .radford import (counimodular_check, half_power_check, radford_check,
                       radford_factorization, s2_order, s_order)
 from .report import Check, FAIL, fail, ok, skip
@@ -74,8 +74,8 @@ class Stage(NamedTuple):
     positive: bool = False
 
 
-def run_pipeline(h: HopfData, tol: float = 1e-9, seed: int = 42) -> PipelineResult:
-    res = PipelineResult(h=h, values={"seed": seed, "tolerance": tol})
+def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
+    res = PipelineResult(h=h, values={"tolerance": tol})
     for stage in STAGES:
         reason = _skip_reason(stage, res.values)
         if reason is None:
@@ -164,15 +164,24 @@ def _dual_integrals(h: HopfData, v: dict) -> list:
 
 
 def _positivity(h: HopfData, v: dict) -> list:
-    v["positivity"] = verdict, detail = positivity_verdict(h, v["modular"].phi, v["tolerance"])
-    if verdict == "positive":
-        return [ok("positivity", _LAW_POSITIVITY, detail)]
-    return [skip("positivity", _LAW_POSITIVITY, verdict)]
+    """The verdict on phi's star-Gram; once it is positive, psihat's
+    star-Gram on the dual as well.  Each Gram is built here once, and the
+    later stages read these two."""
+    md, hd = v["modular"], v["dual"]
+    if h.star is not None:
+        v["star_gram"] = star_gram(h, md.gram)
+    v["positivity"] = verdict, detail = positivity_verdict(h, md.phi, v.get("star_gram"),
+                                                           v["tolerance"])
+    if verdict != "positive":
+        return [skip("positivity", _LAW_POSITIVITY, verdict)]
+    if v.get("psi_hat") is not None:  # a star on h puts one on hd
+        v["dual_star_gram"] = star_gram(hd, gram_matrix(hd, v["psi_hat"]))
+    return [ok("positivity", _LAW_POSITIVITY, detail)]
 
 
 def _kac(h: HopfData, v: dict) -> list:
     check = kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"],
-                               v["tolerance"])
+                               v["dual_star_gram"], v["tolerance"])
     v["kac"] = check.passed()
     return [check]
 
@@ -183,7 +192,7 @@ def _gns(h: HopfData, v: dict) -> list:
     md, tol = v["modular"], v["tolerance"]
     gns = None
     try:
-        gns = v["gns"] = gns_build(h, md.phi, tol)
+        gns = v["gns"] = gns_build(h, v["star_gram"], tol)
         rep = gns_representation_check(h, md.phi, gns, tol)
     except HopfError as e:
         rep = fail("gns-representation", "rep is a *-homomorphism", str(e))
@@ -192,11 +201,11 @@ def _gns(h: HopfData, v: dict) -> list:
         checks.append(skip("tomita-commutant", "modular conjugation", _PREREQ))
     else:
         checks.append(tomita_check(h, gns, max(tol, 1e-8)))
-    if gns is None or v.get("psi_hat") is None or v.get("delta_hat") is None:
+    if gns is None or v.get("dual_star_gram") is None or v.get("delta_hat") is None:
         checks.append(skip("operator-radford", _LAW_OPERATOR_RADFORD, _PREREQ))
         return checks
     try:
-        v["gns_dual"] = gns_build(v["dual"], v["psi_hat"], tol)
+        v["gns_dual"] = gns_build(v["dual"], v["dual_star_gram"], tol)
         checks.append(operator_radford_check(h, md, v["dual"], v["delta_hat"],
                                              gns, v["gns_dual"], tol))
     except HopfError as e:
@@ -238,12 +247,12 @@ STAGES = (
                                          v["group_likes"], v["dual_likes"])]),
     Stage((("positivity", _LAW_POSITIVITY),), ("modular",), _positivity),
     Stage((("kac-collapse", "phi>0 => modular family collapses"),),
-          ("modular", "delta_hat", "psi_hat"), _kac, positive=True),
+          ("modular", "delta_hat", "dual_star_gram"), _kac, positive=True),
     Stage(tuple((name, "represented form") for name in (
         "gns-representation", "tomita-commutant", "operator-radford")),
           ("modular",), _gns, positive=True),
-    Stage((("plancherel", "psihat(F(a)*F(a))=phi(a*a)"),), ("modular", "psi_hat"),
-          lambda h, v: [plancherel_check(h, v["modular"], v["dual"], v["psi_hat"], v["seed"])],
+    Stage((("plancherel", "psihat(F(a)*F(a))=phi(a*a)"),), ("modular", "dual_star_gram"),
+          lambda h, v: [plancherel_check(v["modular"], v["star_gram"], v["dual_star_gram"])],
           positive=True),
     Stage((("biduality", "dual(dual(A))=A"),), ("dual",),
           lambda h, v: [biduality_check(h, v["dual"])]),

@@ -243,3 +243,16 @@ def test_internal_value_error_is_not_reported_as_bad_input(sweedler_file, monkey
     monkeypatch.setattr(hopfcheck.cli, "run_pipeline", broken)
     with pytest.raises(ValueError, match="internal defect"):
         main(["verify", str(sweedler_file)])
+
+
+def test_package_imports_without_numpy_until_the_pipeline_is_used():
+    # the zoo and the file format, all a benchmark set-up needs, leave numpy
+    # out; run_pipeline and PipelineResult still import from the package
+    code = ("import sys, hopfcheck.zoo, hopfcheck.fileformat\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "from hopfcheck import PipelineResult, run_pipeline\n"
+            "from hopfcheck.pipeline import run_pipeline as defined\n"
+            "assert run_pipeline is defined and PipelineResult.__name__ == 'PipelineResult'\n"
+            "assert 'numpy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -30,6 +30,7 @@ from hopfcheck.duality import (dual_axiom_checks, dual_name, transpose_failure, 
                                verify_pairing)
 from hopfcheck.errors import NoIntegral
 from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalgebra
+from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.linalg import Mat, Tensor3
 from hopfcheck.zoo import cyclic_table, group_algebra, taft
 
@@ -284,8 +285,57 @@ def test_plancherel_exact_on_positive_members(zoo):
         md = compute_modular(h)
         hd = dual_hopf(h)
         psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
-        check = plancherel_check(h, md, hd, psi_hat)
+        check = plancherel_check(md, star_gram(h, md.gram),
+                                 star_gram(hd, gram_matrix(hd, psi_hat)))
         assert check.status == "PASS", f"{name}: {check.line()}"
+
+
+def _star_gram_by_entries(a, state):
+    # the definition B[i][j] = state(e_i^* e_j), one product per entry
+    return Mat.of(a.dim, a.dim, {(i, j): pairing(state, a.mul(a.star.images[i], a.basis(j)))
+                                 for i in range(a.dim) for j in range(a.dim)})
+
+
+def test_star_gram_matches_the_per_entry_definition(zoo, pipelines):
+    starred = [name for name, h in zoo.items() if h.star is not None]
+    assert len(starred) == 11
+    for name in starred:
+        h, v = zoo[name], pipelines[name].values
+        hd, psi_hat = v["dual"], v["psi_hat"]
+        assert star_gram(h, v["modular"].gram) == _star_gram_by_entries(h, v["modular"].phi), name
+        assert star_gram(hd, gram_matrix(hd, psi_hat)) == _star_gram_by_entries(hd, psi_hat), name
+    # every zoo star matrix is symmetric, so the transpose in B = Star^T G is
+    # tested on one that is not: the identity needs no star axiom
+    h, md = zoo["C[Z3]"], pipelines["C[Z3]"].values["modular"]
+    shifted = dataclasses.replace(h, star=Mat.of(3, 3, {((j + 1) % 3, j): CYC_ONE
+                                                        for j in range(3)}))
+    assert star_gram(shifted, md.gram) == _star_gram_by_entries(shifted, md.phi)
+
+
+def test_plancherel_pairs_catch_a_defect_no_real_sample_sees(pipelines):
+    # zeta_4 (E_01 - E_10) added to psihat's star-Gram changes no value at a
+    # real a (a^T X a = 0 for antisymmetric X), so the old basis-plus-real-
+    # samples check would pass; the pair rows fail.  On C[Z3], G is the
+    # permutation e_i -> e_-i, so the defect shows at (0,2) and (2,0) of
+    # conj(G)^T Bhat G, and (0,2) comes first.
+    v = pipelines["C[Z3]"].values
+    md, b, b_hat = v["modular"], v["star_gram"], v["dual_star_gram"]
+    assert plancherel_check(md, b, b_hat).passed()
+    rows = b_hat.dense_rows()
+    zeta4 = Cyc.root(4)
+    rows[0][1] = rows[0][1] + zeta4
+    rows[1][0] = rows[1][0] - zeta4
+    broken = Mat.from_rows(rows)
+
+    def form(m, x):  # conj(x)^T m x
+        return pairing(Elem.of(x.dim, ((i, c.conjugate()) for i, c in x.support)), m.apply(x))
+
+    real = [vec(*map(Cyc.rational, a)) for a in itertools.product((-2, 0, 1, 3), repeat=3)]
+    for a in real:
+        fa = md.gram.apply(a)
+        assert form(broken, fa) == form(b_hat, fa) == form(b, a)
+    check = plancherel_check(md, b, broken)
+    assert (check.status, check.detail) == ("FAIL", "Parseval fails at basis pair (0,2)")
 
 
 def test_plancherel_twisted_form_sweedler():
@@ -382,19 +432,26 @@ def test_a_failed_dual_left_integral_fails_both_stages(monkeypatch, zoo):
             "FAIL", "sweedler^: invariance system has no kernel"), name
 
 
-@pytest.mark.parametrize("name", ["sweedler", "C[Z3]", "taft(3)"])
+# star-Grams per run: phi's and psihat's on a positive member, phi's alone
+# where phi is not positive, none without a star
+STAR_GRAMS = {"sweedler": 1, "C[Z3]": 2, "taft(2)": 0, "taft(3)": 0}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_GRAMS))
 def test_one_run_evaluates_each_shared_law_once(monkeypatch, zoo, name):
     # the pairing line reuses the axiom stage's certificate and coalgebra
-    # check, S^2's order is computed once for report and radford-s4, and no
-    # stage reads a structure table or a matrix entry by entry instead of by
-    # its rows or columns
+    # check, S^2's order is computed once for report and radford-s4, each
+    # star-Gram is built once for positivity, kac-collapse, GNS and
+    # plancherel, and no stage reads a structure table or a matrix entry by
+    # entry instead of by its rows or columns
     import hopfcheck
-    from hopfcheck import duality, hopf, radford
+    from hopfcheck import duality, hopf, integrals, radford
 
     modules = [hopfcheck] + [importlib.import_module(f"hopfcheck.{info.name}")
                              for info in pkgutil.iter_modules(hopfcheck.__path__)]
     calls = {}
-    for fn in (duality.transpose_failure, hopf.verify_coalgebra, radford.s2_order):
+    for fn in (duality.transpose_failure, hopf.verify_coalgebra, radford.s2_order,
+               integrals.star_gram):
         calls[fn.__name__] = 0
 
         def counted(*args, fn=fn, **kwargs):
@@ -416,4 +473,4 @@ def test_one_run_evaluates_each_shared_law_once(monkeypatch, zoo, name):
         monkeypatch.setattr(cls, "get", counted_get)
     run_pipeline(zoo[name])
     assert calls == {"transpose_failure": 1, "verify_coalgebra": 1, "s2_order": 1,
-                     "Tensor3.get": 0, "Mat.get": 0}
+                     "star_gram": STAR_GRAMS[name], "Tensor3.get": 0, "Mat.get": 0}

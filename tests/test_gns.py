@@ -11,6 +11,7 @@ import pytest
 
 from hopfcheck import compute_modular, dual_hopf, sweedler
 from hopfcheck.errors import NumericalFailure
+from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.gns import (
     commutant_basis,
     gns_build,
@@ -23,7 +24,7 @@ from hopfcheck.gns import (
 
 def _setup(h):
     md = compute_modular(h)
-    return md, gns_build(h, md.phi)
+    return md, gns_build(h, star_gram(h, md.gram))
 
 
 def test_positivity_verdicts(zoo):
@@ -31,7 +32,7 @@ def test_positivity_verdicts(zoo):
                  "F(Z2)", "F(Z3)", "F(Z6)", "F(S3)"):
         h = zoo[name]
         md = compute_modular(h)
-        verdict, detail = positivity_verdict(h, md.phi)
+        verdict, detail = positivity_verdict(h, md.phi, star_gram(h, md.gram))
         assert verdict == "positive", f"{name}: {detail}"
         assert "rescale" in detail  # phi(1) != 1 here, a state needs scaling
 
@@ -39,7 +40,7 @@ def test_positivity_verdicts(zoo):
 def test_sweedler_form_is_indefinite(zoo):
     h = zoo["sweedler"]
     md = compute_modular(h)
-    verdict, detail = positivity_verdict(h, md.phi)
+    verdict, detail = positivity_verdict(h, md.phi, star_gram(h, md.gram))
     assert verdict == "not-positive"
     assert "indefinite" in detail or "self-adjoint" in detail
 
@@ -47,14 +48,14 @@ def test_sweedler_form_is_indefinite(zoo):
 def test_taft2_has_no_star(zoo):
     h = zoo["taft(2)"]
     md = compute_modular(h)
-    assert positivity_verdict(h, md.phi)[0] == "no-star"
+    assert positivity_verdict(h, md.phi, None)[0] == "no-star"
 
 
 def test_gns_build_refuses_indefinite_form():
     h = sweedler()
     md = compute_modular(h)
     with pytest.raises(NumericalFailure):
-        gns_build(h, md.phi)
+        gns_build(h, star_gram(h, md.gram))
 
 
 def test_group_algebra_representation_criteria(zoo):
@@ -73,7 +74,7 @@ def test_group_algebra_representation_criteria(zoo):
         phi_dual = left_integral(hd)
         psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
         delta_hat = modular_element(hd, phi_dual)
-        gns_dual = gns_build(hd, psi_hat)
+        gns_dual = gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
         op = operator_radford_check(h, md, hd, delta_hat, gns, gns_dual, tol=1e-9)
         assert op.status == "PASS", op.line()
         assert time.monotonic() - start < 5.0, f"{name} exceeded the budget"
@@ -181,8 +182,8 @@ def test_commutant_of_the_generators_is_the_commutant_of_the_algebra(zoo):
 def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):
     from hopfcheck import pipeline, run_pipeline
 
-    def perturbed(h, state, tol=1e-9):
-        gns = gns_build(h, state, tol)
+    def perturbed(h, b, tol=1e-9):
+        gns = gns_build(h, b, tol)
         gns.rep[1] = gns.rep[1] + 1e-3 * np.eye(h.dim)
         return gns
 
