@@ -44,7 +44,7 @@ def _sweedler_cubed():
 
 MEMBERS = {f"taft({n})": (lambda n=n: taft(n)) for n in range(4, 11)}
 MEMBERS["sweedler^(x)3"] = _sweedler_cubed
-for _n in (18, 24):
+for _n in (18, 24, 36, 48):
     MEMBERS[f"C[Z{_n}]"] = lambda n=_n: group_algebra(f"C[Z{n}]", cyclic_table(n))
 
 

@@ -6,6 +6,12 @@ This layer deliberately runs over floats.  Every exact identity has
 already been checked upstream; here the point is that the same data, fed
 through Cholesky and eigendecompositions, produces honest operators whose
 relations hold to numerical tolerance.
+
+The multiplication table is read into floats once per GNS build, as the
+tensor M[i, j, k] = mult(i, j, k).  Left multiplication by e_a is M[a].T
+and right multiplication by e_b is M[:, b].T, so the represented algebra
+(C L_a C^-1) and its commutant (C R_b C^-1, see tomita_check) are both
+batched products of C, a view of M and C^-1: d^4 work, d^3 memory.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .cyclotomic import CYC_ONE
 from .errors import NumericalFailure
 from .hopf import HopfData
 from .integrals import ModularData
-from .linalg import Elem, Mat, pairing
+from .linalg import Elem, Mat, Tensor3, pairing
 from .report import Check, fail, ok
 
 
@@ -37,13 +43,11 @@ def mat_float(m: Mat) -> np.ndarray:
     return out
 
 
-def left_mult_float(h: HopfData, coords: np.ndarray) -> np.ndarray:
-    """Matrix of y -> a y in the basis, from the structure constants."""
-    d = h.dim
-    out = np.zeros((d, d), dtype=complex)
-    for (i, j, k), c in h.mult.items():
-        if coords[i] != 0:
-            out[k][j] += coords[i] * c.to_complex()
+def tensor_float(t: Tensor3) -> np.ndarray:
+    """out[i, j, k] = t(i, j, k), in one pass over the nonzeros."""
+    out = np.zeros((t.dim,) * 3, dtype=complex)
+    for key, c in t.items():
+        out[key] = c.to_complex()
     return out
 
 
@@ -83,7 +87,8 @@ class GNSData:
     """Operators of one GNS representation; inner product <u,v> = v^H u."""
     C: np.ndarray            # isometry coordinates: Lambda(a) = C a
     C_inv: np.ndarray
-    rep: list                # rep[i] = represented basis element e_i
+    M: np.ndarray            # M[i, j, k] = mult(i, j, k), so L_a = M[a].T, R_b = M[:, b].T
+    rep: np.ndarray          # rep[i] = C L_i C^-1, the represented basis element e_i
     A: np.ndarray            # star lift: (Lambda a)^* -> A conj(.)
     nabla: np.ndarray
     nabla_inv: np.ndarray
@@ -102,11 +107,8 @@ def gns_build(h: HopfData, b: Mat, tol: float = 1e-9) -> GNSData:
         raise NumericalFailure(f"{h.name}: state Gram is not positive definite") from e
     c = ell.conj().T
     c_inv = np.linalg.inv(c)
-    rep = []
-    for i in range(d):
-        coords = np.zeros(d, dtype=complex)
-        coords[i] = 1.0
-        rep.append(c @ left_mult_float(h, coords) @ c_inv)
+    m = tensor_float(h.mult)
+    rep = c @ m.transpose(0, 2, 1) @ c_inv
     star_f = mat_float(h.star)
     a_mat = c @ star_f @ np.conj(c_inv)
     nabla = a_mat.T @ np.conj(a_mat)
@@ -115,7 +117,7 @@ def gns_build(h: HopfData, b: Mat, tol: float = 1e-9) -> GNSData:
         raise NumericalFailure(f"{h.name}: modular operator is not positive definite")
     inv_sqrt = vecs @ np.diag(evs ** -0.5) @ vecs.conj().T
     j_mat = a_mat @ np.conj(inv_sqrt)
-    return GNSData(C=c, C_inv=c_inv, rep=rep, A=a_mat,
+    return GNSData(C=c, C_inv=c_inv, M=m, rep=rep, A=a_mat,
                    nabla=nabla, nabla_inv=np.linalg.inv(nabla), J=j_mat)
 
 
@@ -156,21 +158,10 @@ def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
     return ok("gns-representation", law)
 
 
-def commutant_basis(rep: list, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (rows of shape (d,d)) of everything commuting with rep.
-
-    rep is nonempty, so the stacked system has at least d^2 rows and the
-    thin SVD still returns all d^2 right singular vectors."""
-    d = rep[0].shape[0]
-    eye = np.eye(d)
-    blocks = [np.kron(r, eye) - np.kron(eye, r.T) for r in rep]
-    stacked = np.vstack(blocks)
-    _u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    null_dim = int(np.sum(s <= tol * max(1.0, s.max()))) + (d * d - len(s))
-    if null_dim == 0:
-        return np.zeros((0, d, d))
-    basis = vh[-null_dim:].conj()
-    return basis.reshape(null_dim, d, d)
+def right_regular(gns: GNSData) -> np.ndarray:
+    """T[b] = C R_b C^-1: right multiplication by e_b, carried to the GNS
+    space like rep.  tomita_check shows that the T[b] span rep(A)'."""
+    return gns.C @ gns.M.transpose(1, 2, 0) @ gns.C_inv
 
 
 def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
@@ -179,13 +170,25 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
     and conjugating the represented algebra by J lands in (all of) its
     commutant, whose dimension is confirmed twice.
 
-    The two methods: the null space of X -> [rep(g), X] over the
-    generators g of h, and the span of J rep(A) J, which must have
-    dimension d and lie in that null space.  The first needs only the
-    generators because rep is multiplicative (gns-representation): what
-    commutes with every rep(g) commutes with rep of every monomial in
-    them, and those monomials span A.  At d = 1 there are no generators
-    and A is spanned by its unit."""
+    The commutant is known in closed form.  gns_build sets rep(a) =
+    C L_a C^-1, where L_a is left multiplication on A.  Let X commute with
+    every L_a.  Then X(a) = X(L_a 1) = L_a X(1) = a X(1), so X = R_{X(1)},
+    right multiplication by X(1); conversely every R_b commutes with every
+    L_a by associativity.  So rep(A)' is exactly the span of the
+    T_b = C R_b C^-1 (right_regular), and its dimension is exactly d, since
+    R_b(1) = b (End_A(A) = A^op).  The two methods each cost d^4:
+
+      1. every T_b commutes with rep(g) for the generators g of h, and the
+         T_b span dimension d.  The generators are enough because rep is
+         multiplicative (gns-representation): what commutes with every
+         rep(g) commutes with rep of every monomial in them, and those
+         monomials span A.  At d = 1 there are no generators and A is
+         spanned by its unit.
+      2. J rep(A) J spans dimension d and lies in span{T_b}: each J rep(e_i) J
+         leaves no residual after projection onto an orthonormal (QR) basis
+         of the T_b.
+
+    Spans are read from d^2 x d column matrices, one column per operator."""
     law = "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'"
     d = h.dim
     if not _close(gns.J @ np.conj(gns.J), np.eye(d), tol):
@@ -199,24 +202,30 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
     if nabla_dist > tol:
         return fail("tomita-commutant", law,
                     f"modular operator is not the identity, distance {nabla_dist:.3g}")
-    comm = commutant_basis([gns.rep[k] for k in h.generators] or gns.rep, tol)
-    if comm.shape[0] != d:
-        return fail("tomita-commutant", law,
-                    f"commutant dimension {comm.shape[0]} != {d}")
-    conjugated = [gns.J @ np.conj(r) @ np.conj(gns.J) for r in gns.rep]
-    stacked = np.array([x.reshape(d * d) for x in conjugated])
-    jmj_dim = int(np.linalg.matrix_rank(stacked, tol=1e-6))
+    t = right_regular(gns)
+    for g in h.generators or range(d):
+        tr = t @ gns.rep[g]
+        gap = np.linalg.norm(gns.rep[g] @ t - tr, axis=(1, 2))
+        bad = np.flatnonzero(gap > tol * np.maximum(1.0, np.linalg.norm(tr, axis=(1, 2))))
+        if bad.size:
+            return fail("tomita-commutant", law,
+                        f"right multiplication by e_{bad[0]} does not commute with rep(e_{g})")
+    t_cols = t.reshape(d, d * d).T
+    s = np.linalg.svd(t_cols, compute_uv=False)
+    comm_dim = int(np.sum(s > tol * max(1.0, s[0])))
+    if comm_dim != d:
+        return fail("tomita-commutant", law, f"commutant dimension {comm_dim} != {d}")
+    x_cols = (gns.J @ np.conj(gns.rep) @ np.conj(gns.J)).reshape(d, d * d).T
+    jmj_dim = int(np.linalg.matrix_rank(x_cols, tol=1e-6))
     if jmj_dim != d:
         return fail("tomita-commutant", law,
                     f"J rep(A) J spans dimension {jmj_dim} != {d}")
-    flat = comm.reshape(comm.shape[0], d * d)
-    for x in conjugated:
-        xf = x.reshape(d * d)
-        proj = flat.conj() @ xf
-        resid = np.linalg.norm(xf - flat.T @ proj)
-        if resid > tol * max(1.0, np.linalg.norm(xf)):
-            return fail("tomita-commutant", law,
-                        f"J rep(A) J leaves the commutant, residual {resid:.3g}")
+    q = np.linalg.qr(t_cols)[0]
+    resid = np.linalg.norm(x_cols - q @ (q.conj().T @ x_cols), axis=0)
+    bad = np.flatnonzero(resid > tol * np.maximum(1.0, np.linalg.norm(x_cols, axis=0)))
+    if bad.size:
+        return fail("tomita-commutant", law,
+                    f"J rep(A) J leaves the commutant, residual {resid[bad[0]]:.3g}")
     return ok("tomita-commutant", law, f"commutant dimension {d}, twice")
 
 

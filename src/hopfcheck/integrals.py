@@ -71,8 +71,9 @@ def right_integral(h: HopfData, phi: Elem) -> Elem:
     return psi
 
 
-def modular_element(h: HopfData, phi: Elem) -> Elem:
-    """The group-like with (phi (x) id) D(a) = phi(a) delta for every a."""
+def modular_element(h: HopfData, phi: Elem, first: tuple | None = None) -> Elem:
+    """The group-like with (phi (x) id) D(a) = phi(a) delta for every a.
+    first is handed to is_group_like: the generators of the dual, or None."""
     delta = None
     for a in range(h.dim):
         v = act_right(h, h.basis(a), phi)
@@ -87,7 +88,7 @@ def modular_element(h: HopfData, phi: Elem) -> Elem:
             raise InconsistentSystem(f"{h.name}: rows disagree on the modular element")
     if delta is None:
         raise InconsistentSystem(f"{h.name}: zero integral")
-    if not is_group_like(h, delta):
+    if not is_group_like(h, delta, first):
         raise NotGroupLike(f"{h.name}: modular element is not group-like")
     # phi . S = phi( . delta) pins the convention down; check it on the basis
     bad = first_failure(h.dim, (1, ("{0}", lambda i: pairing(phi, h.s_basis[i]),
@@ -179,16 +180,17 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
     check in .stage.  The Gram of phi is inverted once, for sigma and for
     gram_inv.  h must pass `algebra` first (run_pipeline runs this only
     after the whole axiom suite passed): sigma and sigma' are checked
-    multiplicative on generators only.  first is handed to left_integral:
-    the dual's generators (dual_hopf(h).generators), once `coalgebra` and
-    `bialgebra` have passed too, or None for the full invariance system."""
+    multiplicative on generators only.  first is handed to left_integral
+    and modular_element: the dual's generators (dual_hopf(h).generators),
+    once `coalgebra` and `bialgebra` have passed too, or None for the full
+    invariance system and group-like scan."""
     stage = "left-integral"
     try:
         phi = left_integral(h, first)
         stage = "right-integral"
         psi = right_integral(h, phi)
         stage = "modular-element"
-        delta = modular_element(h, phi)
+        delta = modular_element(h, phi, first)
         stage = "modular-automorphism"
         gram, gram_inv = faithful_gram(h, phi, "sigma")
         sigma = modular_automorphism(h, phi, "sigma", (gram, gram_inv))

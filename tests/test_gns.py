@@ -13,11 +13,11 @@ from hopfcheck import compute_modular, dual_hopf, sweedler
 from hopfcheck.errors import NumericalFailure
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.gns import (
-    commutant_basis,
     gns_build,
     gns_representation_check,
     operator_radford_check,
     positivity_verdict,
+    right_regular,
     tomita_check,
 )
 
@@ -80,14 +80,39 @@ def test_group_algebra_representation_criteria(zoo):
         assert time.monotonic() - start < 5.0, f"{name} exceeded the budget"
 
 
+def svd_commutant(rep, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis (rows of shape (d,d)) of everything commuting with
+    rep, as the null space of the stacked X -> [r, X] over r in rep: the
+    d^6 reference for the closed form right_regular.
+
+    rep is nonempty, so the stacked system has at least d^2 rows and the
+    thin SVD still returns all d^2 right singular vectors."""
+    d = rep[0].shape[0]
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(r, eye) - np.kron(eye, r.T) for r in rep])
+    _u, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    null_dim = int(np.sum(s <= tol * max(1.0, s.max()))) + (d * d - len(s))
+    return vh[d * d - null_dim:].conj().reshape(null_dim, d, d)
+
+
+def _orthonormal(ops: np.ndarray) -> np.ndarray:
+    """Orthonormal rows (as a stack of matrices) spanning the same space as ops."""
+    u, s, _vh = np.linalg.svd(ops.reshape(ops.shape[0], -1).T, full_matrices=False)
+    r = int(np.sum(s > 1e-9 * s[0]))
+    return u[:, :r].T.reshape(r, *ops.shape[1:])
+
+
+COMMUTANT_MEMBERS = ("C[Z2]", "C[Z6]", "C[S3]", "F(Z3)", "F(Z6)", "F(S3)")
+
+
 def test_commutant_dimensions(zoo):
-    # commutant of the left regular image has dim = dim(H) in a flat
-    # trace geometry; the stacked JMJ span must agree
-    for name, expected in (("C[Z2]", 2), ("C[S3]", 6), ("F(Z3)", 3)):
+    # the commutant of the left regular image is the transported right
+    # regular representation, of dimension d; the SVD null space agrees
+    for name in COMMUTANT_MEMBERS:
         h = zoo[name]
         md, gns = _setup(h)
-        basis = commutant_basis(gns.rep)
-        assert basis.shape[0] == expected, name
+        assert svd_commutant(gns.rep).shape[0] == h.dim, name
+        assert _orthonormal(right_regular(gns)).shape[0] == h.dim, name
 
 
 def test_modular_operator_trivial_on_positive_members(zoo):
@@ -151,9 +176,7 @@ def test_representation_multiplicativity_float(zoo):
         v = rng.standard_normal(h.dim)
         pu = sum(u[i] * gns.rep[i] for i in range(h.dim))
         pv = sum(v[i] * gns.rep[i] for i in range(h.dim))
-        uv = np.zeros(h.dim)
-        from hopfcheck.gns import left_mult_float
-        uv = left_mult_float(h, u.astype(complex)) @ v
+        uv = np.einsum("i,j,ijk->k", u, v, gns.M)
         puv = sum(uv[i] * gns.rep[i] for i in range(h.dim))
         assert np.linalg.norm(pu @ pv - puv) <= 1e-8
 
@@ -166,17 +189,42 @@ def _same_subspace(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def test_commutant_of_the_generators_is_the_commutant_of_the_algebra(zoo):
-    for name in ("C[Z6]", "C[S3]", "F(Z6)", "F(S3)"):
+    for name in COMMUTANT_MEMBERS:
         h = zoo[name]
         _md, gns = _setup(h)
-        whole = commutant_basis(gns.rep)
-        assert whole.shape[0] == h.dim, name
-        reduced = commutant_basis([gns.rep[k] for k in h.generators])
+        whole = svd_commutant(gns.rep)
+        assert _same_subspace(whole, _orthonormal(right_regular(gns))), name
+        reduced = svd_commutant([gns.rep[k] for k in h.generators])
         assert _same_subspace(whole, reduced), name
     # one of the two generators of C[S3] is not enough: its commutant is larger
     h = zoo["C[S3]"]
     _md, gns = _setup(h)
-    assert commutant_basis([gns.rep[h.generators[0]]]).shape[0] > h.dim
+    assert svd_commutant([gns.rep[h.generators[0]]]).shape[0] > h.dim
+
+
+def test_commutant_method_fails_on_a_corrupted_right_multiplication(zoo):
+    # R_1 gains an off-diagonal entry: T_1 stops commuting with rep(A), and
+    # the first method fails before J is compared with anything
+    h = zoo["C[Z3]"]
+    _md, gns = _setup(h)
+    gns.M[0, 1, 2] += 0.1
+    check = tomita_check(h, gns)
+    assert check.line().startswith("CHECK tomita-commutant FAIL")
+    assert check.detail == "right multiplication by e_1 does not commute with rep(e_1)"
+
+
+def test_commutant_method_fails_when_j_rep_j_leaves_the_commutant(zoo):
+    # J -> U J U^T keeps J an antiunitary involution (and nabla = 1), but
+    # U J rep(A) J U^H is not rep(A)' for this rotation U: only the second
+    # method sees it
+    h = zoo["C[S3]"]
+    _md, gns = _setup(h)
+    u = np.eye(h.dim, dtype=complex)
+    u[np.ix_((0, 1), (0, 1))] = [[0.6, -0.8], [0.8, 0.6]]
+    gns.J = u @ gns.J @ u.T
+    check = tomita_check(h, gns)
+    assert check.line().startswith("CHECK tomita-commutant FAIL")
+    assert check.detail.startswith("J rep(A) J leaves the commutant, residual ")
 
 
 def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -243,11 +244,38 @@ def test_group_like_counts_across_zoo(pipelines):
 
 def test_is_group_like_rejects_non_group_likes():
     h = sweedler()
-    assert is_group_like(h, h.basis(1))      # the grouplike generator
-    assert not is_group_like(h, h.basis(2))  # the skew-primitive one
-    assert not is_group_like(h, vec(*(CYC_ZERO,) * 4))
     two = vec(Cyc.rational(2), CYC_ZERO, CYC_ZERO, CYC_ZERO)
-    assert not is_group_like(h, two)
+    for first in (None, dual_hopf(h).generators):  # every row, then the dual's generators
+        assert is_group_like(h, h.basis(1), first)      # the grouplike generator
+        assert not is_group_like(h, h.basis(2), first)  # the skew-primitive one
+        assert not is_group_like(h, vec(*(CYC_ZERO,) * 4), first)
+        assert not is_group_like(h, two, first)
+
+
+def test_group_likeness_on_generators_agrees_with_the_full_scan(zoo):
+    # candidates: the group-likes, every basis vector, each group-like with one
+    # entry raised by 1, and the sum and the mean of every two group-likes; the
+    # first slot runs over the generators of the dual, as the pipeline does
+    half = Cyc.rational(Fraction(1, 2))
+    members = list(zoo.values()) + [group_algebra("C[Z12]", cyclic_table(12))]
+    counted = {"candidates": 0, "group-like": 0, "counit 1, not group-like": 0}
+    for h0 in members:
+        hd0 = dual_hopf(h0)
+        for h, first in ((h0, hd0.generators), (hd0, h0.generators)):
+            likes = find_group_likes(h)
+            candidates = list(likes) + [h.basis(i) for i in range(h.dim)]
+            candidates += [Elem.of(h.dim, list(g.support) + [(i, CYC_ONE)])
+                           for g in likes for i in range(h.dim)]
+            for g1, g2 in itertools.combinations(likes, 2):
+                total = Elem.of(h.dim, list(g1.support) + list(g2.support))
+                candidates += [total, Elem.of(h.dim, ((i, half * c) for i, c in total.support))]
+            for g in candidates:
+                full = is_group_like(h, g)
+                assert is_group_like(h, g, first) == full, (h.name, g)
+                counted["candidates"] += 1
+                counted["group-like"] += full
+                counted["counit 1, not group-like"] += not full and h.counit_of(g) == CYC_ONE
+    assert counted == {"candidates": 1694, "group-like": 175, "counit 1, not group-like": 730}
 
 
 def test_same_structure():
@@ -317,9 +345,9 @@ def _monomial_rank(h, gens) -> int:
     by repeated multiplication until the span stops growing."""
     import numpy as np
 
-    from hopfcheck.gns import left_mult_float
+    from hopfcheck.gns import tensor_float
 
-    ops = [left_mult_float(h, np.eye(h.dim, dtype=complex)[g]) for g in gens]
+    ops = [tensor_float(h.mult)[g].T for g in gens]  # left multiplication by e_g
     span = np.array([[c.to_complex() for c in h.unit.coords]]).T
     while True:
         grown = np.hstack([span] + [op @ span for op in ops])
