@@ -125,6 +125,12 @@ def _close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     return np.linalg.norm(x - y) <= tol * max(1.0, np.linalg.norm(y))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix x[j] of a contiguous stack."""
+    v = x.reshape(len(x), -1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
 def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
                              tol: float = 1e-9) -> Check:
     """rep is a unital *-homomorphism and the star lift squares to the identity
@@ -135,12 +141,16 @@ def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
     rep_unit = sum(unit_f[i] * gns.rep[i] for i in range(d))
     if not _close(rep_unit, np.eye(d), tol):
         return fail("gns-representation", law, "unit is not represented by the identity")
-    for i, row in enumerate(h.products):
-        for j, prod in enumerate(row):
-            want = sum((c.to_complex() * gns.rep[k] for k, c in prod.support),
-                       np.zeros((d, d), dtype=complex))
-            if not _close(gns.rep[i] @ gns.rep[j], want, tol):
-                return fail("gns-representation", law, f"multiplicativity fails at ({i},{j})")
+    # all j at once, _close on each pair: rep(e_i) rep(e_j) against
+    # sum_k M[i,j,k] rep(e_k), in two d^3 buffers reused for every i
+    got, want = np.empty((d, d, d), dtype=complex), np.empty((d, d, d), dtype=complex)
+    for i in range(d):
+        np.matmul(gns.rep[i], gns.rep, out=got)
+        np.dot(gns.M[i], gns.rep.reshape(d, d * d), out=want.reshape(d, d * d))
+        bound = tol * np.maximum(1.0, _norms(want))
+        bad = np.flatnonzero(~(_norms(np.subtract(got, want, out=got)) <= bound))
+        if bad.size:
+            return fail("gns-representation", law, f"multiplicativity fails at ({i},{bad[0]})")
     star_f = mat_float(h.star)
     for i in range(d):
         sc = star_f[:, i]

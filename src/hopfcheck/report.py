@@ -69,14 +69,23 @@ def first_failure(dim: int, *groups) -> str | None:
     which two sparse tensors differ (both sides dicts with zero entries
     dropped, so a missing key is zero), and None otherwise.
 
+    A side may return the whole last slot at once: a law on index triples
+    stated as a group of arity 2 whose sides are sparse dicts keyed by the
+    third index k (values compared whole, so themselves sparse with zeros
+    dropped).  Then slot is the smallest failing k, and since the pairs run
+    in lexicographic order, the detail names the same first failing triple,
+    in the same scan order, as the arity-3 group would.  verify_algebra
+    reads associativity this way, one row pair (i, j) at a time.
+
     Sides are callables over the HopfData primitives rather than terms of a
     small expression language: each verifier already names its maps, and a
     second language would be one more layer to read before the law.
 
     Bilinear laws on generators.  Let the unit law hold and let
     first = h.generators, the greedy generating set (see its docstring).
-    Then a group ((3, first), associativity) decides associativity on all
-    of A, and with the same first failing index tuple as the full scan:
+    Then associativity with its first slot over first (the row-pair group
+    ((2, first), ...) of verify_algebra) decides associativity on all of A,
+    and with the same first failing index tuple as the full scan:
 
       - Let X be the set of x with (xb)c = x(bc) for all b and c.  X is a
         subspace, X contains 1 by the unit law, and X is closed under

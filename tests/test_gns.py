@@ -181,6 +181,39 @@ def test_representation_multiplicativity_float(zoo):
         assert np.linalg.norm(pu @ pv - puv) <= 1e-8
 
 
+def _per_pair_multiplicativity(h, gns, tol=1e-9):
+    """The multiplicativity part of gns_representation_check as it was: one
+    pair (i, j) at a time, rep(e_i e_j) summed from the exact product."""
+    d = h.dim
+    for i, row in enumerate(h.products):
+        for j, prod in enumerate(row):
+            want = sum((c.to_complex() * gns.rep[k] for k, c in prod.support),
+                       np.zeros((d, d), dtype=complex))
+            if np.linalg.norm(gns.rep[i] @ gns.rep[j] - want) > tol * max(
+                    1.0, np.linalg.norm(want)):
+                return f"multiplicativity fails at ({i},{j})"
+    return None
+
+
+def test_batched_multiplicativity_fails_where_the_pair_loop_did(zoo):
+    seen = set()
+    for name in ("C[Z3]", "C[S3]", "F(S3)"):
+        h = zoo[name]
+        md, gns = _setup(h)
+        assert _per_pair_multiplicativity(h, gns) is None
+        assert gns_representation_check(h, md.phi, gns).passed()
+        clean = gns.rep.copy()
+        for k in range(h.dim):
+            gns.rep = clean.copy()
+            gns.rep[k, 0, h.dim - 1] += 1e-3
+            want = _per_pair_multiplicativity(h, gns)
+            detail = gns_representation_check(h, md.phi, gns).detail
+            if detail != "unit is not represented by the identity":
+                assert want is not None and detail == want, (name, k)
+                seen.add(detail)
+    assert len(seen) >= 3
+
+
 def _same_subspace(a: np.ndarray, b: np.ndarray) -> bool:
     """Orthonormal row bases a and b (as stacks of matrices) span one subspace."""
     fa, fb = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)

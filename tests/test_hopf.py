@@ -149,6 +149,108 @@ def test_first_failure_lands_on_a_generator(zoo):
     assert verify_algebra(bad).detail == "associativity fails at triple (1,3,5)"
 
 
+def _triple_scan_detail(h):
+    """verify_algebra's detail as it was before the row form: the unit law on
+    every basis vector, then (e_i e_j) e_k = e_i (e_j e_k) through h.mul for
+    i in h.generators and every j and k, in lexicographic order."""
+    b = h.basis
+    for i in range(h.dim):
+        if h.mul(h.unit, b(i)) != b(i) or h.mul(b(i), h.unit) != b(i):
+            return f"unit law fails at basis {i}"
+    for i in h.generators:
+        for j in range(h.dim):
+            for k in range(h.dim):
+                if h.mul(h.mul(b(i), b(j)), b(k)) != h.mul(b(i), h.mul(b(j), b(k))):
+                    return f"associativity fails at triple ({i},{j},{k})"
+    return ""
+
+
+def test_row_associativity_fails_where_the_triple_scan_did():
+    # taft(3) lives over Q(zeta_3), so the rows are summed in a proper
+    # cyclotomic field and not only over the rationals
+    h = taft(3)
+    assert h.field_order == 3
+    details = [(verify_algebra(bad).detail, _triple_scan_detail(bad))
+               for bad in _single_entry_corruptions(h, ("mult",))]
+    assert len(details) == 9 ** 3
+    assert all(got == want for got, want in details)
+    heads = {want.split(" at ")[0] for _, want in details}
+    assert heads == {"unit law fails", "associativity fails"}
+
+
+def _hand_built(dim, mult):
+    """A unital algebra on a basis whose first vector is the unit; verify_algebra
+    reads only the product and the unit, so the coalgebra fields are filler."""
+    return hopf.HopfData(
+        name="hand-built", dim=dim, field_order=1,
+        mult=Tensor3(dim, {key: Cyc.rational(v) for key, v in mult.items()}),
+        unit=Elem.of(dim, ((0, CYC_ONE),)), comult=Tensor3(dim, {}),
+        counit=Elem.of(dim, ()), antipode=Mat.identity(dim))
+
+
+def test_a_row_entry_summing_to_zero_is_no_difference():
+    # C[Z3] in the basis 1, e_1, e_2 with e_1 e_1 = -3 e_1, e_1 e_2 = e_2 e_1 = 0
+    # and e_2 e_2 = -3 - e_1 - 3 e_2.  At (1,2) the right side's row k = 2 is
+    # e_1 (e_2 e_2) = -3 e_1 + 3 e_1: nonzero terms cancelling, against no row
+    # on the left; at (2,2) the left side's row k = 1, (e_2 e_2) e_1, cancels
+    mult = {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (2, 0, 2): 1,
+            (1, 1, 1): -3, (2, 2, 0): -3, (2, 2, 1): -1, (2, 2, 2): -3}
+    h = _hand_built(3, mult)
+    assert h.generators == (1, 2)
+    rows = h.mult.rows
+    cancelling = [(m, c) for m, c in rows[2][2] if m in rows[1]]
+    assert len(cancelling) == 2
+    assert verify_algebra(h).status == "PASS"
+    x = Cyc.rational(5)
+    assert hopf.sparse_rows([(2, 1, x), (2, 1, -x), (0, 0, x)]) == {0: {0: x}}
+    # and the same table with e_2 e_2 off by e_1 fails where the triple scan does
+    bad = _hand_built(3, {**mult, (2, 2, 1): 0})
+    assert verify_algebra(bad).detail == _triple_scan_detail(bad) != ""
+
+
+def test_associativity_reads_rows_without_multiplying(monkeypatch):
+    h = taft(4)
+    h.generators  # its certificate multiplies monomials; build it first
+    calls = []
+    real_mul = hopf.HopfData.mul
+
+    def counting_mul(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(hopf.HopfData, "mul", counting_mul)
+    assert verify_algebra(h).passed()
+    assert len(calls) == 2 * h.dim  # the unit-law rows, and nothing per triple
+
+
+def test_products_are_the_stored_rows(zoo):
+    for h in zoo.values():
+        b = h.basis
+        assert all(h.products[i][j] == h.mul(b(i), b(j))
+                   for i in range(h.dim) for j in range(h.dim)), h.name
+
+
+def _nested_loop_mul(h, a, b):
+    """HopfData.mul as it was: every pair of supports probes the stored row."""
+    acc = []
+    for i, ai in a.support:
+        for j, bj in b.support:
+            acc.extend((k, ai * bj * c) for k, c in h.mult.rows[i].get(j, ()))
+    return Elem.of(h.dim, acc)
+
+
+def test_mul_agrees_with_the_nested_loop(zoo):
+    for base in zoo.values():
+        for h in (base, dual_hopf(base)):
+            d, b = h.dim, h.basis
+            full = [Elem.of(d, ((i, Cyc.rational(i + 1, 7 + s)) for i in range(d)))
+                    for s in range(2)]
+            elems = [b(i) for i in range(d)] + full + [h.unit]
+            for x in elems:
+                for y in elems:
+                    assert h.mul(x, y) == _nested_loop_mul(h, x, y), h.name
+
+
 def test_corrupted_counit_fails_bialgebra():
     h = sweedler()
     coords = list(h.counit.coords)
