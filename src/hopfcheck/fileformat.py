@@ -35,11 +35,21 @@ def hopf_to_text(h: HopfData) -> str:
         "comult": _tensor_text(h.comult, s),
         "unit": [s(c) for c in h.unit.coords],
         "counit": [s(c) for c in h.counit.coords],
-        "antipode": [[s(c) for c in row] for row in h.antipode.dense_rows()],
+        "antipode": _matrix_text(h.antipode, s),
     }
     if h.star is not None:
-        doc["star"] = [[s(c) for c in row] for row in h.star.dense_rows()]
+        doc["star"] = _matrix_text(h.star, s)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _matrix_text(m: Mat, s) -> list:
+    """The list of rows of scalar strings, each nonzero rendered once."""
+    zero = s(CYC_ZERO)
+    out = [[zero] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.images):
+        for i, c in col.support:
+            out[i][j] = s(c)
+    return out
 
 
 def _tensor_text(t: Tensor3, s) -> list:

@@ -137,9 +137,7 @@ def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
     (P, the rescaling generator, is the identity at finite dimension)."""
     law = "rep(ab)=rep(a)rep(b), rep(a*)=rep(a)^H, rep(1)=1, T^2=P=1"
     d = h.dim
-    unit_f = elem_float(h.unit)
-    rep_unit = sum(unit_f[i] * gns.rep[i] for i in range(d))
-    if not _close(rep_unit, np.eye(d), tol):
+    if not _close(np.tensordot(elem_float(h.unit), gns.rep, 1), np.eye(d), tol):
         return fail("gns-representation", law, "unit is not represented by the identity")
     # all j at once, _close on each pair: rep(e_i) rep(e_j) against
     # sum_k M[i,j,k] rep(e_k), in two d^3 buffers reused for every i
@@ -151,12 +149,13 @@ def gns_representation_check(h: HopfData, state: Elem, gns: GNSData,
         bad = np.flatnonzero(~(_norms(np.subtract(got, want, out=got)) <= bound))
         if bad.size:
             return fail("gns-representation", law, f"multiplicativity fails at ({i},{bad[0]})")
+    # rep(e_i)^H against rep(e_i^*) = sum_k star(k, i) rep(e_k), all i at once
     star_f = mat_float(h.star)
-    for i in range(d):
-        sc = star_f[:, i]
-        want = sum(sc[k] * gns.rep[k] for k in range(d))
-        if not _close(gns.rep[i].conj().T, want, tol):
-            return fail("gns-representation", law, f"adjoint property fails at basis {i}")
+    want = np.tensordot(star_f.T, gns.rep, 1)
+    bound = tol * np.maximum(1.0, _norms(want))
+    bad = np.flatnonzero(~(_norms(gns.rep.conj().transpose(0, 2, 1) - want) <= bound))
+    if bad.size:
+        return fail("gns-representation", law, f"adjoint property fails at basis {bad[0]}")
     # T = A . conj implements star on the cyclic vector image, and T^2 = 1
     for i in range(d):
         v = gns.C[:, i]
@@ -282,15 +281,12 @@ def operator_radford_check(h: HopfData, md: ModularData, hd: HopfData,
         return fail("operator-radford", law, "Fourier transport is not unitary")
     v_inv = np.linalg.inv(v)
 
-    def rep_of(g: GNSData, coords: np.ndarray) -> np.ndarray:
-        return sum(coords[i] * g.rep[i] for i in range(d))
+    def rep_of(g: GNSData, x: Elem) -> np.ndarray:
+        return np.tensordot(elem_float(x), g.rep, 1)
 
-    delta_f = elem_float(md.delta)
-    delta_inv_f = elem_float(md.delta_inv)
-    dhat_f = elem_float(delta_hat)
-    f1 = rep_of(gns, delta_f)
+    f1 = rep_of(gns, md.delta)
     f2 = gns.J @ np.conj(f1) @ np.conj(gns.J)
-    rhat = rep_of(gns_dual, dhat_f)
+    rhat = rep_of(gns_dual, delta_hat)
     f3 = v @ rhat @ v_inv
     f4 = v @ (gns_dual.J @ np.conj(rhat) @ np.conj(gns_dual.J)) @ v_inv
     eye = np.eye(d)
@@ -312,7 +308,7 @@ def operator_radford_check(h: HopfData, md: ModularData, hd: HopfData,
 
     j_hat_t = v @ gns_dual.J @ np.conj(v_inv)
     lhs = j_hat_t @ np.conj(f1) @ np.conj(j_hat_t)
-    if not _close(lhs, rep_of(gns, delta_inv_f), max(tol, 1e-8)):
+    if not _close(lhs, rep_of(gns, md.delta_inv), max(tol, 1e-8)):
         return fail("operator-radford", law, "Jhat conjugation does not invert rep(delta)")
     dist = np.linalg.norm(gns.J - j_hat_t)
     return ok("operator-radford", law, f"dist(J, transported Jhat)={dist:.3e}")

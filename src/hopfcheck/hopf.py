@@ -120,7 +120,7 @@ class HopfData:
         gens: list = []
 
         def add(x: Elem) -> None:
-            if reduce_into(rows, list(x.coords)):
+            if reduce_into(rows, x.support):
                 monomials.append(x)
                 applied.append(0)
 
@@ -128,7 +128,7 @@ class HopfData:
         for k in range(d):
             if len(rows) == d:
                 break
-            if not reduce_into(list(rows), list(self.basis(k).coords)):
+            if not reduce_into(list(rows), {k: CYC_ONE}):
                 continue
             gens.append(k)
             m = 0
@@ -460,38 +460,30 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
         dual_mul[a][b].append((k, c))
         r_ops[b, a, k] += c.to_complex()
 
-    def times(a: int, u) -> list:  # e_a^ u, u given by its nonzero (b, x) pairs
-        v = [CYC_ZERO] * d
-        for b, x in u:
-            for k, c in dual_mul[a][b]:
-                v[k] = v[k] + x * c
-        return v
+    def times(a: int, u: dict) -> dict:  # e_a^ u
+        return sparse_sum((k, x * c) for b, x in u.items() for k, c in dual_mul[a][b])
 
-    trace = [sum((c for b in range(d) for k, c in dual_mul[a][b] if k == b), CYC_ZERO)
-             for a in range(d)]
-    form = [[sum((c * trace[k] for k, c in dual_mul[a][b] if not trace[k].is_zero()),
-                 CYC_ZERO) for b in range(d)] for a in range(d)]
+    trace = sparse_sum((a, c) for (k, a, b), c in h.comult.items() if k == b)
+    form = Mat.of(d, d, sparse_sum(((a, b), c * trace[k])
+                                   for (k, a, b), c in h.comult.items() if k in trace))
     rows: list = []  # semi-echelon basis of J, rad A first
-    for v in solve_null_space(Mat.from_rows(form)):
-        reduce_into(rows, v)
+    for v in solve_null_space(form):
+        reduce_into(rows, v.support)
     commutators = []
     for a in range(d):
         for b in range(a + 1, d):
             if dual_mul[a][b] != dual_mul[b][a]:
-                v = times(a, h.basis(b).support)
-                for k, c in dual_mul[b][a]:
-                    v[k] = v[k] - c
+                v = sparse_sum([*dual_mul[a][b], *((k, -c) for k, c in dual_mul[b][a])])
                 if reduce_into(rows, v):
                     commutators.append(rows[-1][1])
     for u in commutators:
-        pairs = [(b, x) for b, x in enumerate(u) if not x.is_zero()]
         for a in range(d):
-            reduce_into(rows, times(a, pairs))
+            reduce_into(rows, times(a, u))
     free = sorted(set(range(d)) - {p for p, _ in rows})
     basis = null_basis(rows, d)  # J^perp, each vector 1 at its own free slot
     n = len(basis)
 
-    w = np.array([[c.to_complex() for c in v] for v in basis]).reshape(n, d).T
+    w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
     ops = r_ops[:, free, :] @ w  # R_j on J^perp, in free-slot coordinates
     orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
     found: list = []

@@ -55,9 +55,7 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
         raise NoIntegral(f"{h.name}: invariance system has no kernel")
     if len(basis) > 1:
         raise NonUniqueIntegral(f"{h.name}: invariance kernel has dimension {len(basis)}")
-    v = basis[0]
-    inv = next(c for c in v if not c.is_zero()).inverse()
-    return Elem.of(d, ((j, c * inv) for j, c in enumerate(v)))
+    return scale(basis[0].support[0][1].inverse(), basis[0])
 
 
 def right_integral(h: HopfData, phi: Elem) -> Elem:

@@ -7,13 +7,15 @@ basis vector, a Tensor3 the (c, value) pairs of each row (a, b).  Each
 constructor sums or keys its input by index and drops zeros, so equal
 objects compare equal whatever zeros they were built with.
 
-One elimination serves the package, over dense rows (Mat.dense_rows).
-reduce_into keeps a semi-echelon row store: a new vector is reduced against
+One elimination serves the package, over a sparse row store: each row is
+a {col: coeff} dict of its nonzeros, and the callers hand in supports.
+reduce_into keeps the store semi-echelon: a new vector is reduced against
 the stored rows and what is left is scaled by the inverse of its first
 nonzero entry, its pivot.  That is one inverse per pivot and no other
 division.  reduced_echelon clears each pivot column in the other rows and
-sorts by pivot; rank, solve_null_space and mat_inverse are read off the
-store.
+sorts by pivot; both update a row by _subtract, which deletes the entries
+that cancel.  rank, solve_null_space (one Elem per free column) and
+mat_inverse feed the store the rows of m, read as m.transpose().images.
 
 No output depends on the elimination order.  A row space has exactly one
 set of pivot columns and one reduced echelon form, so the rank, the inverse
@@ -115,14 +117,6 @@ class Mat:
     def get(self, i: int, j: int) -> Cyc:
         return next((c for k, c in self.images[j].support if k == i), CYC_ZERO)
 
-    def dense_rows(self) -> list:
-        """Every entry, zeros included, as a list of rows."""
-        out = [[CYC_ZERO] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.images):
-            for i, c in col.support:
-                out[i][j] = c
-        return out
-
     def apply(self, v: Elem) -> Elem:
         """self * v."""
         if v.dim != self.cols:
@@ -174,18 +168,35 @@ class Tensor3:
         return self.dim == other.dim and self.rows == other.rows
 
 
-def reduce_into(rows: list, v: list) -> bool:
-    """Append v, reduced against rows, unless it reduces to zero.  rows are
-    (pivot, row) pairs, each row 1 at its pivot and 0 at earlier pivots."""
+def _subtract(v: dict, c: Cyc, row: dict) -> None:
+    """v -= c * row, deleting the entries that cancel."""
+    c = -c
+    for k, y in row.items():
+        if k in v:
+            x = v[k] + c * y
+            if x.is_zero():
+                del v[k]
+            else:
+                v[k] = x
+        else:
+            v[k] = c * y
+
+
+def reduce_into(rows: list, v) -> bool:
+    """Append v, reduced against rows, unless it reduces to zero.  v is a
+    {col: coeff} dict or its (col, coeff) pairs, all nonzero, and is not
+    changed.  rows are (pivot, row) pairs, each row a dict of nonzeros that
+    is 1 at its pivot and has no key before it or at an earlier pivot."""
+    v = dict(v)
     for p, row in rows:
-        c = v[p]
-        if not c.is_zero():
-            v = [x if y.is_zero() else x - c * y for x, y in zip(v, row)]
-    lead = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-    if lead is not None:
-        inv = v[lead].inverse()
-        rows.append((lead, [x if x.is_zero() else x * inv for x in v]))
-    return lead is not None
+        if p in v:
+            _subtract(v, v[p], row)
+    if not v:
+        return False
+    lead = min(v)
+    inv = v[lead].inverse()
+    rows.append((lead, {k: x * inv for k, x in v.items()}))
+    return True
 
 
 def reduced_echelon(rows: list) -> list:
@@ -195,48 +206,41 @@ def reduced_echelon(rows: list) -> list:
     A row is 0 before its own pivot, so pivot p is cleared from the rows
     with smaller pivots only, largest p first; the row subtracted is then
     already 0 at every larger pivot."""
-    rows = sorted(rows, key=lambda pr: pr[0])
+    rows = [(p, dict(row)) for p, row in sorted(rows, key=lambda pr: pr[0])]
     for j in reversed(range(len(rows))):
         p, row = rows[j]
-        for i in range(j):
-            q, other = rows[i]
-            c = other[p]
-            if not c.is_zero():
-                rows[i] = (q, [x if y.is_zero() else x - c * y for x, y in zip(other, row)])
+        for _, other in rows[:j]:
+            if p in other:
+                _subtract(other, other[p], row)
     return rows
 
 
 def null_basis(rows: list, ncols: int) -> list:
     """Exact basis of the v with row . v = 0 for every row of a reduce_into
-    row store: for each free column f, v[f] = 1 and v[p] = -row_p[f]."""
+    row store, as Elems: for each free column f, v[f] = 1 and
+    v[p] = -row_p[f]."""
     rows = reduced_echelon(rows)
     pivots = {p for p, _ in rows}
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [CYC_ZERO] * ncols
-            v[f] = CYC_ONE
-            for p, row in rows:
-                if not row[f].is_zero():
-                    v[p] = -row[f]
-            basis.append(v)
-    return basis
+    return [Elem(ncols, tuple(sorted([(f, CYC_ONE)] + [(p, -row[f]) for p, row in rows
+                                                       if f in row])))
+            for f in range(ncols) if f not in pivots]
 
 
-def _row_store(vectors) -> list:
+def _row_store(m: Mat) -> list:
+    """A reduce_into row store of m's rows, read off m.transpose()."""
     rows: list = []
-    for v in vectors:
-        reduce_into(rows, v)
+    for row in m.transpose().images:
+        reduce_into(rows, row.support)
     return rows
 
 
 def rank(m: Mat) -> int:
-    return len(_row_store(m.dense_rows()))
+    return len(_row_store(m))
 
 
 def solve_null_space(m: Mat) -> list:
-    """Exact basis of the right null space, one vector per free column."""
-    return null_basis(_row_store(m.dense_rows()), m.cols)
+    """Exact basis of the right null space, one Elem per free column."""
+    return null_basis(_row_store(m), m.cols)
 
 
 def mat_inverse(m: Mat) -> "Mat":
@@ -245,11 +249,9 @@ def mat_inverse(m: Mat) -> "Mat":
     if m.rows != m.cols:
         raise DimMismatch("inverse of a non-square matrix")
     n = m.rows
-    rows = reduced_echelon(_row_store(
-        row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
-        for i, row in enumerate(m.dense_rows())))
+    rows = reduced_echelon(_row_store(Mat(n, 2 * n, m.images + Mat.identity(n).images)))
     missing = next((c for c, (p, _) in enumerate(rows) if p != c), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
-    return Mat.from_rows([row[n:] for _, row in rows])
-
+    return Mat.of(n, n, {(i, k - n): c for i, (_, row) in enumerate(rows)
+                         for k, c in row.items() if k >= n})

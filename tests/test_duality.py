@@ -321,7 +321,7 @@ def test_plancherel_pairs_catch_a_defect_no_real_sample_sees(pipelines):
     v = pipelines["C[Z3]"].values
     md, b, b_hat = v["modular"], v["star_gram"], v["dual_star_gram"]
     assert plancherel_check(md, b, b_hat).passed()
-    rows = b_hat.dense_rows()
+    rows = [list(row.coords) for row in b_hat.transpose().images]
     zeta4 = Cyc.root(4)
     rows[0][1] = rows[0][1] + zeta4
     rows[1][0] = rows[1][0] - zeta4

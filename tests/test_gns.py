@@ -4,17 +4,20 @@ Tolerances here are the contract: the flat geometry of a positive
 integral forces the modular operator to be the identity up to 1e-9.
 """
 
+import dataclasses
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hopfcheck import compute_modular, dual_hopf, sweedler
+from hopfcheck import CYC_ZERO, Cyc, Mat, compute_modular, dual_hopf, sweedler
 from hopfcheck.errors import NumericalFailure
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.gns import (
     gns_build,
     gns_representation_check,
+    mat_float,
     operator_radford_check,
     positivity_verdict,
     right_regular,
@@ -212,6 +215,49 @@ def test_batched_multiplicativity_fails_where_the_pair_loop_did(zoo):
                 assert want is not None and detail == want, (name, k)
                 seen.add(detail)
     assert len(seen) >= 3
+
+
+def _per_basis_adjoint(h, gns, tol=1e-9):
+    """The adjoint part of gns_representation_check as it was: one basis
+    index i at a time, rep(e_i^*) summed term by term."""
+    d = h.dim
+    star_f = mat_float(h.star)
+    for i in range(d):
+        sc = star_f[:, i]
+        want = sum(sc[k] * gns.rep[k] for k in range(d))
+        if not np.linalg.norm(gns.rep[i].conj().T - want) <= tol * max(
+                1.0, np.linalg.norm(want)):
+            return f"adjoint property fails at basis {i}"
+    return None
+
+
+def test_batched_adjoint_fails_where_the_basis_loop_did(zoo):
+    # the star read by the check gains 1/1000 in columns k and d-1: the unit
+    # and multiplicativity rows never read it, so the adjoint row fails
+    # first, at k.  Then a complex unitary change of basis of rep keeps every
+    # law, and the adjoint row must read rep(e_i)^H, not rep(e_i)^T.
+    rng = np.random.default_rng(3)
+    seen = set()
+    for name in ("C[Z3]", "C[S3]", "F(S3)"):
+        h = zoo[name]
+        md, gns = _setup(h)
+        assert _per_basis_adjoint(h, gns) is None
+        d = h.dim
+        entries = {(i, j): c for j, col in enumerate(h.star.images) for i, c in col.support}
+        for k in range(d):
+            bent = dict(entries)
+            for key in (((k + 1) % d, k), (0, d - 1)):
+                bent[key] = bent.get(key, CYC_ZERO) + Cyc.rational(Fraction(1, 1000))
+            bad = dataclasses.replace(h, star=Mat.of(d, d, bent))
+            want = _per_basis_adjoint(bad, gns)
+            assert want == f"adjoint property fails at basis {k}"
+            assert gns_representation_check(bad, md.phi, gns).detail == want, (name, k)
+            seen.add(want)
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        gns.rep = q @ gns.rep @ q.conj().T
+        assert _per_basis_adjoint(h, gns) is None
+        assert gns_representation_check(h, md.phi, gns).passed(), name
+    assert len(seen) >= 6
 
 
 def _same_subspace(a: np.ndarray, b: np.ndarray) -> bool:

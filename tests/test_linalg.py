@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, Elem, Mat
 from hopfcheck.cyclotomic import euler_phi
 from hopfcheck.errors import DimMismatch, SingularMatrix
-from hopfcheck.linalg import mat_inverse, rank, solve_null_space
+from hopfcheck.linalg import mat_inverse, rank, reduce_into, reduced_echelon, solve_null_space
 
 rational = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=3
@@ -38,10 +38,10 @@ def test_null_space_vectors_annihilate(m):
     basis = solve_null_space(m)
     assert rank(m) + len(basis) == m.cols
     for v in basis:
-        assert m.apply(Elem.of(m.cols, enumerate(v))).is_zero()
+        assert m.apply(v).is_zero()
     # basis vectors are echelon-normalized, so independence is visible
     if basis:
-        stacked = Mat.from_rows(basis)
+        stacked = Mat(m.cols, len(basis), tuple(basis))
         assert rank(stacked) == len(basis)
 
 
@@ -122,9 +122,14 @@ def cyclotomic_matrices(draw, order, rows=None, cols=None):
     return Mat.from_rows(grid)
 
 
+def _dense_rows(m):
+    """Every entry of m, zeros included, as a list of rows."""
+    return [list(row.coords) for row in m.transpose().images]
+
+
 def _gauss_jordan(m):
     """Textbook reduced echelon form: (nonzero rows, pivot columns)."""
-    a = m.dense_rows()
+    a = _dense_rows(m)
     pivots = []
     for c in range(m.cols):
         r = len(pivots)
@@ -160,11 +165,12 @@ def _reference_null_space(m):
 def test_cyclotomic_entries_match_gauss_jordan(order, data):
     m = data.draw(cyclotomic_matrices(order))
     assert rank(m) == len(_gauss_jordan(m)[1])
-    assert solve_null_space(m) == _reference_null_space(m)
+    assert solve_null_space(m) == [Elem.of(m.cols, enumerate(v))
+                                   for v in _reference_null_space(m)]
     sq = data.draw(cyclotomic_matrices(order, rows=m.rows, cols=m.rows))
     n = sq.rows
     aug = Mat.from_rows([row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
-                         for i, row in enumerate(sq.dense_rows())])
+                         for i, row in enumerate(_dense_rows(sq))])
     rows, pivots = _gauss_jordan(aug)
     if pivots[:n] == list(range(n)):
         assert mat_inverse(sq) == Mat.from_rows([row[n:] for row in rows])
@@ -172,6 +178,52 @@ def test_cyclotomic_entries_match_gauss_jordan(order, data):
         missing = next(c for c in range(n) if c not in pivots)
         with pytest.raises(SingularMatrix, match=f"no pivot in column {missing}$"):
             mat_inverse(sq)
+
+
+@st.composite
+def sparse_vectors(draw, order):
+    """A few {col: coeff} rows over Q(zeta_order), nonzeros only, some of
+    them combinations of earlier ones so that entries cancel."""
+    ncols = draw(st.integers(1, 6))
+    span = euler_phi(order)
+    entry = st.lists(st.integers(-1, 1), min_size=span, max_size=span).map(
+        lambda c: _cyc(order, c)).filter(lambda c: not c.is_zero())
+    vectors = []
+    for _ in range(draw(st.integers(1, 5))):
+        if len(vectors) >= 2 and draw(st.booleans()):
+            s, a, b = draw(entry), draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            pairs = [(k, s * x) for k, x in a.items()] + list(b.items())
+            vectors.append(dict(Elem.of(ncols, pairs).support))
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1)))
+            vectors.append({k: draw(entry) for k in sorted(cols)})
+    return ncols, vectors
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_store_keeps_nonzeros_only(order, data):
+    ncols, vectors = data.draw(sparse_vectors(order))
+    rows = []
+    for v in vectors:
+        before = dict(v)
+        reduce_into(rows, v)
+        assert v == before  # the caller's vector is not consumed
+    pivots = []
+    for p, row in rows:
+        assert row[p] == CYC_ONE and min(row) == p
+        assert not any(q in row for q in pivots)
+        assert not any(x.is_zero() for x in row.values())
+        pivots.append(p)
+    dense = [[v.get(k, CYC_ZERO) for k in range(ncols)] for v in vectors]
+    assert len(rows) == len(_gauss_jordan(Mat.from_rows(dense))[1])
+    echelon = reduced_echelon(rows)
+    assert [p for p, _ in echelon] == sorted(pivots)
+    for p, row in echelon:
+        assert row[p] == CYC_ONE and min(row) == p
+        assert not any(q in row for q in pivots if q != p)
+        assert not any(x.is_zero() for x in row.values())
 
 
 def test_one_inverse_per_pivot(monkeypatch):
