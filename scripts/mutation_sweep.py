@@ -12,9 +12,10 @@ member and table, then one sha256 over every axiom transcript (each case's
 label and its CHECK lines), the number of pairing FAILs, and a second sha256
 over every pairing line, so two checkouts compare by running it once in each
 (the FAIL count compares the pairing statuses even where the detail text
-differs):
+differs).  The elapsed time goes to stderr, so the stdout of two
+checkouts compares byte for byte:
 
-    PYTHONPATH=src python3 scripts/mutation_sweep.py
+    PYTHONPATH=src python3 scripts/mutation_sweep.py > sweep.txt
 
 It exits 1 if any corruption goes undetected.
 """
@@ -85,7 +86,8 @@ def main() -> int:
                 print(f"{h.name} {field} {got}/{seen}")
                 detected += got
                 total += seen
-    print(f"detected {detected}/{total} in {time.monotonic() - start:.1f}s")
+    print(f"detected {detected}/{total}")
+    print(f"elapsed {time.monotonic() - start:.1f}s", file=sys.stderr)
     print(f"sha256 {digest.hexdigest()}")
     print(f"pairing FAIL {pairing_fails}/{total}")
     print(f"pairing sha256 {pairing_digest.hexdigest()}")

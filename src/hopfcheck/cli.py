@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 from .cyclotomic import Cyc, lcm
 from .errors import FormatError, HopfError
@@ -151,7 +151,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "draws samples, so it selects nothing")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main call can share it."""
     ap = argparse.ArgumentParser(
         prog="hopfcheck",
         description="exact verification of finite-dimensional Hopf *-algebra data")

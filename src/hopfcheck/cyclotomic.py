@@ -14,6 +14,13 @@ every +, -, * and embedding works on numerators and one denominator product,
 and no rational number is built.  Fraction appears only in the `coeffs`
 view.
 
+Most structure constants, counits, antipodes and stars are small integers,
+so two rationals take an integer lane: +, - and * of two integers return
+the integer with no gcd, and other rationals cross-multiply and reduce
+once.  The integers -64..64 are shared instances, made once at import:
+parsing, +, -, *, / and inverse return one of them for an integer in that
+range.
+
 The scalar text grammar used by the file format and the CLI:
 
     scalar   := term (('+'|'-') term)*
@@ -163,6 +170,14 @@ class Cyc:
     all its conjugates: fixed by the Galois group, so rational; integral,
     so an integer; and nonzero, because num is.  No division happens until
     that one denominator.
+
+    Two rationals skip the general machinery: with both denominators 1 the
+    result is the integer, else n1*d2 +- n2*d1 (or n1*n2) over d1*d2 in
+    lowest terms.  An integer result with |n| <= 64 of parse, +, -, *, /
+    or inverse is a shared instance.  Sharing is invisible to callers: a
+    Cyc cannot be changed (__setattr__ raises), has no hash, and ==
+    compares values, so no caller can tell a shared instance from a new
+    one.
     """
 
     __slots__ = ("order", "num", "den")
@@ -176,7 +191,9 @@ class Cyc:
         if reduce:
             num = _reduce(num, order)
         c = _make(order, num, den)
-        _fill(self, c.order, c.num, c.den)
+        _set_order(self, c.order)
+        _set_num(self, c.num)
+        _set_den(self, c.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
@@ -239,6 +256,11 @@ class Cyc:
             if other.order == 1:
                 return _affine(self, 1, other.num[0], other.den)
             self, other = Cyc._common(self, other)
+        elif self.order == 1:
+            da, db = self.den, other.den
+            if da == 1 == db:
+                return _int(self.num[0] + other.num[0])
+            return _rational(self.num[0] * db + other.num[0] * da, da * db)
         return _combine(self.order, add, self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
@@ -250,6 +272,11 @@ class Cyc:
             if other.order == 1:
                 return _affine(self, 1, -other.num[0], other.den)
             self, other = Cyc._common(self, other)
+        elif self.order == 1:
+            da, db = self.den, other.den
+            if da == 1 == db:
+                return _int(self.num[0] - other.num[0])
+            return _rational(self.num[0] * db - other.num[0] * da, da * db)
         return _combine(self.order, sub, self.num, self.den, other.num, other.den)
 
     def __neg__(self):
@@ -260,7 +287,10 @@ class Cyc:
             return NotImplemented
         if self.order == 1:
             if other.order == 1:
-                return _rational(self.num[0] * other.num[0], self.den * other.den)
+                da, db = self.den, other.den
+                if da == 1 == db:
+                    return _int(self.num[0] * other.num[0])
+                return _rational(self.num[0] * other.num[0], da * db)
             return _make(other.order, [self.num[0] * x for x in other.num],
                          self.den * other.den)
         if other.order == 1:
@@ -304,6 +334,8 @@ class Cyc:
     # -- comparisons and rendering ------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Cyc):
             return NotImplemented
         if self.order == other.order:
@@ -403,31 +435,44 @@ _alloc = object.__new__
 _set_order, _set_num, _set_den = Cyc.order.__set__, Cyc.num.__set__, Cyc.den.__set__
 
 
-def _fill(c: Cyc, order: int, num: tuple, den: int) -> None:
-    _set_order(c, order)
-    _set_num(c, num)
-    _set_den(c, den)
-
-
 def _new(order: int, num: tuple, den: int) -> Cyc:
     """The Cyc with these fields, stored as given."""
     c = _alloc(Cyc)
-    _fill(c, order, num, den)
+    _set_order(c, order)
+    _set_num(c, num)
+    _set_den(c, den)
     return c
+
+
+_SHARED = 64
+# the integers -_SHARED..._SHARED, laid out 0, 1, ..., _SHARED, -_SHARED, ..., -1
+# so that _SMALL_INTS[n] is n for a negative n too
+_SMALL_INTS = tuple(_new(1, (n,), 1) for n in (*range(_SHARED + 1), *range(-_SHARED, 0)))
+
+
+def _int(n: int) -> Cyc:
+    """The integer n; one shared instance for each |n| <= _SHARED."""
+    if -_SHARED <= n <= _SHARED:
+        return _SMALL_INTS[n]
+    return _new(1, (n,), 1)
 
 
 def _rational(n: int, d: int) -> Cyc:
     """n / d in lowest terms, d nonzero."""
     if d < 0:
         n, d = -n, -d
-    g = gcd(n, d)
-    return _new(1, (n // g,), d // g)
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if d != 1:
+            return _new(1, (n,), d)
+    return _int(n)
 
 
 def _make(order: int, num: list, den: int) -> Cyc:
     """num / den (den > 0, num in the reduced basis) in canonical form."""
-    if order > 1 and not any(num[1:]):
-        order, num = 1, num[:1]
+    if not any(num[1:]):
+        return _rational(num[0], den)
     g = gcd(den, *num)
     if g != 1:
         num = [x // g for x in num]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hopfcheck.cli import main
+from hopfcheck.cli import build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -103,6 +103,23 @@ def test_verify_malformed_file(tmp_path, capsys):
     p.write_text("{]")
     code, _, err = run_cli("verify", str(p), capsys=capsys)
     assert code == 2
+
+
+def test_shared_parser_matches_a_fresh_one(sweedler_file, tmp_path, capsys):
+    # the parser is built once per process; each call must print what it
+    # prints when it is the first call on a newly built parser
+    junk = tmp_path / "junk.hopf"
+    junk.write_text("{]")
+    calls = [("verify", str(sweedler_file)), ("report", str(sweedler_file)),
+             ("verify", "--only", "radford-s4", str(sweedler_file)), ("verify", str(junk))]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(*argv, capsys=capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2]
+    build_parser.cache_clear()
+    assert [run_cli(*argv, capsys=capsys) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def _corrupt(sweedler_file, tmp_path, mutate):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
-from hopfcheck.cyclotomic import cyclotomic_polynomial, euler_phi
+from hopfcheck.cyclotomic import _SHARED, cyclotomic_polynomial, euler_phi
 from hopfcheck.errors import FormatError
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -152,6 +152,41 @@ def test_every_result_is_stored_in_lowest_terms(a, b):
         assert _canonical(c), _stored(c)
     # embed rewrites over the larger basis without collapsing a rational
     assert _lowest_terms(a.embed(n)) and a.embed(n).order == n
+
+
+# order-1 operands with denominator 1 and above, numerators in and beyond
+# the shared small integers
+_LANE_NUMS = st.one_of(st.integers(-2 * _SHARED, 2 * _SHARED), st.integers(-10**20, 10**20))
+_LANE_DENS = st.one_of(st.just(1), st.integers(2, 4 * _SHARED), st.integers(2, 10**12))
+
+
+@given(_LANE_NUMS, _LANE_DENS, _LANE_NUMS, _LANE_DENS)
+@settings(max_examples=400, deadline=None)
+def test_integer_lane_matches_fractions(n1, d1, n2, d2):
+    p, q = Fraction(n1, d1), Fraction(n2, d2)
+    a, b = Cyc.rational(n1, d1), Cyc.rational(n2, d2)
+    cases = [(a + b, p + q), (a - b, p - q), (b - a, q - p), (a * b, p * q)]
+    if q:
+        cases.append((a / b, p / q))
+    for got, want in cases:
+        assert _canonical(got), _stored(got)
+        assert _stored(got) == (1, (want.numerator,), want.denominator)
+        if want.denominator == 1 and abs(want) <= _SHARED:
+            assert got is Cyc.rational(want.numerator)
+
+
+def test_shared_small_integers_stay_unchanged():
+    for n in range(-_SHARED - 1, _SHARED + 2):
+        x = Cyc.rational(n)
+        assert _stored(-x) == (1, (-n,), 1)
+        assert _stored(x.conjugate()) == (1, (n,), 1)
+        assert _stored(x.embed(12)) == (12, (n, 0, 0, 0), 1)
+        for name, value in (("order", 12), ("num", (n + 1,)), ("den", 2)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert _stored(x) == (1, (n,), 1)
+        assert Cyc.rational(n) == Cyc.rational(n, 1) == Cyc(1, [n])
+        assert (Cyc.rational(n) is x) == (abs(n) <= _SHARED)
 
 
 @given(st.sampled_from(ORDERS), st.data())
