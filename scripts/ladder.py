@@ -1,90 +1,141 @@
 #!/usr/bin/env python3
-"""Time the whole pipeline on a fixed ladder of algebras, largest last.
+"""Time the whole pipeline on a fixed ladder of algebras, largest last, for
+one source tree or two.
 
-Each member is built with the `hopfcheck.zoo` builders and verified
-in-process by `run_pipeline` RUNS times.  The script prints one
-JSON record: for each member its name, dim, every run's wall time and
-process CPU time (time.process_time, which leaves out the time the process
-waits), the median of each, and the sha256 of what `hopfcheck verify` and
-then `hopfcheck report` print for the member's file.  That transcript holds
-the CHECK lines and the computed values (phi, psi, delta, delta_hat, nu,
-the orders of S and S^2, the group-likes, positivity and kac); it comes
-from one more pass through the command line, which is not timed.  Two
-checkouts compare by running it once in each, with that checkout's
-sources first on the path:
+    python3 scripts/ladder.py [SRC_A [SRC_B]] > ladder.json
 
-    PYTHONPATH=src python3 scripts/ladder.py > ladder.json
+SRC_A and SRC_B are the `src` directories of two checkouts; SRC_A defaults
+to this checkout's.  For each member the trees take turns, A, B, A, B, ...,
+RUNS times each, and every run is a fresh interpreter with its tree first on
+PYTHONPATH and BLAS pinned to one thread, so load on the box falls on both
+sides alike and no run inherits another's caches.  A run builds the member
+and times `run_pipeline` by wall time and by process CPU time
+(time.process_time, which leaves out the time the process waits); each run
+is printed to stderr as it ends, and the CPU-time medians after each member.
 
-The member file is written to a temporary directory (TMPDIR decides
-where).  It is not part of the test suite: the whole ladder takes minutes.
+Then one more interpreter per tree, not timed, takes the sha256 of what
+`hopfcheck verify` and then `hopfcheck report` print for the member's file.
+That transcript holds the CHECK lines and the computed values (phi, psi,
+delta, delta_hat, nu, the orders of S and S^2, the group-likes, positivity
+and kac).  The member file is written to a temporary directory (TMPDIR
+decides where).
+
+The script prints one JSON record: for each member its dim and, for each
+tree, every run's wall and CPU time, the median of each and the digest,
+plus whether the digests of the two trees are equal.  It is not part of the
+test suite: the whole ladder takes minutes.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
-import tempfile
-import time
-
-from hopfcheck import group_algebra, run_pipeline, sweedler, taft, tensor_product
-from hopfcheck.cli import main as cli_main
-from hopfcheck.fileformat import hopf_to_text
-from hopfcheck.zoo import cyclic_table
+from pathlib import Path
 
 RUNS = 3
+MEMBER_NAMES = ([f"taft({n})" for n in range(4, 13)] + ["sweedler^(x)3"]
+                + [f"C[Z{n}]" for n in (18, 24, 36, 48)])
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _sweedler_cubed():
+def build(name: str):
+    """The ladder member called name, built with the hopfcheck.zoo builders."""
+    from hopfcheck import group_algebra, sweedler, taft, tensor_product
+    from hopfcheck.zoo import cyclic_table
+
+    if name.startswith("taft("):
+        return taft(int(name[5:-1]))
+    if name.startswith("C[Z"):
+        n = int(name[3:-1])
+        return group_algebra(name, cyclic_table(n))
     sw2 = tensor_product("sweedler(x)sweedler", sweedler(), sweedler())
     return tensor_product("sweedler(x)sweedler(x)sweedler", sweedler(), sw2)
 
 
-MEMBERS = {f"taft({n})": (lambda n=n: taft(n)) for n in range(4, 13)}
-MEMBERS["sweedler^(x)3"] = _sweedler_cubed
-for _n in (18, 24, 36, 48):
-    MEMBERS[f"C[Z{_n}]"] = lambda n=_n: group_algebra(f"C[Z{n}]", cyclic_table(n))
+def time_run(name: str) -> dict:
+    """One timed run_pipeline on a freshly built member."""
+    import time
+
+    from hopfcheck import run_pipeline
+
+    h = build(name)
+    t0, c0 = time.perf_counter(), time.process_time()
+    run_pipeline(h)
+    return {"dim": h.dim, "wall_s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0}
 
 
-def transcript_sha256(h) -> str:
-    """sha256 of the stdout of `verify` then `report` on h's file."""
+def transcript_sha256(name: str) -> dict:
+    """sha256 of the stdout of `verify` then `report` on the member's file."""
+    import contextlib
+    import hashlib
+    import io
+    import tempfile
+
+    from hopfcheck.cli import main as cli_main
+    from hopfcheck.fileformat import hopf_to_text
+
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "member.json")
         with open(path, "w", encoding="utf-8") as f:
-            f.write(hopf_to_text(h))
+            f.write(hopf_to_text(build(name)))
         with contextlib.redirect_stdout(out):
             cli_main(["verify", path])
             cli_main(["report", path])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def measure(build) -> dict:
-    times, cpu = [], []
-    for _ in range(RUNS):
-        h = build()  # fresh, so no cached table carries over between runs
-        t0, c0 = time.perf_counter(), time.process_time()
-        run_pipeline(h)
-        times.append(time.perf_counter() - t0)
-        cpu.append(time.process_time() - c0)
-    return {"dim": h.dim, "runs_s": [round(t, 3) for t in times],
-            "cpu_s": [round(t, 3) for t in cpu],
-            "median_s": round(statistics.median(times), 3),
-            "median_cpu_s": round(statistics.median(cpu), 3),
-            "sha256": transcript_sha256(build())}
+WORKERS = {"--time": time_run, "--sha256": transcript_sha256}
 
 
-def main() -> int:
-    record = {"python": platform.python_version(), "runs": RUNS, "members": {}}
-    for name, build in MEMBERS.items():
-        record["members"][name] = measure(build)
-        print(f"{name}: {record['members'][name]['median_s']} s", file=sys.stderr)
+def in_fresh_interpreter(src: str, mode: str, name: str) -> dict:
+    """Run this script as a worker under src and return what it prints."""
+    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in BLAS_VARS})
+    out = subprocess.run([sys.executable, __file__, mode, name], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def measure(name: str, trees: dict) -> dict:
+    sides = {label: {"runs_s": [], "cpu_s": []} for label in trees}
+    dim = None
+    for run in range(1, RUNS + 1):
+        for label, src in trees.items():
+            r = in_fresh_interpreter(src, "--time", name)
+            dim = r["dim"]
+            sides[label]["runs_s"].append(round(r["wall_s"], 3))
+            sides[label]["cpu_s"].append(round(r["cpu_s"], 3))
+            print(f"{name} {label} run {run}: {r['wall_s']:.3f} s wall, {r['cpu_s']:.3f} s cpu",
+                  file=sys.stderr)
+    for label, src in trees.items():
+        side = sides[label]
+        side["median_s"] = round(statistics.median(side["runs_s"]), 3)
+        side["median_cpu_s"] = round(statistics.median(side["cpu_s"]), 3)
+        side.update(in_fresh_interpreter(src, "--sha256", name))
+    print(f"{name}: median cpu " + ", ".join(f"{label} {sides[label]['median_cpu_s']} s"
+                                            for label in trees), file=sys.stderr)
+    record = {"dim": dim, **sides}
+    if len(trees) == 2:
+        record["digests_equal"] = len({side["sha256"] for side in sides.values()}) == 1
+    return record
+
+
+def main(argv: list) -> int:
+    if argv and argv[0] in WORKERS:
+        print(json.dumps(WORKERS[argv[0]](argv[1])))
+        return 0
+    if len(argv) > 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    srcs = [str(Path(p).resolve()) for p in argv or [Path(__file__).resolve().parents[1] / "src"]]
+    trees = dict(zip("AB", srcs))
+    record = {"python": platform.python_version(), "runs": RUNS, "trees": trees,
+              "members": {name: measure(name, trees) for name in MEMBER_NAMES}}
     print(json.dumps(record, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

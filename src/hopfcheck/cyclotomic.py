@@ -3,10 +3,12 @@
 A scalar of order N is num / den: num holds phi(N) integers, the
 coordinates over the power basis {zeta_N^k : 0 <= k < phi(N)}, and den is
 one positive integer shared by all of them.  N = 1 encodes plain rationals.
-Arithmetic between scalars of different orders embeds both operands into
-Q(zeta_lcm) first (a rational operand skips that step, see Cyc), so the
-field tower is handled transparently.  Conjugation maps zeta to
-zeta^(N-1), and float evaluation substitutes exp(2*pi*i/N).
+A sum or comparison of scalars of different orders embeds both operands
+into Q(zeta_lcm) first, and a product of two different orders is built
+there straight from both coefficient tuples (a rational operand skips
+both, see Cyc), so the field tower is handled transparently.
+Conjugation maps zeta to zeta^(N-1), and float evaluation substitutes
+exp(2*pi*i/N).
 
 The N-th cyclotomic polynomial is monic with integer coefficients, so
 reducing an integer polynomial in zeta modulo it stays in the integers:
@@ -18,8 +20,9 @@ Most structure constants, counits, antipodes and stars are small integers,
 so two rationals take an integer lane: +, - and * of two integers return
 the integer with no gcd, and other rationals cross-multiply and reduce
 once.  The integers -64..64 are shared instances, made once at import:
-parsing, +, -, *, / and inverse return one of them for an integer in that
-range.
+parsing, +, -, *, /, negation and inverse return one of them for an
+integer in that range, and a product with the shared 1 is the other
+operand itself.
 
 The scalar text grammar used by the file format and the CLI:
 
@@ -173,8 +176,9 @@ class Cyc:
 
     Two rationals skip the general machinery: with both denominators 1 the
     result is the integer, else n1*d2 +- n2*d1 (or n1*n2) over d1*d2 in
-    lowest terms.  An integer result with |n| <= 64 of parse, +, -, *, /
-    or inverse is a shared instance.  Sharing is invisible to callers: a
+    lowest terms.  An integer result with |n| <= 64 of parse, +, -, *, /,
+    negation or inverse is a shared instance, and x * 1 and 1 * x return x
+    itself when 1 is the shared instance.  Sharing is invisible to callers: a
     Cyc cannot be changed (__setattr__ raises), has no hash, and ==
     compares values, so no caller can tell a shared instance from a new
     one.
@@ -280,11 +284,17 @@ class Cyc:
         return _combine(self.order, sub, self.num, self.den, other.num, other.den)
 
     def __neg__(self):
+        if self.order == 1 and self.den == 1:
+            return _int(-self.num[0])
         return _new(self.order, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
+        if self is CYC_ONE:
+            return other
+        if other is CYC_ONE:
+            return self
         if self.order == 1:
             if other.order == 1:
                 da, db = self.den, other.den
@@ -297,7 +307,7 @@ class Cyc:
             return _make(self.order, [x * other.num[0] for x in self.num],
                          self.den * other.den)
         if self.order != other.order:
-            self, other = Cyc._common(self, other)
+            return _mul_mixed(self, other)
         return _make(self.order, _mulmod(self.num, other.num, self.order),
                      self.den * other.den)
 
@@ -489,6 +499,21 @@ def _combine(order: int, op, a, da: int, b, db: int) -> Cyc:
         b = [y * mb for y in b]
         da *= ma
     return _make(order, list(map(op, a, b)), da)
+
+
+def _mul_mixed(a: Cyc, b: Cyc) -> Cyc:
+    """a * b for two orders above 1 that differ, in Q(zeta_lcm): zeta_m^i
+    is zeta_n^(i n/m), so the product polynomial is built straight from the
+    two coefficient tuples and reduced once."""
+    n = lcm(a.order, b.order)
+    sa, sb = n // a.order, n // b.order
+    prod = [0] * ((len(a.num) - 1) * sa + (len(b.num) - 1) * sb + 1)
+    for i, x in enumerate(a.num):
+        if x:
+            for j, y in enumerate(b.num):
+                if y:
+                    prod[i * sa + j * sb] += x * y
+    return _make(n, _reduce(prod, n), a.den * b.den)
 
 
 def _affine(c: Cyc, sign: int, rn: int, rd: int) -> Cyc:

@@ -30,6 +30,8 @@ every failure location deterministically.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -418,20 +420,49 @@ _WEIGHT_PHASES = (0.5772156649, 0.7071067812, 0.3183098862)
 
 
 def _exactify(value: complex, orders: list) -> Cyc | None:
-    # recognise r * zeta_L^t with r rational of bounded denominator
-    import cmath
+    """value as r * zeta_L^t, r a nonzero rational with denominator at most
+    10^6 within 1e-9, for the first L in orders and then the least t that
+    fits; 0 below 1e-9, and None when no L fits.
 
+    t is read off the phase.  A fitting t leaves w = value zeta_L^-t with
+    |w.imag| < 1e-9 and |w.real| > 10^-6 - 1e-9, so w lies within 1.01e-3
+    rad of the real axis, and t is within 1.7e-4 L of turns*L, or of
+    turns*L - L/2 when r < 0 (turns = phase / 2 pi, mod L).  For L below
+    2,900 that is under 1/2, so t is one of the two nearest integers tried,
+    as in a scan of every t.  A real part within 1e-9 of an integer n is n:
+    every other fraction with denominator at most 10^6 is 10^-6 away."""
     tol = 1e-9
     if abs(value) < tol:
         return CYC_ZERO
+    # math.atan2, since cmath.phase raises on a subnormal imaginary part
+    turns = math.atan2(value.imag, value.real) / (2 * math.pi)
     for order in orders:
-        for t in range(order):
+        x = turns * order
+        for t in sorted({round(x) % order, round(x - order / 2) % order}):
             w = value * cmath.exp(-2j * cmath.pi * t / order)
             if abs(w.imag) < tol:
-                fr = Fraction(w.real).limit_denominator(10**6)
+                n = round(w.real)
+                fr = Fraction(n) if abs(n - w.real) < tol else \
+                    Fraction(w.real).limit_denominator(10**6)
                 if abs(fr - w.real) < tol and fr != 0:
                     return Cyc.rational(fr) * Cyc.root(order, t)
     return None
+
+
+def _lift(g: Elem, n: int) -> Elem:
+    """g over Q(zeta_n): each coefficient that is neither rational nor of
+    order n is embedded there.  Every coefficient order must divide n."""
+    return Elem(g.dim, tuple((i, c if c.order == 1 or c.order == n else c.embed(n))
+                             for i, c in g.support))
+
+
+def _key(g: Elem, n: int) -> tuple:
+    """The (index, order, num, den) of each coefficient of g lifted into
+    Q(zeta_n).  A canonical scalar (any Cyc but embed's output) of order 1
+    or n has exactly one stored form, so two elements with canonical
+    coefficients whose orders divide n are equal exactly when their keys
+    are."""
+    return tuple((i, c.order, c.num, c.den) for i, c in _lift(g, n).support)
 
 
 def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
@@ -486,6 +517,7 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
     ops = r_ops[:, free, :] @ w  # R_j on J^perp, in free-slot coordinates
     orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
+    field = lcm(*orders)  # every candidate coefficient lies in Q(zeta_field)
     found: list = []
     for theta in _WEIGHT_PHASES:
         if len(found) == n:
@@ -497,13 +529,17 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
         except np.linalg.LinAlgError:
             continue
         confirmed: list = []
+        seen: set = set()
         for row in values:
             coords = [_exactify(complex(x), orders) for x in row]
             if None in coords:
                 continue
             g = Elem.of(d, enumerate(coords))
-            if is_group_like(h, g, first) and g not in confirmed:
-                confirmed.append(g)
+            key = _key(g, field)
+            if key not in seen:
+                seen.add(key)
+                if is_group_like(h, g, first):
+                    confirmed.append(g)
         found = max(found, confirmed, key=len)
     if len(found) < n:
         raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
@@ -524,27 +560,40 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
     l.l' = s1(s2(...(sk l'))) and each step stays in L.  The inverse of a
     group-like a is S(a), since S(a)a = eps(a)1 = 1 is the antipode law,
     which has passed before this runs; so only S(a) in L is checked.
+
+    Membership is a set lookup on the exact key over Q(zeta_n) (_key), n
+    the lcm of h.field_order and the likes' coefficient orders, with no
+    scalar compared.  The likes are lifted into that field once, so their
+    products are same-order products and their keys need no embedding; a
+    structure constant of an order between 1 and n can still leave a
+    coefficient below n, which _key lifts.
     """
     law = "G(A) is a group under multiplication"
-    if h.unit not in likes:
+    n = reduce(lcm, (c.order for g in likes for _, c in g.support), h.field_order)
+    likes = [_lift(g, n) for g in likes]
+    members = {_key(g, n) for g in likes}
+    if _key(h.unit, n) not in members:
         return fail("group-likes", law, "unit missing from the group-like list")
     gens: list = []
     reached, applied = [h.unit], [0]  # applied[r] = how many of gens have hit reached[r]
+    reached_keys = {_key(h.unit, n)}
     for g in likes:
-        if g in reached:
+        if _key(g, n) in reached_keys:
             continue
         gens.append(g)
         r = 0
         while r < len(reached):
             for s in gens[applied[r]:]:
                 x = h.mul(s, reached[r])
-                if x not in likes:
+                key = _key(x, n)
+                if key not in members:
                     return fail("group-likes", law, "product escapes the list")
-                if x not in reached:
+                if key not in reached_keys:
+                    reached_keys.add(key)
                     reached.append(x)
                     applied.append(0)
             applied[r] = len(gens)
             r += 1
-    if any(h.antipode_of(a) not in likes for a in likes):
+    if any(_key(h.antipode_of(a), n) not in members for a in likes):
         return fail("group-likes", law, "inverse escapes the list")
     return ok("group-likes", law, f"count={len(likes)}")

@@ -103,14 +103,6 @@ class Mat:
         return Mat(rows, cols, tuple(Elem.of(rows, col) for col in columns))
 
     @staticmethod
-    def from_rows(rows: list) -> "Mat":
-        c = len(rows[0]) if rows else 0
-        if any(len(row) != c for row in rows):
-            raise DimMismatch("ragged rows")
-        return Mat.of(len(rows), c, {(i, j): x for i, row in enumerate(rows)
-                                     for j, x in enumerate(row)})
-
-    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat.of(n, n, {(i, i): CYC_ONE for i in range(n)})
 

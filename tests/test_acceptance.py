@@ -17,7 +17,6 @@ import numpy as np
 from hopfcheck import (
     CYC_ONE,
     CYC_ZERO,
-    Mat,
     compute_dual_integrals,
     compute_modular,
     dual_hopf,
@@ -37,6 +36,7 @@ from hopfcheck.gns import (
 from hopfcheck.hopf import Elem, verify_coalgebra
 from hopfcheck.integrals import gram_matrix, modular_identity_checks, star_gram
 from hopfcheck.linalg import solve_null_space
+from helpers import mat_from_rows
 
 POSITIVE = ("C[Z2]", "C[Z3]", "C[Z6]", "C[S3]",
             "F(Z2)", "F(Z3)", "F(Z6)", "F(S3)")
@@ -73,7 +73,7 @@ def test_criterion_02_integral_kernel_dimension(zoo):
                 row = [h.comult.get(a, i, j) for j in range(d)]
                 row[a] = row[a] - h.unit.coords[i]
                 rows.append(row)
-        if len(solve_null_space(Mat.from_rows(rows))) != 1:
+        if len(solve_null_space(mat_from_rows(rows))) != 1:
             bad.append(h.name)
     _criterion(2, "left-invariance kernel is exactly one-dimensional "
                   "on every member", not bad, ",".join(bad))

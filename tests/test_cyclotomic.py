@@ -2,14 +2,14 @@
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
-from hopfcheck.cyclotomic import _SHARED, cyclotomic_polynomial, euler_phi
+from hopfcheck.cyclotomic import _SHARED, _make, _mulmod, cyclotomic_polynomial, euler_phi
 from hopfcheck.errors import FormatError
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -187,6 +187,41 @@ def test_shared_small_integers_stay_unchanged():
         assert _stored(x) == (1, (n,), 1)
         assert Cyc.rational(n) == Cyc.rational(n, 1) == Cyc(1, [n])
         assert (Cyc.rational(n) is x) == (abs(n) <= _SHARED)
+
+
+def test_negating_a_shared_integer_gives_the_shared_instance():
+    assert -CYC_MINUS_ONE is CYC_ONE and -CYC_ONE is CYC_MINUS_ONE and -CYC_ZERO is CYC_ZERO
+    for n in range(-_SHARED - 1, _SHARED + 2):
+        x = Cyc.rational(n)
+        assert (-x is Cyc.rational(-n)) == (abs(n) <= _SHARED)
+        assert _stored(x) == (1, (n,), 1)
+    assert _stored(-Cyc.rational(-3, 4)) == (1, (3,), 4)
+
+
+def test_a_product_with_the_shared_one_is_the_other_operand():
+    for x in (Cyc.root(12, 5), Cyc.rational(-7, 3), Cyc.rational(100), CYC_ZERO):
+        assert CYC_ONE * x is x and x * CYC_ONE is x
+    assert CYC_ONE.__mul__(2) is NotImplemented
+
+
+# pairs of orders with no shared field below their lcm, the coprime 3 x 4
+# and 5 x 12 among them, and pairs where one order divides the other
+_MIXED_ORDERS = st.sampled_from([(3, 4), (5, 12), (4, 6), (3, 8), (8, 12), (5, 3), (9, 6),
+                                 (4, 12), (3, 9), (7, 2)])
+
+
+@given(_MIXED_ORDERS, st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mixed_order_product_matches_embed_then_mulmod(orders, swap, data):
+    m, n = orders[::-1] if swap else orders
+    a, b = data.draw(cycs(order=m)), data.draw(cycs(order=n))
+    common = lcm(a.order, b.order)
+    want = _make(common, _mulmod(a.embed(common).num, b.embed(common).num, common),
+                 a.den * b.den)
+    got = a * b
+    assert _canonical(got), _stored(got)
+    assert _stored(got) == _stored(want)
+    assert _stored(b * a) == _stored(want)
 
 
 @given(st.sampled_from(ORDERS), st.data())

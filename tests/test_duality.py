@@ -33,6 +33,7 @@ from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalge
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.linalg import Mat, Tensor3
 from hopfcheck.zoo import cyclic_table, group_algebra, taft
+from helpers import mat_from_rows
 
 
 def vec(*coords):
@@ -325,7 +326,7 @@ def test_plancherel_pairs_catch_a_defect_no_real_sample_sees(pipelines):
     zeta4 = Cyc.root(4)
     rows[0][1] = rows[0][1] + zeta4
     rows[1][0] = rows[1][0] - zeta4
-    broken = Mat.from_rows(rows)
+    broken = mat_from_rows(rows)
 
     def form(m, x):  # conj(x)^T m x
         return pairing(Elem.of(x.dim, ((i, c.conjugate()) for i, c in x.support)), m.apply(x))
@@ -365,7 +366,7 @@ def test_plancherel_twisted_form_sweedler():
 
 def test_action_span_is_full(zoo):
     # matrix coefficients of the left action span the dual: rank d
-    from hopfcheck.linalg import Mat as M, rank
+    from hopfcheck.linalg import rank
     for name in ("sweedler", "F(Z3)"):
         h = zoo[name]
         hd = dual_hopf(h)
@@ -374,7 +375,7 @@ def test_action_span_is_full(zoo):
         for j in range(d):
             for k in range(d):
                 rows.append(list(act_left(h, hd.basis(j), h.basis(k)).coords))
-        assert rank(M.from_rows(rows)) == d
+        assert rank(mat_from_rows(rows)) == d
 
 
 @pytest.mark.parametrize("field, index, value, detail", [

@@ -1,11 +1,15 @@
 """Structure axioms, fault injection, and group-like detection."""
 
+import cmath
 import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcheck import (
     CYC_MINUS_ONE,
@@ -507,3 +511,188 @@ def test_closure_on_generators_agrees_with_all_pairs(zoo, name, dual):
         outcomes.add(want[1])
     assert {"unit missing from the group-like list", "product escapes the list",
             "count=6"} <= outcomes
+
+
+def _exactify_by_scan(value: complex, orders: list):
+    """hopf._exactify as it was, trying every t in range(L) for each order L."""
+    tol = 1e-9
+    if abs(value) < tol:
+        return CYC_ZERO
+    for order in orders:
+        for t in range(order):
+            w = value * cmath.exp(-2j * cmath.pi * t / order)
+            if abs(w.imag) < tol:
+                fr = Fraction(w.real).limit_denominator(10**6)
+                if abs(fr - w.real) < tol and fr != 0:
+                    return Cyc.rational(fr) * Cyc.root(order, t)
+    return None
+
+
+def _orders(field_order: int, d: int) -> list:
+    """The orders list find_group_likes hands _exactify."""
+    return sorted({lcm(field_order, e) for e in range(1, d + 1) if d % e == 0})
+
+
+# (field order, dim) of the zoo members and of the ladder: taft(n), n = 4..12,
+# sweedler^(x)3 and C[Z12] to C[Z48]; a dual has the member's pair
+ORDER_LISTS = sorted({tuple(_orders(f, d)) for f, d in (
+    (1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (1, 16), (3, 9), (1, 64),
+    *((n, n * n) for n in range(4, 13)), *((1, n) for n in (12, 18, 24, 36, 48)))})
+
+
+def _stored_or_none(c):
+    return None if c is None else (c.order, c.num, c.den)
+
+
+def _phase(turns: float) -> complex:
+    return cmath.exp(2j * cmath.pi * turns)
+
+
+@given(st.sampled_from(ORDER_LISTS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_exactify_reads_t_from_the_phase_as_the_scan_found_it(orders, data):
+    orders = list(orders)
+    order = data.draw(st.sampled_from(orders))
+    t = data.draw(st.integers(0, order - 1))
+    num = data.draw(st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6)))
+    den = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**6),
+                              st.integers(10**6 + 1, 10**7)))
+    noise = data.draw(st.sampled_from([0.0, 1e-12, 1e-11, 1e-10, 5e-10, 9e-10, 1.1e-9, 1e-8]))
+    noise *= _phase(data.draw(st.floats(0, 1)))
+    value = num / den * _phase(t / order) + noise
+    assert _stored_or_none(hopf._exactify(value, orders)) == \
+        _stored_or_none(_exactify_by_scan(value, orders))
+
+
+@given(st.sampled_from(ORDER_LISTS), st.floats(0, 1),
+       st.sampled_from([5e-10, 9.99e-10, 1e-9, 1.001e-9, 2e-9, 5e-7, 1e-6 - 2e-9, 1e-6 - 5e-10,
+                        1e-6, 1e-6 + 5e-10, 0.3, 1.7]))
+@settings(max_examples=300, deadline=None)
+def test_exactify_agrees_with_the_scan_at_any_phase_and_near_the_cutoff(orders, turns,
+                                                                        magnitude):
+    value = magnitude * _phase(turns)
+    assert _stored_or_none(hopf._exactify(value, list(orders))) == \
+        _stored_or_none(_exactify_by_scan(value, list(orders)))
+
+
+def test_exactify_pinned_values():
+    z3, z4 = Cyc.root(3), Cyc.root(4)
+    cases = [  # (value, orders, expected)
+        (1j, [1, 2, 4], z4),
+        (-1.0, [1, 2], CYC_MINUS_ONE),
+        (-_phase(1 / 3), [1, 3], -z3),  # odd order, negative rational
+        (0.5 + 1e-12j, [1], Cyc.rational(1, 2)),
+        (3 - 2e-10, [1], Cyc.rational(3)),
+        (1 / 999_999 * _phase(0.25), [1, 2, 4], Cyc.rational(1, 999_999) * z4),
+        (1 / 1_000_003, [1], Cyc.rational(1, 10**6)),  # 3e-12 from 1/10^6
+        (0.5 + 1e-7, [1], None),  # every fraction near 1/2 is 5e-7 away
+        (0.3 * _phase(0.1), [1, 2, 4], None),  # no root of unity of these orders
+        (5e-10 * _phase(0.2), [1, 3], CYC_ZERO),
+        (6.00000000001 + 1.5e-323j, [1, 2], Cyc.rational(6)),  # subnormal imaginary part
+    ]
+    for value, orders, want in cases:
+        got = hopf._exactify(value, orders)
+        assert _stored_or_none(got) == _stored_or_none(want), value
+        assert _stored_or_none(_exactify_by_scan(value, orders)) == _stored_or_none(want)
+
+
+def _closure_by_lists(h, likes):
+    """group_like_closure_check as it was, with Elem membership in lists."""
+    if h.unit not in likes:
+        return "FAIL", "unit missing from the group-like list"
+    gens: list = []
+    reached, applied = [h.unit], [0]
+    for g in likes:
+        if g in reached:
+            continue
+        gens.append(g)
+        r = 0
+        while r < len(reached):
+            for s in gens[applied[r]:]:
+                x = h.mul(s, reached[r])
+                if x not in likes:
+                    return "FAIL", "product escapes the list"
+                if x not in reached:
+                    reached.append(x)
+                    applied.append(0)
+            applied[r] = len(gens)
+            r += 1
+    if any(h.antipode_of(a) not in likes for a in likes):
+        return "FAIL", "inverse escapes the list"
+    return "PASS", f"count={len(likes)}"
+
+
+def _at_another_order(likes: list, order: int = 12):
+    """likes with the first coefficient that is not rational rewritten over
+    Q(zeta_order), a value-equal but differently stored scalar, or None."""
+    for n, g in enumerate(likes):
+        for k, (i, c) in enumerate(g.support):
+            if c.order != 1 and c.order != order and order % c.order == 0:
+                support = g.support[:k] + ((i, c.embed(order)),) + g.support[k + 1:]
+                return likes[:n] + [Elem(g.dim, support)] + likes[n + 1:]
+    return None
+
+
+def _bad_lists(likes: list) -> list:
+    """Each like dropped in turn, a non-group-like added (the sum of two
+    likes), and one coefficient stored at another order."""
+    a, b = likes[0], likes[-1]
+    out = [[g for g in likes if g is not dropped] for dropped in likes]
+    out.append(likes + [Elem.of(a.dim, [*a.support, *b.support])])
+    moved = _at_another_order(likes)
+    return out + ([moved] if moved is not None else [])
+
+
+def _z3_with_order_3_constants():
+    """Z3 = {1, g, g^2} in Q(zeta_12) on the basis e0 = 1, e1 = g and
+    e2 = zeta_3^-1 g^2: its products and antipode carry zeta_3 at order 3,
+    below the field order, so the product of two rational likes g g lands at
+    order 3.  Only the product and the antipode are filled in; the closure
+    check reads nothing else."""
+    z, z2, one = Cyc.root(3), Cyc.root(3, 2), CYC_ONE
+    mult = {(0, j, j): one for j in range(3)} | {(i, 0, i): one for i in (1, 2)}
+    mult |= {(1, 1, 2): z, (1, 2, 0): z2, (2, 1, 0): z2, (2, 2, 1): z}
+    unit = Elem.of(3, [(0, one)])
+    h = hopf.HopfData("Z3 over Q(zeta_12)", 3, 12, Tensor3(3, mult), unit, Tensor3(3, {}),
+                      unit, Mat.of(3, 3, {(0, 0): one, (2, 1): z, (1, 2): z2}))
+    return h, [unit, Elem.of(3, [(1, one)]), Elem.of(3, [(2, z)])]
+
+
+def test_keyed_closure_agrees_with_the_list_based_one(pipelines, zoo):
+    from hopfcheck.zoo import function_algebra
+
+    f4 = function_algebra("F(Z4)", cyclic_table(4))
+    z3_h, z3_likes = _z3_with_order_3_constants()
+    assert group_like_closure_check(z3_h, z3_likes).detail == "count=3"
+    algebras = [(f4, find_group_likes(f4)), (z3_h, z3_likes)]
+    for name, res in pipelines.items():
+        algebras += [(zoo[name], res.values["group_likes"]),
+                     (res.values["dual"], res.values["dual_likes"])]
+    moved = 0
+    for h, likes in algebras:
+        for case in [likes] + _bad_lists(likes):
+            check = group_like_closure_check(h, case)
+            assert (check.status, check.detail) == _closure_by_lists(h, case), (h.name, case)
+        moved += _at_another_order(likes) is not None
+    assert moved >= 5  # F(Z4), the order-3 Z3, F(Z3), F(Z6), the dual of taft(3)
+    # zeta_4 of a character of Z4, stored as zeta_12^3 at order 12
+    z4 = Cyc.root(4)
+    likes = find_group_likes(f4)
+    case = _at_another_order(likes)
+    assert any(c.order == 12 and c in (z4, -z4) for g in case for _, c in g.support)
+    assert group_like_closure_check(f4, case).detail == "count=4"
+
+
+def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, zoo):
+    tried: list = []
+    confirm = hopf.is_group_like
+
+    def recording(h, g, first=None):
+        tried.append(g)
+        return confirm(h, g, first)
+
+    monkeypatch.setattr(hopf, "is_group_like", recording)
+    for name in ("C[S3]", "F(Z6)", "taft(3)"):
+        tried.clear()
+        assert find_group_likes(zoo[name]) == pipelines[name].values["group_likes"]
+        assert all(a != b for a, b in itertools.combinations(tried, 2)), name

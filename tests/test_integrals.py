@@ -12,7 +12,6 @@ from hopfcheck import (
     CYC_ZERO,
     Cyc,
     Elem,
-    Mat,
     compute_modular,
     dual_hopf,
     left_integral,
@@ -25,6 +24,7 @@ from hopfcheck.errors import NoIntegral, NotFaithful
 from hopfcheck.integrals import faithful_gram, modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import solve_null_space
 from hopfcheck.zoo import cyclic_table, group_algebra
+from helpers import mat_from_rows
 
 
 def texts(f, order):
@@ -142,7 +142,7 @@ def test_integral_kernel_is_one_dimensional_everywhere(zoo):
                 row = [h.comult.get(a, i, j) for j in range(d)]
                 row[a] = row[a] - h.unit.coords[i]
                 rows.append(row)
-        basis = solve_null_space(Mat.from_rows(rows))
+        basis = solve_null_space(mat_from_rows(rows))
         assert len(basis) == 1, h.name
 
 

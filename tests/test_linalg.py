@@ -11,6 +11,7 @@ from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, Elem, Mat
 from hopfcheck.cyclotomic import euler_phi
 from hopfcheck.errors import DimMismatch, SingularMatrix
 from hopfcheck.linalg import mat_inverse, rank, reduce_into, reduced_echelon, solve_null_space
+from helpers import mat_from_rows
 
 rational = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=3
@@ -22,7 +23,7 @@ def matrices(draw, rows=None, cols=None):
     r = rows if rows is not None else draw(st.integers(1, 4))
     c = cols if cols is not None else draw(st.integers(1, 4))
     entries = [Cyc.rational(draw(rational)) for _ in range(r * c)]
-    return Mat.from_rows([entries[i * c:(i + 1) * c] for i in range(r)])
+    return mat_from_rows([entries[i * c:(i + 1) * c] for i in range(r)])
 
 
 def to_float(m):
@@ -78,18 +79,18 @@ def test_inverse_or_singular(n, data):
 
 def test_inverse_with_cyclotomic_entries():
     z = Cyc.root(3)
-    m = Mat.from_rows([[CYC_ONE, z], [z * z, CYC_ONE]])
+    m = mat_from_rows([[CYC_ONE, z], [z * z, CYC_ONE]])
     # det = 1 - 1 = 0: genuinely singular over the field
     with pytest.raises(SingularMatrix):
         mat_inverse(m)
-    m2 = Mat.from_rows([[CYC_ONE, z], [CYC_ZERO, z * z]])
+    m2 = mat_from_rows([[CYC_ONE, z], [CYC_ZERO, z * z]])
     inv = mat_inverse(m2)
     assert m2.mul(inv).is_identity()
     assert inv.get(0, 1) == -z * (z * z).inverse() * CYC_ONE
 
 
 def test_apply_and_transpose():
-    m = Mat.from_rows([[CYC_ONE, Cyc.rational(2)], [Cyc.rational(3), Cyc.rational(4)]])
+    m = mat_from_rows([[CYC_ONE, Cyc.rational(2)], [Cyc.rational(3), Cyc.rational(4)]])
     assert m.images[1] == Elem.of(2, [(0, Cyc.rational(2)), (1, Cyc.rational(4))])
     v = Elem.of(2, [(0, CYC_ONE), (1, CYC_MINUS_ONE)])
     assert m.apply(v) == Elem.of(2, [(0, CYC_MINUS_ONE), (1, CYC_MINUS_ONE)])
@@ -119,7 +120,7 @@ def cyclotomic_matrices(draw, order, rows=None, cols=None):
     if r >= 2 and draw(st.booleans()):
         s = _cyc(order, draw(entry))
         grid[-1] = [s * x for x in grid[0]]  # plant a dependent row
-    return Mat.from_rows(grid)
+    return mat_from_rows(grid)
 
 
 def _dense_rows(m):
@@ -169,11 +170,11 @@ def test_cyclotomic_entries_match_gauss_jordan(order, data):
                                    for v in _reference_null_space(m)]
     sq = data.draw(cyclotomic_matrices(order, rows=m.rows, cols=m.rows))
     n = sq.rows
-    aug = Mat.from_rows([row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
+    aug = mat_from_rows([row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
                          for i, row in enumerate(_dense_rows(sq))])
     rows, pivots = _gauss_jordan(aug)
     if pivots[:n] == list(range(n)):
-        assert mat_inverse(sq) == Mat.from_rows([row[n:] for row in rows])
+        assert mat_inverse(sq) == mat_from_rows([row[n:] for row in rows])
     else:
         missing = next(c for c in range(n) if c not in pivots)
         with pytest.raises(SingularMatrix, match=f"no pivot in column {missing}$"):
@@ -217,7 +218,7 @@ def test_row_store_keeps_nonzeros_only(order, data):
         assert not any(x.is_zero() for x in row.values())
         pivots.append(p)
     dense = [[v.get(k, CYC_ZERO) for k in range(ncols)] for v in vectors]
-    assert len(rows) == len(_gauss_jordan(Mat.from_rows(dense))[1])
+    assert len(rows) == len(_gauss_jordan(mat_from_rows(dense))[1])
     echelon = reduced_echelon(rows)
     assert [p for p, _ in echelon] == sorted(pivots)
     for p, row in echelon:
@@ -228,10 +229,10 @@ def test_row_store_keeps_nonzeros_only(order, data):
 
 def test_one_inverse_per_pivot(monkeypatch):
     z = Cyc.root(5)
-    m = Mat.from_rows([[CYC_ONE, z, z * z, Cyc.rational(2)],
+    m = mat_from_rows([[CYC_ONE, z, z * z, Cyc.rational(2)],
                        [z, z * z, z * z * z, z + z],
                        [Cyc.rational(3), CYC_ZERO, z, CYC_ONE]])  # row 1 = z * row 0
-    sq = Mat.from_rows([[z, CYC_ONE, CYC_ZERO],
+    sq = mat_from_rows([[z, CYC_ONE, CYC_ZERO],
                         [CYC_ONE, z * z, z],
                         [CYC_ZERO, z, Cyc.rational(2)]])
     counts = {"inverse": 0, "div": 0}

@@ -1,7 +1,11 @@
 """The fourth power of the antipode and its square-root refinements."""
 
-from hopfcheck import s2_order, s_order, sweedler, taft
-from hopfcheck.radford import group_like_roots
+import dataclasses
+import itertools
+
+from hopfcheck import CYC_ONE, CYC_ZERO, Elem, Mat, pairing, s2_order, s_order, sweedler, taft
+from hopfcheck.radford import counimodular_check, group_like_roots
+from hopfcheck.report import first_failure
 
 
 def _check(pipelines, name, check_name):
@@ -103,3 +107,102 @@ def test_taft2_collapses_to_sweedler():
     from hopfcheck.hopf import same_structure
     assert same_structure(taft(2), dataclasses.replace(sweedler(), star=None))
     assert not same_structure(taft(2), sweedler())
+
+
+def _twist_by_pairs(h, phi):
+    """The twist rows of counimodular_check as they were: phi(e_i e_j)
+    against phi(e_j S^2(e_i)) on every pair, in lexicographic order."""
+    b, p, s2 = h.basis, h.products, h.s2.images
+    return first_failure(h.dim, (2, ("phi twist fails at ({0},{1})",
+                                     lambda i, j: pairing(phi, p[i][j]),
+                                     lambda i, j: pairing(phi, h.mul(b(j), s2[i])))))
+
+
+def _trace_by_pairs(h, phi, root):
+    """The trace rows as they were: phi(e_i e_j r) against phi(e_j e_i r)."""
+    p = h.products
+    return first_failure(h.dim, (2, ("trace property fails at ({0},{1})",
+                                     lambda i, j: pairing(phi, h.mul(p[i][j], root)),
+                                     lambda i, j: pairing(phi, h.mul(p[j][i], root)))))
+
+
+def _with_s2(h, s2):
+    """A copy of h whose cached S^2 is s2."""
+    h2 = dataclasses.replace(h)
+    h2.__dict__["s2"] = s2
+    return h2
+
+
+def _raised(m, k, i):
+    """m with entry (k, i) raised by 1."""
+    entries = {(r, j): c for j, col in enumerate(m.images) for r, c in col.support}
+    entries[k, i] = entries.get((k, i), CYC_ZERO) + CYC_ONE
+    return Mat.of(m.rows, m.cols, entries)
+
+
+def _stage(pipelines, name):
+    v = pipelines[name].values
+    return v["modular"], v["dual"], v["delta_hat"], v["group_likes"]
+
+
+def test_twist_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo):
+    seen = set()
+    for name in ("C[Z3]", "C[S3]", "F(S3)"):
+        h = zoo[name]
+        md, hd, delta_hat, likes = _stage(pipelines, name)
+        for k, i in itertools.product(range(h.dim), repeat=2):
+            h2 = _with_s2(h, _raised(h.s2, k, i))
+            want = _twist_by_pairs(h2, md.phi)
+            assert want is not None
+            check = counimodular_check(h2, md, hd, delta_hat, likes)
+            assert (check.status, check.detail) == ("FAIL", want), (name, k, i)
+            seen.add(want)
+    # the members above have symmetric Grams; forced past the counimodular
+    # gate, the members below put G^T and G apart
+    for name in ("sweedler", "taft(2)", "taft(3)", "sweedler(x)C[Z2]"):
+        h = zoo[name]
+        md, hd, _, likes = _stage(pipelines, name)
+        assert md.gram != md.gram.transpose()
+        for h2 in [h] + [_with_s2(h, _raised(h.s2, k, i))
+                         for k, i in itertools.product(range(h.dim), repeat=2)]:
+            want = _twist_by_pairs(h2, md.phi)
+            check = counimodular_check(h2, md, hd, h2.counit, likes)
+            if want is not None:
+                assert (check.status, check.detail) == ("FAIL", want), (name, check.line())
+                seen.add(want)
+            else:
+                assert "twist" not in check.detail
+    assert len(seen) > 20
+
+
+def _conjugating_root(h, md, likes):
+    s2 = h.s2.images
+    return next(r for r in group_like_roots(h, likes, md.delta)
+                if all(h.mul_many(h.antipode_of(r), h.basis(i), r) == s2[i]
+                       for i in range(h.dim)))
+
+
+def test_trace_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo):
+    statuses = []
+    for name in ("C[Z3]", "C[S3]", "F(S3)"):
+        h = zoo[name]
+        md, hd, delta_hat, likes = _stage(pipelines, name)
+        b, root = h.basis, _conjugating_root(h, md, likes)
+        root_inv = h.antipode_of(root)
+
+        def phi_r(phi):
+            return Elem.of(h.dim, ((m, pairing(phi, h.mul(b(m), root))) for m in range(h.dim)))
+
+        for k in range(h.dim):
+            # phi + e_k^(. r^-1), whose phi( . r) is phi_r with coordinate k raised by 1
+            bump = Elem.of(h.dim, ((m, c) for m in range(h.dim)
+                                   for j, c in h.mul(b(m), root_inv).support if j == k))
+            phi = Elem.of(h.dim, [*md.phi.support, *bump.support])
+            assert phi_r(phi) == Elem.of(h.dim, [*phi_r(md.phi).support, (k, CYC_ONE)])
+            check = counimodular_check(h, dataclasses.replace(md, phi=phi), hd, delta_hat,
+                                       likes)
+            want = _trace_by_pairs(h, phi, root)
+            assert (check.status, check.detail) == (("PASS", "") if want is None
+                                                    else ("FAIL", want)), (name, k)
+            statuses.append(check.status)
+    assert "FAIL" in statuses and "PASS" in statuses
