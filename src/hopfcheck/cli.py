@@ -2,10 +2,12 @@
 
 Exit codes: 0 all printed checks pass, 1 at least one FAIL, 2 malformed
 input (unparseable file, unknown zoo name, bad scalar), reported as one
-"error:" line.  Only a HopfError counts as malformed input; any other
-exception is a defect and propagates.  Output is plain text, one CHECK line
-per verifier, and is byte-identical across runs on the same input, which
-the test suite relies on.
+"error:" line; argparse also exits 2 on a bad option, such as a
+--tolerance that is not finite and positive or an --only that names no
+check.  Only a HopfError counts as malformed input; any other exception is
+a defect and propagates.  Output is plain text, one CHECK line per
+verifier, and is byte-identical across runs on the same input, which the
+test suite relies on.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cache, reduce
 from .cyclotomic import Cyc, lcm
 from .errors import FormatError, HopfError
 from .fileformat import hopf_to_text, load_cayley, load_hopf
-from .pipeline import NOTES, run_pipeline
+from .pipeline import NOTES, STAGES, run_pipeline
 from .report import FAIL
 from .zoo import function_algebra, group_algebra, standard_zoo, taft
 
@@ -143,8 +145,15 @@ def cmd_dual(args) -> int:
     return _EXIT_OK
 
 
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=tolerance, default=1e-9,
                    help="numeric tolerance for the float-backed checks")
     p.add_argument("--seed", type=int, default=42,
                    help="printed in the VERIFY and REPORT headers only; no check "
@@ -172,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run every check on stored structure constants")
     pv.add_argument("files", nargs="+", help="structure constant files")
-    pv.add_argument("--only", default=None, help="print only the check with this name")
+    pv.add_argument("--only", default=None, metavar="NAME",
+                    choices=[name for stage in STAGES for name, _ in stage.laws],
+                    help="print only the check with this name")
     _add_common(pv)
     pv.set_defaults(fn=cmd_verify)
 

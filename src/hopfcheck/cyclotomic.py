@@ -186,15 +186,12 @@ class Cyc:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs, reduce: bool = True):
-        """coeffs: ints or Fractions over the powers of zeta_order.  With
-        reduce=False they must already be the phi(order) coordinates."""
+    def __init__(self, order: int, coeffs):
+        """coeffs: ints or Fractions over the powers of zeta_order."""
         coeffs = list(coeffs)
         den = lcm(1, *(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
-        if reduce:
-            num = _reduce(num, order)
-        c = _make(order, num, den)
+        c = _make(order, _reduce(num, order), den)
         _set_order(self, c.order)
         _set_num(self, c.num)
         _set_den(self, c.den)

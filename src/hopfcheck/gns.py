@@ -98,7 +98,6 @@ class GNSData:
 def gns_build(h: HopfData, b: Mat, tol: float = 1e-9) -> GNSData:
     """Cyclic representation from a positive faithful state, given by its
     exact star-Gram b (integrals.star_gram)."""
-    d = h.dim
     g = mat_float(b)
     g = (g + g.conj().T) / 2
     try:

@@ -8,7 +8,7 @@ Conventions, fixed once for the whole package:
     in S(e_i), columns indexed by the input basis vector.
   - star, when present, encodes the conjugate-linear involution as
     (coefficient conjugation first, then the stored matrix):
-    (sum_i c_i e_i)^* = sum_k ( sum_i star.get(k, i) * conj(c_i) ) e_k,
+    (sum_i c_i e_i)^* = sum_k ( sum_i star(k, i) * conj(c_i) ) e_k,
     so star.images[i] is e_i^*.
 
 The two tables store their nonzeros only, in index order (linalg.Tensor3):

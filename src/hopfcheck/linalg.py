@@ -106,9 +106,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat.of(n, n, {(i, i): CYC_ONE for i in range(n)})
 
-    def get(self, i: int, j: int) -> Cyc:
-        return next((c for k, c in self.images[j].support if k == i), CYC_ZERO)
-
     def apply(self, v: Elem) -> Elem:
         """self * v."""
         if v.dim != self.cols:
@@ -145,9 +142,6 @@ class Tensor3:
                 rows[a].setdefault(b, []).append((c, v))
         self.dim = dim
         self.rows = [{b: tuple(pairs) for b, pairs in row.items()} for row in rows]
-
-    def get(self, a: int, b: int, c: int) -> Cyc:
-        return next((v for k, v in self.rows[a].get(b, ()) if k == c), CYC_ZERO)
 
     def items(self):
         """The ((a, b, c), value) pairs with value nonzero, in index order."""

@@ -1,16 +1,22 @@
 """Runs every verifier in a fixed order with prerequisite gating.
 
 STAGES is the pipeline, run in order.  A Stage gives the (check name, law
-text) pairs it prints when skipped; the keys of PipelineResult.values it
+text) pairs of the lines it prints; the keys of PipelineResult.values it
 requires; whether it also needs a positive left integral; and run(h,
 values), which returns its checks and sets its values.  A value that gates
 a later stage is set only when the checks computing it pass.  One rule
-gives every skip reason (_skip_reason): a positivity-gated stage whose
-verdict exists and is not `positive` skips with the verdict; else a stage
-missing a required value skips with `prerequisite-failed`.  A stage that
-throws surfaces as a FAIL under its own name, and two runs over one input
-print byte-identical reports.  run functions look the verifiers up in this
-module's globals when called, so a binding patched here is the one that runs.
+gives every skip reason (_skip_reason): a positivity-gated stage skips with
+the verdict when it is not `positive`, and with `prerequisite-failed` when
+there is none; else a stage missing a required value skips with
+`prerequisite-failed`.  One rule reports a stage whose run raises a
+HopfError e (run_pipeline): its laws before the one e.stage names (before the
+first, when it names none) PASS, that law FAILs with str(e), and the rest
+SKIP with `prerequisite-failed`.  So a stage that throws surfaces as a FAIL
+under its own name, never as malformed input; dual-integrals and GNS catch
+their own, as their FAIL and SKIP lines carry other law texts.  Two runs
+over one input print byte-identical reports.  run functions look the
+verifiers up in this module's globals when called, so a binding patched here
+is the one that runs.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .radford import (counimodular_check, half_power_check, radford_check,
                       radford_factorization, s2_order, s_order)
 from .report import Check, FAIL, fail, ok, skip
 
+_AXIOMS = ("algebra", "coalgebra", "bialgebra", "antipode", "antipode-derived", "star")
 _LAW_GROUP_LIKES = "G(A) is a group under multiplication"
 _INTEGRAL_LAWS = (
     ("left-integral", "(id(x)phi)D(a)=phi(a)1, ker dim=1"),
@@ -78,17 +85,23 @@ def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
     res = PipelineResult(h=h, values={"tolerance": tol})
     for stage in STAGES:
         reason = _skip_reason(stage, res.values)
-        if reason is None:
-            res.checks.extend(stage.run(h, res.values))
-        else:
+        if reason is not None:
             res.checks.extend(skip(name, law, reason) for name, law in stage.laws)
+            continue
+        try:
+            res.checks.extend(stage.run(h, res.values))
+        except HopfError as e:
+            names = [name for name, _ in stage.laws]
+            at = names.index(e.stage) if e.stage in names else 0
+            res.checks += ([ok(*law) for law in stage.laws[:at]] + [fail(*stage.laws[at], str(e))]
+                           + [skip(*law, _PREREQ) for law in stage.laws[at + 1:]])
     return res
 
 
 def _skip_reason(stage: Stage, values: dict) -> str | None:
     verdict = values.get("positivity", (None,))[0]
-    if stage.positive and verdict not in (None, "positive"):
-        return verdict
+    if stage.positive and verdict != "positive":
+        return verdict or _PREREQ
     return _PREREQ if any(values.get(key) is None for key in stage.requires) else None
 
 
@@ -108,26 +121,18 @@ def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> l
     Each candidate is confirmed on the generators of dual, which is a's
     dual once the transposition certificate holds, and on every row
     otherwise (see hopf.is_group_like)."""
-    try:
-        likes = find_group_likes(a, dual.generators if v["not_transpose"] is None else None)
-        glc = group_like_closure_check(a, likes)
-    except HopfError as e:
-        return [fail(name, _LAW_GROUP_LIKES, str(e))]
+    likes = find_group_likes(a, dual.generators if v["not_transpose"] is None else None)
+    glc = group_like_closure_check(a, likes)
     if glc.passed():
         v[key] = likes
     return [Check(name, glc.status, glc.identity, glc.detail)]
 
 
 def _integrals(h: HopfData, v: dict) -> list:
-    """One named check per computed object, up to the first that fails."""
+    """One named check per computed object; compute_modular's HopfError
+    names the first that fails."""
     first = v["dual"].generators if v["not_transpose"] is None else None
-    try:
-        v["modular"] = compute_modular(h, first)
-    except HopfError as e:
-        at = [name for name, _ in _INTEGRAL_LAWS].index(e.stage)
-        return ([ok(*law) for law in _INTEGRAL_LAWS[:at]]
-                + [fail(*_INTEGRAL_LAWS[at], str(e))]
-                + [skip(*law, _PREREQ) for law in _INTEGRAL_LAWS[at + 1:]])
+    v["modular"] = compute_modular(h, first)
     return [ok(*law) for law in _INTEGRAL_LAWS]
 
 
@@ -151,7 +156,7 @@ def _dual_integrals(h: HopfData, v: dict) -> list:
     except HopfError as e:
         dual_phi = e
     try:
-        v["psi_hat"], v["phi_hat"] = compute_dual_integrals(h, md, hd, dual_phi)
+        v["psi_hat"] = compute_dual_integrals(h, md, hd, dual_phi)[0]
         checks = [ok("dual-integrals", _LAW_DUAL_INTEGRALS)]
     except HopfError as e:
         checks = [fail("dual-integrals", _LAW_DUAL_INTEGRALS, str(e))]
@@ -195,7 +200,7 @@ def _gns(h: HopfData, v: dict) -> list:
     md, tol = v["modular"], v["tolerance"]
     gns = None
     try:
-        gns = v["gns"] = gns_build(h, v["star_gram"], tol)
+        gns = gns_build(h, v["star_gram"], tol)
         rep = gns_representation_check(h, md.phi, gns, tol)
     except HopfError as e:
         rep = fail("gns-representation", "rep is a *-homomorphism", str(e))
@@ -217,7 +222,7 @@ def _gns(h: HopfData, v: dict) -> list:
 
 
 STAGES = (
-    Stage((), (), _axioms),
+    Stage(tuple((name, "axioms") for name in _AXIOMS), (), _axioms),
     Stage((("group-likes", _LAW_GROUP_LIKES),), ("core",),
           lambda h, v: _group_likes(h, v["dual"], "group-likes", v, "group_likes")),
     Stage(_INTEGRAL_LAWS, ("dual",), _integrals),
@@ -225,9 +230,8 @@ STAGES = (
         "modular-sandwich", "modular-conjugation", "modular-coproduct",
         "modular-commutation", "modular-scaling", "modular-flip")),
           ("modular",), _modular_identities),
-    Stage(tuple((name, "axioms on the dual") for name in (
-        "dual-algebra", "dual-coalgebra", "dual-bialgebra", "dual-antipode",
-        "dual-antipode-derived", "dual-star")), ("dual",), _dual_axioms),
+    Stage(tuple(("dual-" + name, "axioms on the dual") for name in _AXIOMS), ("dual",),
+          _dual_axioms),
     Stage((("dual-group-likes", _LAW_GROUP_LIKES),), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes")),
     # the certificate and h's coalgebra check (core[1]), both from _axioms

@@ -46,12 +46,9 @@ def radford_check(h: HopfData, md: ModularData, hd: HopfData,
     """S^4(a) = delta^-1 (deltahat |> a <| deltahat^-1) delta on the basis."""
     law = "S^4(a)=delta^-1(deltahat|>a<|deltahat^-1)delta"
     delta_hat_inv = hd.antipode_of(delta_hat)
-    bad = first_failure(h.dim, (1, (
+    return law_check("radford-s4", law, h.dim, (1, (
         "fails at basis {0}", h.s4.images.__getitem__,
         lambda i: _sandwich(h, md.delta_inv, md.delta, h.basis(i), delta_hat, delta_hat_inv))))
-    if bad is not None:
-        return fail("radford-s4", law, bad)
-    return ok("radford-s4", law)
 
 
 def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,

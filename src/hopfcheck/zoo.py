@@ -145,49 +145,35 @@ def taft(n: int, q: Cyc | None = None) -> HopfData:
     d = n * n
     idx = lambda i, j: j * n + i
     qpow = [CYC_ONE]
-    for _ in range(1, 2 * n):
+    for _ in range(1, n):
         qpow.append(qpow[-1] * q)
 
     # (g^i x^j)(g^k x^l) = q^(jk) g^(i+k) x^(j+l), zero past x^n
     mult = {(idx(i, j), idx(k, l), idx((i + k) % n, j + l)): qpow[(j * k) % n]
             for i in range(n) for j in range(n) for k in range(n) for l in range(n - j)}
 
+    # the coproduct and the antipode are filled in once h can multiply
+    h = HopfData(name=f"taft({n})", dim=d, field_order=q.order,
+                 mult=Tensor3(d, mult), unit=Elem.of(d, ((0, CYC_ONE),)),
+                 comult=Tensor3(d, {}), counit=Elem.of(d, ((v, CYC_ONE) for v in range(n))),
+                 antipode=Mat.identity(d), star=None)
+
     # coproduct: D(g) = g (x) g, D(x) = x (x) 1 + g (x) x, extended
     # multiplicatively inside the tensor square
     comult: dict = {}
     dx = {(idx(0, 1), idx(0, 0)): CYC_ONE, (idx(1, 0), idx(0, 1)): CYC_ONE}
-
-    def tmul(t1: dict, t2: dict) -> dict:
-        out: dict = {}
-        for (a, b), c1 in t1.items():
-            a1, aj = a % n, a // n
-            b1, bj = b % n, b // n
-            for (c, e), c2 in t2.items():
-                c1i, cj = c % n, c // n
-                e1, ej = e % n, e // n
-                if aj + cj >= n or bj + ej >= n:
-                    continue
-                coeff = c1 * c2 * qpow[(aj * c1i) % n] * qpow[(bj * e1) % n]
-                key = (idx((a1 + c1i) % n, aj + cj), idx((b1 + e1) % n, bj + ej))
-                v = out.get(key)
-                out[key] = coeff if v is None else v + coeff
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     for i in range(n):
         for j in range(n):
             t = {(idx(i, 0), idx(i, 0)): CYC_ONE}  # D(g)^i = g^i (x) g^i
             for _ in range(j):
-                t = tmul(t, dx)
+                t = h.tensor_mul(t, dx)
             for (a, b), c in t.items():
                 comult[idx(i, j), a, b] = c
+    h.comult = Tensor3(d, comult)
 
     # S(g) = g^(n-1), S(x) = -g^(n-1) x; anti-homomorphism on the basis:
     # S(g^i x^j) = S(x)^j S(g)^i = (-1)^j q^(j(j-1)/2) ... computed by
     # multiplying exact elements instead of trusting a closed form.
-    h = HopfData(name=f"taft({n})", dim=d, field_order=q.order,
-                 mult=Tensor3(d, mult), unit=Elem.of(d, ((0, CYC_ONE),)),
-                 comult=Tensor3(d, comult), counit=Elem.of(d, ((v, CYC_ONE) for v in range(n))),
-                 antipode=Mat.identity(d), star=None)
     sg = h.basis(idx(n - 1, 0))
     sx = Elem.of(d, ((idx(n - 1, 1), CYC_MINUS_ONE),))
     images = {}

@@ -92,6 +92,46 @@ def test_verify_only_flag(sweedler_file, capsys):
     assert lines[1].split()[1] == "radford-s4"
 
 
+def _rejected_option(capsys, *argv) -> str:
+    """stderr of a verify call that argparse must refuse before any output."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    return err
+
+
+def test_verify_only_rejects_a_name_no_check_has(sweedler_file, capsys):
+    # a misspelt name would otherwise print the header alone and exit 0,
+    # hiding every FAIL
+    err = _rejected_option(capsys, "--only", "no-such-check", str(sweedler_file))
+    assert "argument --only: invalid choice: 'no-such-check'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(sweedler_file, capsys,
+                                                                    value):
+    err = _rejected_option(capsys, "--tolerance", value, str(sweedler_file))
+    assert f"must be finite and > 0, got '{value}'" in err
+
+
+def test_a_check_that_raises_is_a_fail_not_an_input_error(sweedler_file, monkeypatch,
+                                                           capsys):
+    from hopfcheck import pipeline
+    from hopfcheck.errors import HopfError
+
+    def broken(*args, **kwargs):
+        raise HopfError("biduality made to raise")
+
+    monkeypatch.setattr(pipeline, "biduality_check", broken)
+    code, out, err = run_cli("verify", str(sweedler_file), capsys=capsys)
+    assert code == 1
+    assert "CHECK biduality FAIL dual(dual(A))=A ! biduality made to raise" in out.splitlines()
+    assert "error:" not in err
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run_cli("verify", str(tmp_path / "none.hopf"), capsys=capsys)
     assert code == 2

@@ -43,7 +43,7 @@ def test_ring_axioms(a, b, c):
 
 def _embedded_add(x, y, sign=1):
     a, b = Cyc._common(x, y)
-    return Cyc(a.order, [p + sign * q for p, q in zip(a.coeffs, b.coeffs)], reduce=False)
+    return Cyc(a.order, [p + sign * q for p, q in zip(a.coeffs, b.coeffs)])
 
 
 def _embedded_mul(x, y):
@@ -54,8 +54,7 @@ def _embedded_mul(x, y):
     for i, p in enumerate(a.coeffs):
         for j, q in enumerate(b.coeffs):
             prod[i + j] += p * q
-    return Cyc(a.order, _divmod_fractions(prod, cyclotomic_polynomial(a.order))[1],
-               reduce=False)
+    return Cyc(a.order, _divmod_fractions(prod, cyclotomic_polynomial(a.order))[1])
 
 
 @given(cycs(order=1), cycs())
@@ -247,7 +246,7 @@ def test_fraction_coefficients_round_trip(order, data):
         min_size=euler_phi(order), max_size=euler_phi(order)))
     c = Cyc(order, fractions)
     assert c.embed(order).coeffs == tuple(fractions)
-    assert _stored(Cyc(c.order, c.coeffs, reduce=False)) == _stored(c)
+    assert _stored(Cyc(c.order, c.coeffs)) == _stored(c)
     assert _stored(Cyc(order, [int(x) for x in fractions])) == _stored(
         Cyc(order, [Fraction(int(x)) for x in fractions]))
 

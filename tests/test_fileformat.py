@@ -157,3 +157,20 @@ def test_written_text_is_unchanged(zoo):
     got = {h.name: hashlib.sha256(hopf_to_text(h).encode("utf-8")).hexdigest()
            for h in algebras}
     assert got == TEXT_DIGESTS
+
+
+# sha256 of hopf_to_text(taft(n)), written by the code before taft built its
+# coproduct with HopfData.tensor_mul in place of a private product
+TAFT_DIGESTS = {
+    4: "35085552dd6640cfd17a7a9fffc51dff478275aae2ef8a8e6fc327b8dab3b783",
+    5: "5775790fca2712b8af8ee5425caa7b2febad13cd2630d1875bd6ee2a7d3309de",
+    7: "87d977eae130ffed839e5862575200ac4c076ce34e76a503615516a5afbe4e38",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TAFT_DIGESTS))
+def test_taft_tables_are_unchanged(n):
+    from hopfcheck import taft
+
+    text = hopf_to_text(taft(n))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TAFT_DIGESTS[n]

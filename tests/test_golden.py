@@ -68,6 +68,14 @@ def test_zoo_transcripts_match_golden_files(pipelines):
         assert got == (GOLDEN / f"{_stem(name)}.txt").read_bytes(), name
 
 
+def test_stage_laws_name_every_printed_line(pipelines):
+    # a stage that skips or raises prints its laws, and `verify --only`
+    # accepts exactly their names, so they must be the names a run prints
+    names = [name for stage in pipeline.STAGES for name, _ in stage.laws]
+    for res in pipelines.values():
+        assert [c.name for c in res.checks] == names
+
+
 @pytest.mark.parametrize("stem", sorted(LADDER))
 def test_ladder_transcripts_match_golden_files(stem):
     assert sorted(p.stem for p in (GOLDEN / "ladder").glob("*.txt")) == sorted(LADDER)
@@ -125,9 +133,11 @@ def _fails(name):
     return failing
 
 
-# (fault stem, pipeline binding, replacement factory): every entry point whose
+# (fault stem, pipeline binding, replacement factory): entry points whose
 # HopfError the pipeline catches, compute_modular once per stage it can name,
-# and the two checks whose FAIL gates a later check
+# three that raise where no stage catches for them (positivity_verdict's leaves
+# no verdict, so the positivity-gated stages skip), and the two checks whose
+# FAIL gates a later check
 STAGE_FAULTS = [
     ("find_group_likes", "find_group_likes", lambda: _raises("find_group_likes")),
     *[(f"compute_modular-{stage}", "compute_modular",
@@ -140,6 +150,10 @@ STAGE_FAULTS = [
      lambda: _raises("compute_dual_integrals")),
     ("modular_element", "modular_element", lambda: _raises("modular_element")),
     ("gns_build", "gns_build", lambda: _raises("gns_build")),
+    ("modular_identity_checks", "modular_identity_checks",
+     lambda: _raises("modular_identity_checks")),
+    ("biduality_check", "biduality_check", lambda: _raises("biduality_check")),
+    ("positivity_verdict", "positivity_verdict", lambda: _raises("positivity_verdict")),
     ("group_like_closure_check", "group_like_closure_check",
      lambda: _fails("group_like_closure_check")),
     ("gns_representation_check", "gns_representation_check",

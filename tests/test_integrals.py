@@ -24,7 +24,7 @@ from hopfcheck.errors import NoIntegral, NotFaithful
 from hopfcheck.integrals import faithful_gram, modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import solve_null_space
 from hopfcheck.zoo import cyclic_table, group_algebra
-from helpers import mat_from_rows
+from helpers import entry, mat_from_rows
 
 
 def texts(f, order):
@@ -78,7 +78,7 @@ def test_sweedler_gram_frozen():
         ["0", "-1", "0", "0"],
         ["1", "0", "0", "0"],
     ]
-    got = [[md.gram.get(i, j).text(1) for j in range(4)] for i in range(4)]
+    got = [[entry(md.gram, i, j).text(1) for j in range(4)] for i in range(4)]
     assert got == expected
     assert md.gram_inv.mul(md.gram).is_identity()
 
@@ -87,14 +87,14 @@ def test_sweedler_modular_automorphisms_frozen():
     h = sweedler()
     md = compute_modular(h)
     def diag(m):
-        return [m.get(i, i).text(1) for i in range(4)]
+        return [entry(m, i, i).text(1) for i in range(4)]
     assert diag(md.sigma) == ["1", "-1", "-1", "1"]
     assert diag(md.sigma_prime) == ["1", "-1", "1", "-1"]
     for m in (md.sigma, md.sigma_prime):
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert m.get(i, j).is_zero()
+                    assert entry(m, i, j).is_zero()
 
 
 def test_sweedler_scaling_constant():
@@ -139,7 +139,7 @@ def test_integral_kernel_is_one_dimensional_everywhere(zoo):
         rows = []
         for a in range(d):
             for i in range(d):
-                row = [h.comult.get(a, i, j) for j in range(d)]
+                row = [entry(h.comult, a, i, j) for j in range(d)]
                 row[a] = row[a] - h.unit.coords[i]
                 rows.append(row)
         basis = solve_null_space(mat_from_rows(rows))

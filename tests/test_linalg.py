@@ -11,7 +11,7 @@ from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, Elem, Mat
 from hopfcheck.cyclotomic import euler_phi
 from hopfcheck.errors import DimMismatch, SingularMatrix
 from hopfcheck.linalg import mat_inverse, rank, reduce_into, reduced_echelon, solve_null_space
-from helpers import mat_from_rows
+from helpers import entry, mat_from_rows
 
 rational = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=3
@@ -28,7 +28,7 @@ def matrices(draw, rows=None, cols=None):
 
 def to_float(m):
     return np.array(
-        [[m.get(i, j).to_complex().real for j in range(m.cols)]
+        [[entry(m, i, j).to_complex().real for j in range(m.cols)]
          for i in range(m.rows)]
     )
 
@@ -86,7 +86,7 @@ def test_inverse_with_cyclotomic_entries():
     m2 = mat_from_rows([[CYC_ONE, z], [CYC_ZERO, z * z]])
     inv = mat_inverse(m2)
     assert m2.mul(inv).is_identity()
-    assert inv.get(0, 1) == -z * (z * z).inverse() * CYC_ONE
+    assert entry(inv, 0, 1) == -z * (z * z).inverse() * CYC_ONE
 
 
 def test_apply_and_transpose():
@@ -96,7 +96,7 @@ def test_apply_and_transpose():
     assert m.apply(v) == Elem.of(2, [(0, CYC_MINUS_ONE), (1, CYC_MINUS_ONE)])
     with pytest.raises(DimMismatch):
         m.apply(Elem.of(3, [(2, CYC_ONE)]))
-    assert m.transpose().get(0, 1) == Cyc.rational(3)
+    assert entry(m.transpose(), 0, 1) == Cyc.rational(3)
     assert m.transpose().transpose() == m
 
 
