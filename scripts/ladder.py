@@ -35,8 +35,8 @@ import sys
 from pathlib import Path
 
 RUNS = 3
-MEMBER_NAMES = ([f"taft({n})" for n in range(4, 13)] + ["sweedler^(x)3"]
-                + [f"C[Z{n}]" for n in (18, 24, 36, 48)])
+MEMBER_NAMES = ([f"taft({n})" for n in (*range(4, 13), 16)] + ["sweedler^(x)3", "sweedler^(x)4"]
+                + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96)])
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -50,8 +50,10 @@ def build(name: str):
     if name.startswith("C[Z"):
         n = int(name[3:-1])
         return group_algebra(name, cyclic_table(n))
-    sw2 = tensor_product("sweedler(x)sweedler", sweedler(), sweedler())
-    return tensor_product("sweedler(x)sweedler(x)sweedler", sweedler(), sw2)
+    h = sweedler()  # sweedler^(x)n is sweedler (x) sweedler^(x)(n-1)
+    for k in range(2, int(name[-1]) + 1):
+        h = tensor_product("(x)".join(["sweedler"] * k), sweedler(), h)
+    return h
 
 
 def time_run(name: str) -> dict:

@@ -7,7 +7,7 @@ a float GNS layer for the operator statements.
 
 from .cyclotomic import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
 from .duality import (act_left, act_right, biduality_check, compute_dual_integrals,
-                      dual_hopf, fourier, pairing, plancherel_check)
+                      dual_hopf, pairing, plancherel_check)
 from .errors import HopfError
 from .fileformat import hopf_from_text, hopf_to_text, load_hopf, save_hopf
 from .hopf import Elem, HopfData, find_group_likes, full_axiom_suite
@@ -35,7 +35,7 @@ __all__ = [
     "CYC_MINUS_ONE", "CYC_ONE", "CYC_ZERO", "Cyc", "Check", "Elem",
     "HopfData", "HopfError", "Mat", "ModularData", "PipelineResult", "Tensor3",
     "act_left", "act_right", "biduality_check", "compute_dual_integrals",
-    "compute_modular", "dual_hopf", "find_group_likes", "fourier",
+    "compute_modular", "dual_hopf", "find_group_likes",
     "full_axiom_suite", "function_algebra", "group_algebra", "hopf_from_text",
     "hopf_to_text", "left_integral", "load_hopf", "modular_element", "pairing",
     "plancherel_check", "radford_check", "radford_factorization", "right_integral",

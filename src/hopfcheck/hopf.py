@@ -228,7 +228,8 @@ class HopfData:
     def star_of(self, a: Elem) -> Elem:
         if self.star is None:
             raise NoStarStructure(f"{self.name} carries no star structure")
-        return self.star.apply(Elem.of(a.dim, ((i, c.conjugate()) for i, c in a.support)))
+        # conjugation keeps every coefficient nonzero, so the support stays canonical
+        return self.star.apply(Elem(a.dim, tuple((i, c.conjugate()) for i, c in a.support)))
 
 
 def act_left(h: HopfData, f: Elem, a: Elem) -> Elem:
@@ -255,10 +256,12 @@ def same_structure(h1: HopfData, h2: HopfData) -> bool:
 
 # ---------------------------------------------------------------------------
 # axiom verifiers: each law is a table of (detail, lhs, rhs) rows, evaluated
-# by report.first_failure in index order.  The bilinear laws run their first
-# slot over `first`, the generators once `algebra` has passed; the theorem in
-# report.first_failure makes that a proof of the whole law with the full
-# scan's first failure.  Left as None, it is every basis index.
+# by report.first_failure in index order.  A bilinear law is one row per
+# first index i, each side a sparse dict keyed by the second index, summed
+# straight from the stored tables.  Its first index runs over `first`, the
+# generators once `algebra` has passed; the theorem in report.first_failure
+# makes that a proof of the whole law with the full scan's first failure.
+# Left as None, it is every basis index.
 
 
 def sparse_rows(terms) -> dict:
@@ -272,29 +275,59 @@ def sparse_rows(terms) -> dict:
     return out
 
 
+def image_rows(h: HopfData, i: int, images, conj: bool = False) -> dict:
+    """{j: f(e_i e_j)} as sparse rows, where f(e_m) = images[m]: f of each
+    term (m, c) of the stored row e_i e_j, with c conjugated for a
+    conjugate-linear f (conj)."""
+    return sparse_rows((j, n, (c.conjugate() if conj else c) * v)
+                       for j, terms in h.mult.rows[i].items() for m, c in terms
+                       for n, v in images[m].support)
+
+
+def product_rows(h: HopfData, factors) -> dict:
+    """{j: x y} as sparse rows, for the (j, x, y) in factors, x and y Elems:
+    the products read off mult.rows with no Elem built per j."""
+    rows = h.mult.rows
+
+    def terms():
+        for j, x, y in factors:
+            for a, xa in x.support:
+                row = rows[a]
+                for b, yb in y.support:
+                    prod = row.get(b)
+                    if prod:
+                        s = xa * yb
+                        for n, v in prod:
+                            yield j, n, s * v
+    return sparse_rows(terms())
+
+
 def verify_algebra(h: HopfData) -> Check:
     """The two-sided unit law on every basis vector, then associativity
     (ab)c = a(bc) for a in h.generators and all basis b and c, which is all
     of associativity by report.first_failure.  The generators are read only
     once the unit rows have passed: their certificate rests on the unit law.
 
-    Associativity runs on pairs (i, j), each side the whole row over k read
-    off the stored table: (e_i e_j) e_k sums c * mult.rows[m][k] over the
-    terms (m, c) of e_i e_j, and e_i (e_j e_k) sums c * mult.rows[i][m] over
-    the terms (m, c) of e_j e_k.  The slot is the smallest failing k, so the
-    detail names the first failing triple of the triple scan."""
+    Associativity runs one row i at a time, each side keyed by the pair
+    (j, k) and read off the stored table: (e_i e_j) e_k sums
+    c * mult.rows[m][k] over the terms (m, c) of e_i e_j, and e_i (e_j e_k)
+    sums c * mult.rows[i][m] over the terms (m, c) of e_j e_k.  The slot is
+    the smallest failing (j, k), so the detail names the first failing
+    triple of the triple scan."""
     b, rows = h.basis, h.mult.rows
     law = "(ab)c=a(bc), 1a=a=a1"
     detail = first_failure(
         h.dim, (1, ("unit law fails at basis {0}", lambda i: h.mul(h.unit, b(i)), b),
                    ("unit law fails at basis {0}", lambda i: h.mul(b(i), h.unit), b))
     ) or first_failure(
-        h.dim, ((2, h.generators), (
-            "associativity fails at triple ({0},{1},{slot})",
-            lambda i, j: sparse_rows((k, n, c * v) for m, c in rows[i].get(j, ())
-                                     for k, terms in rows[m].items() for n, v in terms),
-            lambda i, j: sparse_rows((k, n, c * v) for k, terms in rows[j].items()
-                                     for m, c in terms for n, v in rows[i].get(m, ())))))
+        h.dim, ((1, h.generators), (
+            "associativity fails at triple ({0},{slot[0]},{slot[1]})",
+            lambda i: sparse_rows(((j, k), n, c * v) for j, terms in rows[i].items()
+                                  for m, c in terms for k, terms2 in rows[m].items()
+                                  for n, v in terms2),
+            lambda i: sparse_rows(((j, k), n, c * v) for j, row in enumerate(rows)
+                                  for k, terms in row.items() for m, c in terms
+                                  for n, v in rows[i].get(m, ())))))
     return ok("algebra", law) if detail is None else fail("algebra", law, detail)
 
 
@@ -315,20 +348,50 @@ def verify_coalgebra(h: HopfData) -> Check:
 
 def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
     """Coproduct and counit are unital algebra maps; the product laws run
-    over a in `first` (see above)."""
-    b, eps, p = h.basis, h.counit_of, h.products
-    cop = [h.coprod(b(i)) for i in range(h.dim)]
+    over a in `first` (see above).
+
+    Both product laws share one row per i, keyed by (j, part): the part
+    "coproduct" holds D(e_i e_j), a sparse dict {(p, q): coeff}, and the
+    part "counit" the scalar eps(e_i e_j).  "coproduct" sorts before
+    "counit", so at each pair the coproduct part is compared first, and the
+    slot names the pair and the part that fails first."""
+    d, rows, cop = h.dim, h.mult.rows, h.comult.rows
+    eps = dict(h.counit.support)
+    coprods = [[(p, q, x) for p, terms in row.items() for q, x in terms] for row in cop]
+
+    def lhs(i):  # D(e_i e_j) and eps(e_i e_j), from the terms (m, c) of e_i e_j
+        out = sparse_rows(((j, "coproduct"), (p, q), c * x)
+                          for j, terms in rows[i].items() for m, c in terms
+                          for p, q, x in coprods[m])
+        out.update(sparse_sum(((j, "counit"), c * eps[m])
+                              for j, terms in rows[i].items() for m, c in terms if m in eps))
+        return out
+
+    def rhs(i):  # D(e_i)D(e_j) and eps(e_i)eps(e_j)
+        def terms():
+            for j in range(d):
+                for a, b, x in coprods[i]:
+                    row_a, row_b = rows[a], rows[b]
+                    for c, e, y in coprods[j]:
+                        left, right = row_a.get(c), row_b.get(e)
+                        if left and right:
+                            s = x * y
+                            for p, cp in left:
+                                sp = s * cp
+                                for q, cq in right:
+                                    yield (j, "coproduct"), (p, q), sp * cq
+        out = sparse_rows(terms())
+        if i in eps:
+            out.update(((j, "counit"), eps[i] * y) for j, y in eps.items())
+        return out
+
     return law_check(
-        "bialgebra", "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1", h.dim,
+        "bialgebra", "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1", d,
         (0, ("coproduct of the unit is not 1(x)1",
              lambda: h.coprod(h.unit),
              lambda: {(i, j): x * y for i, x in h.unit.support for j, y in h.unit.support}),
             ("counit of the unit is not 1", lambda: h.counit_of(h.unit), lambda: CYC_ONE)),
-        ((2, first),
-         ("coproduct not multiplicative at pair ({0},{1})",
-          lambda i, j: h.coprod(p[i][j]), lambda i, j: h.tensor_mul(cop[i], cop[j])),
-         ("counit not multiplicative at pair ({0},{1})",
-          lambda i, j: eps(p[i][j]), lambda i, j: eps(b(i)) * eps(b(j)))))
+        ((1, first), ("{slot[1]} not multiplicative at pair ({0},{slot[0]})", lhs, rhs)))
 
 
 _SINGULAR = "antipode matrix is singular"
@@ -349,13 +412,14 @@ def verify_antipode(h: HopfData) -> Check:
 def verify_antipode_derived(h: HopfData, first: tuple | None = None) -> Check:
     """Consequences of the axioms: S is a unital anti-homomorphism of both
     structures; S(ab) = S(b)S(a) runs over a in `first` (see above)."""
-    b, s, p, eps = h.basis, h.s_basis, h.products, h.counit_of
+    b, s, eps = h.basis, h.s_basis, h.counit_of
     return law_check(
         "antipode-derived", "S(ab)=S(b)S(a), S(1)=1, eps.S=eps, D.S=flip(S(x)S)D", h.dim,
         (0, ("S(1) != 1", lambda: h.antipode_of(h.unit), lambda: h.unit)),
         (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: eps(s[i]), lambda i: eps(b(i)))),
-        ((2, first), ("anti-multiplicativity fails at ({0},{1})",
-                      lambda i, j: h.antipode_of(p[i][j]), lambda i, j: h.mul(s[j], s[i]))),
+        ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
+                      lambda i: image_rows(h, i, s),
+                      lambda i: product_rows(h, ((j, s[j], s[i]) for j in range(h.dim))))),
         (1, ("anti-comultiplicativity fails at basis {0}",
              lambda k: h.coprod(s[k]), lambda k: h.coprod_map(k, s, s, flip=True))))
 
@@ -367,13 +431,14 @@ def verify_star(h: HopfData, first: tuple | None = None) -> Check:
     law = "(a*)*=a, (ab)*=b*a*, D(a*)=D(a)*, eps(a*)=conj(eps(a)), S(a)*=Sinv(a*)"
     if h.star is None:
         return skip("star", law, "no-star")
-    b, p, eps, st = h.basis, h.products, h.counit_of, h.star.images  # st[i] = e_i^*
+    b, eps, st = h.basis, h.counit_of, h.star.images  # st[i] = e_i^*
     return law_check(
         "star", law, h.dim,
         (1, ("involution fails at basis {0}", lambda i: h.star_of(st[i]), b)),
         (0, ("1* != 1", lambda: h.star_of(h.unit), lambda: h.unit)),
-        ((2, first), ("anti-multiplicativity fails at ({0},{1})",
-                      lambda i, j: h.star_of(p[i][j]), lambda i, j: h.mul(st[j], st[i]))),
+        ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
+                      lambda i: image_rows(h, i, st, conj=True),
+                      lambda i: product_rows(h, ((j, st[j], st[i]) for j in range(h.dim))))),
         (1, ("coproduct compatibility fails at basis {0}",
              lambda k: h.coprod(st[k]), lambda k: h.coprod_map(k, st, st, conj=True))),
         (1, ("counit compatibility fails at basis {0}",

@@ -71,7 +71,11 @@ class Elem:
 
 
 def scale(c: Cyc, a: Elem) -> Elem:
-    return Elem.of(a.dim, ((i, c * x) for i, x in a.support))
+    """c a.  For c nonzero the support stays canonical: a product of
+    nonzeros is nonzero in a field, and the indices keep their order."""
+    if c.is_zero():
+        return Elem(a.dim, ())
+    return Elem(a.dim, tuple((i, c * x) for i, x in a.support))
 
 
 def pairing(f: Elem, a: Elem) -> Cyc:
@@ -110,6 +114,9 @@ class Mat:
         """self * v."""
         if v.dim != self.cols:
             raise DimMismatch("vector length mismatch")
+        if len(v.support) == 1:  # x e_j: the stored column, scaled
+            (j, x), = v.support
+            return self.images[j] if x is CYC_ONE else scale(x, self.images[j])
         return Elem.of(self.rows, ((i, c * x) for j, x in v.support
                                    for i, c in self.images[j].support))
 
@@ -121,6 +128,10 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat.of(self.cols, self.rows, {(j, i): c for j, col in enumerate(self.images)
                                              for i, c in col.support})
+
+    def row_dicts(self) -> list:
+        """Row i as the sparse dict {j: self[i][j]}, for every i."""
+        return [dict(row.support) for row in self.transpose().images]
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(

@@ -201,7 +201,7 @@ def _gns(h: HopfData, v: dict) -> list:
     gns = None
     try:
         gns = gns_build(h, v["star_gram"], tol)
-        rep = gns_representation_check(h, md.phi, gns, tol)
+        rep = gns_representation_check(h, gns, tol)
     except HopfError as e:
         rep = fail("gns-representation", "rep is a *-homomorphism", str(e))
     checks = [rep]
@@ -214,8 +214,7 @@ def _gns(h: HopfData, v: dict) -> list:
         return checks
     try:
         v["gns_dual"] = gns_build(v["dual"], v["dual_star_gram"], tol)
-        checks.append(operator_radford_check(h, md, v["dual"], v["delta_hat"],
-                                             gns, v["gns_dual"], tol))
+        checks.append(operator_radford_check(h, md, v["delta_hat"], gns, v["gns_dual"], tol))
     except HopfError as e:
         checks.append(fail("operator-radford", _LAW_OPERATOR_RADFORD, str(e)))
     return checks
@@ -246,7 +245,7 @@ STAGES = (
                         (dual_modular_links, radford_check, radford_factorization)]),
     Stage((("s2-conjugation", "S^2 under a trivial dual modular element"),),
           ("modular", "delta_hat", "group_likes"),
-          lambda h, v: [counimodular_check(h, v["modular"], v["dual"], v["delta_hat"],
+          lambda h, v: [counimodular_check(h, v["modular"], v["delta_hat"],
                                            v["group_likes"])]),
     Stage((("s2-half-power", "S^2 as a half sandwich"),),
           ("modular", "delta_hat", "group_likes", "dual_likes"),

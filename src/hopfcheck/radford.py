@@ -83,8 +83,7 @@ def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
     return [g for g in likes if h.mul(g, g) == target]
 
 
-def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
-                       delta_hat: Elem, likes: list) -> Check:
+def counimodular_check(h: HopfData, md: ModularData, delta_hat: Elem, likes: list) -> Check:
     """When the dual modular element is trivial, S^2 itself is inner-modular:
     phi(ab) = phi(b S^2(a)); with a group-like square root r of delta it is
     plain conjugation S^2(a) = r^-1 a r and phi( . r) is a trace.
@@ -100,7 +99,7 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
         return skip("s2-conjugation", law, "not-counimodular")
     b, phi, s2 = h.basis, md.phi, h.s2.images
     bad = first_failure(h.dim, (1, ("phi twist fails at ({0},{slot})",
-                                    _row_dicts(md.gram).__getitem__,
+                                    md.gram.row_dicts().__getitem__,
                                     lambda i: dict(md.gram.apply(s2[i]).support))))
     if bad is not None:
         return fail("s2-conjugation", law, bad)
@@ -123,13 +122,8 @@ def counimodular_check(h: HopfData, md: ModularData, hd: HopfData,
     phi_r = Elem.of(h.dim, ((k, pairing(phi, h.mul(b(k), root))) for k in range(h.dim)))
     gram_r = gram_matrix(h, phi_r)
     return law_check("s2-conjugation", law, h.dim,
-                     (1, ("trace property fails at ({0},{slot})", _row_dicts(gram_r).__getitem__,
+                     (1, ("trace property fails at ({0},{slot})", gram_r.row_dicts().__getitem__,
                           lambda i: dict(gram_r.images[i].support))))
-
-
-def _row_dicts(m: Mat) -> list:
-    """Row i of m as the sparse dict {j: m[i][j]}, for every i."""
-    return [dict(row.support) for row in m.transpose().images]
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,

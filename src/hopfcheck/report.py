@@ -4,7 +4,6 @@ the one evaluator every exact law goes through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 PASS = "PASS"
@@ -57,25 +56,28 @@ def first_failure(dim: int, *groups) -> str | None:
 
     A group is (head, *rows) and a row is (template, lhs, rhs), where lhs
     and rhs are plain callables taking `arity` basis indices.  The head is
-    the arity, or (arity, first) to run the first slot over the indices in
+    the arity, 0 or 1, or (1, first) to run the index over the indices in
     `first` only (in the order given, which must be increasing) instead of
     all of range(dim).  Groups run in the order given.  Within a group the
-    index tuples run in lexicographic order (arity 0 runs its rows once),
-    and at each tuple every row is compared in turn, so a law with several
-    parts reports the first failing part at the first failing index (the
-    coproduct before the counit at each pair, say), never a later index of
-    an earlier part.  The first mismatch returns
+    indices run in increasing order (arity 0 runs its rows once), and at
+    each index every row is compared in turn, so a law with several parts
+    reports the first failing part at the first failing index, never a
+    later index of an earlier part.  The first mismatch returns
     template.format(*idx, slot=...), where slot is the smallest key at
     which two sparse tensors differ (both sides dicts with zero entries
     dropped, so a missing key is zero), and None otherwise.
 
-    A side may return the whole last slot at once: a law on index triples
-    stated as a group of arity 2 whose sides are sparse dicts keyed by the
-    third index k (values compared whole, so themselves sparse with zeros
-    dropped).  Then slot is the smallest failing k, and since the pairs run
-    in lexicographic order, the detail names the same first failing triple,
-    in the same scan order, as the arity-3 group would.  verify_algebra
-    reads associativity this way, one row pair (i, j) at a time.
+    A law on index pairs or triples is stated at arity 1: one row per first
+    index i, each side a sparse dict keyed by the second index j, or by
+    (j, k) for a triple law (values compared whole, so themselves sparse
+    with zeros dropped).  Then slot is the smallest failing key, and since
+    keys compare lexicographically, the detail names the same first failing
+    tuple, in the same scan order, as a scan over every tuple would
+    (template "... at ({0},{slot})", or "({0},{slot[0]},{slot[1]})").  A
+    law with several parts at each pair keys its dict by (j, part), with
+    the parts ordered as the pair scan compared them.  verify_algebra reads
+    associativity this way, one row i at a time keyed by (j, k), summed
+    straight from the stored table with no Elem built per tuple.
 
     Sides are callables over the HopfData primitives rather than terms of a
     small expression language: each verifier already names its maps, and a
@@ -83,8 +85,8 @@ def first_failure(dim: int, *groups) -> str | None:
 
     Bilinear laws on generators.  Let the unit law hold and let
     first = h.generators, the greedy generating set (see its docstring).
-    Then associativity with its first slot over first (the row-pair group
-    ((2, first), ...) of verify_algebra) decides associativity on all of A,
+    Then associativity with its first slot over first (the group
+    ((1, first), ...) of verify_algebra) decides associativity on all of A,
     and with the same first failing index tuple as the full scan:
 
       - Let X be the set of x with (xb)c = x(bc) for all b and c.  X is a
@@ -114,11 +116,12 @@ def first_failure(dim: int, *groups) -> str | None:
     A group with several rows uses the intersection of their sets X.
     """
     for head, *rows in groups:
-        arity, first = head if isinstance(head, tuple) else (head, None)
-        slots = [range(dim)] * arity
-        if first is not None:
-            slots[0] = first
-        for idx in product(*slots):
+        if head == 0:
+            indices = [()]
+        else:
+            first = head[1] if isinstance(head, tuple) else None
+            indices = [(i,) for i in (range(dim) if first is None else first)]
+        for idx in indices:
             for template, lhs, rhs in rows:
                 left, right = lhs(*idx), rhs(*idx)
                 if left != right:

@@ -20,3 +20,24 @@ def entry(table, *index) -> Cyc:
         key, j = index
         pairs = table.images[j].support
     return next((v for k, v in pairs if k == key), CYC_ZERO)
+
+
+def pair_scan(dim: int, *rows, first=None) -> str | None:
+    """A bilinear law scanned one pair (i, j) at a time, the form the
+    package's pair laws had before each was read as one sparse row per i.
+    rows are (template, lhs, rhs) with sides taking (i, j); i runs over first
+    (every index when None) and j over range(dim), in lexicographic order,
+    and at each pair every row is compared in turn.  The first mismatch
+    returns template.format(i, j, slot=...), slot the smallest key at which
+    two dict sides differ, and None when every pair holds."""
+    for i in range(dim) if first is None else first:
+        for j in range(dim):
+            for template, lhs, rhs in rows:
+                left, right = lhs(i, j), rhs(i, j)
+                if left != right:
+                    slot = None
+                    if isinstance(left, dict) and isinstance(right, dict):
+                        slot = min(k for k in left.keys() | right.keys()
+                                   if left.get(k) != right.get(k))
+                    return template.format(i, j, slot=slot)
+    return None

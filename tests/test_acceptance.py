@@ -215,7 +215,7 @@ def test_criterion_09_operator_side(zoo):
         gns = gns_build(h, star_gram(h, md.gram))
         if np.linalg.norm(gns.nabla - np.eye(h.dim)) > 1e-9:
             bad.append(f"{name}:nabla")
-        if gns_representation_check(h, md.phi, gns, tol=1e-9).status != "PASS":
+        if gns_representation_check(h, gns, tol=1e-9).status != "PASS":
             bad.append(f"{name}:star-lift")
         if tomita_check(h, gns, tol=1e-8).status != "PASS":
             bad.append(f"{name}:commutant")
@@ -225,7 +225,7 @@ def test_criterion_09_operator_side(zoo):
         psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
         delta_hat = modular_element(hd, phi_dual)
         gns_dual = gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
-        if operator_radford_check(h, md, hd, delta_hat, gns, gns_dual,
+        if operator_radford_check(h, md, delta_hat, gns, gns_dual,
                                   tol=1e-9).status != "PASS":
             bad.append(f"{name}:operator-factors")
     elapsed = time.monotonic() - start

@@ -68,7 +68,7 @@ def test_group_algebra_representation_criteria(zoo):
         h = zoo[name]
         md, gns = _setup(h)
         assert np.linalg.norm(gns.nabla - np.eye(h.dim)) <= 1e-9, name
-        rep_check = gns_representation_check(h, md.phi, gns, tol=1e-9)
+        rep_check = gns_representation_check(h, gns, tol=1e-9)
         assert rep_check.status == "PASS", rep_check.line()
         tom = tomita_check(h, gns, tol=1e-8)
         assert tom.status == "PASS", tom.line()
@@ -78,7 +78,7 @@ def test_group_algebra_representation_criteria(zoo):
         psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
         delta_hat = modular_element(hd, phi_dual)
         gns_dual = gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
-        op = operator_radford_check(h, md, hd, delta_hat, gns, gns_dual, tol=1e-9)
+        op = operator_radford_check(h, md, delta_hat, gns, gns_dual, tol=1e-9)
         assert op.status == "PASS", op.line()
         assert time.monotonic() - start < 5.0, f"{name} exceeded the budget"
 
@@ -133,7 +133,7 @@ def test_rescaling_generator_is_identity(zoo):
     # stated in the representation law rather than stored on GNSData
     h = zoo["C[Z2]"]
     md, gns = _setup(h)
-    check = gns_representation_check(h, md.phi, gns)
+    check = gns_representation_check(h, gns)
     assert check.status == "PASS"
     assert "T^2=P=1" in check.identity
 
@@ -204,17 +204,62 @@ def test_batched_multiplicativity_fails_where_the_pair_loop_did(zoo):
         h = zoo[name]
         md, gns = _setup(h)
         assert _per_pair_multiplicativity(h, gns) is None
-        assert gns_representation_check(h, md.phi, gns).passed()
+        assert gns_representation_check(h, gns).passed()
         clean = gns.rep.copy()
         for k in range(h.dim):
             gns.rep = clean.copy()
             gns.rep[k, 0, h.dim - 1] += 1e-3
             want = _per_pair_multiplicativity(h, gns)
-            detail = gns_representation_check(h, md.phi, gns).detail
+            detail = gns_representation_check(h, gns).detail
             if detail != "unit is not represented by the identity":
                 assert want is not None and detail == want, (name, k)
                 seen.add(detail)
     assert len(seen) >= 3
+
+
+@pytest.mark.parametrize("name", ["C[Z6]", "C[S3]"])
+def test_multiplicativity_on_generators_sees_a_corrupted_non_generator(zoo, name):
+    # the loop multiplies rep(e_g) into every rep(e_j) for the generators g
+    # only; rep(e_k) of a non-generator k is still read as the right factor
+    # and in the sum over the product's terms, so corrupting it fails too
+    h = zoo[name]
+    md, gns = _setup(h)
+    clean = gns.rep.copy()
+    unit = {i for i, _ in h.unit.support}
+    others = [k for k in range(h.dim) if k not in h.generators and k not in unit]
+    assert h.generators and others
+    for k in (h.generators[0], others[0], others[-1]):
+        gns.rep = clean.copy()
+        gns.rep[k, 0, h.dim - 1] += 1e-3
+        check = gns_representation_check(h, gns)
+        assert check.status == "FAIL", (name, k)
+        assert check.detail.startswith("multiplicativity fails at ("), (name, k, check.detail)
+        i = int(check.detail.split("(")[1].split(",")[0])
+        assert i in h.generators
+        assert check.detail == _per_pair_multiplicativity(h, gns), (name, k)
+
+
+def test_multiplicativity_reads_every_generator(zoo):
+    # C[S3] has generators (1, 3).  Let K be the subgroup e_1 generates, and
+    # double rep(e_g) off K: every product with a left factor in K still
+    # holds (K times a coset stays in that coset), while e_3 e_3 does not,
+    # so a loop over the first generator alone would pass
+    h = zoo["C[S3]"]
+    md, gns = _setup(h)
+    assert h.generators == (1, 3)
+    k_set, x = {0}, h.unit
+    while True:
+        x = h.mul(h.basis(1), x)
+        (g, _), = x.support
+        if g in k_set:
+            break
+        k_set.add(g)
+    assert 3 not in k_set and len(k_set) == 3
+    for g in set(range(h.dim)) - k_set:
+        gns.rep[g] *= 2
+    check = gns_representation_check(h, gns)
+    assert (check.status, check.detail) == ("FAIL", _per_pair_multiplicativity(h, gns))
+    assert check.detail.startswith("multiplicativity fails at (3,")
 
 
 def _per_basis_adjoint(h, gns, tol=1e-9):
@@ -251,12 +296,12 @@ def test_batched_adjoint_fails_where_the_basis_loop_did(zoo):
             bad = dataclasses.replace(h, star=Mat.of(d, d, bent))
             want = _per_basis_adjoint(bad, gns)
             assert want == f"adjoint property fails at basis {k}"
-            assert gns_representation_check(bad, md.phi, gns).detail == want, (name, k)
+            assert gns_representation_check(bad, gns).detail == want, (name, k)
             seen.add(want)
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         gns.rep = q @ gns.rep @ q.conj().T
         assert _per_basis_adjoint(h, gns) is None
-        assert gns_representation_check(h, md.phi, gns).passed(), name
+        assert gns_representation_check(h, gns).passed(), name
     assert len(seen) >= 6
 
 

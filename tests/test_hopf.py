@@ -170,14 +170,15 @@ def _triple_scan_detail(h):
     return ""
 
 
-def test_row_associativity_fails_where_the_triple_scan_did():
+def test_row_associativity_fails_where_the_triple_scan_did(zoo):
     # taft(3) lives over Q(zeta_3), so the rows are summed in a proper
     # cyclotomic field and not only over the rationals
     h = taft(3)
     assert h.field_order == 3
     details = [(verify_algebra(bad).detail, _triple_scan_detail(bad))
-               for bad in _single_entry_corruptions(h, ("mult",))]
-    assert len(details) == 9 ** 3
+               for member in (h, zoo["sweedler"], zoo["C[S3]"])
+               for bad in _single_entry_corruptions(member, ("mult",))]
+    assert len(details) == 9 ** 3 + 4 ** 3 + 6 ** 3
     assert all(got == want for got, want in details)
     heads = {want.split(" at ")[0] for _, want in details}
     assert heads == {"unit law fails", "associativity fails"}

@@ -5,7 +5,7 @@ import itertools
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Elem, Mat, pairing, s2_order, s_order, sweedler, taft
 from hopfcheck.radford import counimodular_check, group_like_roots
-from hopfcheck.report import first_failure
+from helpers import pair_scan
 
 
 def _check(pipelines, name, check_name):
@@ -113,17 +113,17 @@ def _twist_by_pairs(h, phi):
     """The twist rows of counimodular_check as they were: phi(e_i e_j)
     against phi(e_j S^2(e_i)) on every pair, in lexicographic order."""
     b, p, s2 = h.basis, h.products, h.s2.images
-    return first_failure(h.dim, (2, ("phi twist fails at ({0},{1})",
-                                     lambda i, j: pairing(phi, p[i][j]),
-                                     lambda i, j: pairing(phi, h.mul(b(j), s2[i])))))
+    return pair_scan(h.dim, ("phi twist fails at ({0},{1})",
+                             lambda i, j: pairing(phi, p[i][j]),
+                             lambda i, j: pairing(phi, h.mul(b(j), s2[i]))))
 
 
 def _trace_by_pairs(h, phi, root):
     """The trace rows as they were: phi(e_i e_j r) against phi(e_j e_i r)."""
     p = h.products
-    return first_failure(h.dim, (2, ("trace property fails at ({0},{1})",
-                                     lambda i, j: pairing(phi, h.mul(p[i][j], root)),
-                                     lambda i, j: pairing(phi, h.mul(p[j][i], root)))))
+    return pair_scan(h.dim, ("trace property fails at ({0},{1})",
+                             lambda i, j: pairing(phi, h.mul(p[i][j], root)),
+                             lambda i, j: pairing(phi, h.mul(p[j][i], root))))
 
 
 def _with_s2(h, s2):
@@ -154,7 +154,7 @@ def test_twist_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo)
             h2 = _with_s2(h, _raised(h.s2, k, i))
             want = _twist_by_pairs(h2, md.phi)
             assert want is not None
-            check = counimodular_check(h2, md, hd, delta_hat, likes)
+            check = counimodular_check(h2, md, delta_hat, likes)
             assert (check.status, check.detail) == ("FAIL", want), (name, k, i)
             seen.add(want)
     # the members above have symmetric Grams; forced past the counimodular
@@ -166,7 +166,7 @@ def test_twist_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo)
         for h2 in [h] + [_with_s2(h, _raised(h.s2, k, i))
                          for k, i in itertools.product(range(h.dim), repeat=2)]:
             want = _twist_by_pairs(h2, md.phi)
-            check = counimodular_check(h2, md, hd, h2.counit, likes)
+            check = counimodular_check(h2, md, h2.counit, likes)
             if want is not None:
                 assert (check.status, check.detail) == ("FAIL", want), (name, check.line())
                 seen.add(want)
@@ -199,8 +199,7 @@ def test_trace_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo)
                                    for j, c in h.mul(b(m), root_inv).support if j == k))
             phi = Elem.of(h.dim, [*md.phi.support, *bump.support])
             assert phi_r(phi) == Elem.of(h.dim, [*phi_r(md.phi).support, (k, CYC_ONE)])
-            check = counimodular_check(h, dataclasses.replace(md, phi=phi), hd, delta_hat,
-                                       likes)
+            check = counimodular_check(h, dataclasses.replace(md, phi=phi), delta_hat, likes)
             want = _trace_by_pairs(h, phi, root)
             assert (check.status, check.detail) == (("PASS", "") if want is None
                                                     else ("FAIL", want)), (name, k)
