@@ -12,6 +12,9 @@ sides alike and no run inherits another's caches.  A run builds the member
 and times `run_pipeline` by wall time and by process CPU time
 (time.process_time, which leaves out the time the process waits); each run
 is printed to stderr as it ends, and the CPU-time medians after each member.
+Each run also times every stage of `pipeline.STAGES` that runs, by process
+CPU time, under the name of the stage's first check, so that a growth
+exponent can be fitted per stage over the members of one family.
 
 Then one more interpreter per tree, not timed, takes the sha256 of what
 `hopfcheck verify` and then `hopfcheck report` print for the member's file.
@@ -21,9 +24,10 @@ and kac).  The member file is written to a temporary directory (TMPDIR
 decides where).
 
 The script prints one JSON record: for each member its dim and, for each
-tree, every run's wall and CPU time, the median of each and the digest,
-plus whether the digests of the two trees are equal.  It is not part of the
-test suite: the whole ladder takes minutes.
+tree, every run's wall and CPU time, the median of each, the median CPU
+time of each stage and the digest, plus whether the digests of the two
+trees are equal.  It is not part of the test suite: the whole ladder takes
+minutes.
 """
 
 import json
@@ -57,15 +61,31 @@ def build(name: str):
 
 
 def time_run(name: str) -> dict:
-    """One timed run_pipeline on a freshly built member."""
+    """One timed run_pipeline on a freshly built member, with the CPU time
+    of each stage that runs, keyed by the stage's first check name."""
     import time
 
-    from hopfcheck import run_pipeline
+    from hopfcheck import pipeline, run_pipeline
 
+    stage_cpu: dict = {}
+
+    def timed(label: str, run):
+        def run_timed(h, values):
+            c0 = time.process_time()
+            try:
+                return run(h, values)
+            finally:
+                stage_cpu[label] = time.process_time() - c0
+        return run_timed
+
+    # run_pipeline reads the module's STAGES when it is called
+    pipeline.STAGES = tuple(stage._replace(run=timed(stage.laws[0][0], stage.run))
+                            for stage in pipeline.STAGES)
     h = build(name)
     t0, c0 = time.perf_counter(), time.process_time()
     run_pipeline(h)
-    return {"dim": h.dim, "wall_s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0}
+    return {"dim": h.dim, "wall_s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0,
+            "stage_cpu_s": stage_cpu}
 
 
 def transcript_sha256(name: str) -> dict:
@@ -101,7 +121,7 @@ def in_fresh_interpreter(src: str, mode: str, name: str) -> dict:
 
 
 def measure(name: str, trees: dict) -> dict:
-    sides = {label: {"runs_s": [], "cpu_s": []} for label in trees}
+    sides = {label: {"runs_s": [], "cpu_s": [], "stage_cpu_s": []} for label in trees}
     dim = None
     for run in range(1, RUNS + 1):
         for label, src in trees.items():
@@ -109,12 +129,17 @@ def measure(name: str, trees: dict) -> dict:
             dim = r["dim"]
             sides[label]["runs_s"].append(round(r["wall_s"], 3))
             sides[label]["cpu_s"].append(round(r["cpu_s"], 3))
+            sides[label]["stage_cpu_s"].append(r["stage_cpu_s"])
             print(f"{name} {label} run {run}: {r['wall_s']:.3f} s wall, {r['cpu_s']:.3f} s cpu",
                   file=sys.stderr)
     for label, src in trees.items():
         side = sides[label]
         side["median_s"] = round(statistics.median(side["runs_s"]), 3)
         side["median_cpu_s"] = round(statistics.median(side["cpu_s"]), 3)
+        runs = side.pop("stage_cpu_s")
+        side["stage_median_cpu_s"] = {stage: round(statistics.median(run[stage] for run in runs
+                                                                     if stage in run), 4)
+                                      for stage in runs[0]}
         side.update(in_fresh_interpreter(src, "--sha256", name))
     print(f"{name}: median cpu " + ", ".join(f"{label} {sides[label]['median_cpu_s']} s"
                                             for label in trees), file=sys.stderr)

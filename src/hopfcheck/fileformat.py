@@ -92,24 +92,45 @@ def _vector(raw, d: int, read, where: str) -> list:
     return out
 
 
-def _matrix(raw, d: int, read, where: str) -> Mat:
+def _rows(raw, d: int, read, where: str):
+    """The (r, entries) of each row r of the d x d array raw that holds an
+    entry other than "0", entries being its (column, value) pairs.  A row
+    of d "0" texts costs one count, and the other rows are read inline.
+    A row that is not a length-d list, or holds an entry that does not
+    read, goes to _vector, which raises with the location, so a location
+    text is built only on failure and names the entry the per-row read
+    would have named first."""
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d} array")
-    return Mat.of(d, d, {(r, c): x for r, row in enumerate(raw)
-                         for c, x in _vector(row, d, read, f"{where}[{r}]")})
+    for r, row in enumerate(raw):
+        if isinstance(row, list) and len(row) == d:
+            if row.count("0") == d:
+                continue
+            try:
+                entries = [(c, read(x)) for c, x in enumerate(row) if x != "0"]
+            except FormatError:
+                entries = _vector(row, d, read, f"{where}[{r}]")
+        else:
+            entries = _vector(row, d, read, f"{where}[{r}]")
+        yield r, entries
+
+
+def _matrix(raw, d: int, read, where: str) -> Mat:
+    columns: list = [[] for _ in range(d)]
+    for r, entries in _rows(raw, d, read, where):
+        for c, x in entries:
+            if not x.is_zero():  # an entry such as "0/1" parses to zero
+                columns[c].append((r, x))
+    # rows arrive in increasing r, so each column is already a canonical support
+    return Mat(d, d, tuple(Elem(d, tuple(col)) for col in columns))
 
 
 def _tensor(raw, d: int, read, where: str) -> Tensor3:
     if not isinstance(raw, list) or len(raw) != d:
         raise FormatError(f"{where}: expected a {d}x{d}x{d} array")
-    entries = {}
-    for a, plane in enumerate(raw):
-        if not isinstance(plane, list) or len(plane) != d:
-            raise FormatError(f"{where}[{a}]: expected a {d}x{d} array")
-        for b, row in enumerate(plane):
-            for c, x in _vector(row, d, read, f"{where}[{a}][{b}]"):
-                entries[a, b, c] = x
-    return Tensor3(d, entries)
+    return Tensor3(d, {(a, b, c): x for a, plane in enumerate(raw)
+                       for b, entries in _rows(plane, d, read, f"{where}[{a}]")
+                       for c, x in entries})
 
 
 def _positive_int(doc: dict, field: str) -> int:

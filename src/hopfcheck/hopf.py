@@ -84,14 +84,6 @@ class HopfData:
         except SingularMatrix:
             return None
 
-    @cached_property
-    def products(self) -> tuple:
-        """products[i][j] = e_i e_j, a view of the stored row mult.rows[i][j]:
-        its (k, coeff) terms already are an Elem support (nonzero, increasing
-        k), so the table costs no scalar arithmetic."""
-        d, rows = self.dim, self.mult.rows
-        return tuple(tuple(Elem(d, row.get(j, ())) for j in range(d)) for row in rows)
-
     @property
     def s_basis(self) -> tuple:
         """s_basis[i] = S(e_i), the antipode's stored column."""
@@ -180,10 +172,12 @@ class HopfData:
         return Elem.of(self.dim, acc)
 
     def mul_many(self, *elems: Elem) -> Elem:
-        out = self.unit
-        for e in elems:
-            out = self.mul(out, e)
-        return out
+        """The product of elems from the left; the unit when there are none.
+        It starts from the first factor, so it takes 1 a = a on trust: every
+        caller runs after the algebra check has passed."""
+        if not elems:
+            return self.unit
+        return reduce(self.mul, elems)
 
     def coprod(self, a: Elem) -> dict:
         """Coproduct as a sparse dict {(i, j): coeff}."""
@@ -542,10 +536,12 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     n = dim J^perp.  The group-likes span J^perp, where the right-slot
     operators R_j(e_k) = sum_i comult[k][i][j] e_i commute and R_j g = g_j g,
     so one eigenproblem on a fixed combination gives each coordinate g_j as
-    an eigenvalue.  Each is rounded by _exactify and each candidate is
-    confirmed with the exact coproduct, by is_group_like(h, g, first);
-    NumericalFailure is raised unless n of them are, so a returned list is
-    all of G(H).
+    an eigenvalue.  It is read off each unit eigenvector v as (R_j v)_p / v_p
+    at its largest coordinate p, where |v_p| >= n^-1/2: d n^2 work, with no
+    inverse of the eigenbasis.  Each is rounded by _exactify and each
+    candidate is confirmed with the exact coproduct, by is_group_like(h, g,
+    first); NumericalFailure is raised unless n of them are, so a returned
+    list is all of G(H).
     """
     import numpy as np
 
@@ -589,10 +585,8 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
             break
         weights = np.exp(2j * np.pi * theta * np.arange(1, d + 1) ** 2)
         vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))[1]
-        try:
-            values = np.einsum("mi,jik,km->mj", np.linalg.inv(vecs), ops, vecs)
-        except np.linalg.LinAlgError:
-            continue
+        p = np.abs(vecs).argmax(axis=0)
+        values = np.einsum("jmk,km->mj", ops[:, p, :], vecs) / vecs[p, np.arange(n)][:, None]
         confirmed: list = []
         seen: set = set()
         for row in values:

@@ -18,7 +18,7 @@ from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegra
                      RightInvarianceFailed, SingularMatrix)
 from .hopf import (HopfData, act_right, image_rows, is_group_like, product_rows,
                    sparse_rows)
-from .linalg import Elem, Mat, mat_inverse, pairing, scale, solve_null_space
+from .linalg import Elem, Mat, mat_inverse, pairing, scale, solve_null_space, sparse_sum
 from .report import first_failure, law_check
 
 
@@ -98,9 +98,13 @@ def modular_element(h: HopfData, phi: Elem, first: tuple | None = None) -> Elem:
 
 
 def gram_matrix(h: HopfData, f: Elem) -> Mat:
-    """G[i][j] = f(e_i e_j), the bilinear form of a functional."""
-    return Mat.of(h.dim, h.dim, {(i, j): pairing(f, x) for i, row in enumerate(h.products)
-                                 for j, x in enumerate(row)})
+    """G[i][j] = f(e_i e_j) = sum_k mult(i, j, k) f_k, the bilinear form of
+    a functional, summed in one pass over the stored nonzeros of mult."""
+    f_at = dict(f.support)
+    return Mat.of(h.dim, h.dim, sparse_sum(((i, j), c * f_at[k])
+                                           for i, row in enumerate(h.mult.rows)
+                                           for j, terms in row.items()
+                                           for k, c in terms if k in f_at))
 
 
 def star_gram(h: HopfData, gram: Mat) -> Mat:

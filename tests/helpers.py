@@ -1,6 +1,10 @@
 """Small constructors the tests share."""
 
-from hopfcheck import CYC_ZERO, Cyc, Mat, Tensor3
+import json
+
+from hopfcheck import CYC_ZERO, Cyc, Elem, Mat, Tensor3
+from hopfcheck.errors import FormatError
+from hopfcheck.fileformat import _scalar_reader
 
 
 def mat_from_rows(rows: list) -> Mat:
@@ -9,6 +13,14 @@ def mat_from_rows(rows: list) -> Mat:
     assert all(len(row) == cols for row in rows), "ragged rows"
     return Mat.of(len(rows), cols, {(i, j): x for i, row in enumerate(rows)
                                      for j, x in enumerate(row)})
+
+
+def products(h) -> tuple:
+    """products(h)[i][j] = e_i e_j, a view of the stored row h.mult.rows[i][j]:
+    its (k, coeff) terms already are an Elem support (nonzero, increasing
+    k), so the table costs no scalar arithmetic."""
+    d = h.dim
+    return tuple(tuple(Elem(d, row.get(j, ())) for j in range(d)) for row in h.mult.rows)
 
 
 def entry(table, *index) -> Cyc:
@@ -41,3 +53,52 @@ def pair_scan(dim: int, *rows, first=None) -> str | None:
                                    if left.get(k) != right.get(k))
                     return template.format(i, j, slot=slot)
     return None
+
+
+def reference_tables(text: str) -> dict:
+    """The six structure tables of a .hopf document, read as the reader did
+    before it skipped all-"0" rows: one located per-row read of every row,
+    matrices through Mat.of and tensors through one entry dict, in the field
+    order star, mult, unit, comult, counit, antipode.  It checks the table
+    fields only, with the same FormatError texts."""
+    doc = json.loads(text)
+    d = doc["dim"]
+    read = _scalar_reader(doc["field_order"])
+
+    def vector(raw, where):
+        if not isinstance(raw, list) or len(raw) != d:
+            raise FormatError(f"{where}: expected a length-{d} array")
+        out = []
+        for i, x in enumerate(raw):
+            if x != "0":
+                try:
+                    out.append((i, read(x)))
+                except FormatError as e:
+                    raise FormatError(f"{where}[{i}]: {e}") from e
+        return out
+
+    def matrix(raw, where):
+        if not isinstance(raw, list) or len(raw) != d:
+            raise FormatError(f"{where}: expected a {d}x{d} array")
+        return Mat.of(d, d, {(r, c): x for r, row in enumerate(raw)
+                             for c, x in vector(row, f"{where}[{r}]")})
+
+    def tensor(raw, where):
+        if not isinstance(raw, list) or len(raw) != d:
+            raise FormatError(f"{where}: expected a {d}x{d}x{d} array")
+        entries = {}
+        for a, plane in enumerate(raw):
+            if not isinstance(plane, list) or len(plane) != d:
+                raise FormatError(f"{where}[{a}]: expected a {d}x{d} array")
+            for b, row in enumerate(plane):
+                for c, x in vector(row, f"{where}[{a}][{b}]"):
+                    entries[a, b, c] = x
+        return Tensor3(d, entries)
+
+    out = {"star": matrix(doc["star"], "star") if "star" in doc else None}
+    out["mult"] = tensor(doc["mult"], "mult")
+    out["unit"] = Elem.of(d, vector(doc["unit"], "unit"))
+    out["comult"] = tensor(doc["comult"], "comult")
+    out["counit"] = Elem.of(d, vector(doc["counit"], "counit"))
+    out["antipode"] = matrix(doc["antipode"], "antipode")
+    return out

@@ -9,6 +9,7 @@ from hopfcheck import hopf_from_text, hopf_to_text, load_hopf, save_hopf
 from hopfcheck.errors import FormatError
 from hopfcheck.fileformat import load_cayley
 from hopfcheck.hopf import same_structure
+from helpers import reference_tables
 
 
 def test_round_trip_entire_zoo(zoo, tmp_path):
@@ -126,6 +127,114 @@ def test_a_repeated_bad_scalar_is_reported_where_it_first_occurs(zoo):
     doc["mult"][1][0][1] = "1"
     with pytest.raises(FormatError, match=r"^antipode\[1\]\[1\]: zero denominator"):
         hopf_from_text(json.dumps(doc))
+
+
+# one row of each table field of the C[Z2] document, by the keys that reach
+# it; its location text is the first key followed by the others in brackets
+ROWS = {"mult": ("mult", 1, 0), "comult": ("comult", 1, 0), "antipode": ("antipode", 1),
+        "star": ("star", 1), "unit": ("unit",), "counit": ("counit",)}
+READ_ORDER = ("star", "mult", "unit", "comult", "counit", "antipode")
+# (how the row is changed, the error text that follows the row's location)
+ROW_CASES = (
+    (lambda row: "x", ": expected a length-2 array"),
+    (lambda row: row[:1], ": expected a length-2 array"),
+    (lambda row: ["0", "0", "0"], ": expected a length-2 array"),
+    (lambda row: [row[0], 0], "[1]: scalar entries must be strings"),
+    (lambda row: [row[0], "1/0"], "[1]: zero denominator in scalar string '1/0'"),
+    (lambda row: ["0", "3q"], "[1]: bad scalar term '3q' in '3q'"),
+)
+
+
+def _location(keys: tuple) -> str:
+    return keys[0] + "".join(f"[{k}]" for k in keys[1:])
+
+
+def _change_row(doc: dict, keys: tuple, change) -> None:
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = change(node[keys[-1]])
+
+
+def _format_error(read, text: str) -> str:
+    with pytest.raises(FormatError) as e:
+        read(text)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("field", READ_ORDER)
+def test_a_bad_row_names_its_location(zoo, field):
+    for change, suffix in ROW_CASES:
+        doc = json.loads(hopf_to_text(zoo["C[Z2]"]))
+        _change_row(doc, ROWS[field], change)
+        want = _location(ROWS[field]) + suffix
+        assert _format_error(hopf_from_text, json.dumps(doc)) == want
+        assert _format_error(reference_tables, json.dumps(doc)) == want
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("mult", "x", "mult: expected a 2x2x2 array"),
+    ("comult", [[["1", "0"], ["0", "0"]]], "comult: expected a 2x2x2 array"),
+    ("antipode", [["1", "0"]], "antipode: expected a 2x2 array"),
+    ("star", 5, "star: expected a 2x2 array"),
+])
+def test_a_bad_array_names_its_field(zoo, field, value, want):
+    doc = json.loads(hopf_to_text(zoo["C[Z2]"]))
+    doc[field] = value
+    assert _format_error(hopf_from_text, json.dumps(doc)) == want
+
+
+def test_a_bad_plane_names_its_location(zoo):
+    doc = json.loads(hopf_to_text(zoo["C[Z2]"]))
+    doc["mult"][1] = [["0", "0"]]
+    assert _format_error(hopf_from_text, json.dumps(doc)) == "mult[1]: expected a 2x2 array"
+
+
+def test_fields_are_read_in_a_fixed_order(zoo):
+    doc = json.loads(hopf_to_text(zoo["C[Z2]"]))
+    for field in READ_ORDER:
+        _change_row(doc, ROWS[field], lambda row: [row[0], "1/0"])
+    for field in READ_ORDER:
+        want = _location(ROWS[field]) + "[1]: zero denominator in scalar string '1/0'"
+        assert _format_error(hopf_from_text, json.dumps(doc)) == want
+        _change_row(doc, ROWS[field], lambda row: [row[0], "0"])
+
+
+def test_zero_texts_other_than_0_are_parsed_and_dropped(zoo):
+    h = zoo["C[Z2]"]
+    doc = json.loads(hopf_to_text(h))
+    doc["mult"][1][0] = ["0/1", "1"]
+    doc["comult"][1][0] = ["0/1", "-0"]  # a zero row, written without the text "0"
+    doc["antipode"][0] = ["1", "0/1"]
+    doc["star"][1] = ["0/1", "1"]
+    doc["unit"] = ["1", "0/1"]
+    back = hopf_from_text(json.dumps(doc))
+    assert same_structure(back, h)
+    assert hopf_to_text(back) == hopf_to_text(h)
+
+
+# the four single-entry faults of the benchmark's fault workload:
+# (base algebra, keys of the entry, new text)
+FAULT_EDITS = (
+    ("taft(4)", ("mult", 1, 4, 0), "1"),
+    ("taft(4)", ("counit", 4), "1"),
+    ("taft(4)", ("antipode", 7, 4), "1"),
+    ("sweedler(x)sweedler", ("star", 4, 4), "-1"),
+)
+
+
+def test_reader_matches_the_per_row_reference(zoo):
+    from hopfcheck import taft
+
+    bases = {**zoo, **{h.name: h for h in (taft(4), taft(5), taft(7))}}
+    texts = [hopf_to_text(bases[name]) for name in (*zoo, "taft(5)", "taft(7)")]
+    for name, keys, value in FAULT_EDITS:
+        doc = json.loads(hopf_to_text(bases[name]))
+        _change_row(doc, keys, lambda old: value)
+        texts.append(json.dumps(doc, indent=2))
+    for text in texts:
+        h, want = hopf_from_text(text), reference_tables(text)
+        assert {field: getattr(h, field) for field in want} == want, h.name
 
 
 # sha256 of hopf_to_text, written by the code before the writer stopped

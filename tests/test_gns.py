@@ -23,6 +23,7 @@ from hopfcheck.gns import (
     right_regular,
     tomita_check,
 )
+from helpers import products
 
 
 def _setup(h):
@@ -188,7 +189,7 @@ def _per_pair_multiplicativity(h, gns, tol=1e-9):
     """The multiplicativity part of gns_representation_check as it was: one
     pair (i, j) at a time, rep(e_i e_j) summed from the exact product."""
     d = h.dim
-    for i, row in enumerate(h.products):
+    for i, row in enumerate(products(h)):
         for j, prod in enumerate(row):
             want = sum((c.to_complex() * gns.rep[k] for k, c in prod.support),
                        np.zeros((d, d), dtype=complex))

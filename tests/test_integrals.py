@@ -12,6 +12,7 @@ from hopfcheck import (
     CYC_ZERO,
     Cyc,
     Elem,
+    Mat,
     compute_modular,
     dual_hopf,
     left_integral,
@@ -21,10 +22,11 @@ from hopfcheck import (
     taft,
 )
 from hopfcheck.errors import NoIntegral, NotFaithful
-from hopfcheck.integrals import faithful_gram, modular_automorphism, modular_identity_checks
+from hopfcheck.integrals import (faithful_gram, gram_matrix, modular_automorphism,
+                                 modular_identity_checks)
 from hopfcheck.linalg import solve_null_space
 from hopfcheck.zoo import cyclic_table, group_algebra
-from helpers import entry, mat_from_rows
+from helpers import entry, mat_from_rows, products
 
 
 def texts(f, order):
@@ -81,6 +83,22 @@ def test_sweedler_gram_frozen():
     got = [[entry(md.gram, i, j).text(1) for j in range(4)] for i in range(4)]
     assert got == expected
     assert md.gram_inv.mul(md.gram).is_identity()
+
+
+def _gram_by_products(h, f):
+    # the Gram as it was: one pairing per stored product e_i e_j
+    return Mat.of(h.dim, h.dim, {(i, j): pairing(f, x) for i, row in enumerate(products(h))
+                                 for j, x in enumerate(row)})
+
+
+def test_gram_matrix_matches_one_pairing_per_product(zoo, pipelines):
+    for name, h in zoo.items():
+        v = pipelines[name].values
+        hd, md = v["dual"], v["modular"]
+        md_dual = compute_modular(hd)
+        for a, f in ((h, md.phi), (h, md.psi), (hd, md_dual.phi), (hd, md_dual.psi),
+                     (hd, v["psi_hat"])):
+            assert gram_matrix(a, f) == _gram_by_products(a, f), name
 
 
 def test_sweedler_modular_automorphisms_frozen():

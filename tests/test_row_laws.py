@@ -21,7 +21,7 @@ from hopfcheck.hopf import act_left, verify_antipode_derived, verify_bialgebra, 
 from hopfcheck.integrals import modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import Elem
 from hopfcheck.report import first_failure
-from helpers import entry, pair_scan
+from helpers import entry, pair_scan, products
 
 
 def _raised(table, *index):
@@ -56,7 +56,7 @@ def _detail(check):
 
 
 def _bialgebra_parts(h):
-    b, eps, p = h.basis, h.counit_of, h.products
+    b, eps, p = h.basis, h.counit_of, products(h)
     cop = [h.coprod(b(i)) for i in range(h.dim)]
     return (("coproduct not multiplicative at pair ({0},{1})",
              lambda i, j: h.coprod(p[i][j]), lambda i, j: h.tensor_mul(cop[i], cop[j])),
@@ -74,7 +74,7 @@ def _bialgebra_by_pairs(h, first):
 
 
 def _antipode_derived_by_pairs(h, first):
-    b, s, p, eps = h.basis, h.s_basis, h.products, h.counit_of
+    b, s, p, eps = h.basis, h.s_basis, products(h), h.counit_of
     return first_failure(
         h.dim, (0, ("S(1) != 1", lambda: h.antipode_of(h.unit), lambda: h.unit)),
         (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: eps(s[i]), lambda i: eps(b(i))))
@@ -88,7 +88,7 @@ def _antipode_derived_by_pairs(h, first):
 
 
 def _star_by_pairs(h, first):
-    b, p, eps, st = h.basis, h.products, h.counit_of, h.star.images
+    b, p, eps, st = h.basis, products(h), h.counit_of, h.star.images
     return first_failure(
         h.dim, (1, ("involution fails at basis {0}", lambda i: h.star_of(st[i]), b)),
         (0, ("1* != 1", lambda: h.star_of(h.unit), lambda: h.unit))
@@ -108,11 +108,11 @@ def _star_by_pairs(h, first):
 
 
 def _automorphism_by_pairs(h, rho):
-    images = rho.images
+    images, p = rho.images, products(h)
     return first_failure(
         h.dim, (0, ("does not fix the unit", lambda: rho.apply(h.unit), lambda: h.unit))
     ) or pair_scan(h.dim, ("is not multiplicative at ({0},{1})",
-                           lambda i, j: rho.apply(h.products[i][j]),
+                           lambda i, j: rho.apply(p[i][j]),
                            lambda i, j: h.mul(images[i], images[j])), first=h.generators)
 
 
