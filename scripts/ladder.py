@@ -79,7 +79,7 @@ def time_run(name: str) -> dict:
         return run_timed
 
     # run_pipeline reads the module's STAGES when it is called
-    pipeline.STAGES = tuple(stage._replace(run=timed(stage.laws[0][0], stage.run))
+    pipeline.STAGES = tuple(stage._replace(run=timed(stage.names[0], stage.run))
                             for stage in pipeline.STAGES)
     h = build(name)
     t0, c0 = time.perf_counter(), time.process_time()

@@ -417,16 +417,16 @@ class Cyc:
             tm = _TERM_RE.fullmatch(term)
             if tm is None:
                 raise FormatError(f"bad scalar term {term!r} in {text!r}")
-            rat, starz, exp1, zalone, exp2 = tm.groups()
-            if rat is not None:
-                n, _, d = rat.partition("/")
-                n, d = int(n), int(d) if d else 1
-                if not d:
-                    raise FormatError(f"zero denominator in scalar string {text!r}")
-                k = 0 if starz is None else (1 if exp1 is None else int(exp1))
-            else:
-                n, d = 1, 1
-                k = 1 if exp2 is None else int(exp2)
+            rat, starz, exp1, _, exp2 = tm.groups()
+            n, _, d = (rat or "1").partition("/")
+            power = exp1 or exp2 or ("0" if rat is not None and starz is None else "1")
+            try:
+                n, d, k = int(n), int(d or "1"), int(power)
+            except ValueError as e:  # a numeral past sys.get_int_max_str_digits()
+                digits = max(len(n), len(d), len(power))
+                raise FormatError(f"scalar numeral of {digits} digits is too long") from e
+            if not d:
+                raise FormatError(f"zero denominator in scalar string {text!r}")
             terms.append((k % order, -n if negative else n, d))
         den = lcm(*(d for _, _, d in terms))
         poly = [0] * (max(k for k, _, _ in terms) + 1)

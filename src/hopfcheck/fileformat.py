@@ -144,7 +144,9 @@ def _positive_int(doc: dict, field: str) -> int:
 def hopf_from_text(text: str) -> HopfData:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # bad JSON, an integer past int()'s digit limit, or arrays nested
+        # past the recursion limit
         raise FormatError(f"not a structured-text document: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError("top level must be a mapping")
@@ -178,21 +180,21 @@ def save_hopf(h: HopfData, path: str) -> None:
         f.write(hopf_to_text(h))
 
 
-def load_hopf(path: str) -> HopfData:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return hopf_from_text(f.read())
-    except OSError as e:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from e
+
+
+def load_hopf(path: str) -> HopfData:
+    return hopf_from_text(_read_text(path))
 
 
 def load_cayley(path: str) -> list:
     """Cayley table file: one row per line, 0-based indices, whitespace split."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln for ln in (line.strip() for line in f) if ln]
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
+    lines = [ln for ln in (line.strip() for line in _read_text(path).split("\n")) if ln]
     table = []
     for ln in lines:
         try:

@@ -145,10 +145,9 @@ def gns_representation_check(h: HopfData, gns: GNSData, tol: float = 1e-9) -> Ch
     failing i of the scan over every i is a generator by the same argument,
     so the detail names the pair (i, j) that scan would.  That takes the
     loop from d^5 to |generators| d^4 work."""
-    law = "rep(ab)=rep(a)rep(b), rep(a*)=rep(a)^H, rep(1)=1, T^2=P=1"
     d = h.dim
     if not _close(np.tensordot(elem_float(h.unit), gns.rep, 1), np.eye(d), tol):
-        return fail("gns-representation", law, "unit is not represented by the identity")
+        return fail("gns-representation", "unit is not represented by the identity")
     # all j at once, _close on each pair: rep(e_i) rep(e_j) against
     # sum_k M[i,j,k] rep(e_k), in two d^3 buffers reused for every i
     got, want = np.empty((d, d, d), dtype=complex), np.empty((d, d, d), dtype=complex)
@@ -158,23 +157,23 @@ def gns_representation_check(h: HopfData, gns: GNSData, tol: float = 1e-9) -> Ch
         bound = tol * np.maximum(1.0, _norms(want))
         bad = np.flatnonzero(~(_norms(np.subtract(got, want, out=got)) <= bound))
         if bad.size:
-            return fail("gns-representation", law, f"multiplicativity fails at ({i},{bad[0]})")
+            return fail("gns-representation", f"multiplicativity fails at ({i},{bad[0]})")
     # rep(e_i)^H against rep(e_i^*) = sum_k star(k, i) rep(e_k), all i at once
     star_f = mat_float(h.star)
     want = np.tensordot(star_f.T, gns.rep, 1)
     bound = tol * np.maximum(1.0, _norms(want))
     bad = np.flatnonzero(~(_norms(gns.rep.conj().transpose(0, 2, 1) - want) <= bound))
     if bad.size:
-        return fail("gns-representation", law, f"adjoint property fails at basis {bad[0]}")
+        return fail("gns-representation", f"adjoint property fails at basis {bad[0]}")
     # T = A . conj implements star on the cyclic vector image, and T^2 = 1
     for i in range(d):
         v = gns.C[:, i]
         sv = gns.C @ star_f[:, i]
         if not _close(gns.A @ np.conj(v), sv, tol):
-            return fail("gns-representation", law, f"star lift fails at basis {i}")
+            return fail("gns-representation", f"star lift fails at basis {i}")
     if not _close(gns.A @ np.conj(gns.A), np.eye(d), tol):
-        return fail("gns-representation", law, "star lift does not square to the identity")
-    return ok("gns-representation", law)
+        return fail("gns-representation", "star lift does not square to the identity")
+    return ok("gns-representation")
 
 
 def right_regular(gns: GNSData) -> np.ndarray:
@@ -208,18 +207,17 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
          of the T_b.
 
     Spans are read from d^2 x d column matrices, one column per operator."""
-    law = "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'"
     d = h.dim
     if not _close(gns.J @ np.conj(gns.J), np.eye(d), tol):
-        return fail("tomita-commutant", law, "J is not an involution")
+        return fail("tomita-commutant", "J is not an involution")
     if not _close(gns.J @ gns.J.conj().T, np.eye(d), tol):
-        return fail("tomita-commutant", law, "J is not antiunitary")
+        return fail("tomita-commutant", "J is not antiunitary")
     jnj = gns.J @ np.conj(gns.nabla) @ np.conj(gns.J)
     if not _close(jnj, gns.nabla_inv, tol):
-        return fail("tomita-commutant", law, "J nabla J != nabla^-1")
+        return fail("tomita-commutant", "J nabla J != nabla^-1")
     nabla_dist = np.linalg.norm(gns.nabla - np.eye(d))
     if nabla_dist > tol:
-        return fail("tomita-commutant", law,
+        return fail("tomita-commutant",
                     f"modular operator is not the identity, distance {nabla_dist:.3g}")
     t = right_regular(gns)
     for g in h.generators or range(d):
@@ -227,25 +225,24 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
         gap = np.linalg.norm(gns.rep[g] @ t - tr, axis=(1, 2))
         bad = np.flatnonzero(gap > tol * np.maximum(1.0, np.linalg.norm(tr, axis=(1, 2))))
         if bad.size:
-            return fail("tomita-commutant", law,
+            return fail("tomita-commutant",
                         f"right multiplication by e_{bad[0]} does not commute with rep(e_{g})")
     t_cols = t.reshape(d, d * d).T
     s = np.linalg.svd(t_cols, compute_uv=False)
     comm_dim = int(np.sum(s > tol * max(1.0, s[0])))
     if comm_dim != d:
-        return fail("tomita-commutant", law, f"commutant dimension {comm_dim} != {d}")
+        return fail("tomita-commutant", f"commutant dimension {comm_dim} != {d}")
     x_cols = (gns.J @ np.conj(gns.rep) @ np.conj(gns.J)).reshape(d, d * d).T
     jmj_dim = int(np.linalg.matrix_rank(x_cols, tol=1e-6))
     if jmj_dim != d:
-        return fail("tomita-commutant", law,
-                    f"J rep(A) J spans dimension {jmj_dim} != {d}")
+        return fail("tomita-commutant", f"J rep(A) J spans dimension {jmj_dim} != {d}")
     q = np.linalg.qr(t_cols)[0]
     resid = np.linalg.norm(x_cols - q @ (q.conj().T @ x_cols), axis=0)
     bad = np.flatnonzero(resid > tol * np.maximum(1.0, np.linalg.norm(x_cols, axis=0)))
     if bad.size:
-        return fail("tomita-commutant", law,
+        return fail("tomita-commutant",
                     f"J rep(A) J leaves the commutant, residual {resid[bad[0]]:.3g}")
-    return ok("tomita-commutant", law, f"commutant dimension {d}, twice")
+    return ok("tomita-commutant", f"commutant dimension {d}, twice")
 
 
 def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
@@ -253,21 +250,20 @@ def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: El
     """A positive integral forces the whole modular family to collapse.
     The caller runs this only once phi is known to be positive; b_hat is
     the star-Gram of psi_hat on hd."""
-    law = "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0"
     if not h.s2.is_identity():
-        return fail("kac-collapse", law, "S^2 != id")
+        return fail("kac-collapse", "S^2 != id")
     if not md.sigma.is_identity() or not md.sigma_prime.is_identity():
-        return fail("kac-collapse", law, "modular automorphism is nontrivial")
+        return fail("kac-collapse", "modular automorphism is nontrivial")
     if md.nu != CYC_ONE:
-        return fail("kac-collapse", law, "scaling constant is not 1")
+        return fail("kac-collapse", "scaling constant is not 1")
     if md.delta != h.unit:
-        return fail("kac-collapse", law, "modular element is not 1")
+        return fail("kac-collapse", "modular element is not 1")
     if delta_hat != h.counit:
-        return fail("kac-collapse", law, "dual modular element is not the counit")
+        return fail("kac-collapse", "dual modular element is not the counit")
     dual_verdict, dual_detail = positivity_verdict(hd, psi_hat, b_hat, tol)
     if dual_verdict != "positive":
-        return fail("kac-collapse", law, f"dual integral not positive: {dual_detail}")
-    return ok("kac-collapse", law)
+        return fail("kac-collapse", f"dual integral not positive: {dual_detail}")
+    return ok("kac-collapse")
 
 
 def operator_radford_check(h: HopfData, md: ModularData, delta_hat: Elem, gns: GNSData,
@@ -281,13 +277,11 @@ def operator_radford_check(h: HopfData, md: ModularData, delta_hat: Elem, gns: G
     represented algebra pointwise, and conjugating rep(delta) by the
     transported dual involution inverts it.
     """
-    law = ("rep(delta) . Jrep(delta)J . Vrephat(deltahat)V^-1 . VJhat rephat(deltahat) JhatV^-1"
-           " = P^(-2it) = 1")
     d = h.dim
     gram_f = mat_float(md.gram)
     v = gns.C @ np.linalg.inv(gram_f) @ gns_dual.C_inv
     if not _close(v.conj().T @ v, np.eye(d), max(tol, 1e-9)):
-        return fail("operator-radford", law, "Fourier transport is not unitary")
+        return fail("operator-radford", "Fourier transport is not unitary")
     v_inv = np.linalg.inv(v)
 
     def rep_of(g: GNSData, x: Elem) -> np.ndarray:
@@ -303,21 +297,20 @@ def operator_radford_check(h: HopfData, md: ModularData, delta_hat: Elem, gns: G
                      ("transported rephat(deltahat)", f3),
                      ("transported Jhat rephat Jhat", f4)):
         if not _close(f, eye, tol):
-            return fail("operator-radford", law, f"factor {label} is not the identity")
+            return fail("operator-radford", f"factor {label} is not the identity")
     if not _close(f1 @ f2 @ f3 @ f4, eye, tol):
-        return fail("operator-radford", law, "factor product is not the identity")
+        return fail("operator-radford", "factor product is not the identity")
 
     nabla_hat_t = v @ gns_dual.nabla @ v_inv
     nabla_hat_t_inv = np.linalg.inv(nabla_hat_t)
     for i in range(d):
         if not _close(nabla_hat_t @ gns.rep[i] @ nabla_hat_t_inv, gns.rep[i],
                       max(tol, 1e-8)):
-            return fail("operator-radford", law,
-                        f"transported dual modular flow moves rep(e_{i})")
+            return fail("operator-radford", f"transported dual modular flow moves rep(e_{i})")
 
     j_hat_t = v @ gns_dual.J @ np.conj(v_inv)
     lhs = j_hat_t @ np.conj(f1) @ np.conj(j_hat_t)
     if not _close(lhs, rep_of(gns, md.delta_inv), max(tol, 1e-8)):
-        return fail("operator-radford", law, "Jhat conjugation does not invert rep(delta)")
+        return fail("operator-radford", "Jhat conjugation does not invert rep(delta)")
     dist = np.linalg.norm(gns.J - j_hat_t)
-    return ok("operator-radford", law, f"dist(J, transported Jhat)={dist:.3e}")
+    return ok("operator-radford", f"dist(J, transported Jhat)={dist:.3e}")

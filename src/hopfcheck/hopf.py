@@ -309,7 +309,6 @@ def verify_algebra(h: HopfData) -> Check:
     the smallest failing (j, k), so the detail names the first failing
     triple of the triple scan."""
     b, rows = h.basis, h.mult.rows
-    law = "(ab)c=a(bc), 1a=a=a1"
     detail = first_failure(
         h.dim, (1, ("unit law fails at basis {0}", lambda i: h.mul(h.unit, b(i)), b),
                    ("unit law fails at basis {0}", lambda i: h.mul(b(i), h.unit), b))
@@ -322,7 +321,7 @@ def verify_algebra(h: HopfData) -> Check:
             lambda i: sparse_rows(((j, k), n, c * v) for j, row in enumerate(rows)
                                   for k, terms in row.items() for m, c in terms
                                   for n, v in rows[i].get(m, ())))))
-    return ok("algebra", law) if detail is None else fail("algebra", law, detail)
+    return ok("algebra") if detail is None else fail("algebra", detail)
 
 
 def verify_coalgebra(h: HopfData) -> Check:
@@ -330,7 +329,7 @@ def verify_coalgebra(h: HopfData) -> Check:
     b, eps = h.basis, h.counit
     terms = [[(i, j, c) for i, pairs in row.items() for j, c in pairs] for row in h.comult.rows]
     return law_check(
-        "coalgebra", "(D(x)id)D=(id(x)D)D, (eps(x)id)D=id=(id(x)eps)D", h.dim,
+        "coalgebra", h.dim,
         (1, ("coassociativity fails at basis {0} slot {slot}",
              lambda k: sparse_sum(((a, b, j), c * c2)
                                   for i, j, c in terms[k] for a, b, c2 in terms[i]),
@@ -380,7 +379,7 @@ def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
         return out
 
     return law_check(
-        "bialgebra", "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1", d,
+        "bialgebra", d,
         (0, ("coproduct of the unit is not 1(x)1",
              lambda: h.coprod(h.unit),
              lambda: {(i, j): x * y for i, x in h.unit.support for j, y in h.unit.support}),
@@ -395,7 +394,7 @@ def verify_antipode(h: HopfData) -> Check:
     """Both antipode convolution laws, plus invertibility of S as a matrix."""
     b, s, eps = h._basis, h.s_basis, h.counit_of
     return law_check(
-        "antipode", "m(S(x)id)D=eta.eps=m(id(x)S)D", h.dim,
+        "antipode", h.dim,
         (1, ("left convolution law fails at basis {0}",
              lambda k: h.convolve(k, s, b), lambda k: scale(eps(b[k]), h.unit)),
             ("right convolution law fails at basis {0}",
@@ -408,7 +407,7 @@ def verify_antipode_derived(h: HopfData, first: tuple | None = None) -> Check:
     structures; S(ab) = S(b)S(a) runs over a in `first` (see above)."""
     b, s, eps = h.basis, h.s_basis, h.counit_of
     return law_check(
-        "antipode-derived", "S(ab)=S(b)S(a), S(1)=1, eps.S=eps, D.S=flip(S(x)S)D", h.dim,
+        "antipode-derived", h.dim,
         (0, ("S(1) != 1", lambda: h.antipode_of(h.unit), lambda: h.unit)),
         (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: eps(s[i]), lambda i: eps(b(i)))),
         ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
@@ -422,12 +421,11 @@ def verify_star(h: HopfData, first: tuple | None = None) -> Check:
     """Star axioms: involution, anti-multiplicative, coproduct and counit compatible,
     and the exchange law S(a)^* = S^{-1}(a^*); (ab)^* = b^*a^* runs over a in
     `first` (see above)."""
-    law = "(a*)*=a, (ab)*=b*a*, D(a*)=D(a)*, eps(a*)=conj(eps(a)), S(a)*=Sinv(a*)"
     if h.star is None:
-        return skip("star", law, "no-star")
+        return skip("star", "no-star")
     b, eps, st = h.basis, h.counit_of, h.star.images  # st[i] = e_i^*
     return law_check(
-        "star", law, h.dim,
+        "star", h.dim,
         (1, ("involution fails at basis {0}", lambda i: h.star_of(st[i]), b)),
         (0, ("1* != 1", lambda: h.star_of(h.unit), lambda: h.unit)),
         ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
@@ -627,12 +625,11 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
     structure constant of an order between 1 and n can still leave a
     coefficient below n, which _key lifts.
     """
-    law = "G(A) is a group under multiplication"
     n = reduce(lcm, (c.order for g in likes for _, c in g.support), h.field_order)
     likes = [_lift(g, n) for g in likes]
     members = {_key(g, n) for g in likes}
     if _key(h.unit, n) not in members:
-        return fail("group-likes", law, "unit missing from the group-like list")
+        return fail("group-likes", "unit missing from the group-like list")
     gens: list = []
     reached, applied = [h.unit], [0]  # applied[r] = how many of gens have hit reached[r]
     reached_keys = {_key(h.unit, n)}
@@ -646,7 +643,7 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
                 x = h.mul(s, reached[r])
                 key = _key(x, n)
                 if key not in members:
-                    return fail("group-likes", law, "product escapes the list")
+                    return fail("group-likes", "product escapes the list")
                 if key not in reached_keys:
                     reached_keys.add(key)
                     reached.append(x)
@@ -654,5 +651,5 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
             applied[r] = len(gens)
             r += 1
     if any(_key(h.antipode_of(a), n) not in members for a in likes):
-        return fail("group-likes", law, "inverse escapes the list")
-    return ok("group-likes", law, f"count={len(likes)}")
+        return fail("group-likes", "inverse escapes the list")
+    return ok("group-likes", f"count={len(likes)}")

@@ -245,25 +245,23 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
         return lambda: x.mul(y), lambda: y.mul(x)
 
     return [
-        law_check("modular-sandwich", "sigma(S(sigma'(a)))=S(a)", dim,
+        law_check("modular-sandwich", dim,
                   (1, ("fails at basis {0}",
-                       lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])),
-                       lambda i: s[i]))),
-        law_check("modular-conjugation", "delta sigma(a)=sigma'(a) delta", dim,
+                       lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])), s.__getitem__))),
+        law_check("modular-conjugation", dim,
                   (1, ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
                        lambda i: h.mul(sigma_prime[i], md.delta)))),
-        law_check("modular-coproduct", "D(sigma(a))=(S^2(x)sigma)D(a)", dim,
+        law_check("modular-coproduct", dim,
                   (1, ("fails at basis {0}", lambda k: h.coprod(sigma[k]),
                        lambda k: h.coprod_map(k, s2, sigma)))),
-        law_check("modular-commutation", "[S^2,sigma]=[S^2,sigma']=[sigma,sigma']=0", dim,
+        law_check("modular-commutation", dim,
                   (0, ("[S^2,sigma] != 0", *commutes(h.s2, md.sigma)),
                       ("[S^2,sigma'] != 0", *commutes(h.s2, md.sigma_prime)),
                       ("[sigma,sigma'] != 0", *commutes(md.sigma, md.sigma_prime)))),
-        law_check("modular-scaling", "sigma(delta)=sigma'(delta)=nu^-1 delta", dim,
+        law_check("modular-scaling", dim,
                   (0, ("modular element scales wrongly",
                        lambda: md.sigma.apply(md.delta), lambda: want),
                       ("modular element scales wrongly",
                        lambda: md.sigma_prime.apply(md.delta), lambda: want))),
-        law_check("modular-flip", "S((id(x)phi)(D(a)(1(x)b)))=(id(x)phi)((1(x)a)D(b))", dim,
-                  (1, ("fails at pair ({0}, {slot})", flip_lhs, flip_rhs))),
+        law_check("modular-flip", dim, (1, ("fails at pair ({0}, {slot})", flip_lhs, flip_rhs))),
     ]

@@ -1,22 +1,22 @@
 """Runs every verifier in a fixed order with prerequisite gating.
 
-STAGES is the pipeline, run in order.  A Stage gives the (check name, law
-text) pairs of the lines it prints; the keys of PipelineResult.values it
-requires; whether it also needs a positive left integral; and run(h,
-values), which returns its checks and sets its values.  A value that gates
-a later stage is set only when the checks computing it pass.  One rule
-gives every skip reason (_skip_reason): a positivity-gated stage skips with
-the verdict when it is not `positive`, and with `prerequisite-failed` when
-there is none; else a stage missing a required value skips with
-`prerequisite-failed`.  One rule reports a stage whose run raises a
-HopfError e (run_pipeline): its laws before the one e.stage names (before the
-first, when it names none) PASS, that law FAILs with str(e), and the rest
-SKIP with `prerequisite-failed`.  So a stage that throws surfaces as a FAIL
-under its own name, never as malformed input; dual-integrals and GNS catch
-their own, as their FAIL and SKIP lines carry other law texts.  Two runs
-over one input print byte-identical reports.  run functions look the
-verifiers up in this module's globals when called, so a binding patched here
-is the one that runs.
+STAGES is the pipeline, run in order.  A Stage gives the names of the
+checks it prints, each stating its law report.LAWS[name]; the keys of
+PipelineResult.values it requires; whether it also needs a positive left
+integral; and run(h, values), which returns its checks and sets its values.
+A value that gates a later stage is set only when the checks computing it
+pass.  One rule gives every skip reason (_skip_reason): a positivity-gated
+stage skips with the verdict when it is not `positive`, and with
+`prerequisite-failed` when there is none; else a stage missing a required
+value skips with `prerequisite-failed`.  One rule reports a stage whose run
+raises a HopfError e (run_pipeline): its checks before the one e.stage
+names (before the first, when it names none) PASS, that check FAILs with
+str(e), and the rest SKIP with `prerequisite-failed`.  So a stage that
+throws surfaces as a FAIL under its own name, never as malformed input;
+only dual-integrals catches its own, because it still computes its second
+line when its first fails.  Two runs over one input print byte-identical
+reports.  run functions look the verifiers up in this module's globals when
+called, so a binding patched here is the one that runs.
 """
 
 from __future__ import annotations
@@ -38,20 +38,8 @@ from .radford import (counimodular_check, half_power_check, radford_check,
 from .report import Check, FAIL, fail, ok, skip
 
 _AXIOMS = ("algebra", "coalgebra", "bialgebra", "antipode", "antipode-derived", "star")
-_LAW_GROUP_LIKES = "G(A) is a group under multiplication"
-_INTEGRAL_LAWS = (
-    ("left-integral", "(id(x)phi)D(a)=phi(a)1, ker dim=1"),
-    ("right-integral", "(psi(x)id)D(a)=psi(a)1, psi=phi.S"),
-    ("modular-element", "(phi(x)id)D(a)=phi(a)delta, D(delta)=delta(x)delta"),
-    ("modular-automorphism", "phi(ab)=phi(b sigma(a)), sigma=G^-1 G^T"),
-    ("modular-automorphism-right", "psi(ab)=psi(b sigma'(a))"),
-    ("scaling-constant", "phi.S^2=nu phi"),
-)
-_LAW_DUAL_INTEGRALS = ("psihat(F(a))=eps(a) right invariant, phihat=psihat.S^ "
-                       "left invariant, both match the kernel solver")
-_LAW_DUAL_DELTA = "(phihat(x)id)D^(b)=phihat(b)deltahat, deltahat group-like"
-_LAW_POSITIVITY = "phi(a*a)>0 for a!=0"
-_LAW_OPERATOR_RADFORD = "operator fourth-power identity"
+_INTEGRALS = ("left-integral", "right-integral", "modular-element", "modular-automorphism",
+              "modular-automorphism-right", "scaling-constant")
 _PREREQ = "prerequisite-failed"
 
 NOTES = (
@@ -75,7 +63,7 @@ class PipelineResult:
 
 
 class Stage(NamedTuple):
-    laws: tuple
+    names: tuple
     requires: tuple
     run: Callable
     positive: bool = False
@@ -86,15 +74,15 @@ def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
     for stage in STAGES:
         reason = _skip_reason(stage, res.values)
         if reason is not None:
-            res.checks.extend(skip(name, law, reason) for name, law in stage.laws)
+            res.checks.extend(skip(name, reason) for name in stage.names)
             continue
         try:
             res.checks.extend(stage.run(h, res.values))
         except HopfError as e:
-            names = [name for name, _ in stage.laws]
+            names = stage.names
             at = names.index(e.stage) if e.stage in names else 0
-            res.checks += ([ok(*law) for law in stage.laws[:at]] + [fail(*stage.laws[at], str(e))]
-                           + [skip(*law, _PREREQ) for law in stage.laws[at + 1:]])
+            res.checks += ([ok(name) for name in names[:at]] + [fail(names[at], str(e))]
+                           + [skip(name, _PREREQ) for name in names[at + 1:]])
     return res
 
 
@@ -125,7 +113,7 @@ def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> l
     glc = group_like_closure_check(a, likes)
     if glc.passed():
         v[key] = likes
-    return [Check(name, glc.status, glc.identity, glc.detail)]
+    return [Check(name, glc.status, glc.detail)]
 
 
 def _integrals(h: HopfData, v: dict) -> list:
@@ -133,7 +121,7 @@ def _integrals(h: HopfData, v: dict) -> list:
     names the first that fails."""
     first = v["dual"].generators if v["not_transpose"] is None else None
     v["modular"] = compute_modular(h, first)
-    return [ok(*law) for law in _INTEGRAL_LAWS]
+    return [ok(name) for name in _INTEGRALS]
 
 
 def _modular_identities(h: HopfData, v: dict) -> list:
@@ -157,17 +145,17 @@ def _dual_integrals(h: HopfData, v: dict) -> list:
         dual_phi = e
     try:
         v["psi_hat"] = compute_dual_integrals(h, md, hd, dual_phi)[0]
-        checks = [ok("dual-integrals", _LAW_DUAL_INTEGRALS)]
+        checks = [ok("dual-integrals")]
     except HopfError as e:
-        checks = [fail("dual-integrals", _LAW_DUAL_INTEGRALS, str(e))]
+        checks = [fail("dual-integrals", str(e))]
     try:
         if isinstance(dual_phi, HopfError):
             raise dual_phi
         v["delta_hat"] = modular_element(hd, dual_phi, h.generators)
         v["counimodular"] = v["delta_hat"] == h.counit
-        checks.append(ok("dual-modular-element", _LAW_DUAL_DELTA))
+        checks.append(ok("dual-modular-element"))
     except HopfError as e:
-        checks.append(fail("dual-modular-element", _LAW_DUAL_DELTA, str(e)))
+        checks.append(fail("dual-modular-element", str(e)))
     return checks
 
 
@@ -181,10 +169,10 @@ def _positivity(h: HopfData, v: dict) -> list:
     v["positivity"] = verdict, detail = positivity_verdict(h, md.phi, v.get("star_gram"),
                                                            v["tolerance"])
     if verdict != "positive":
-        return [skip("positivity", _LAW_POSITIVITY, verdict)]
+        return [skip("positivity", verdict)]
     if v.get("psi_hat") is not None:  # a star on h puts one on hd
         v["dual_star_gram"] = star_gram(hd, gram_matrix(hd, v["psi_hat"]))
-    return [ok("positivity", _LAW_POSITIVITY, detail)]
+    return [ok("positivity", detail)]
 
 
 def _kac(h: HopfData, v: dict) -> list:
@@ -195,71 +183,49 @@ def _kac(h: HopfData, v: dict) -> list:
 
 
 def _gns(h: HopfData, v: dict) -> list:
-    """The representation, then the commutant, which rests on its
-    multiplicativity, then the operator identity on the dual's GNS."""
-    md, tol = v["modular"], v["tolerance"]
-    gns = None
-    try:
-        gns = gns_build(h, v["star_gram"], tol)
-        rep = gns_representation_check(h, gns, tol)
-    except HopfError as e:
-        rep = fail("gns-representation", "rep is a *-homomorphism", str(e))
-    checks = [rep]
-    if gns is None or not rep.passed():
-        checks.append(skip("tomita-commutant", "modular conjugation", _PREREQ))
-    else:
-        checks.append(tomita_check(h, gns, max(tol, 1e-8)))
-    if gns is None or v.get("dual_star_gram") is None or v.get("delta_hat") is None:
-        checks.append(skip("operator-radford", _LAW_OPERATOR_RADFORD, _PREREQ))
-        return checks
-    try:
-        v["gns_dual"] = gns_build(v["dual"], v["dual_star_gram"], tol)
-        checks.append(operator_radford_check(h, md, v["delta_hat"], gns, v["gns_dual"], tol))
-    except HopfError as e:
-        checks.append(fail("operator-radford", _LAW_OPERATOR_RADFORD, str(e)))
-    return checks
+    """The representation, then the commutant, which rests on its multiplicativity."""
+    tol = v["tolerance"]
+    v["gns"] = gns = gns_build(h, v["star_gram"], tol)
+    rep = gns_representation_check(h, gns, tol)
+    if not rep.passed():
+        return [rep, skip("tomita-commutant", _PREREQ)]
+    return [rep, tomita_check(h, gns, max(tol, 1e-8))]
 
 
 STAGES = (
-    Stage(tuple((name, "axioms") for name in _AXIOMS), (), _axioms),
-    Stage((("group-likes", _LAW_GROUP_LIKES),), ("core",),
+    Stage(_AXIOMS, (), _axioms),
+    Stage(("group-likes",), ("core",),
           lambda h, v: _group_likes(h, v["dual"], "group-likes", v, "group_likes")),
-    Stage(_INTEGRAL_LAWS, ("dual",), _integrals),
-    Stage(tuple((name, "modular identity") for name in (
-        "modular-sandwich", "modular-conjugation", "modular-coproduct",
-        "modular-commutation", "modular-scaling", "modular-flip")),
+    Stage(_INTEGRALS, ("dual",), _integrals),
+    Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
+           "modular-commutation", "modular-scaling", "modular-flip"),
           ("modular",), _modular_identities),
-    Stage(tuple(("dual-" + name, "axioms on the dual") for name in _AXIOMS), ("dual",),
-          _dual_axioms),
-    Stage((("dual-group-likes", _LAW_GROUP_LIKES),), ("dual_ok",),
+    Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",), _dual_axioms),
+    Stage(("dual-group-likes",), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes")),
     # the certificate and h's coalgebra check (core[1]), both from _axioms
-    Stage((("pairing-actions", "pairing laws"),), ("dual_ok",),
+    Stage(("pairing-actions",), ("dual_ok",),
           lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])]),
-    Stage((("dual-integrals", _LAW_DUAL_INTEGRALS), ("dual-modular-element", _LAW_DUAL_DELTA)),
-          ("modular", "dual_ok"), _dual_integrals),
-    Stage((("dual-modular-links", "modular data vs dual action"),
-           ("radford-s4", "S^4 as a double conjugation"),
-           ("radford-factorization", "S^4 from the modular data")), ("modular", "delta_hat"),
+    Stage(("dual-integrals", "dual-modular-element"), ("modular", "dual_ok"), _dual_integrals),
+    Stage(("dual-modular-links", "radford-s4", "radford-factorization"), ("modular", "delta_hat"),
           lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"]) for check in
                         (dual_modular_links, radford_check, radford_factorization)]),
-    Stage((("s2-conjugation", "S^2 under a trivial dual modular element"),),
-          ("modular", "delta_hat", "group_likes"),
-          lambda h, v: [counimodular_check(h, v["modular"], v["delta_hat"],
-                                           v["group_likes"])]),
-    Stage((("s2-half-power", "S^2 as a half sandwich"),),
-          ("modular", "delta_hat", "group_likes", "dual_likes"),
+    Stage(("s2-conjugation",), ("modular", "delta_hat", "group_likes"),
+          lambda h, v: [counimodular_check(h, v["modular"], v["delta_hat"], v["group_likes"])]),
+    Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
                                          v["group_likes"], v["dual_likes"])]),
-    Stage((("positivity", _LAW_POSITIVITY),), ("modular",), _positivity),
-    Stage((("kac-collapse", "phi>0 => modular family collapses"),),
-          ("modular", "delta_hat", "dual_star_gram"), _kac, positive=True),
-    Stage(tuple((name, "represented form") for name in (
-        "gns-representation", "tomita-commutant", "operator-radford")),
-          ("modular",), _gns, positive=True),
-    Stage((("plancherel", "psihat(F(a)*F(a))=phi(a*a)"),), ("modular", "dual_star_gram"),
+    Stage(("positivity",), ("modular",), _positivity),
+    Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"), _kac, positive=True),
+    Stage(("gns-representation", "tomita-commutant"), ("star_gram",), _gns, positive=True),
+    # the operator identity, on h's GNS and the dual's
+    Stage(("operator-radford",), ("gns", "dual_star_gram", "delta_hat"),
+          lambda h, v: [operator_radford_check(
+              h, v["modular"], v["delta_hat"], v["gns"],
+              gns_build(v["dual"], v["dual_star_gram"], v["tolerance"]), v["tolerance"])],
+          positive=True),
+    Stage(("plancherel",), ("modular", "dual_star_gram"),
           lambda h, v: [plancherel_check(v["modular"], v["star_gram"], v["dual_star_gram"])],
           positive=True),
-    Stage((("biduality", "dual(dual(A))=A"),), ("dual",),
-          lambda h, v: [biduality_check(h, v["dual"])]),
+    Stage(("biduality",), ("dual",), lambda h, v: [biduality_check(h, v["dual"])]),
 )

@@ -44,9 +44,8 @@ def _sandwich(h: HopfData, left: Elem, right: Elem, a: Elem, dual_left: Elem,
 def radford_check(h: HopfData, md: ModularData, hd: HopfData,
                   delta_hat: Elem) -> Check:
     """S^4(a) = delta^-1 (deltahat |> a <| deltahat^-1) delta on the basis."""
-    law = "S^4(a)=delta^-1(deltahat|>a<|deltahat^-1)delta"
     delta_hat_inv = hd.antipode_of(delta_hat)
-    return law_check("radford-s4", law, h.dim, (1, (
+    return law_check("radford-s4", h.dim, (1, (
         "fails at basis {0}", h.s4.images.__getitem__,
         lambda i: _sandwich(h, md.delta_inv, md.delta, h.basis(i), delta_hat, delta_hat_inv))))
 
@@ -57,8 +56,6 @@ def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,
     composition, so a failure names the broken step: the two dual-action
     halves of S^2, the inner relation between the two automorphisms,
     S^2(delta)=delta, and finally the assembled sandwich."""
-    law = ("deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a)), "
-           "sigma'(a)=delta sigma(a) delta^-1, S^2(delta)=delta, composed=S^4")
     b, s2, delta_hat_inv = h.basis, h.s2, hd.antipode_of(delta_hat)
     sigma, sigma_prime, sigma_inv = md.sigma.images, md.sigma_prime.images, md.sigma_inv.images
 
@@ -67,7 +64,7 @@ def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,
         return h.mul_many(md.delta_inv, path, md.delta)
 
     return law_check(
-        "radford-factorization", law, h.dim,
+        "radford-factorization", h.dim,
         (0, ("S^2 moves the modular element", lambda: s2.apply(md.delta), lambda: md.delta)),
         (1, ("left factor fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
              lambda i: s2.apply(sigma_inv[i])),
@@ -94,15 +91,14 @@ def counimodular_check(h: HopfData, md: ModularData, delta_hat: Elem, likes: lis
     phi(e_j S^2(e_i)) = (G S^2)[j][i], so the twist is G S^2 = G^T: column i
     of G S^2, G applied to S^2(e_i), against row i of G.  The trace property
     is the symmetry of the Gram of phi_r = phi( . r)."""
-    law = "deltahat=1^ => phi(ab)=phi(b S^2(a)); r^2=delta => S^2(a)=r^-1 a r, phi(ab r)=phi(ba r)"
     if delta_hat != h.counit:
-        return skip("s2-conjugation", law, "not-counimodular")
+        return skip("s2-conjugation", "not-counimodular")
     b, phi, s2 = h.basis, md.phi, h.s2.images
     bad = first_failure(h.dim, (1, ("phi twist fails at ({0},{slot})",
                                     md.gram.row_dicts().__getitem__,
                                     lambda i: dict(md.gram.apply(s2[i]).support))))
     if bad is not None:
-        return fail("s2-conjugation", law, bad)
+        return fail("s2-conjugation", bad)
 
     def conjugates_to_s2(r):
         r_inv = h.antipode_of(r)
@@ -116,12 +112,12 @@ def counimodular_check(h: HopfData, md: ModularData, delta_hat: Elem, likes: lis
                                         h.s4.images.__getitem__,
                                         lambda i: h.mul_many(md.delta_inv, b(i), md.delta))))
         if bad is not None:
-            return fail("s2-conjugation", law, bad)
-        return ok("s2-conjugation", law,
+            return fail("s2-conjugation", bad)
+        return ok("s2-conjugation",
                   "no conjugating group-like square root of delta; squared form verified")
     phi_r = Elem.of(h.dim, ((k, pairing(phi, h.mul(b(k), root))) for k in range(h.dim)))
     gram_r = gram_matrix(h, phi_r)
-    return law_check("s2-conjugation", law, h.dim,
+    return law_check("s2-conjugation", h.dim,
                      (1, ("trace property fails at ({0},{slot})", gram_r.row_dicts().__getitem__,
                           lambda i: dict(gram_r.images[i].support))))
 
@@ -130,11 +126,10 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
                      likes: list, dual_likes: list) -> Check:
     """With group-like square roots on both sides the sandwich halves:
     S^2(a) = r^-1 (rhat |> a <| rhat^-1) r."""
-    law = "S^2(a)=r^-1(rhat|>a<|rhat^-1)r with r^2=delta, rhat^2=deltahat"
     roots = group_like_roots(h, likes, md.delta)
     dual_roots = group_like_roots(hd, dual_likes, delta_hat)
     if not roots or not dual_roots:
-        return skip("s2-half-power", law, "no-group-like-square-root")
+        return skip("s2-half-power", "no-group-like-square-root")
 
     def works(root, dual_root):
         root_inv, dual_root_inv = h.antipode_of(root), hd.antipode_of(dual_root)
@@ -144,5 +139,5 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
 
     # the sandwich needs a compatible pair of roots, so scan them all
     if any(works(r, rh) for r in roots for rh in dual_roots):
-        return ok("s2-half-power", law)
-    return fail("s2-half-power", law, "square roots exist but no pair halves S^4")
+        return ok("s2-half-power")
+    return fail("s2-half-power", "square roots exist but no pair halves S^4")

@@ -1,5 +1,5 @@
-"""Check records shared by every verifier and the CLI report writer, and
-the one evaluator every exact law goes through."""
+"""Check records shared by every verifier and the CLI report writer, the law
+each check states (LAWS), and the one evaluator every exact law goes through."""
 
 from __future__ import annotations
 
@@ -10,45 +10,100 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
+_AXIOM_LAWS = {
+    "algebra": "(ab)c=a(bc), 1a=a=a1",
+    "coalgebra": "(D(x)id)D=(id(x)D)D, (eps(x)id)D=id=(id(x)eps)D",
+    "bialgebra": "D(ab)=D(a)D(b), D(1)=1(x)1, eps(ab)=eps(a)eps(b), eps(1)=1",
+    "antipode": "m(S(x)id)D=eta.eps=m(id(x)S)D",
+    "antipode-derived": "S(ab)=S(b)S(a), S(1)=1, eps.S=eps, D.S=flip(S(x)S)D",
+    "star": "(a*)*=a, (ab)*=b*a*, D(a*)=D(a)*, eps(a*)=conj(eps(a)), S(a)*=Sinv(a*)",
+}
+_GROUP_LIKES_LAW = "G(A) is a group under multiplication"
+
+# The law each check states, in plain ascii, keyed by check name in the order
+# the pipeline prints them; a check on the dual states its base check's law.
+LAWS = {
+    **_AXIOM_LAWS,
+    "group-likes": _GROUP_LIKES_LAW,
+    "left-integral": "(id(x)phi)D(a)=phi(a)1, ker dim=1",
+    "right-integral": "(psi(x)id)D(a)=psi(a)1, psi=phi.S",
+    "modular-element": "(phi(x)id)D(a)=phi(a)delta, D(delta)=delta(x)delta",
+    "modular-automorphism": "phi(ab)=phi(b sigma(a)), sigma=G^-1 G^T",
+    "modular-automorphism-right": "psi(ab)=psi(b sigma'(a))",
+    "scaling-constant": "phi.S^2=nu phi",
+    "modular-sandwich": "sigma(S(sigma'(a)))=S(a)",
+    "modular-conjugation": "delta sigma(a)=sigma'(a) delta",
+    "modular-coproduct": "D(sigma(a))=(S^2(x)sigma)D(a)",
+    "modular-commutation": "[S^2,sigma]=[S^2,sigma']=[sigma,sigma']=0",
+    "modular-scaling": "sigma(delta)=sigma'(delta)=nu^-1 delta",
+    "modular-flip": "S((id(x)phi)(D(a)(1(x)b)))=(id(x)phi)((1(x)a)D(b))",
+    **{"dual-" + name: law for name, law in _AXIOM_LAWS.items()},
+    "dual-group-likes": _GROUP_LIKES_LAW,
+    "pairing-actions": ("<fg,a>=<f,a1><g,a2>, <f,ab>=<f1,a><f2,b>, <Sf,a>=<f,Sa>, "
+                        "(fg)|>a=f|>(g|>a), a<|(fg)=(a<|f)<|g, (f|>a)<|g=f|>(a<|g), "
+                        "<f|>a,g>=<a,gf>, <a<|f,g>=<a,fg>, span{f|>a}=A"),
+    "dual-integrals": ("psihat(F(a))=eps(a) right invariant, phihat=psihat.S^ "
+                       "left invariant, both match the kernel solver"),
+    "dual-modular-element": "(phihat(x)id)D^(b)=phihat(b)deltahat, deltahat group-like",
+    "dual-modular-links": ("eps(sigma(a))=<a,deltahat^-1>, sigma(a)=deltahat^-1|>S^2(a), "
+                           "deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a))"),
+    "radford-s4": "S^4(a)=delta^-1(deltahat|>a<|deltahat^-1)delta",
+    "radford-factorization": ("deltahat|>a=S^2(sigmainv(a)), a<|deltahat^-1=S^2(sigma'(a)), "
+                              "sigma'(a)=delta sigma(a) delta^-1, S^2(delta)=delta, "
+                              "composed=S^4"),
+    "s2-conjugation": ("deltahat=1^ => phi(ab)=phi(b S^2(a)); "
+                       "r^2=delta => S^2(a)=r^-1 a r, phi(ab r)=phi(ba r)"),
+    "s2-half-power": "S^2(a)=r^-1(rhat|>a<|rhat^-1)r with r^2=delta, rhat^2=deltahat",
+    "positivity": "phi(a*a)>0 for a!=0",
+    "kac-collapse": "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0",
+    "gns-representation": "rep(ab)=rep(a)rep(b), rep(a*)=rep(a)^H, rep(1)=1, T^2=P=1",
+    "tomita-commutant": "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'",
+    "operator-radford": ("rep(delta) . Jrep(delta)J . Vrephat(deltahat)V^-1 . "
+                         "VJhat rephat(deltahat) JhatV^-1 = P^(-2it) = 1"),
+    "plancherel": "psihat(F(a)*F(a))=phi(a*a)",
+    "biduality": "dual(dual(A))=A exactly",
+}
+
 
 @dataclass(frozen=True)
 class Check:
     """Outcome of one named verification.
 
-    identity is the law that was tested, rendered in plain ascii; detail is
-    the failure location (first failing index tuple and the two sides) or
-    the skip reason.  Skip reasons are single tokens so report lines stay
-    machine-splittable.
+    identity is the law that was tested, LAWS[name], so it depends on the
+    name only; detail is the failure location (first failing index tuple
+    and the two sides) or the skip reason.  Skip reasons are single tokens
+    so report lines stay machine-splittable.
     """
 
     name: str
     status: str
-    identity: str = ""
     detail: str = ""
+
+    @property
+    def identity(self) -> str:
+        return LAWS[self.name]
 
     def passed(self) -> bool:
         return self.status == PASS
 
     def line(self) -> str:
         status = self.status if self.status != SKIP else f"SKIP:{self.detail or 'skipped'}"
-        out = f"CHECK {self.name} {status}"
-        if self.identity:
-            out += f" {self.identity}"
+        out = f"CHECK {self.name} {status} {self.identity}"
         if self.status == FAIL and self.detail:
             out += f" ! {self.detail}"
         return out
 
 
-def ok(name: str, identity: str, detail: str = "") -> Check:
-    return Check(name, PASS, identity, detail)
+def ok(name: str, detail: str = "") -> Check:
+    return Check(name, PASS, detail)
 
 
-def fail(name: str, identity: str, detail: str) -> Check:
-    return Check(name, FAIL, identity, detail)
+def fail(name: str, detail: str) -> Check:
+    return Check(name, FAIL, detail)
 
 
-def skip(name: str, identity: str, reason: str) -> Check:
-    return Check(name, SKIP, identity, reason)
+def skip(name: str, reason: str) -> Check:
+    return Check(name, SKIP, reason)
 
 
 def first_failure(dim: int, *groups) -> str | None:
@@ -133,7 +188,7 @@ def first_failure(dim: int, *groups) -> str | None:
     return None
 
 
-def law_check(name: str, identity: str, dim: int, *groups) -> Check:
+def law_check(name: str, dim: int, *groups) -> Check:
     """PASS, or FAIL with the first failing row's detail; see first_failure."""
     detail = first_failure(dim, *groups)
-    return ok(name, identity) if detail is None else fail(name, identity, detail)
+    return ok(name) if detail is None else fail(name, detail)

@@ -128,7 +128,8 @@ def test_a_check_that_raises_is_a_fail_not_an_input_error(sweedler_file, monkeyp
     monkeypatch.setattr(pipeline, "biduality_check", broken)
     code, out, err = run_cli("verify", str(sweedler_file), capsys=capsys)
     assert code == 1
-    assert "CHECK biduality FAIL dual(dual(A))=A ! biduality made to raise" in out.splitlines()
+    assert ("CHECK biduality FAIL dual(dual(A))=A exactly ! biduality made to raise"
+            in out.splitlines())
     assert "error:" not in err
 
 
@@ -252,6 +253,9 @@ def test_console_script_is_installed():
     (("unit", 0), "1/0", "unit[0]: zero denominator"),
     (("dim",), True, "dim must be a positive integer"),
     (("field_order",), True, "field_order must be a positive integer"),
+    pytest.param(("unit", 0), "1" + "0" * 5000,
+                 "unit[0]: scalar numeral of 5001 digits is too long",
+                 id="numeral-past-digit-limit"),
 ])
 def test_verify_rejects_bad_values_with_one_error_line(sweedler_file, tmp_path, capsys,
                                                        path, value, message):
@@ -283,9 +287,27 @@ def test_report_renders_cyclotomic_group_likes(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["zoo", "taft", "--n", "0"], "requires --n >= 2"),
     (["zoo", "taft", "--n", "3", "--q", "garbage"], "bad scalar term"),
+    pytest.param(["zoo", "taft", "--n", "3", "--q", "z^" + "1" * 5000],
+                 "scalar numeral of 5000 digits is too long", id="exponent-past-digit-limit"),
 ])
 def test_zoo_rejects_bad_parameters_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, content, message", [
+    (["verify"], b"\xff\xfe", "codec can't decode byte 0xff"),
+    (["zoo", "group", "--cayley"], b"0 1\n1 \xff\n", "codec can't decode byte 0xff"),
+    (["verify"], b'{"dim": 1' + b"0" * 5000 + b"}", "not a structured-text document"),
+    (["verify"], b"[" * 100_000 + b"]" * 100_000, "not a structured-text document"),
+], ids=["hopf-not-utf8", "cayley-not-utf8", "json-int-past-digit-limit", "json-nested-deep"])
+def test_unreadable_files_give_one_error_line(tmp_path, capsys, command, content, message):
+    p = tmp_path / "input"
+    p.write_bytes(content)
+    code, out, err = run_cli(*command, str(p), capsys=capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -364,7 +364,8 @@ def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):
     checks = {c.name: c for c in run_pipeline(zoo["C[Z3]"]).checks}
     assert checks["gns-representation"].status == "FAIL"
     assert checks["tomita-commutant"].line() == (
-        "CHECK tomita-commutant SKIP:prerequisite-failed modular conjugation")
+        "CHECK tomita-commutant SKIP:prerequisite-failed "
+        "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'")
 
 
 def test_kac_collapse_skips_when_a_dual_integral_fails(monkeypatch, zoo):
@@ -380,7 +381,8 @@ def test_kac_collapse_skips_when_a_dual_integral_fails(monkeypatch, zoo):
     assert checks["positivity"].passed()
     assert checks["dual-integrals"].status == "FAIL"
     assert checks["kac-collapse"].line() == (
-        "CHECK kac-collapse SKIP:prerequisite-failed phi>0 => modular family collapses")
+        "CHECK kac-collapse SKIP:prerequisite-failed "
+        "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0")
 
 
 def test_tomita_passes_in_dimension_one():

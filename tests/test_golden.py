@@ -18,6 +18,7 @@ change of the transcript, and say so where the change is recorded.
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,11 @@ from hopfcheck import pipeline, run_pipeline
 from hopfcheck.errors import HopfError
 from hopfcheck.cli import main
 from hopfcheck.fileformat import hopf_to_text
-from hopfcheck.report import FAIL
+from hopfcheck.report import FAIL, LAWS
 from hopfcheck.zoo import cyclic_table, group_algebra, sweedler, taft, tensor_product
 
 GOLDEN = Path(__file__).parent / "golden"
+ANSWERS = Path(__file__).parents[1] / "perfbench" / "answers"
 
 # (golden stem, builder, entry path in the .hopf document, new value).  The
 # first four are the benchmark's fault mutants, the next three the
@@ -69,11 +71,49 @@ def test_zoo_transcripts_match_golden_files(pipelines):
 
 
 def test_stage_laws_name_every_printed_line(pipelines):
-    # a stage that skips or raises prints its laws, and `verify --only`
-    # accepts exactly their names, so they must be the names a run prints
-    names = [name for stage in pipeline.STAGES for name, _ in stage.laws]
+    # `verify --only` accepts exactly the names of LAWS, so they must be the
+    # names a run prints
     for res in pipelines.values():
-        assert [c.name for c in res.checks] == names
+        assert [c.name for c in res.checks] == list(LAWS)
+
+
+def test_stage_names_and_benchmark_answers_list_the_laws_in_order():
+    # a stage that skips or raises prints its names, and the benchmark's
+    # answers compare every printed name in order, so both must be LAWS
+    assert [name for stage in pipeline.STAGES for name in stage.names] == list(LAWS)
+    blocks: dict = {}
+    for path in sorted(ANSWERS.glob("*.txt")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.strip()
+            if line.startswith("["):
+                names = blocks[f"{path.stem}:{line}"] = []
+            elif line and not line.startswith("#"):
+                names.append(line.split()[0])
+    assert blocks
+    for block, names in blocks.items():
+        assert names == list(LAWS), block
+
+
+_CHECK_LINE = re.compile(r"CHECK (\S+) (PASS|FAIL|SKIP:[a-z-]+) (.*)")
+
+
+def test_every_golden_check_line_states_the_law_of_its_name():
+    # CHECK <name> <PASS|FAIL|SKIP:<reason>> <LAWS[name]>[ ! <detail>]: the
+    # identity depends on the name only, and only a FAIL carries a detail
+    files = sorted(GOLDEN.rglob("*.txt"))
+    assert files
+    for path in files:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if path.parent.name == "fail":  # verify's header, then its exit code
+            assert lines[0].startswith("VERIFY ") and lines[-1].startswith("exit "), path
+            lines = lines[1:-1]
+        for line in lines:
+            m = _CHECK_LINE.fullmatch(line)
+            assert m is not None, (path, line)
+            name, status, rest = m.groups()
+            law = LAWS[name]
+            assert rest == law or (status == "FAIL" and rest.startswith(law + " ! ")), (
+                path, line)
 
 
 @pytest.mark.parametrize("stem", sorted(LADDER))
