@@ -10,6 +10,7 @@ others keep genuine modular structure.
 import sys
 
 from hopfcheck import run_pipeline, standard_zoo
+from hopfcheck.cli import report_values
 
 
 def main():
@@ -19,15 +20,15 @@ def main():
     for h in standard_zoo():
         res = run_pipeline(h)
         worst += sum(1 for c in res.checks if c.status == "FAIL")
-        md = res.values["modular"]
+        md, extra = res.values["modular"], report_values(res)
         rows.append((
             h.name,
             str(h.dim),
             md.nu.text(12),
-            str(res.values["s_order"]),
-            str(res.values["s2_order"]),
-            "yes" if res.values["unimodular"] else "no",
-            "yes" if res.values["counimodular"] else "no",
+            str(extra["s_order"]),
+            str(extra["s2_order"]),
+            "yes" if extra["unimodular"] else "no",
+            "yes" if extra["counimodular"] else "no",
             res.values["positivity"][0],
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

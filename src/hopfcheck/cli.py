@@ -19,12 +19,19 @@ from functools import cache, reduce
 
 from .cyclotomic import Cyc, lcm
 from .errors import FormatError, HopfError
-from .fileformat import hopf_to_text, load_cayley, load_hopf
-from .pipeline import NOTES, run_pipeline
+from .fileformat import MAX_FIELD_ORDER, hopf_to_text, load_cayley, load_hopf
+from .pipeline import run_pipeline
+from .radford import s2_order, s_order
 from .report import FAIL, LAWS
 from .zoo import function_algebra, group_algebra, standard_zoo, taft
 
 _EXIT_OK, _EXIT_FAIL, _EXIT_INPUT = 0, 1, 2
+
+NOTES = (
+    "multipliers of the dual coincide with the dual itself at finite dimension",
+    "the one-parameter rescaling family is trivial at finite dimension; "
+    "only its algebraic specialisations are checked",
+)
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -41,8 +48,8 @@ def cmd_zoo(args) -> int:
     if name in builtin:
         h = builtin[name]
     elif name == "taft":
-        if args.n is None or args.n < 2:
-            raise FormatError("zoo taft requires --n >= 2")
+        if args.n is None or not 2 <= args.n <= MAX_FIELD_ORDER:
+            raise FormatError(f"zoo taft requires --n >= 2 and --n <= {MAX_FIELD_ORDER}")
         q = None
         if args.q is not None:
             q = Cyc.parse(args.q, args.n)
@@ -105,11 +112,22 @@ def _passing_run(args):
     return None
 
 
+def report_values(res) -> dict:
+    """What `report` prints beyond the run's values, for a run with no FAIL:
+    the orders of S and S^2, (co)unimodularity, and whether kac-collapse
+    passed.  No check reads them, so `verify` computes none of them."""
+    h, v = res.h, res.values
+    return {"s_order": s_order(h), "s2_order": s2_order(h),
+            "unimodular": v["modular"].delta == h.unit,
+            "counimodular": v["delta_hat"] == h.counit,
+            "kac": any(c.name == "kac-collapse" and c.passed() for c in res.checks)}
+
+
 def cmd_report(args) -> int:
     res = _passing_run(args)
     if res is None:
         return _EXIT_FAIL
-    h, v = res.h, res.values
+    h, v, r = res.h, res.values, report_values(res)
     md = v["modular"]
     print(f"REPORT {h.name} seed={args.seed}")
     print(f"dim = {h.dim}")
@@ -120,18 +138,17 @@ def cmd_report(args) -> int:
     print(f"delta_hat = {_fmt_vector(h, v['delta_hat'].coords)}")
     nu = md.nu
     print(f"nu = {nu.text(h.field_order)} ~ {_fmt_complex(nu.to_complex())}")
-    print(f"ord(S) = {v['s_order']}")
-    print(f"ord(S^2) = {v['s2_order']}")
-    print(f"unimodular = {'yes' if v['unimodular'] else 'no'}")
-    print(f"counimodular = {'yes' if v['counimodular'] else 'no'}")
+    print(f"ord(S) = {r['s_order']}")
+    print(f"ord(S^2) = {r['s2_order']}")
+    print(f"unimodular = {'yes' if r['unimodular'] else 'no'}")
+    print(f"counimodular = {'yes' if r['counimodular'] else 'no'}")
     likes = v["group_likes"]
     print(f"group_likes = {len(likes)}")
     for g in likes:
         print(f"  {_fmt_vector(h, g.coords)}")
     verdict, detail = v.get("positivity", ("unknown", ""))
     print(f"positivity = {verdict} ({detail})")
-    kac = v.get("kac", False)
-    print(f"kac = {'finite-quantum-group' if kac else 'no'}")
+    print(f"kac = {'finite-quantum-group' if r['kac'] else 'no'}")
     for note in NOTES:
         print(f"note: {note}")
     return _EXIT_OK

@@ -9,7 +9,7 @@ map a |-> sum_j phi(e_j a) e_j^, i.e. plain matrix action by G.
 
 from __future__ import annotations
 
-from .errors import HopfError, InconsistentWithDirectComputation
+from .errors import InconsistentWithDirectComputation
 # unused here: perfbench/tracing.py times the dual axiom suite at this full_axiom_suite binding
 from .hopf import (HopfData, act_left, act_right, full_axiom_suite, same_structure,
                    verify_star)
@@ -186,8 +186,7 @@ def _proportional(name: str, what: str, got: Elem, ref: Elem) -> None:
             f"{name}: {what} disagrees with the kernel solver")
 
 
-def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData,
-                           phi_solver: Elem | HopfError):
+def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData, phi_solver: Elem):
     """Integrals on the dual in the Plancherel normalisation.
 
     psihat = eps . G^-1, equivalently psihat(F(a)) = eps(a); phihat is
@@ -195,9 +194,7 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData,
     the canonical identification (the coefficient vectors, read in A, must
     absorb multiplication on the matching side), and both functionals must
     be nonzero multiples of what the generic kernel solver finds on the
-    dual.  phi_solver is left_integral(hd), or the HopfError that solve
-    raised, raised here after the invariance checks.  Returns (psihat,
-    phihat).
+    dual.  phi_solver is left_integral(hd).  Returns (psihat, phihat).
     """
     d = h.dim
     psi_hat = Elem.of(d, ((j, pairing(h.counit, x)) for j, x in enumerate(md.gram_inv.images)))
@@ -211,8 +208,6 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData,
     if bad is not None:
         raise InconsistentWithDirectComputation(f"{h.name}: {bad}")
 
-    if isinstance(phi_solver, HopfError):
-        raise phi_solver
     psi_solver = right_integral(hd, phi_solver)
     _proportional(h.name, "closed-form right dual integral", psi_hat, psi_solver)
     _proportional(h.name, "closed-form left dual integral", phi_hat, phi_solver)

@@ -242,7 +242,7 @@ def tomita_check(h: HopfData, gns: GNSData, tol: float = 1e-8) -> Check:
     if bad.size:
         return fail("tomita-commutant",
                     f"J rep(A) J leaves the commutant, residual {resid[bad[0]]:.3g}")
-    return ok("tomita-commutant", f"commutant dimension {d}, twice")
+    return ok("tomita-commutant")
 
 
 def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
@@ -312,5 +312,4 @@ def operator_radford_check(h: HopfData, md: ModularData, delta_hat: Elem, gns: G
     lhs = j_hat_t @ np.conj(f1) @ np.conj(j_hat_t)
     if not _close(lhs, rep_of(gns, md.delta_inv), max(tol, 1e-8)):
         return fail("operator-radford", "Jhat conjugation does not invert rep(delta)")
-    dist = np.linalg.norm(gns.J - j_hat_t)
-    return ok("operator-radford", f"dist(J, transported Jhat)={dist:.3e}")
+    return ok("operator-radford")

@@ -4,24 +4,25 @@ STAGES is the pipeline, run in order.  A Stage gives the names of the
 checks it prints, each stating its law report.LAWS[name]; the keys of
 PipelineResult.values it requires; whether it also needs a positive left
 integral; and run(h, values), which returns its checks and sets its values.
-A value that gates a later stage is set only when the checks computing it
-pass.  One rule gives every skip reason (_skip_reason): a positivity-gated
-stage skips with the verdict when it is not `positive`, and with
-`prerequisite-failed` when there is none; else a stage missing a required
-value skips with `prerequisite-failed`.  One rule reports a stage whose run
-raises a HopfError e (run_pipeline): its checks before the one e.stage
-names (before the first, when it names none) PASS, that check FAILs with
-str(e), and the rest SKIP with `prerequisite-failed`.  So a stage that
-throws surfaces as a FAIL under its own name, never as malformed input;
-only dual-integrals catches its own, because it still computes its second
-line when its first fails.  Two runs over one input print byte-identical
-reports.  run functions look the verifiers up in this module's globals when
-called, so a binding patched here is the one that runs.
+run_pipeline applies three rules to every stage:
+- Commit: a stage runs on a copy of values, kept only when none of its
+  checks FAILs, so a failure is reported once, where it arises, and all
+  that depends on it SKIPs.  A SKIP commits: the positivity verdict must.
+- Skip (_skip_reason): a positivity-gated stage skips with the verdict when
+  it is not `positive`, and with `prerequisite-failed` when there is none;
+  else a stage missing a required value skips with `prerequisite-failed`.
+- Raise: when run raises a HopfError e, the checks before the one e.stage
+  names (before the first, when it names none) PASS, that check FAILs with
+  str(e), and the rest SKIP with `prerequisite-failed`; a stage that
+  throws is a FAIL under its own name, never malformed input.
+Two runs over one input print byte-identical reports.  run functions look
+the verifiers up in this module's globals when called, so a binding
+patched here is the one that runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from .duality import (biduality_check, compute_dual_integrals, dual_axiom_checks,
@@ -33,20 +34,13 @@ from .gns import (gns_build, gns_representation_check, kac_collapse_check,
 from .hopf import HopfData, find_group_likes, full_axiom_suite, group_like_closure_check
 from .integrals import (compute_modular, gram_matrix, left_integral, modular_element,
                         modular_identity_checks, star_gram)
-from .radford import (counimodular_check, half_power_check, radford_check,
-                      radford_factorization, s2_order, s_order)
-from .report import Check, FAIL, fail, ok, skip
+from .radford import counimodular_check, half_power_check, radford_check, radford_factorization
+from .report import FAIL, fail, ok, skip
 
 _AXIOMS = ("algebra", "coalgebra", "bialgebra", "antipode", "antipode-derived", "star")
 _INTEGRALS = ("left-integral", "right-integral", "modular-element", "modular-automorphism",
               "modular-automorphism-right", "scaling-constant")
 _PREREQ = "prerequisite-failed"
-
-NOTES = (
-    "multipliers of the dual coincide with the dual itself at finite dimension",
-    "the one-parameter rescaling family is trivial at finite dimension; "
-    "only its algebraic specialisations are checked",
-)
 
 
 @dataclass
@@ -76,13 +70,17 @@ def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
         if reason is not None:
             res.checks.extend(skip(name, reason) for name in stage.names)
             continue
+        values = dict(res.values)
         try:
-            res.checks.extend(stage.run(h, res.values))
+            checks = stage.run(h, values)
         except HopfError as e:
             names = stage.names
             at = names.index(e.stage) if e.stage in names else 0
-            res.checks += ([ok(name) for name in names[:at]] + [fail(names[at], str(e))]
-                           + [skip(name, _PREREQ) for name in names[at + 1:]])
+            checks = ([ok(name) for name in names[:at]] + [fail(names[at], str(e))]
+                      + [skip(name, _PREREQ) for name in names[at + 1:]])
+        res.checks.extend(checks)
+        if not any(c.status == FAIL for c in checks):
+            res.values = values
     return res
 
 
@@ -97,9 +95,8 @@ def _axioms(h: HopfData, v: dict) -> list:
     """h's suite; once it passes, the dual and its transposition certificate,
     which decides whether A's integrals may be solved on hd's generators."""
     core = full_axiom_suite(h)
-    if not any(c.status == FAIL for c in core):
-        v["core"] = core
-        v["dual"] = dual_hopf(h)
+    if not any(c.status == FAIL for c in core):  # a failed suite never builds its dual
+        v["core"], v["dual"] = core, dual_hopf(h)
         v["not_transpose"] = transpose_failure(h, v["dual"])
     return core
 
@@ -109,87 +106,52 @@ def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> l
     Each candidate is confirmed on the generators of dual, which is a's
     dual once the transposition certificate holds, and on every row
     otherwise (see hopf.is_group_like)."""
-    likes = find_group_likes(a, dual.generators if v["not_transpose"] is None else None)
-    glc = group_like_closure_check(a, likes)
-    if glc.passed():
-        v[key] = likes
-    return [Check(name, glc.status, glc.detail)]
+    v[key] = likes = find_group_likes(a, dual.generators if v["not_transpose"] is None else None)
+    return [replace(group_like_closure_check(a, likes), name=name)]
 
 
 def _integrals(h: HopfData, v: dict) -> list:
-    """One named check per computed object; compute_modular's HopfError
-    names the first that fails."""
+    """One check per computed object; compute_modular's HopfError names the first that fails."""
     first = v["dual"].generators if v["not_transpose"] is None else None
     v["modular"] = compute_modular(h, first)
     return [ok(name) for name in _INTEGRALS]
 
 
-def _modular_identities(h: HopfData, v: dict) -> list:
-    v.update(s_order=s_order(h), s2_order=s2_order(h),
-             unimodular=v["modular"].delta == h.unit)
-    return modular_identity_checks(h, v["modular"])
-
-
 def _dual_axioms(h: HopfData, v: dict) -> list:
-    checks = dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])
-    if not any(c.status == FAIL for c in checks):
-        v["dual_ok"] = True
-    return checks
+    v["dual_ok"] = True
+    return dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])
 
 
 def _dual_integrals(h: HopfData, v: dict) -> list:
-    md, hd = v["modular"], v["dual"]
-    try:  # solved once: the kernel cross-check and deltahat both read it
-        dual_phi = left_integral(hd, h.generators)
-    except HopfError as e:
-        dual_phi = e
-    try:
-        v["psi_hat"] = compute_dual_integrals(h, md, hd, dual_phi)[0]
-        checks = [ok("dual-integrals")]
-    except HopfError as e:
-        checks = [fail("dual-integrals", str(e))]
-    try:
-        if isinstance(dual_phi, HopfError):
-            raise dual_phi
-        v["delta_hat"] = modular_element(hd, dual_phi, h.generators)
-        v["counimodular"] = v["delta_hat"] == h.counit
-        checks.append(ok("dual-modular-element"))
-    except HopfError as e:
-        checks.append(fail("dual-modular-element", str(e)))
-    return checks
+    """The dual left integral, solved once: the kernel cross-check of
+    compute_dual_integrals and dual-modular-element both read it."""
+    v["dual_phi"] = left_integral(v["dual"], h.generators)
+    v["psi_hat"] = compute_dual_integrals(h, v["modular"], v["dual"], v["dual_phi"])[0]
+    return [ok("dual-integrals")]
+
+
+def _dual_modular_element(h: HopfData, v: dict) -> list:
+    v["delta_hat"] = modular_element(v["dual"], v["dual_phi"], h.generators)
+    return [ok("dual-modular-element")]
 
 
 def _positivity(h: HopfData, v: dict) -> list:
-    """The verdict on phi's star-Gram; once it is positive, psihat's
-    star-Gram on the dual as well.  Each Gram is built here once, and the
-    later stages read these two."""
-    md, hd = v["modular"], v["dual"]
+    """The verdict on phi's star-Gram and, once it is positive, psihat's star-Gram
+    on the dual: each is built here once, for every later stage to read."""
     if h.star is not None:
-        v["star_gram"] = star_gram(h, md.gram)
-    v["positivity"] = verdict, detail = positivity_verdict(h, md.phi, v.get("star_gram"),
-                                                           v["tolerance"])
+        v["star_gram"] = star_gram(h, v["modular"].gram)
+    v["positivity"] = verdict, _ = positivity_verdict(h, v["modular"].phi, v.get("star_gram"),
+                                                      v["tolerance"])
     if verdict != "positive":
         return [skip("positivity", verdict)]
     if v.get("psi_hat") is not None:  # a star on h puts one on hd
-        v["dual_star_gram"] = star_gram(hd, gram_matrix(hd, v["psi_hat"]))
-    return [ok("positivity", detail)]
-
-
-def _kac(h: HopfData, v: dict) -> list:
-    check = kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"],
-                               v["dual_star_gram"], v["tolerance"])
-    v["kac"] = check.passed()
-    return [check]
+        v["dual_star_gram"] = star_gram(v["dual"], gram_matrix(v["dual"], v["psi_hat"]))
+    return [ok("positivity")]
 
 
 def _gns(h: HopfData, v: dict) -> list:
-    """The representation, then the commutant, which rests on its multiplicativity."""
-    tol = v["tolerance"]
-    v["gns"] = gns = gns_build(h, v["star_gram"], tol)
-    rep = gns_representation_check(h, gns, tol)
-    if not rep.passed():
-        return [rep, skip("tomita-commutant", _PREREQ)]
-    return [rep, tomita_check(h, gns, max(tol, 1e-8))]
+    v["gns"] = gns_build(h, v["star_gram"], v["tolerance"])
+    return [gns_representation_check(h, v["gns"], v["tolerance"])]
 
 
 STAGES = (
@@ -199,14 +161,15 @@ STAGES = (
     Stage(_INTEGRALS, ("dual",), _integrals),
     Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
            "modular-commutation", "modular-scaling", "modular-flip"),
-          ("modular",), _modular_identities),
+          ("modular",), lambda h, v: modular_identity_checks(h, v["modular"])),
     Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",), _dual_axioms),
     Stage(("dual-group-likes",), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes")),
     # the certificate and h's coalgebra check (core[1]), both from _axioms
     Stage(("pairing-actions",), ("dual_ok",),
           lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])]),
-    Stage(("dual-integrals", "dual-modular-element"), ("modular", "dual_ok"), _dual_integrals),
+    Stage(("dual-integrals",), ("modular", "dual_ok"), _dual_integrals),
+    Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element),
     Stage(("dual-modular-links", "radford-s4", "radford-factorization"), ("modular", "delta_hat"),
           lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"]) for check in
                         (dual_modular_links, radford_check, radford_factorization)]),
@@ -216,8 +179,14 @@ STAGES = (
           lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
                                          v["group_likes"], v["dual_likes"])]),
     Stage(("positivity",), ("modular",), _positivity),
-    Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"), _kac, positive=True),
-    Stage(("gns-representation", "tomita-commutant"), ("star_gram",), _gns, positive=True),
+    Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),
+          lambda h, v: [kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"],
+                                           v["psi_hat"], v["dual_star_gram"], v["tolerance"])],
+          positive=True),
+    Stage(("gns-representation",), ("star_gram",), _gns, positive=True),
+    # the commutant rests on the representation's multiplicativity
+    Stage(("tomita-commutant",), ("gns",),
+          lambda h, v: [tomita_check(h, v["gns"], max(v["tolerance"], 1e-8))], positive=True),
     # the operator identity, on h's GNS and the dual's
     Stage(("operator-radford",), ("gns", "dual_star_gram", "delta_hat"),
           lambda h, v: [operator_radford_check(

@@ -113,8 +113,7 @@ def counimodular_check(h: HopfData, md: ModularData, delta_hat: Elem, likes: lis
                                         lambda i: h.mul_many(md.delta_inv, b(i), md.delta))))
         if bad is not None:
             return fail("s2-conjugation", bad)
-        return ok("s2-conjugation",
-                  "no conjugating group-like square root of delta; squared form verified")
+        return ok("s2-conjugation")
     phi_r = Elem.of(h.dim, ((k, pairing(phi, h.mul(b(k), root))) for k in range(h.dim)))
     gram_r = gram_matrix(h, phi_r)
     return law_check("s2-conjugation", h.dim,

@@ -94,8 +94,8 @@ class Check:
         return out
 
 
-def ok(name: str, detail: str = "") -> Check:
-    return Check(name, PASS, detail)
+def ok(name: str) -> Check:
+    return Check(name, PASS)
 
 
 def fail(name: str, detail: str) -> Check:

@@ -256,6 +256,8 @@ def test_console_script_is_installed():
     pytest.param(("unit", 0), "1" + "0" * 5000,
                  "unit[0]: scalar numeral of 5001 digits is too long",
                  id="numeral-past-digit-limit"),
+    *[pytest.param(("field_order",), order, f"field_order {order} exceeds 1024",
+                   id=f"field-order-{order:.0e}") for order in (10**6, 10**12, 10**30)],
 ])
 def test_verify_rejects_bad_values_with_one_error_line(sweedler_file, tmp_path, capsys,
                                                        path, value, message):
@@ -289,6 +291,8 @@ def test_report_renders_cyclotomic_group_likes(tmp_path, capsys):
     (["zoo", "taft", "--n", "3", "--q", "garbage"], "bad scalar term"),
     pytest.param(["zoo", "taft", "--n", "3", "--q", "z^" + "1" * 5000],
                  "scalar numeral of 5000 digits is too long", id="exponent-past-digit-limit"),
+    *[pytest.param(["zoo", "taft", "--n", str(n)], "requires --n >= 2 and --n <= 1024",
+                   id=f"n-{n:.0e}") for n in (1025, 10**12)],
 ])
 def test_zoo_rejects_bad_parameters_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(*argv, capsys=capsys)

@@ -7,7 +7,7 @@ import pytest
 
 from hopfcheck import hopf_from_text, hopf_to_text, load_hopf, save_hopf
 from hopfcheck.errors import FormatError
-from hopfcheck.fileformat import load_cayley
+from hopfcheck.fileformat import MAX_FIELD_ORDER, load_cayley
 from hopfcheck.hopf import same_structure
 from helpers import reference_tables
 
@@ -177,6 +177,9 @@ def test_a_bad_row_names_its_location(zoo, field):
     ("comult", [[["1", "0"], ["0", "0"]]], "comult: expected a 2x2x2 array"),
     ("antipode", [["1", "0"]], "antipode: expected a 2x2 array"),
     ("star", 5, "star: expected a 2x2 array"),
+    # checked before the first scalar builds the field
+    *[("field_order", order, f"field_order {order} exceeds {MAX_FIELD_ORDER}")
+      for order in (MAX_FIELD_ORDER + 1, 10**6, 10**12, 10**30)],
 ])
 def test_a_bad_array_names_its_field(zoo, field, value, want):
     doc = json.loads(hopf_to_text(zoo["C[Z2]"]))

@@ -250,6 +250,8 @@ def test_no_integral_raises_on_broken_coproduct():
 
 
 def test_unimodular_flags(pipelines):
+    from hopfcheck.cli import report_values
+
     expected_unimodular = {
         "C[Z2]": True, "C[Z3]": True, "C[Z6]": True, "C[S3]": True,
         "F(Z2)": True, "F(Z3)": True, "F(Z6)": True, "F(S3)": True,
@@ -257,7 +259,7 @@ def test_unimodular_flags(pipelines):
         "sweedler(x)C[Z2]": False, "sweedler(x)sweedler": False,
     }
     for name, res in pipelines.items():
-        assert res.values["unimodular"] == expected_unimodular[name], name
+        assert report_values(res)["unimodular"] == expected_unimodular[name], name
 
 
 def test_failing_stage_is_named_by_the_exception(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Elem, Mat, pairing, s2_order, s_order, sweedler, taft
+from hopfcheck.cli import report_values
 from hopfcheck.radford import counimodular_check, group_like_roots
 from helpers import pair_scan, products
 
@@ -60,7 +61,8 @@ def test_orders_across_zoo(pipelines):
         "sweedler(x)C[Z2]": (4, 2), "sweedler(x)sweedler": (4, 2),
     }
     for name, res in pipelines.items():
-        got = (res.values["s_order"], res.values["s2_order"])
+        values = report_values(res)
+        got = (values["s_order"], values["s2_order"])
         assert got == expected[name], name
 
 
