@@ -40,7 +40,7 @@ from pathlib import Path
 
 RUNS = 3
 MEMBER_NAMES = ([f"taft({n})" for n in (*range(4, 13), 16)] + ["sweedler^(x)3", "sweedler^(x)4"]
-                + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96)])
+                + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96, 128)])
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

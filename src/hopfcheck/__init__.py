@@ -1,8 +1,9 @@
 """Exact verification of finite-dimensional Hopf *-algebra data.
 
 Structure constants over cyclotomic rationals, integrals and modular data
-computed by linear algebra, every defining identity checked exactly, and
-a float GNS layer for the operator statements.
+computed by linear algebra, and every defining identity checked exactly,
+the GNS operator statements included.  Floats are left in two places: the
+positivity verdict and the group-like finder.
 """
 
 from .cyclotomic import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc
@@ -24,8 +25,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     """run_pipeline and PipelineResult, imported on first use: the pipeline
-    reaches the float GNS layer and so numpy, which `import hopfcheck`, the
-    zoo and the file format then do without."""
+    reaches the float positivity verdict and so numpy, which
+    `import hopfcheck`, the zoo and the file format then do without."""
     if name in ("PipelineResult", "run_pipeline"):
         from . import pipeline
         return getattr(pipeline, name)

@@ -171,7 +171,7 @@ def tolerance(text: str) -> float:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=tolerance, default=1e-9,
-                   help="numeric tolerance for the float-backed checks")
+                   help="tolerance of the float positivity verdict (positivity, kac-collapse)")
     p.add_argument("--seed", type=int, default=42,
                    help="printed in the VERIFY and REPORT headers only; no check "
                         "draws samples, so it selects nothing")

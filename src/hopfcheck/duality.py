@@ -265,9 +265,7 @@ def plancherel_check(md: ModularData, b: Mat, b_hat: Mat) -> Check:
     only once phi is known to be positive, which implies a star on h and hd.
     """
     g = md.gram
-    g_h = Mat.of(g.cols, g.rows, {(i, k): c.conjugate() for i, col in enumerate(g.images)
-                                  for k, c in col.support})  # conj(G)^T
-    lhs = g_h.mul(b_hat.mul(g)).row_dicts()
+    lhs = g.conjugate().transpose().mul(b_hat.mul(g)).row_dicts()
     return law_check("plancherel", b.rows,
                      (1, ("Parseval fails at basis pair ({0},{slot})",
                           lhs.__getitem__, b.row_dicts().__getitem__)))

@@ -69,7 +69,8 @@ class NoStarStructure(HopfError):
 
 
 class NumericalFailure(HopfError):
-    """Float-backed routine left its validity envelope (conditioning, residuals)."""
+    """A routine left its validity envelope: a float residual, an order past
+    its cap, or a star-Gram that is not Hermitian."""
 
 
 class FormatError(HopfError):

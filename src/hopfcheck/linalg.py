@@ -129,6 +129,12 @@ class Mat:
         return Mat.of(self.cols, self.rows, {(j, i): c for j, col in enumerate(self.images)
                                              for i, c in col.support})
 
+    def conjugate(self) -> "Mat":
+        """Every entry conjugated; conjugate().transpose() is the adjoint."""
+        return Mat(self.rows, self.cols, tuple(
+            Elem(col.dim, tuple((i, c.conjugate()) for i, c in col.support))
+            for col in self.images))
+
     def row_dicts(self) -> list:
         """Row i as the sparse dict {j: self[i][j]}, for every i."""
         return [dict(row.support) for row in self.transpose().images]

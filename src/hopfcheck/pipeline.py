@@ -150,8 +150,8 @@ def _positivity(h: HopfData, v: dict) -> list:
 
 
 def _gns(h: HopfData, v: dict) -> list:
-    v["gns"] = gns_build(h, v["star_gram"], v["tolerance"])
-    return [gns_representation_check(h, v["gns"], v["tolerance"])]
+    v["gns"] = gns_build(h, v["star_gram"])
+    return [gns_representation_check(h, v["gns"])]
 
 
 STAGES = (
@@ -186,12 +186,12 @@ STAGES = (
     Stage(("gns-representation",), ("star_gram",), _gns, positive=True),
     # the commutant rests on the representation's multiplicativity
     Stage(("tomita-commutant",), ("gns",),
-          lambda h, v: [tomita_check(h, v["gns"], max(v["tolerance"], 1e-8))], positive=True),
+          lambda h, v: [tomita_check(h, v["gns"])], positive=True),
     # the operator identity, on h's GNS and the dual's
     Stage(("operator-radford",), ("gns", "dual_star_gram", "delta_hat"),
           lambda h, v: [operator_radford_check(
-              h, v["modular"], v["delta_hat"], v["gns"],
-              gns_build(v["dual"], v["dual_star_gram"], v["tolerance"]), v["tolerance"])],
+              h, v["dual"], v["modular"], v["delta_hat"], v["gns"],
+              gns_build(v["dual"], v["dual_star_gram"]))],
           positive=True),
     Stage(("plancherel",), ("modular", "dual_star_gram"),
           lambda h, v: [plancherel_check(v["modular"], v["star_gram"], v["dual_star_gram"])],

@@ -452,9 +452,13 @@ def _monomial_rank(h, gens) -> int:
     by repeated multiplication until the span stops growing."""
     import numpy as np
 
-    from hopfcheck.gns import tensor_float
-
-    ops = [tensor_float(h.mult)[g].T for g in gens]  # left multiplication by e_g
+    ops = []  # left multiplication by e_g: column j is e_g e_j
+    for g in gens:
+        op = np.zeros((h.dim, h.dim), dtype=complex)
+        for j, terms in h.mult.rows[g].items():
+            for k, c in terms:
+                op[k, j] = c.to_complex()
+        ops.append(op)
     span = np.array([[c.to_complex() for c in h.unit.coords]]).T
     while True:
         grown = np.hstack([span] + [op @ span for op in ops])
