@@ -165,9 +165,6 @@ def hopf_from_text(text: str) -> HopfData:
     unknown = set(doc) - set(FIELDS)
     if unknown:
         raise FormatError(f"unknown fields {sorted(unknown)}")
-    name = doc["name"]
-    if not isinstance(name, str) or not name:
-        raise FormatError("name must be a nonempty string")
     d = _positive_int(doc, "dim")
     order = _positive_int(doc, "field_order")
     if order > MAX_FIELD_ORDER:
@@ -177,7 +174,7 @@ def hopf_from_text(text: str) -> HopfData:
     if "star" in doc:
         star = _matrix(doc["star"], d, read, "star")
     return HopfData(
-        name=name, dim=d, field_order=order,
+        name=doc["name"], dim=d, field_order=order,
         mult=_tensor(doc["mult"], d, read, "mult"),
         unit=Elem.of(d, _vector(doc["unit"], d, read, "unit")),
         comult=_tensor(doc["comult"], d, read, "comult"),

@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
-from .errors import DimMismatch, NoStarStructure, NumericalFailure, SingularMatrix
+from .errors import (DimMismatch, FormatError, NoStarStructure, NumericalFailure,
+                     SingularMatrix)
 from .linalg import (Elem, Mat, Tensor3, mat_inverse, null_basis, pairing, reduce_into,
                      scale, solve_null_space, sparse_sum)
 from .report import Check, fail, first_failure, law_check, ok, skip
@@ -56,6 +57,10 @@ class HopfData:
     star: Mat | None = None
 
     def __post_init__(self):
+        # the name is printed in report headers: a line break or an escape
+        # sequence in it could forge a CHECK line
+        if not isinstance(self.name, str) or not self.name or not self.name.isprintable():
+            raise FormatError("name must be a nonempty string of printable characters")
         d = self.dim
         if self.mult.dim != d or self.comult.dim != d:
             raise DimMismatch("tensor dimension disagrees with dim")

@@ -183,11 +183,11 @@ STAGES = (
           lambda h, v: [kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"],
                                            v["psi_hat"], v["dual_star_gram"], v["tolerance"])],
           positive=True),
+    # "gns" is the star-Gram that gns_build certified as an inner product
     Stage(("gns-representation",), ("star_gram",), _gns, positive=True),
-    # the commutant rests on the representation's multiplicativity
     Stage(("tomita-commutant",), ("gns",),
           lambda h, v: [tomita_check(h, v["gns"])], positive=True),
-    # the operator identity, on h's GNS and the dual's
+    # the operator identity, on h's GNS space and the dual's
     Stage(("operator-radford",), ("gns", "dual_star_gram", "delta_hat"),
           lambda h, v: [operator_radford_check(
               h, v["dual"], v["modular"], v["delta_hat"], v["gns"],

@@ -1,5 +1,6 @@
 """Small constructors the tests share."""
 
+import dataclasses
 import json
 
 from hopfcheck import CYC_ZERO, Cyc, Elem, Mat, Tensor3
@@ -13,6 +14,25 @@ def mat_from_rows(rows: list) -> Mat:
     assert all(len(row) == cols for row in rows), "ragged rows"
     return Mat.of(len(rows), cols, {(i, j): x for i, row in enumerate(rows)
                                      for j, x in enumerate(row)})
+
+
+def rebased(h, s):
+    """h in the basis f_i = s[i] e_i, over Q(zeta_8).  With s[i] = 2 + zeta_8^i
+    every table has non-real entries, so a law that drops a conjugation or
+    transposes without it fails on the rebased h though it holds on h."""
+    d = h.dim
+
+    def mat(m, scale):
+        return Mat.of(d, d, {(k, i): c * scale(s[i]) / s[k]
+                             for i, col in enumerate(m.images) for k, c in col.support})
+    return dataclasses.replace(
+        h, field_order=8,
+        mult=Tensor3(d, {(i, j, k): c * s[i] * s[j] / s[k] for (i, j, k), c in h.mult.items()}),
+        unit=Elem.of(d, ((k, c / s[k]) for k, c in h.unit.support)),
+        comult=Tensor3(d, {(k, i, j): c * s[k] / (s[i] * s[j])
+                           for (k, i, j), c in h.comult.items()}),
+        counit=Elem.of(d, ((i, c * s[i]) for i, c in h.counit.support)),
+        antipode=mat(h.antipode, lambda x: x), star=mat(h.star, Cyc.conjugate))
 
 
 def products(h) -> tuple:

@@ -249,6 +249,11 @@ def test_console_script_is_installed():
     assert "verify" in proc.stdout
 
 
+UNPRINTABLE = [("\n", "newline"), ("\r", "return"), ("\t", "tab"), ("\x1b", "escape"),
+               ("\u2028", "line-separator")]
+UNPRINTABLE_NAME = "name must be a nonempty string of printable characters"
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("unit", 0), "1/0", "unit[0]: zero denominator"),
     (("dim",), True, "dim must be a positive integer"),
@@ -258,6 +263,10 @@ def test_console_script_is_installed():
                  id="numeral-past-digit-limit"),
     *[pytest.param(("field_order",), order, f"field_order {order} exceeds 1024",
                    id=f"field-order-{order:.0e}") for order in (10**6, 10**12, 10**30)],
+    # a name is printed in the VERIFY header, so a line break in it could
+    # forge a CHECK line
+    *[pytest.param(("name",), f"a{c}CHECK algebra PASS", UNPRINTABLE_NAME, id=f"name-{label}")
+      for c, label in UNPRINTABLE],
 ])
 def test_verify_rejects_bad_values_with_one_error_line(sweedler_file, tmp_path, capsys,
                                                        path, value, message):
@@ -300,6 +309,21 @@ def test_zoo_rejects_bad_parameters_with_one_error_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("source", ["label", "stem"])
+@pytest.mark.parametrize("c", [c for c, _ in UNPRINTABLE], ids=[label for _, label in UNPRINTABLE])
+def test_zoo_rejects_an_unprintable_name_with_one_error_line(tmp_path, capsys, c, source):
+    # the name comes from --label, or else from the Cayley file's stem
+    bad = f"Z{c}2"
+    p = tmp_path / (bad if source == "stem" else "Z2")
+    p.write_text("0 1\n1 0\n", encoding="utf-8")
+    argv = ["zoo", "group", "--cayley", str(p)] + (["--label", bad] if source == "label" else [])
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and UNPRINTABLE_NAME in err
 
 
 @pytest.mark.parametrize("command, content, message", [

@@ -31,7 +31,7 @@ from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalge
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.linalg import Mat, Tensor3
 from hopfcheck.zoo import cyclic_table, group_algebra, taft
-from helpers import entry, mat_from_rows
+from helpers import entry, mat_from_rows, rebased
 
 
 def vec(*coords):
@@ -307,11 +307,16 @@ def _star_gram_by_entries(a, state):
 
 
 def test_star_gram_matches_the_per_entry_definition(zoo, pipelines):
-    starred = [name for name, h in zoo.items() if h.star is not None]
-    assert len(starred) == 11
-    for name in starred:
-        h, v = zoo[name], pipelines[name].values
+    members = [(h, pipelines[name].values) for name, h in zoo.items() if h.star is not None]
+    assert len(members) == 11
+    # in the basis f_i = (2 + zeta_8^i) e_i, Star, G and B have non-real
+    # entries, so a conjugation dropped from or added to B = Star^T G shows
+    for name in ("C[S3]", "F(S3)"):
+        h = rebased(zoo[name], [Cyc.rational(2) + Cyc.root(8, i) for i in range(6)])
+        members.append((h, run_pipeline(h).values))
+    for h, v in members:
         hd, psi_hat = v["dual"], v["psi_hat"]
+        name = (h.name, h.field_order)
         assert star_gram(h, v["modular"].gram) == _star_gram_by_entries(h, v["modular"].phi), name
         assert star_gram(hd, gram_matrix(hd, psi_hat)) == _star_gram_by_entries(hd, psi_hat), name
     # every zoo star matrix is symmetric, so the transpose in B = Star^T G is

@@ -4,8 +4,9 @@ and the operator comparison.
 Every operator statement is an exact identity in Gram coordinates, so each
 test below compares exact values.  Floats appear only in the positivity
 verdict and in the SVD reference for the commutant, which the exact span of
-the right multiplications must match.  The fault tests run in a complex
-basis of C[S3], where a check that drops a conjugation fails on clean data.
+the right multiplications must match.  The operator laws that restate an
+axiom are decided by `algebra` and `star`; the fault tests feed run_pipeline
+the corruptions those laws would catch and pin the owning check's FAIL.
 """
 
 import dataclasses
@@ -14,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from hopfcheck import Cyc, Elem, Mat, Tensor3, compute_modular, dual_hopf, sweedler
+from hopfcheck import Cyc, Elem, Mat, Tensor3, compute_modular, dual_hopf, run_pipeline, sweedler
+from hopfcheck import pipeline
 from hopfcheck.errors import NumericalFailure
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.gns import (
@@ -24,20 +26,21 @@ from hopfcheck.gns import (
     positivity_verdict,
     tomita_check,
 )
-from helpers import pair_scan
+from hopfcheck.report import FAIL
+from helpers import rebased
+
+OPERATOR_STAGES = ("gns-representation", "tomita-commutant", "operator-radford")
 
 
 def _setup(h):
+    """compute_modular(h) and the certified B of gns_build."""
     md = compute_modular(h)
     return md, gns_build(h, star_gram(h, md.gram))
 
 
-def _float(m: Mat) -> np.ndarray:
-    out = np.zeros((m.rows, m.cols), dtype=complex)
-    for j, col in enumerate(m.images):
-        for i, c in col.support:
-            out[i, j] = c.to_complex()
-    return out
+def _complex(h):
+    """h in the basis f_i = (2 + zeta_8^i) e_i: every table has non-real entries."""
+    return rebased(h, [Cyc.rational(2) + Cyc.root(8, i) for i in range(h.dim)])
 
 
 def _float_mult(h, right: bool = False) -> np.ndarray:
@@ -48,57 +51,35 @@ def _float_mult(h, right: bool = False) -> np.ndarray:
     return out
 
 
-def _first_entry(diff: np.ndarray) -> tuple:
-    """The first (row, column) at which a float difference is not zero."""
-    return tuple(int(x) for x in np.argwhere(np.abs(diff) > 1e-9)[0])
-
-
-def _rebased(h, s):
-    """h in the basis f_i = s[i] e_i, over Q(zeta_8)."""
-    d = h.dim
-
-    def mat(m, scale):
-        return Mat.of(d, d, {(k, i): c * scale(s[i]) / s[k]
-                             for i, col in enumerate(m.images) for k, c in col.support})
-    return dataclasses.replace(
-        h, field_order=8,
-        mult=Tensor3(d, {(i, j, k): c * s[i] * s[j] / s[k] for (i, j, k), c in h.mult.items()}),
-        unit=Elem.of(d, ((k, c / s[k]) for k, c in h.unit.support)),
-        comult=Tensor3(d, {(k, i, j): c * s[k] / (s[i] * s[j])
-                           for (k, i, j), c in h.comult.items()}),
-        counit=Elem.of(d, ((i, c * s[i]) for i, c in h.counit.support)),
-        antipode=mat(h.antipode, lambda x: x), star=mat(h.star, Cyc.conjugate))
-
-
 def _radford_inputs(h) -> tuple:
-    """operator_radford_check's arguments after h: hd, md, deltahat and the
-    GNS data of h and of hd."""
+    """operator_radford_check's arguments after h: hd, md, deltahat, B and
+    the certified star-Gram of psihat on hd."""
     from hopfcheck import compute_dual_integrals, left_integral, modular_element
-    md, gns = _setup(h)
+    md, b = _setup(h)
     hd = dual_hopf(h)
     phi_dual = left_integral(hd)
     psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
     delta_hat = modular_element(hd, phi_dual)
-    return hd, md, delta_hat, gns, gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
+    return hd, md, delta_hat, b, gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
 
 
 def _operator_checks(h) -> list:
-    """The three operator checks on h, each on its own GNS data."""
+    """The three operator checks on h."""
     args = _radford_inputs(h)
-    gns = args[3]
-    return [gns_representation_check(h, gns), tomita_check(h, gns),
+    b = args[3]
+    return [gns_representation_check(h, b), tomita_check(h, b),
             operator_radford_check(h, *args)]
 
 
 @pytest.fixture(scope="module")
 def complex_s3(zoo):
-    """C[S3] in the basis f_i = (2 + zeta_8^i) e_i, with its GNS data: every
-    table the checks read has non-real entries, and the checks pass."""
-    h = _rebased(zoo["C[S3]"], [Cyc.rational(2) + Cyc.root(8, i) for i in range(6)])
-    gns = _setup(h)[1]
+    """C[S3] in the basis f_i = (2 + zeta_8^i) e_i: every table the checks
+    read has non-real entries, and the operator stages pass."""
+    h = _complex(zoo["C[S3]"])
     assert h.generators == (1, 3)
-    assert gns_representation_check(h, gns).passed() and tomita_check(h, gns).passed()
-    return h, gns
+    checks = {c.name: c for c in run_pipeline(h).checks}
+    assert all(checks[name].passed() for name in OPERATOR_STAGES)
+    return h
 
 
 def test_positivity_verdicts(zoo):
@@ -152,8 +133,7 @@ def test_operator_checks_pass_in_a_complex_basis(zoo):
     # f_i = (2 + zeta_8^i) e_i gives every matrix non-real entries, so a
     # check that drops a conjugation or transposes without it fails here
     for name in ("C[S3]", "F(S3)"):
-        h = _rebased(zoo[name], [Cyc.rational(2) + Cyc.root(8, i) for i in range(6)])
-        for check in _operator_checks(h):
+        for check in _operator_checks(_complex(zoo[name])):
             assert check.status == "PASS", (name, check.line())
 
 
@@ -194,8 +174,8 @@ def test_commutant_dimensions(zoo):
     # the SVD null space of the left regular image agrees with it
     for name in COMMUTANT_MEMBERS:
         h = zoo[name]
-        _md, gns = _setup(h)
-        assert tomita_check(h, gns).passed(), name
+        _md, b = _setup(h)
+        assert tomita_check(h, b).passed(), name
         whole = svd_commutant(_float_mult(h))
         assert whole.shape[0] == h.dim, name
         assert _same_subspace(whole, _orthonormal(_float_mult(h, right=True))), name
@@ -217,8 +197,8 @@ def test_modular_operator_trivial_on_positive_members(zoo):
     # nabla = 1 is Star^H B Star = B^T, and J = Star conj is an involution
     for name in ("C[Z3]", "F(Z6)"):
         h = zoo[name]
-        _md, gns = _setup(h)
-        star, b = gns.star, gns.b
+        _md, b = _setup(h)
+        star = h.star
         assert star.conjugate().transpose().mul(b.mul(star)) == b.transpose(), name
         assert star.mul(star.conjugate()).is_identity(), name
 
@@ -227,18 +207,18 @@ def test_modular_operator_identity_fails_on_a_hermitian_non_tracial_form(zoo):
     # sweedler(x)sweedler has a Hermitian star-Gram, so gns_build accepts it,
     # but phi is not tracial there: the nabla row is what fails
     h = zoo["sweedler(x)sweedler"]
-    _md, gns = _setup(h)
-    check = tomita_check(h, gns)
+    _md, b = _setup(h)
+    check = tomita_check(h, b)
     assert check.status == "FAIL"
     assert check.detail.startswith("modular operator is not the identity at ("), check.detail
 
 
 def test_rescaling_generator_is_identity(zoo):
     # the rescaling generator P is the identity at finite dimension; it is
-    # stated in the representation law rather than stored on GNSData
+    # stated in the representation law rather than stored
     h = zoo["C[Z2]"]
-    md, gns = _setup(h)
-    check = gns_representation_check(h, gns)
+    _md, b = _setup(h)
+    check = gns_representation_check(h, b)
     assert check.status == "PASS"
     assert "T^2=P=1" in check.identity
 
@@ -276,19 +256,31 @@ def test_operator_radford_trivial_flow_detail(pipelines):
 
 
 def test_operator_radford_fails_when_the_dual_modular_operator_is_not_one(zoo):
-    # Jhat -> U Jhat U^-1 for a unitriangular U keeps Jhat an involution, so
-    # the four factors stay 1, but Jhat is no longer antiunitary for Bhat.
-    # The dual of F(S3) is C[S3], whose star e_x -> e_x^-1 U does not fix
+    # Starhat -> U Starhat U^-1 for a unitriangular U keeps Jhat an
+    # involution, but Jhat is no longer antiunitary for Bhat.  The dual of
+    # F(S3) is C[S3], whose star e_x -> e_x^-1 U does not fix
     h = zoo["F(S3)"]
-    hd, md, delta_hat, gns, gns_dual = _radford_inputs(h)
+    hd, md, delta_hat, b, b_hat = _radford_inputs(h)
     one = Cyc.rational(1)
     u = Mat.of(6, 6, {**{(i, i): one for i in range(6)}, (0, 1): one})
     u_inv = Mat.of(6, 6, {**{(i, i): one for i in range(6)}, (0, 1): -one})
-    bad = dataclasses.replace(gns_dual, star=u.mul(gns_dual.star).mul(u_inv))
-    assert operator_radford_check(h, hd, md, delta_hat, gns, gns_dual).passed()
-    check = operator_radford_check(h, hd, md, delta_hat, gns, bad)
+    bad = dataclasses.replace(hd, star=u.mul(hd.star).mul(u_inv))
+    assert operator_radford_check(h, hd, md, delta_hat, b, b_hat).passed()
+    check = operator_radford_check(h, bad, md, delta_hat, b, b_hat)
     assert check.status == "FAIL"
     assert check.detail.startswith("dual modular operator is not the identity at ("), check.detail
+
+
+# The rows the operator stages no longer compare are laws of `algebra` and
+# `star` (see the gns module docstring).  Each test below feeds run_pipeline
+# a corruption that one of those rows used to catch: the owning axiom check
+# FAILs, and every operator stage skips, since a FAIL passes no value on.
+
+def _owner_fails(h, owner: str, detail: str) -> None:
+    checks = {c.name: c for c in run_pipeline(h).checks}
+    assert (checks[owner].status, checks[owner].detail) == (FAIL, detail)
+    for name in OPERATOR_STAGES:
+        assert checks[name].line().startswith(f"CHECK {name} SKIP:prerequisite-failed "), name
 
 
 def _with_mult(h, change):
@@ -297,40 +289,33 @@ def _with_mult(h, change):
         key: change(*key, c) for key, c in h.mult.items()}))
 
 
-def _associativity_scan(h):
-    """The first (i, j) over every i at which (e_i e_j) e_k != e_i (e_j e_k)
-    for some k, one pair at a time: rep(e_i) rep(e_j) = rep(e_i e_j)."""
-    b = h.basis
-    return pair_scan(h.dim, ("multiplicativity fails at ({0},{1})",
-                             lambda i, j: [h.mul(h.mul(b(i), b(j)), b(k)) for k in range(h.dim)],
-                             lambda i, j: [h.mul(b(i), h.mul(b(j), b(k)))
-                                           for k in range(h.dim)]))
+def _bent(m: Mat, i: int, j: int, by: Cyc) -> Mat:
+    """m with by added to its entry (i, j)."""
+    entries = {(r, c): x for c, col in enumerate(m.images) for r, x in col.support}
+    entries[i, j] = entries.get((i, j), Cyc.rational(0)) + by
+    return Mat.of(m.rows, m.cols, entries)
 
 
-@pytest.mark.parametrize("name", ["C[Z6]", "C[S3]"])
-def test_multiplicativity_on_generators_sees_a_corrupted_non_generator(zoo, name):
-    # the rows run over the generators g only, but read the table row of
-    # every e_j, so a corrupted product e_k e_j of a non-generator k fails
-    # too, at the pair a scan over every first index names
+@pytest.mark.parametrize("name, k, triple", [
+    pytest.param("C[Z6]", 2, "(1,1,1)", id="C[Z6]"),
+    pytest.param("C[S3]", 4, "(1,4,1)", id="C[S3]"),
+])
+def test_multiplicativity_on_generators_sees_a_corrupted_non_generator(zoo, name, k, triple):
+    # rep(ab) = rep(a) rep(b) is associativity, which `algebra` checks with
+    # its first index over the generators only; a doubled product e_k e_1 of
+    # a non-generator k still fails there
     h = zoo[name]
-    unit = {i for i, _ in h.unit.support}
-    others = [k for k in range(h.dim) if k not in h.generators and k not in unit]
-    assert h.generators and others
-    for k in (h.generators[0], others[0], others[-1]):
-        bad = _with_mult(h, lambda i, j, m, c: c + c if (i, j) == (k, 1) else c)
-        check = gns_representation_check(bad, gns_build(bad, _setup(h)[1].b))
-        assert check.status == "FAIL", (name, k)
-        assert check.detail.startswith("multiplicativity fails at ("), (name, k, check.detail)
-        i = int(check.detail.split("(")[1].split(",")[0])
-        assert i in bad.generators
-        assert check.detail == _associativity_scan(bad), (name, k)
+    assert k not in h.generators
+    _owner_fails(_with_mult(h, lambda i, j, m, c: c + c if (i, j) == (k, 1) else c),
+                 "algebra", f"associativity fails at triple {triple}")
 
 
 def test_multiplicativity_reads_every_generator(zoo):
     # C[S3] has generators (1, 3).  Let K be the subgroup e_1 generates, and
-    # double every product e_g e_j with g off K: every row with a left factor
-    # in K still holds (K times a coset stays in that coset), while e_3 does
-    # not, so a loop over the first generator alone would pass
+    # double every product e_g e_j with g off K and j != 0: the unit law
+    # holds, and so does associativity at every first index in K (K times a
+    # coset stays in that coset), while e_3 fails it, so a loop over the
+    # first generator alone would pass
     h = zoo["C[S3]"]
     assert h.generators == (1, 3)
     k_set, x = {0}, h.unit
@@ -341,122 +326,86 @@ def test_multiplicativity_reads_every_generator(zoo):
             break
         k_set.add(g)
     assert 3 not in k_set and len(k_set) == 3
-    bad = _with_mult(h, lambda i, j, m, c: c if i in k_set else c + c)
-    check = gns_representation_check(bad, gns_build(bad, _setup(h)[1].b))
-    assert (check.status, check.detail) == ("FAIL", _associativity_scan(bad))
-    assert check.detail == "multiplicativity fails at (3,0)"
+    bad = _with_mult(h, lambda i, j, m, c: c if i in k_set or j == 0 else c + c)
+    _owner_fails(bad, "algebra", "associativity fails at triple (3,1,1)")
 
 
-def _bent(m: Mat, i: int, j: int, by: Cyc) -> Mat:
-    """m with by added to its entry (i, j)."""
-    entries = {(r, c): x for c, col in enumerate(m.images) for r, x in col.support}
-    entries[i, j] = entries.get((i, j), Cyc.rational(0)) + by
-    return Mat.of(m.rows, m.cols, entries)
+def _bent_star_fails(h, i: int, k: int) -> None:
+    """Star entry (i, k) raised by zeta_4 makes `star`'s involution row at k
+    FAIL: B L_g = L_{g*}^H B and Star conj(Star) = I rest on it."""
+    bad = dataclasses.replace(h, star=_bent(h.star, i, k, Cyc.root(4)))
+    _owner_fails(bad, "star", f"involution fails at basis {k}")
 
 
-def test_a_corrupted_star_on_a_generator_fails_the_adjoint_row(complex_s3):
-    # the second generator's star: a loop that reads only the first
-    # generator would pass
-    h, gns = complex_s3
-    bad = dataclasses.replace(gns, star=_bent(gns.star, 0, 3, Cyc.root(4)))
-    check = gns_representation_check(h, bad)
-    lhs = _float(bad.b) @ _float(bad.left[3])
-    l_star = _float_mult(h)
-    rhs = np.tensordot(_float(bad.star)[:, 3], l_star, 1).conj().T @ _float(bad.b)
-    assert check.status == "FAIL"
-    assert check.detail == "adjoint property fails at basis 3, entry ({},{})".format(
-        *_first_entry(lhs - rhs))
+def test_a_corrupted_star_on_a_generator_fails_the_involution_row(complex_s3):
+    # the second generator's star: a loop over the first generator alone
+    # would not read it
+    assert complex_s3.generators[1] == 3
+    _bent_star_fails(complex_s3, 0, 3)
 
 
 def test_a_corrupted_star_on_a_non_generator_fails_the_involution_row(complex_s3):
-    # no generator's star changes, so the adjoint rows hold; T^2 = 1 reads
-    # the star of every basis vector
-    h, gns = complex_s3
-    k = 4
-    assert k not in h.generators
-    bad = dataclasses.replace(gns, star=_bent(gns.star, 2, k, Cyc.root(4)))
-    check = gns_representation_check(h, bad)
-    star = _float(bad.star)
-    assert check.status == "FAIL"
-    assert check.detail == "star lift does not square to the identity at ({},{})".format(
-        *_first_entry(star @ star.conj() - np.eye(h.dim)))
+    assert 4 not in complex_s3.generators
+    _bent_star_fails(complex_s3, 2, 4)
 
 
-def test_a_corrupted_entry_of_b_fails_the_adjoint_row(complex_s3):
-    h, gns = complex_s3
-    bad = dataclasses.replace(gns, b=_bent(gns.b, 2, 5, Cyc.root(4)))
-    check = gns_representation_check(h, bad)
-    b, g = _float(bad.b), h.generators[0]
-    rhs = np.tensordot(_float(bad.star)[:, g], _float_mult(h), 1).conj().T @ b
-    assert check.status == "FAIL"
-    assert check.detail == "adjoint property fails at basis {}, entry ({},{})".format(
-        g, *_first_entry(b @ _float(bad.left[g]) - rhs))
-
-
-def test_a_corrupted_entry_of_a_stored_generator_fails_multiplicativity(complex_s3):
-    # left[3] is the stored L_3: the row at 3 reads it against the table
-    h, gns = complex_s3
-    bad = dataclasses.replace(gns, left={**gns.left, 3: _bent(gns.left[3], 1, 4, Cyc.root(4))})
-    check = gns_representation_check(h, bad)
-    assert check.status == "FAIL"
-    assert check.detail == "multiplicativity fails at (3,0)"
-
-
-def test_commutant_method_fails_on_a_corrupted_right_multiplication(zoo):
-    # the product e_0 e_1 gains a term, in the table the check reads but not
-    # in the stored L_1: R_1 stops commuting with rep(e_1), and the
-    # commutation row fails before J is compared with anything
-    h = zoo["C[Z3]"]
-    _md, gns = _setup(h)
-    entries = dict(h.mult.items())
-    entries[0, 1, 2] = Cyc.rational(1, 10)
-    bad = dataclasses.replace(h, mult=Tensor3(h.dim, entries))
-    check = tomita_check(bad, gns)
-    assert check.line().startswith("CHECK tomita-commutant FAIL")
-    assert check.detail == "right multiplication by e_1 does not commute with rep(e_1) on e_0"
-
-
-def test_commutant_dimension_is_read_off_the_unit(zoo):
-    # R_b(1) = e_b certifies that the R_b are independent; with a unit
-    # that is not 1 the certificate fails at the first basis vector
-    h = zoo["C[Z3]"]
-    _md, gns = _setup(h)
-    bad = dataclasses.replace(h, unit=Elem.of(3, ((0, Cyc.rational(2)),)))
-    check = tomita_check(bad, gns)
-    assert check.detail == "commutant dimension is not certified: R_0(1) != e_0"
-
-
-def test_commutant_method_fails_when_j_rep_j_leaves_the_commutant(zoo):
-    # Star -> U Star U^T for a rational rotation U keeps J an involution and
-    # nabla = 1 (U is orthogonal and B is scalar on C[S3]), but
-    # J rep(A) J is not rep(A)': only the last row sees it
+def test_a_rotated_star_fails_the_star_unit_row(zoo):
+    # Star -> U Star U^T for a rational rotation U keeps Star an involution,
+    # but moves 1* off 1, so J L_g J = R_{g*} no longer follows; `star`
+    # catches it at its unit row
     h = zoo["C[S3]"]
-    _md, gns = _setup(h)
-    scalar = gns.b.images[0].support[0][1]
-    assert all(col.support == ((j, scalar),) for j, col in enumerate(gns.b.images))
     r = Cyc.rational
     u = Mat.of(h.dim, h.dim, {**{(i, i): r(1) for i in range(2, h.dim)},
                               (0, 0): r(3, 5), (0, 1): r(-4, 5), (1, 0): r(4, 5), (1, 1): r(3, 5)})
-    bad = dataclasses.replace(gns, star=u.mul(gns.star).mul(u.transpose()))
-    check = tomita_check(h, bad)
-    assert check.line().startswith("CHECK tomita-commutant FAIL")
-    assert check.detail.startswith("J rep(e_1) J is not R_(e_1*) at ("), check.detail
+    _owner_fails(dataclasses.replace(h, star=u.mul(h.star).mul(u.transpose())),
+                 "star", "1* != 1")
 
 
-def test_tomita_skips_when_the_representation_fails(monkeypatch, zoo):
-    from hopfcheck import pipeline, run_pipeline
+def test_commutant_dimension_is_read_off_the_unit(zoo):
+    # R_b(1) = e_b, which certifies that the R_b are independent, is
+    # `algebra`'s unit law: a unit that is not 1 fails it at basis 0
+    h = zoo["C[Z3]"]
+    _owner_fails(dataclasses.replace(h, unit=Elem.of(3, ((0, Cyc.rational(2)),))),
+                 "algebra", "unit law fails at basis 0")
 
-    def perturbed(h, b):
-        gns = gns_build(h, b)
-        return dataclasses.replace(gns, left={**gns.left, 1: _bent(gns.left[1], 0, 0,
-                                                                   Cyc.rational(1, 1000))})
 
-    monkeypatch.setattr(pipeline, "gns_build", perturbed)
-    checks = {c.name: c for c in run_pipeline(zoo["C[Z3]"]).checks}
-    assert checks["gns-representation"].status == "FAIL"
-    assert checks["tomita-commutant"].line() == (
-        "CHECK tomita-commutant SKIP:prerequisite-failed "
-        "J^2=1, J nabla J=nabla^-1, nabla=1, J rep(A) J = rep(A)'")
+def test_a_corrupted_product_with_the_unit_fails_the_unit_law(zoo):
+    # e_0 e_1 gains a term: R_1 would stop commuting with rep(e_1), and
+    # `algebra`'s unit law fails first
+    h = zoo["C[Z3]"]
+    entries = dict(h.mult.items())
+    entries[0, 1, 2] = Cyc.rational(1, 10)
+    _owner_fails(dataclasses.replace(h, mult=Tensor3(h.dim, entries)),
+                 "algebra", "unit law fails at basis 1")
+
+
+def _failing(real, name):
+    """real, with the check called name in its result made to FAIL."""
+    def failing(*args, **kwargs):
+        return [dataclasses.replace(c, status=FAIL, detail=f"{name} made to fail")
+                if c.name == name else c for c in real(*args, **kwargs)]
+    return failing
+
+
+@pytest.mark.parametrize("name", ["algebra", "coalgebra", "bialgebra", "antipode",
+                                  "antipode-derived", "star", "dual-algebra", "dual-star"])
+def test_operator_stages_run_only_after_the_axioms_pass(complex_s3, monkeypatch, name):
+    # the operator proofs take `algebra` and `star` as passed, and
+    # operator-radford's also `dual-algebra` and `dual-star`.  When one of
+    # h's axiom checks FAILs, every operator stage and kac-collapse skips;
+    # when one of the dual's does, operator-radford and kac-collapse skip,
+    # while the two stages on h's own GNS space run and pass
+    attr = "dual_axiom_checks" if name.startswith("dual-") else "full_axiom_suite"
+    monkeypatch.setattr(pipeline, attr, _failing(getattr(pipeline, attr), name))
+    checks = {c.name: c for c in run_pipeline(complex_s3).checks}
+    assert checks[name].detail == f"{name} made to fail"
+    on_h = OPERATOR_STAGES[:2]
+    for stage in (*OPERATOR_STAGES, "kac-collapse"):
+        if name.startswith("dual-") and stage in on_h:
+            assert checks[stage].passed(), stage
+        else:
+            assert checks[stage].line().startswith(
+                f"CHECK {stage} SKIP:prerequisite-failed "), stage
 
 
 def test_kac_collapse_skips_when_a_dual_integral_fails(monkeypatch, zoo):
