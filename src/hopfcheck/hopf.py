@@ -511,20 +511,19 @@ def _exactify(value: complex, orders: list) -> Cyc | None:
     return None
 
 
-def _lift(g: Elem, n: int) -> Elem:
-    """g over Q(zeta_n): each coefficient that is neither rational nor of
-    order n is embedded there.  Every coefficient order must divide n."""
-    return Elem(g.dim, tuple((i, c if c.order == 1 or c.order == n else c.embed(n))
-                             for i, c in g.support))
-
-
 def _key(g: Elem, n: int) -> tuple:
-    """The (index, order, num, den) of each coefficient of g lifted into
-    Q(zeta_n).  A canonical scalar (any Cyc but embed's output) of order 1
-    or n has exactly one stored form, so two elements with canonical
-    coefficients whose orders divide n are equal exactly when their keys
-    are."""
-    return tuple((i, c.order, c.num, c.den) for i, c in _lift(g, n).support)
+    """The (index, order, num, den) of each coefficient of g over Q(zeta_n):
+    a coefficient that is neither rational nor of order n is embedded
+    there, so every coefficient order must divide n.  A canonical scalar
+    (any Cyc but embed's output) of order 1 or n has exactly one stored
+    form, so two elements with canonical coefficients whose orders divide
+    n are equal exactly when their keys are."""
+    out = []
+    for i, c in g.support:
+        if c.order != 1 and c.order != n:
+            c = c.embed(n)
+        out.append((i, c.order, c.num, c.den))
+    return tuple(out)
 
 
 def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
@@ -545,6 +544,11 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     candidate is confirmed with the exact coproduct, by is_group_like(h, g,
     first); NumericalFailure is raised unless n of them are, so a returned
     list is all of G(H).
+
+    The list is sorted by the sort_key of every coordinate, zeros included,
+    over the lcm of the found coefficient orders.  sort_key reads only the
+    stored (order, num, den), so each distinct one is keyed once: the many
+    zeros and roots of unity a group-like list repeats cost one key each.
     """
     import numpy as np
 
@@ -606,55 +610,34 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     if len(found) < n:
         raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
     key_order = reduce(lcm, (c.order for g in found for _, c in g.support), 1)
-    found.sort(key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))
+    keys: dict = {}  # stored (order, num, den) -> its sort key; a Cyc has no hash
+
+    def sort_key(c: Cyc) -> tuple:
+        form = (c.order, c.num, c.den)
+        key = keys.get(form)
+        if key is None:
+            key = keys[form] = c.sort_key(key_order)
+        return key
+    found.sort(key=lambda g: tuple(sort_key(c) for c in g.coords))
     return found
 
 
 def group_like_closure_check(h: HopfData, likes: list) -> Check:
     """The group-likes form a group: closed under product and inverse, contain 1.
+    likes is find_group_likes(h), and each law follows from a check that has
+    passed before this stage runs, so the check is its proof.
 
-    Closure is checked on generators.  An element of L = likes that is not
-    yet reached from 1 by left multiplication by S joins S, and the reached
-    set is closed under left multiplication by S, so the check computes s.l
-    for every s in S and l in L: |S||L| products, with |S| = 1 on a cyclic
-    group.  That is enough, given associativity and the unit law (checked
-    by `algebra`): every l is a word s1(s2(...(sk 1))) in S, so
-    l.l' = s1(s2(...(sk l'))) and each step stays in L.  The inverse of a
-    group-like a is S(a), since S(a)a = eps(a)1 = 1 is the antipode law,
-    which has passed before this runs; so only S(a) in L is checked.
+      - likes is all of G(H).  n = dim J^perp is exact.  Distinct
+        group-likes are linearly independent and each lies in J^perp, so
+        |G(H)| <= n.  find_group_likes returns n distinct group-likes, each
+        confirmed exactly, or raises.
+      - 1 and gl are group-like for g and l group-like: D and eps are
+        multiplicative and unital, `bialgebra`.  So both are in likes.
+      - S(g) is group-like: D S = flip (S (x) S) D and eps S = eps,
+        `antipode-derived`.  So S(g) is in likes, and S(g) g = eps(g) 1 = 1
+        by `antipode`, so it is g's inverse.
 
-    Membership is a set lookup on the exact key over Q(zeta_n) (_key), n
-    the lcm of h.field_order and the likes' coefficient orders, with no
-    scalar compared.  The likes are lifted into that field once, so their
-    products are same-order products and their keys need no embedding; a
-    structure constant of an order between 1 and n can still leave a
-    coefficient below n, which _key lifts.
+    The pipeline runs this stage on h once `core` holds (h's six axiom
+    checks passed) and on the dual once `dual_ok` does (the dual's six).
     """
-    n = reduce(lcm, (c.order for g in likes for _, c in g.support), h.field_order)
-    likes = [_lift(g, n) for g in likes]
-    members = {_key(g, n) for g in likes}
-    if _key(h.unit, n) not in members:
-        return fail("group-likes", "unit missing from the group-like list")
-    gens: list = []
-    reached, applied = [h.unit], [0]  # applied[r] = how many of gens have hit reached[r]
-    reached_keys = {_key(h.unit, n)}
-    for g in likes:
-        if _key(g, n) in reached_keys:
-            continue
-        gens.append(g)
-        r = 0
-        while r < len(reached):
-            for s in gens[applied[r]:]:
-                x = h.mul(s, reached[r])
-                key = _key(x, n)
-                if key not in members:
-                    return fail("group-likes", "product escapes the list")
-                if key not in reached_keys:
-                    reached_keys.add(key)
-                    reached.append(x)
-                    applied.append(0)
-            applied[r] = len(gens)
-            r += 1
-    if any(_key(h.antipode_of(a), n) not in members for a in likes):
-        return fail("group-likes", "inverse escapes the list")
     return ok("group-likes")

@@ -102,10 +102,12 @@ def _axioms(h: HopfData, v: dict) -> list:
 
 
 def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> list:
-    """All group-likes of a and their closure check, reported as name.
-    Each candidate is confirmed on the generators of dual, which is a's
-    dual once the transposition certificate holds, and on every row
-    otherwise (see hopf.is_group_like)."""
+    """All group-likes of a, reported as name by their closure check, whose
+    PASS is a proof from the finder's exact count and the axiom checks that
+    gate this stage (see hopf.group_like_closure_check).  Each candidate is
+    confirmed on the generators of dual, which is a's dual once the
+    transposition certificate holds, and on every row otherwise (see
+    hopf.is_group_like)."""
     v[key] = likes = find_group_likes(a, dual.generators if v["not_transpose"] is None else None)
     return [replace(group_like_closure_check(a, likes), name=name)]
 

@@ -33,7 +33,6 @@ from hopfcheck.errors import DimMismatch, FormatError
 from hopfcheck.zoo import cyclic_table
 from hopfcheck import hopf
 from hopfcheck.hopf import (
-    group_like_closure_check,
     is_group_like,
     same_structure,
     verify_algebra,
@@ -296,20 +295,7 @@ def test_group_likes_of_cyclic_group_algebra(zoo):
     likes = find_group_likes(zoo["C[Z2]"])
     coords = [tuple(c.text() for c in e.coords) for e in likes]
     assert coords == [("0", "1"), ("1", "0")]
-    check = group_like_closure_check(zoo["C[Z2]"], likes)
-    assert check.status == "PASS" and len(likes) == 2
-
-
-def test_closure_fails_on_an_incomplete_group_like_list(zoo):
-    h = zoo["C[Z3]"]
-    likes = find_group_likes(h)
-    assert len(likes) == 3 and h.unit in likes
-    for dropped in likes:
-        rest = [g for g in likes if g != dropped]
-        want = ("product escapes the list" if dropped != h.unit
-                else "unit missing from the group-like list")
-        check = group_like_closure_check(h, rest)
-        assert (check.status, check.detail) == ("FAIL", want)
+    assert _closure_by_lists(zoo["C[Z2]"], likes) == ("PASS", "") and len(likes) == 2
 
 
 def test_taft_rejects_n_below_two_as_a_format_error():
@@ -333,7 +319,7 @@ def test_group_likes_of_function_algebra_are_characters(zoo):
         assert is_group_like(h, e)
         assert any(all(a == b for a, b in zip(e.coords, exp))
                    for exp in expected)
-    assert group_like_closure_check(h, likes).status == "PASS"
+    assert _closure_by_lists(h, likes) == ("PASS", "")
 
 
 def test_group_like_counts_across_zoo(pipelines):
@@ -419,7 +405,7 @@ def test_group_likes_of_a_non_semisimple_dual_of_dimension_64():
     assert len(likes) == 8
     assert all(is_group_like(h, g) for g in likes)
     assert len({tuple(c.text() for c in g.coords) for g in likes}) == 8
-    assert group_like_closure_check(h, likes).status == "PASS"
+    assert _closure_by_lists(h, likes) == ("PASS", "")
 
 
 def test_group_likes_fail_when_candidates_cannot_be_rounded(monkeypatch, zoo):
@@ -485,37 +471,6 @@ def test_generators_are_pinned_and_generate(zoo):
 def test_generators_of_a_one_dimensional_algebra_are_empty():
     h = group_algebra("C[Z1]", cyclic_table(1))
     assert h.generators == ()
-
-
-def _closure_all_pairs(h, likes):
-    """The closure check on every ordered pair, as it was before it used generators."""
-    if h.unit not in likes:
-        return "FAIL", "unit missing from the group-like list"
-    if any(h.mul(a, b) not in likes for a in likes for b in likes):
-        return "FAIL", "product escapes the list"
-    for a in likes:
-        a_inv = h.antipode_of(a)
-        if h.mul(a_inv, a) != h.unit:
-            return "FAIL", "group-like not invertible"
-        if a_inv not in likes:
-            return "FAIL", "inverse escapes the list"
-    return "PASS", ""
-
-
-@pytest.mark.parametrize("name, dual", [("C[S3]", False), ("C[Z6]", True)])
-def test_closure_on_generators_agrees_with_all_pairs(zoo, name, dual):
-    h = dual_hopf(zoo[name]) if dual else zoo[name]
-    likes = find_group_likes(h)
-    assert len(likes) == 6
-    outcomes = set()
-    for mask in range(64):
-        subset = [g for n, g in enumerate(likes) if mask >> n & 1]
-        check = group_like_closure_check(h, subset)
-        want = _closure_all_pairs(h, subset)
-        assert (check.status, check.detail) == want, (name, dual, mask)
-        outcomes.add(want)
-    assert {("FAIL", "unit missing from the group-like list"),
-            ("FAIL", "product escapes the list"), ("PASS", "")} <= outcomes
 
 
 def _exactify_by_scan(value: complex, orders: list):
@@ -602,7 +557,10 @@ def test_exactify_pinned_values():
 
 
 def _closure_by_lists(h, likes):
-    """group_like_closure_check as it was, with Elem membership in lists."""
+    """The group law on likes, decided by products with Elem membership in
+    lists: 1 is in likes, and likes is closed under products (reached from
+    1 by left multiplication by a generating subset) and under S: the
+    oracle for the law group_like_closure_check proves without comparing."""
     if h.unit not in likes:
         return "FAIL", "unit missing from the group-like list"
     gens: list = []
@@ -638,54 +596,101 @@ def _at_another_order(likes: list, order: int = 12):
     return None
 
 
-def _bad_lists(likes: list) -> list:
-    """Each like dropped in turn, a non-group-like added (the sum of two
-    likes), and one coefficient stored at another order."""
-    a, b = likes[0], likes[-1]
-    out = [[g for g in likes if g is not dropped] for dropped in likes]
-    out.append(likes + [Elem.of(a.dim, [*a.support, *b.support])])
-    moved = _at_another_order(likes)
-    return out + ([moved] if moved is not None else [])
+def test_every_list_the_pipeline_feeds_the_closure_check_is_a_group(pipelines, zoo):
+    # group_like_closure_check's PASS is a proof; the lists run_pipeline hands
+    # it must satisfy the law it proves without comparing: over the zoo,
+    # C[Z12], taft(4) and the d = 64 dual of sweedler^(x)3
+    s = sweedler()
+    members = dict(zoo)
+    for h in (group_algebra("C[Z12]", cyclic_table(12)), taft(4),
+              dual_hopf(tensor_product("s3", tensor_product("s2", s, s), s))):
+        members[h.name] = h
+    checked = 0
+    for name, h in members.items():
+        res = pipelines[name] if name in pipelines else run_pipeline(h)
+        assert not res.failed(), name
+        for a, key in ((h, "group_likes"), (res.values["dual"], "dual_likes")):
+            likes = res.values[key]
+            assert _closure_by_lists(a, likes) == ("PASS", ""), (name, key)
+            checked += len(likes)
+    # 45 likes on each side of the zoo; 12, 4 and 8 on each side of the rest
+    assert checked == 2 * (45 + 12 + 4 + 8)
 
 
-def _z3_with_order_3_constants():
-    """Z3 = {1, g, g^2} in Q(zeta_12) on the basis e0 = 1, e1 = g and
-    e2 = zeta_3^-1 g^2: its products and antipode carry zeta_3 at order 3,
-    below the field order, so the product of two rational likes g g lands at
-    order 3.  Only the product and the antipode are filled in; the closure
-    check reads nothing else."""
-    z, z2, one = Cyc.root(3), Cyc.root(3, 2), CYC_ONE
-    mult = {(0, j, j): one for j in range(3)} | {(i, 0, i): one for i in (1, 2)}
-    mult |= {(1, 1, 2): z, (1, 2, 0): z2, (2, 1, 0): z2, (2, 2, 1): z}
-    unit = Elem.of(3, [(0, one)])
-    h = hopf.HopfData("Z3 over Q(zeta_12)", 3, 12, Tensor3(3, mult), unit, Tensor3(3, {}),
-                      unit, Mat.of(3, 3, {(0, 0): one, (2, 1): z, (1, 2): z2}))
-    return h, [unit, Elem.of(3, [(1, one)]), Elem.of(3, [(2, z)])]
+@pytest.mark.parametrize("name", ["bialgebra", "antipode", "antipode-derived",
+                                  "dual-bialgebra", "dual-antipode", "dual-antipode-derived"])
+def test_group_like_stages_run_only_after_the_laws_of_their_proof(zoo, monkeypatch, name):
+    # the closure proof takes `bialgebra`, `antipode` and `antipode-derived` of
+    # the algebra whose group-likes it lists as passed: when one of h's FAILs
+    # both group-like stages skip, and when one of the dual's does only
+    # dual-group-likes does, while group-likes, which rests on h's, passes
+    from hopfcheck import pipeline
+    from hopfcheck.report import FAIL
+
+    attr = "dual_axiom_checks" if name.startswith("dual-") else "full_axiom_suite"
+    real = getattr(pipeline, attr)
+
+    def failing(*args, **kwargs):
+        return [dataclasses.replace(c, status=FAIL, detail=f"{name} made to fail")
+                if c.name == name else c for c in real(*args, **kwargs)]
+
+    monkeypatch.setattr(pipeline, attr, failing)
+    checks = {c.name: c for c in run_pipeline(zoo["taft(3)"]).checks}
+    assert checks[name].detail == f"{name} made to fail"
+    skipped = ["dual-group-likes"] if name.startswith("dual-") else ["group-likes",
+                                                                     "dual-group-likes"]
+    for stage in ("group-likes", "dual-group-likes"):
+        if stage in skipped:
+            assert checks[stage].line().startswith(
+                f"CHECK {stage} SKIP:prerequisite-failed "), stage
+        else:
+            assert checks[stage].passed(), stage
 
 
-def test_keyed_closure_agrees_with_the_list_based_one(pipelines, zoo):
+def test_key_is_equal_for_a_value_equal_coefficient_at_another_order(pipelines):
+    # the finder dedupes its candidates by _key over one field, so a value
+    # stored at another order must key as its canonical form does
     from hopfcheck.zoo import function_algebra
 
     f4 = function_algebra("F(Z4)", cyclic_table(4))
-    z3_h, z3_likes = _z3_with_order_3_constants()
-    assert group_like_closure_check(z3_h, z3_likes).passed() and len(z3_likes) == 3
-    algebras = [(f4, find_group_likes(f4)), (z3_h, z3_likes)]
-    for name, res in pipelines.items():
-        algebras += [(zoo[name], res.values["group_likes"]),
-                     (res.values["dual"], res.values["dual_likes"])]
-    moved = 0
-    for h, likes in algebras:
-        for case in [likes] + _bad_lists(likes):
-            check = group_like_closure_check(h, case)
-            assert (check.status, check.detail) == _closure_by_lists(h, case), (h.name, case)
-        moved += _at_another_order(likes) is not None
-    assert moved >= 5  # F(Z4), the order-3 Z3, F(Z3), F(Z6), the dual of taft(3)
+    lists = [find_group_likes(f4)]
+    for res in pipelines.values():
+        lists += [res.values["group_likes"], res.values["dual_likes"]]
+    moved_lists = 0
+    for likes in lists:
+        moved = _at_another_order(likes)
+        if moved is None:
+            continue
+        moved_lists += 1
+        n = lcm(12, *(c.order for g in likes for _, c in g.support))
+        stored = [tuple((i, c.order, c.num, c.den) for i, c in g.support) for g in moved]
+        assert stored != [tuple((i, c.order, c.num, c.den) for i, c in g.support)
+                          for g in likes]
+        keys = [hopf._key(g, n) for g in likes]
+        assert [hopf._key(g, n) for g in moved] == keys
+        assert len(set(keys)) == len(likes)
+    assert moved_lists >= 4  # F(Z4), F(Z3), F(Z6), the dual of taft(3)
     # zeta_4 of a character of Z4, stored as zeta_12^3 at order 12
-    z4 = Cyc.root(4)
-    likes = find_group_likes(f4)
-    case = _at_another_order(likes)
-    assert any(c.order == 12 and c in (z4, -z4) for g in case for _, c in g.support)
-    assert group_like_closure_check(f4, case).passed() and len(case) == 4
+    case = _at_another_order(lists[0])
+    assert any(c.order == 12 and c in (Cyc.root(4), -Cyc.root(4))
+               for g in case for _, c in g.support)
+
+
+def test_find_group_likes_returns_the_canonical_sort(pipelines):
+    # the finder keys each distinct stored scalar once; the order must be the
+    # one that keys every coordinate
+    from hopfcheck.zoo import function_algebra
+
+    lists = [find_group_likes(function_algebra("F(Z4)", cyclic_table(4)))]
+    lists += [find_group_likes(dual_hopf(group_algebra(f"C[Z{n}]", cyclic_table(n))))
+              for n in (12, 48)]
+    for res in pipelines.values():
+        lists += [res.values["group_likes"], res.values["dual_likes"]]
+    for found in lists:
+        key_order = lcm(1, *(c.order for g in found for _, c in g.support))
+        want = sorted(found, key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))
+        assert found == want
+    assert [len(found) for found in lists[:3]] == [4, 12, 48]
 
 
 def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, zoo):
