@@ -156,8 +156,8 @@ def scaling_constant(h: HopfData, phi: Elem) -> Cyc:
     comp = Elem.of(h.dim, ((i, pairing(phi, x)) for i, x in enumerate(h.s2.images)))
     lead, c = phi.support[0]
     nu = pairing(comp, h.basis(lead)) / c
-    if comp != scale(nu, phi):
-        raise NotProportional(f"{h.name}: phi.S^2 is not proportional to phi")
+    if nu.is_zero() or comp != scale(nu, phi):  # modular-scaling divides by nu
+        raise NotProportional(f"{h.name}: phi.S^2 is not a nonzero multiple of phi")
     return nu
 
 

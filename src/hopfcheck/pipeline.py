@@ -8,6 +8,8 @@ run_pipeline applies three rules to every stage:
 - Commit: a stage runs on a copy of values, kept only when none of its
   checks FAILs, so a failure is reported once, where it arises, and all
   that depends on it SKIPs.  A SKIP commits: the positivity verdict must.
+  A stage that hands on no object sets a flag (_flag) for the checks whose
+  proofs cite it to require.
 - Skip (_skip_reason): a positivity-gated stage skips with the verdict when
   it is not `positive`, and with `prerequisite-failed` when there is none;
   else a stage missing a required value skips with `prerequisite-failed`.
@@ -119,9 +121,13 @@ def _integrals(h: HopfData, v: dict) -> list:
     return [ok(name) for name in _INTEGRALS]
 
 
-def _dual_axioms(h: HopfData, v: dict) -> list:
-    v["dual_ok"] = True
-    return dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])
+def _flag(key: str, run: Callable) -> Callable:
+    """run, which also sets values[key] = True: the flag commits, so that a
+    later stage may require it, only when none of run's checks FAILs."""
+    def flagged(h: HopfData, v: dict) -> list:
+        v[key] = True
+        return run(h, v)
+    return flagged
 
 
 def _dual_integrals(h: HopfData, v: dict) -> list:
@@ -163,8 +169,10 @@ STAGES = (
     Stage(_INTEGRALS, ("dual",), _integrals),
     Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
            "modular-commutation", "modular-scaling", "modular-flip"),
-          ("modular",), lambda h, v: modular_identity_checks(h, v["modular"])),
-    Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",), _dual_axioms),
+          ("modular",), _flag("identities_ok",
+                              lambda h, v: modular_identity_checks(h, v["modular"]))),
+    Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",), _flag(
+        "dual_ok", lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"]))),
     Stage(("dual-group-likes",), ("dual_ok",),
           lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes")),
     # the certificate and h's coalgebra check (core[1]), both from _axioms
@@ -172,31 +180,31 @@ STAGES = (
           lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])]),
     Stage(("dual-integrals",), ("modular", "dual_ok"), _dual_integrals),
     Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element),
-    Stage(("dual-modular-links", "radford-s4", "radford-factorization"), ("modular", "delta_hat"),
-          lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"]) for check in
-                        (dual_modular_links, radford_check, radford_factorization)]),
-    Stage(("s2-conjugation",), ("modular", "delta_hat", "group_likes"),
-          lambda h, v: [counimodular_check(h, v["modular"], v["delta_hat"], v["group_likes"])]),
+    Stage(("dual-modular-links", "radford-s4"), ("modular", "delta_hat"), _flag(
+        "radford_ok", lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"])
+                                    for check in (dual_modular_links, radford_check)])),
+    # a check that compares nothing requires the values of the checks its proof cites
+    Stage(("radford-factorization",), ("core", "modular", "identities_ok", "radford_ok"),
+          lambda h, v: [radford_factorization()]),
+    Stage(("s2-conjugation",), ("core", "modular", "delta_hat", "radford_ok"),
+          lambda h, v: [counimodular_check(h, v["delta_hat"])]),
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
                                          v["group_likes"], v["dual_likes"])]),
     Stage(("positivity",), ("modular",), _positivity),
     Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),
-          lambda h, v: [kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"],
-                                           v["psi_hat"], v["dual_star_gram"], v["tolerance"])],
-          positive=True),
+          _flag("kac_ok", lambda h, v: [kac_collapse_check(
+              h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"], v["dual_star_gram"],
+              v["tolerance"])]), positive=True),
     # "gns" is the star-Gram that gns_build certified as an inner product
     Stage(("gns-representation",), ("star_gram",), _gns, positive=True),
     Stage(("tomita-commutant",), ("gns",),
           lambda h, v: [tomita_check(h, v["gns"])], positive=True),
     # the operator identity, on h's GNS space and the dual's
-    Stage(("operator-radford",), ("gns", "dual_star_gram", "delta_hat"),
-          lambda h, v: [operator_radford_check(
-              h, v["dual"], v["modular"], v["delta_hat"], v["gns"],
-              gns_build(v["dual"], v["dual_star_gram"]))],
+    Stage(("operator-radford",), ("gns", "dual_star_gram", "kac_ok"),
+          _flag("operator_ok", lambda h, v: [operator_radford_check(
+              h, v["dual"], v["modular"], v["gns"], gns_build(v["dual"], v["dual_star_gram"]))]),
           positive=True),
-    Stage(("plancherel",), ("modular", "dual_star_gram"),
-          lambda h, v: [plancherel_check(v["modular"], v["star_gram"], v["dual_star_gram"])],
-          positive=True),
+    Stage(("plancherel",), ("operator_ok",), lambda h, v: [plancherel_check()], positive=True),
     Stage(("biduality",), ("dual",), lambda h, v: [biduality_check(h, v["dual"])]),
 )

@@ -1,18 +1,34 @@
-"""The fourth power of the antipode, written two independent ways.
+"""Radford's formula for the fourth power of the antipode, and the forms S^2
+takes when the modular elements have square roots.
 
 The headline identity conjugates by the modular group-like on the inside
 and by the dual modular group-like acting through the coproduct slots on
-the outside.  The factorisation route assembles the same map from the
-modular automorphisms, checking each intermediate factor on its own so a
-failure points at the broken step rather than the composite.
+the outside; radford-s4 compares it on the basis.  The paper's route
+through the modular automorphisms, and the inner form S^2 takes when the
+dual modular element is trivial, follow from laws that other checks
+compare, so those checks print their PASS by proof.  Each law and the
+check that decides it:
+
+  law                                               decided by
+  S^4(a) = delta^-1(deltahat|>a<|deltahat^-1)delta  radford-s4
+  deltahat|>a = S^2(sigma^-1(a))                    dual-modular-links, left action link
+  a<|deltahat^-1 = S^2(sigma'(a))                   dual-modular-links, right action link
+  sigma'(a) = delta sigma(a) delta^-1               modular-conjugation and antipode
+  S^2(delta) = delta                                modular-element and antipode-derived
+  composed factors = S^4                            the two action links and radford-s4
+  deltahat = 1^                                     s2-conjugation, its one comparison
+  phi(ab) = phi(b S^2(a)) if deltahat = 1^          sigma link and modular-automorphism
+  S^4(a) = delta^-1 a delta if deltahat = 1^        radford-s4
+  phi(ab r) = phi(ba r) if S^2 = Ad(r^-1)           the twist above
+  S^2(a) = r^-1(rhat|>a<|rhat^-1)r                  s2-half-power
 """
 
 from __future__ import annotations
 
 from .errors import NumericalFailure
 from .hopf import HopfData, act_left, act_right
-from .integrals import ModularData, gram_matrix
-from .linalg import Elem, Mat, pairing
+from .integrals import ModularData
+from .linalg import Elem, Mat
 from .report import Check, fail, first_failure, law_check, ok, skip
 
 
@@ -50,75 +66,55 @@ def radford_check(h: HopfData, md: ModularData, hd: HopfData,
         lambda i: _sandwich(h, md.delta_inv, md.delta, h.basis(i), delta_hat, delta_hat_inv))))
 
 
-def radford_factorization(h: HopfData, md: ModularData, hd: HopfData,
-                          delta_hat: Elem) -> Check:
-    """Each factor of the fourth-power identity separately, then their
-    composition, so a failure names the broken step: the two dual-action
-    halves of S^2, the inner relation between the two automorphisms,
-    S^2(delta)=delta, and finally the assembled sandwich."""
-    b, s2, delta_hat_inv = h.basis, h.s2, hd.antipode_of(delta_hat)
-    sigma, sigma_prime, sigma_inv = md.sigma.images, md.sigma_prime.images, md.sigma_inv.images
+def radford_factorization() -> Check:
+    """Each factor of the fourth-power identity, then their composition:
+    each is a law another check has compared, so this compares nothing.
+    It runs once the axiom suite, modular-element, modular-conjugation,
+    dual-modular-links and radford-s4 have passed.
 
-    def composed(i):
-        path = s2.apply(md.sigma_inv.apply(s2.apply(sigma_prime[i])))
-        return h.mul_many(md.delta_inv, path, md.delta)
+      - The left and right factors are dual-modular-links' left and right
+        action links: the same two comparisons on the basis.
+      - delta is group-like (modular-element) and nonzero, so eps(delta) = 1
+        by the counit law and delta^-1 = S(delta) by `antipode`; so
+        sigma'(a) = delta sigma(a) delta^-1 is modular-conjugation,
+        delta sigma(a) = sigma'(a) delta, times delta^-1 on the right.
+      - S(delta) is group-like by `antipode-derived`, so its inverse is
+        S^2(delta), as above, and delta: S^2(delta) = delta.
+      - Both links hold on the basis, so on every element.  At e_i the
+        composed map delta^-1 S^2(sigma^-1(S^2(sigma'(e_i)))) delta is then
+        delta^-1 (deltahat|>(e_i<|deltahat^-1)) delta, radford-s4's right
+        side, which radford-s4 equates with S^4(e_i).
+    """
+    return ok("radford-factorization")
 
-    return law_check(
-        "radford-factorization", h.dim,
-        (0, ("S^2 moves the modular element", lambda: s2.apply(md.delta), lambda: md.delta)),
-        (1, ("left factor fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
-             lambda i: s2.apply(sigma_inv[i])),
-            ("right factor fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
-             lambda i: s2.apply(sigma_prime[i])),
-            ("inner relation fails at basis {0}", sigma_prime.__getitem__,
-             lambda i: h.mul_many(md.delta, sigma[i], md.delta_inv)),
-            ("composition fails at basis {0}", composed, h.s4.images.__getitem__)))
+
+def counimodular_check(h: HopfData, delta_hat: Elem) -> Check:
+    """When the dual modular element is trivial, S^2 is inner-modular:
+    phi(ab) = phi(b S^2(a)), and S^2(a) = r^-1 a r for a group-like root r
+    of delta makes phi( . r) a trace.  deltahat = eps, the unit of the
+    dual, is the one comparison; the rest follows from the axiom suite,
+    modular-automorphism, dual-modular-links and radford-s4, which have
+    passed before this runs.
+
+      - deltahat^-1 = eps.S = eps by `antipode-derived`, and
+        eps|>x = x = x<|eps by the counit law.
+      - So the sigma link, sigma(a) = deltahat^-1|>S^2(a), says sigma = S^2.
+        As sigma = G^-1 G^T (modular-automorphism), G[i][j] = phi(e_i e_j),
+        that is G S^2 = G^T, whose entry (j, i) is the twist
+        phi(e_j S^2(e_i)) = phi(e_i e_j); it extends by bilinearity.
+      - radford-s4's row reads S^4(a) = delta^-1 a delta, whether or not a
+        root r implements S^2.
+      - If S^2(a) = r^-1 a r for every a, the twist at (a, b r) gives
+        phi(ab r) = phi(b r r^-1 a r) = phi(ba r), the trace clause.
+    """
+    if delta_hat != h.counit:
+        return skip("s2-conjugation", "not-counimodular")
+    return ok("s2-conjugation")
 
 
 def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
     """All group-likes squaring to the target, in the canonical ordering."""
     return [g for g in likes if h.mul(g, g) == target]
-
-
-def counimodular_check(h: HopfData, md: ModularData, delta_hat: Elem, likes: list) -> Check:
-    """When the dual modular element is trivial, S^2 itself is inner-modular:
-    phi(ab) = phi(b S^2(a)); with a group-like square root r of delta it is
-    plain conjugation S^2(a) = r^-1 a r and phi( . r) is a trace.
-
-    Both bilinear laws are identities between stored matrices, read one row
-    i at a time with the slot j as the dict key, so a detail names the
-    first failing pair (i, j) of the d^2 scan.  With G = md.gram,
-    phi(e_j S^2(e_i)) = (G S^2)[j][i], so the twist is G S^2 = G^T: column i
-    of G S^2, G applied to S^2(e_i), against row i of G.  The trace property
-    is the symmetry of the Gram of phi_r = phi( . r)."""
-    if delta_hat != h.counit:
-        return skip("s2-conjugation", "not-counimodular")
-    b, phi, s2 = h.basis, md.phi, h.s2.images
-    bad = first_failure(h.dim, (1, ("phi twist fails at ({0},{slot})",
-                                    md.gram.row_dicts().__getitem__,
-                                    lambda i: dict(md.gram.apply(s2[i]).support))))
-    if bad is not None:
-        return fail("s2-conjugation", bad)
-
-    def conjugates_to_s2(r):
-        r_inv = h.antipode_of(r)
-        return first_failure(h.dim, (1, ("", s2.__getitem__,
-                                         lambda i: h.mul_many(r_inv, b(i), r)))) is None
-
-    root = next((r for r in group_like_roots(h, likes, md.delta) if conjugates_to_s2(r)), None)
-    if root is None:
-        # no root of delta implements S^2; the square of the statement still holds
-        bad = first_failure(h.dim, (1, ("S^4 inner form fails at basis {0}",
-                                        h.s4.images.__getitem__,
-                                        lambda i: h.mul_many(md.delta_inv, b(i), md.delta))))
-        if bad is not None:
-            return fail("s2-conjugation", bad)
-        return ok("s2-conjugation")
-    phi_r = Elem.of(h.dim, ((k, pairing(phi, h.mul(b(k), root))) for k in range(h.dim)))
-    gram_r = gram_matrix(h, phi_r)
-    return law_check("s2-conjugation", h.dim,
-                     (1, ("trace property fails at ({0},{slot})", gram_r.row_dicts().__getitem__,
-                          lambda i: dict(gram_r.images[i].support))))
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,

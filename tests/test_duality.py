@@ -21,12 +21,12 @@ from hopfcheck import (
     dual_hopf,
     left_integral,
     pairing,
-    plancherel_check,
     run_pipeline,
     sweedler,
 )
 from hopfcheck.duality import dual_axiom_checks, dual_name, transpose_failure, verify_pairing
 from hopfcheck.errors import NoIntegral
+from hopfcheck.gns import operator_radford_check
 from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalgebra
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.linalg import Mat, Tensor3
@@ -290,13 +290,15 @@ def test_fourier_transform_frozen_sweedler():
 
 
 def test_plancherel_exact_on_positive_members(zoo):
+    # the Parseval pairs are operator-radford's unitarity row, which
+    # plancherel's proof cites
     for name in ("C[Z2]", "C[Z6]", "C[S3]", "F(Z3)", "F(S3)"):
         h = zoo[name]
         md = compute_modular(h)
         hd = dual_hopf(h)
         psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
-        check = plancherel_check(md, star_gram(h, md.gram),
-                                 star_gram(hd, gram_matrix(hd, psi_hat)))
+        check = operator_radford_check(h, hd, md, star_gram(h, md.gram),
+                                       star_gram(hd, gram_matrix(hd, psi_hat)))
         assert check.status == "PASS", f"{name}: {check.line()}"
 
 
@@ -330,12 +332,13 @@ def test_star_gram_matches_the_per_entry_definition(zoo, pipelines):
 def test_plancherel_pairs_catch_a_defect_no_real_sample_sees(pipelines):
     # zeta_4 (E_01 - E_10) added to psihat's star-Gram changes no value at a
     # real a (a^T X a = 0 for antisymmetric X), so the old basis-plus-real-
-    # samples check would pass; the pair rows fail.  On C[Z3], G is the
+    # samples check would pass; operator-radford's unitarity row, whose
+    # entries are the Parseval pairs, fails.  On C[Z3], G is the
     # permutation e_i -> e_-i, so the defect shows at (0,2) and (2,0) of
     # conj(G)^T Bhat G, and (0,2) comes first.
-    v = pipelines["C[Z3]"].values
-    md, b, b_hat = v["modular"], v["star_gram"], v["dual_star_gram"]
-    assert plancherel_check(md, b, b_hat).passed()
+    h, v = pipelines["C[Z3]"].h, pipelines["C[Z3]"].values
+    md, hd, b, b_hat = v["modular"], v["dual"], v["star_gram"], v["dual_star_gram"]
+    assert operator_radford_check(h, hd, md, b, b_hat).passed()
     rows = [list(row.coords) for row in b_hat.transpose().images]
     zeta4 = Cyc.root(4)
     rows[0][1] = rows[0][1] + zeta4
@@ -349,8 +352,8 @@ def test_plancherel_pairs_catch_a_defect_no_real_sample_sees(pipelines):
     for a in real:
         fa = md.gram.apply(a)
         assert form(broken, fa) == form(b_hat, fa) == form(b, a)
-    check = plancherel_check(md, b, broken)
-    assert (check.status, check.detail) == ("FAIL", "Parseval fails at basis pair (0,2)")
+    check = operator_radford_check(h, hd, md, b, broken)
+    assert (check.status, check.detail) == ("FAIL", "Fourier transport is not unitary at (0,2)")
 
 
 def test_plancherel_twisted_form_sweedler():

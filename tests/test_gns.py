@@ -52,21 +52,19 @@ def _float_mult(h, right: bool = False) -> np.ndarray:
 
 
 def _radford_inputs(h) -> tuple:
-    """operator_radford_check's arguments after h: hd, md, deltahat, B and
-    the certified star-Gram of psihat on hd."""
-    from hopfcheck import compute_dual_integrals, left_integral, modular_element
+    """operator_radford_check's arguments after h: hd, md, B and the
+    certified star-Gram of psihat on hd."""
+    from hopfcheck import compute_dual_integrals, left_integral
     md, b = _setup(h)
     hd = dual_hopf(h)
-    phi_dual = left_integral(hd)
-    psi_hat, _ = compute_dual_integrals(h, md, hd, phi_dual)
-    delta_hat = modular_element(hd, phi_dual)
-    return hd, md, delta_hat, b, gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
+    psi_hat, _ = compute_dual_integrals(h, md, hd, left_integral(hd))
+    return hd, md, b, gns_build(hd, star_gram(hd, gram_matrix(hd, psi_hat)))
 
 
 def _operator_checks(h) -> list:
     """The three operator checks on h."""
     args = _radford_inputs(h)
-    b = args[3]
+    b = args[2]
     return [gns_representation_check(h, b), tomita_check(h, b),
             operator_radford_check(h, *args)]
 
@@ -260,13 +258,13 @@ def test_operator_radford_fails_when_the_dual_modular_operator_is_not_one(zoo):
     # involution, but Jhat is no longer antiunitary for Bhat.  The dual of
     # F(S3) is C[S3], whose star e_x -> e_x^-1 U does not fix
     h = zoo["F(S3)"]
-    hd, md, delta_hat, b, b_hat = _radford_inputs(h)
+    hd, md, b, b_hat = _radford_inputs(h)
     one = Cyc.rational(1)
     u = Mat.of(6, 6, {**{(i, i): one for i in range(6)}, (0, 1): one})
     u_inv = Mat.of(6, 6, {**{(i, i): one for i in range(6)}, (0, 1): -one})
     bad = dataclasses.replace(hd, star=u.mul(hd.star).mul(u_inv))
-    assert operator_radford_check(h, hd, md, delta_hat, b, b_hat).passed()
-    check = operator_radford_check(h, bad, md, delta_hat, b, b_hat)
+    assert operator_radford_check(h, hd, md, b, b_hat).passed()
+    check = operator_radford_check(h, bad, md, b, b_hat)
     assert check.status == "FAIL"
     assert check.detail.startswith("dual modular operator is not the identity at ("), check.detail
 
@@ -406,6 +404,26 @@ def test_operator_stages_run_only_after_the_axioms_pass(complex_s3, monkeypatch,
         else:
             assert checks[stage].line().startswith(
                 f"CHECK {stage} SKIP:prerequisite-failed "), stage
+
+
+def test_operator_radford_and_plancherel_run_only_after_kac_collapse_passes(
+        complex_s3, monkeypatch):
+    # delta = 1 and deltahat = 1^, which make operator-radford's four
+    # factors 1, are compared by kac-collapse alone, and plancherel's pairs
+    # are operator-radford's unitarity row: when kac-collapse FAILs, both
+    # skip, and the two stages on h's own GNS space still pass
+    real = pipeline.kac_collapse_check
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), status=FAIL,
+                                   detail="kac-collapse made to fail")
+
+    monkeypatch.setattr(pipeline, "kac_collapse_check", failing)
+    checks = {c.name: c for c in run_pipeline(complex_s3).checks}
+    assert checks["kac-collapse"].detail == "kac-collapse made to fail"
+    assert checks["gns-representation"].passed() and checks["tomita-commutant"].passed()
+    for name in ("operator-radford", "plancherel"):
+        assert checks[name].line().startswith(f"CHECK {name} SKIP:prerequisite-failed "), name
 
 
 def test_kac_collapse_skips_when_a_dual_integral_fails(monkeypatch, zoo):

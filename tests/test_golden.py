@@ -176,8 +176,11 @@ def _fails(name):
 # (fault stem, pipeline binding, replacement factory): entry points whose
 # HopfError the pipeline catches, compute_modular once per stage it can name,
 # three that raise where no stage catches for them (positivity_verdict's leaves
-# no verdict, so the positivity-gated stages skip), and the two checks whose
-# FAIL gates a later check
+# no verdict, so the positivity-gated stages skip), and the checks whose FAIL
+# gates a later check: among them dual-modular-links, whose stage the
+# factorization and s2-conjugation proofs cite, kac-collapse, which
+# operator-radford's factors cite, and operator-radford, whose unitarity row
+# plancherel's pairs cite
 STAGE_FAULTS = [
     ("find_group_likes", "find_group_likes", lambda: _raises("find_group_likes")),
     *[(f"compute_modular-{stage}", "compute_modular",
@@ -198,6 +201,10 @@ STAGE_FAULTS = [
      lambda: _fails("group_like_closure_check")),
     ("gns_representation_check", "gns_representation_check",
      lambda: _fails("gns_representation_check")),
+    ("dual_modular_links", "dual_modular_links", lambda: _fails("dual_modular_links")),
+    ("kac_collapse_check", "kac_collapse_check", lambda: _fails("kac_collapse_check")),
+    ("operator_radford_check", "operator_radford_check",
+     lambda: _fails("operator_radford_check")),
 ]
 STAGE_ALGEBRAS = {"CZ3": "C[Z3]", "sweedler": "sweedler"}
 

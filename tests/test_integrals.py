@@ -18,6 +18,7 @@ from hopfcheck import (
     left_integral,
     modular_element,
     pairing,
+    run_pipeline,
     sweedler,
     taft,
 )
@@ -124,6 +125,20 @@ def test_sweedler_scaling_constant():
 def test_taft3_scaling_constant():
     md = compute_modular(taft(3))
     assert md.nu == Cyc.root(3, 2)
+
+
+def test_a_vanishing_scaling_constant_fails_its_check():
+    # phi = e_3^ on sweedler and S^2(e_3) = -e_3: with that entry of the
+    # cached S^2 raised to 0, phi.S^2 = 0 = 0 phi, but modular-scaling
+    # divides by nu, so the check must FAIL rather than let nu = 0 through
+    h = sweedler()
+    assert h.s2 == Mat.of(4, 4, {(0, 0): CYC_ONE, (1, 1): CYC_ONE, (2, 2): CYC_MINUS_ONE,
+                                 (3, 3): CYC_MINUS_ONE})
+    h.__dict__["s2"] = Mat.of(4, 4, {(0, 0): CYC_ONE, (1, 1): CYC_ONE, (2, 2): CYC_MINUS_ONE})
+    checks = {c.name: c for c in run_pipeline(h).checks}
+    assert (checks["scaling-constant"].status, checks["scaling-constant"].detail) == (
+        "FAIL", "sweedler: phi.S^2 is not a nonzero multiple of phi")
+    assert checks["modular-scaling"].detail == "prerequisite-failed"
 
 
 def test_group_algebra_modular_data_trivial(zoo, pipelines):

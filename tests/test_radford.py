@@ -3,9 +3,12 @@
 import dataclasses
 import itertools
 
-from hopfcheck import CYC_ONE, CYC_ZERO, Elem, Mat, pairing, s2_order, s_order, sweedler, taft
+import pytest
+
+from hopfcheck import (CYC_ONE, CYC_ZERO, Mat, act_left, act_right, pairing, run_pipeline,
+                       s2_order, s_order, sweedler, taft)
 from hopfcheck.cli import report_values
-from hopfcheck.radford import counimodular_check, group_like_roots
+from hopfcheck.radford import group_like_roots
 from helpers import pair_scan, products
 
 
@@ -128,10 +131,10 @@ def _trace_by_pairs(h, phi, root):
                              lambda i, j: pairing(phi, h.mul(p[j][i], root))))
 
 
-def _with_s2(h, s2):
-    """A copy of h whose cached S^2 is s2."""
+def _with_cached(h, **maps):
+    """A copy of h whose cached S^2 or S^4 is replaced, s2= or s4=."""
     h2 = dataclasses.replace(h)
-    h2.__dict__["s2"] = s2
+    h2.__dict__.update(maps)
     return h2
 
 
@@ -142,68 +145,68 @@ def _raised(m, k, i):
     return Mat.of(m.rows, m.cols, entries)
 
 
-def _stage(pipelines, name):
-    v = pipelines[name].values
-    return v["modular"], v["dual"], v["delta_hat"], v["group_likes"]
+def _factorization_by_rows(h, md, hd, delta_hat):
+    """The rows radford_factorization compared before its proof: S^2 fixes
+    delta, the left and right factors, the inner relation and the
+    composition, the first failing one's detail, or None."""
+    s2, b, delta_hat_inv = h.s2, h.basis, hd.antipode_of(delta_hat)
+    if s2.apply(md.delta) != md.delta:
+        return "S^2 moves the modular element"
+    for i in range(h.dim):
+        sp = md.sigma_prime.images[i]
+        composed = s2.apply(md.sigma_inv.apply(s2.apply(sp)))
+        rows = (("left factor", act_left(h, delta_hat, b(i)), s2.apply(md.sigma_inv.images[i])),
+                ("right factor", act_right(h, b(i), delta_hat_inv), s2.apply(sp)),
+                ("inner relation", sp, h.mul_many(md.delta, md.sigma.images[i], md.delta_inv)),
+                ("composition", h.mul_many(md.delta_inv, composed, md.delta), h.s4.images[i]))
+        for label, lhs, rhs in rows:
+            if lhs != rhs:
+                return f"{label} fails at basis {i}"
+    return None
 
 
-def test_twist_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo):
+def _conjugation_by_pairs(h, md, likes):
+    """s2-conjugation as it was compared past its counimodular gate: the
+    twist pairs; then the trace pairs at the first root of delta that
+    implements S^2, or, when none does, S^4(a) = delta^-1 a delta."""
+    want = _twist_by_pairs(h, md.phi)
+    if want is not None:
+        return want
+    s2, b = h.s2.images, h.basis
+    root = next((r for r in group_like_roots(h, likes, md.delta)
+                 if all(h.mul_many(h.antipode_of(r), b(i), r) == s2[i] for i in range(h.dim))),
+                None)
+    if root is not None:
+        return _trace_by_pairs(h, md.phi, root)
+    return next((f"S^4 inner form fails at basis {i}" for i in range(h.dim)
+                 if h.s4.images[i] != h.mul_many(md.delta_inv, b(i), md.delta)), None)
+
+
+@pytest.mark.parametrize("name", ["C[Z3]", "C[S3]", "F(S3)", "sweedler"])
+def test_a_raised_s2_or_s4_fails_an_owner_before_the_proof_checks(pipelines, zoo, name):
+    # radford-factorization and s2-conjugation compare nothing beyond
+    # deltahat = 1^: their laws are rows of modular-conjugation,
+    # dual-modular-links and radford-s4.  Each S^2 or S^4 with one entry
+    # raised, where the rows they compared before fail, must FAIL a check
+    # before them, and both must skip
+    h, v = zoo[name], pipelines[name].values
+    md, hd, delta_hat, likes = v["modular"], v["dual"], v["delta_hat"], v["group_likes"]
+    assert _factorization_by_rows(h, md, hd, delta_hat) is None
+    keys = list(itertools.product(range(h.dim), repeat=2))
+    copies = [_with_cached(h, s2=_raised(h.s2, *key)) for key in keys]
+    copies += [_with_cached(h, s4=_raised(h.s4, *key)) for key in keys]
     seen = set()
-    for name in ("C[Z3]", "C[S3]", "F(S3)"):
-        h = zoo[name]
-        md, hd, delta_hat, likes = _stage(pipelines, name)
-        for k, i in itertools.product(range(h.dim), repeat=2):
-            h2 = _with_s2(h, _raised(h.s2, k, i))
-            want = _twist_by_pairs(h2, md.phi)
-            assert want is not None
-            check = counimodular_check(h2, md, delta_hat, likes)
-            assert (check.status, check.detail) == ("FAIL", want), (name, k, i)
-            seen.add(want)
-    # the members above have symmetric Grams; forced past the counimodular
-    # gate, the members below put G^T and G apart
-    for name in ("sweedler", "taft(2)", "taft(3)", "sweedler(x)C[Z2]"):
-        h = zoo[name]
-        md, hd, _, likes = _stage(pipelines, name)
-        assert md.gram != md.gram.transpose()
-        for h2 in [h] + [_with_s2(h, _raised(h.s2, k, i))
-                         for k, i in itertools.product(range(h.dim), repeat=2)]:
-            want = _twist_by_pairs(h2, md.phi)
-            check = counimodular_check(h2, md, h2.counit, likes)
-            if want is not None:
-                assert (check.status, check.detail) == ("FAIL", want), (name, check.line())
-                seen.add(want)
-            else:
-                assert "twist" not in check.detail
-    assert len(seen) > 20
-
-
-def _conjugating_root(h, md, likes):
-    s2 = h.s2.images
-    return next(r for r in group_like_roots(h, likes, md.delta)
-                if all(h.mul_many(h.antipode_of(r), h.basis(i), r) == s2[i]
-                       for i in range(h.dim)))
-
-
-def test_trace_detail_is_the_first_failing_pair_of_the_pair_scan(pipelines, zoo):
-    statuses = []
-    for name in ("C[Z3]", "C[S3]", "F(S3)"):
-        h = zoo[name]
-        md, hd, delta_hat, likes = _stage(pipelines, name)
-        b, root = h.basis, _conjugating_root(h, md, likes)
-        root_inv = h.antipode_of(root)
-
-        def phi_r(phi):
-            return Elem.of(h.dim, ((m, pairing(phi, h.mul(b(m), root))) for m in range(h.dim)))
-
-        for k in range(h.dim):
-            # phi + e_k^(. r^-1), whose phi( . r) is phi_r with coordinate k raised by 1
-            bump = Elem.of(h.dim, ((m, c) for m in range(h.dim)
-                                   for j, c in h.mul(b(m), root_inv).support if j == k))
-            phi = Elem.of(h.dim, [*md.phi.support, *bump.support])
-            assert phi_r(phi) == Elem.of(h.dim, [*phi_r(md.phi).support, (k, CYC_ONE)])
-            check = counimodular_check(h, dataclasses.replace(md, phi=phi), delta_hat, likes)
-            want = _trace_by_pairs(h, phi, root)
-            assert (check.status, check.detail) == (("PASS", "") if want is None
-                                                    else ("FAIL", want)), (name, k)
-            statuses.append(check.status)
-    assert "FAIL" in statuses and "PASS" in statuses
+    for h2 in copies:
+        wants = [_factorization_by_rows(h2, md, hd, delta_hat)]
+        if delta_hat == h.counit:
+            wants.append(_conjugation_by_pairs(h2, md, likes))
+        checks = run_pipeline(h2).checks
+        names = [c.name for c in checks]
+        at = names.index("radford-factorization")
+        if any(want is not None for want in wants):
+            assert any(c.status == "FAIL" for c in checks[:at]), wants
+            for c in checks[at:at + 2]:
+                assert c.line().startswith(f"CHECK {c.name} SKIP:prerequisite-failed "), c.line()
+        seen.update(want for want in wants if want is not None)
+    assert any(w.startswith("composition") for w in seen)
+    assert len(seen) > h.dim

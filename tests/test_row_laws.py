@@ -14,9 +14,10 @@ import itertools
 
 import pytest
 
-from hopfcheck import CYC_ONE, CYC_ZERO, Mat, Tensor3, dual_hopf, pairing, plancherel_check
+from hopfcheck import CYC_ONE, CYC_ZERO, Mat, Tensor3, dual_hopf, pairing
 from hopfcheck.duality import transpose_failure
 from hopfcheck.errors import NotAutomorphism
+from hopfcheck.gns import operator_radford_check
 from hopfcheck.hopf import act_left, verify_antipode_derived, verify_bialgebra, verify_star
 from hopfcheck.integrals import modular_automorphism, modular_identity_checks
 from hopfcheck.linalg import Elem
@@ -127,7 +128,7 @@ def _parseval_by_pairs(gram, b, b_hat):
     f_conj = [Elem.of(x.dim, ((k, c.conjugate()) for k, c in x.support)) for x in gram.images]
     bhat_f = b_hat.mul(gram).images
     rhs = [dict(x.support) for x in b.images]
-    return pair_scan(b.rows, ("Parseval fails at basis pair ({0},{1})",
+    return pair_scan(b.rows, ("Fourier transport is not unitary at ({0},{1})",
                               lambda i, j: pairing(f_conj[i], bhat_f[j]),
                               lambda i, j: rhs[j].get(i, CYC_ZERO)))
 
@@ -239,8 +240,10 @@ def test_flip_rows_fail_where_the_pair_scan_did(pipelines, name):
 
 @pytest.mark.parametrize("name", ["C[Z3]", "C[S3]", "F(S3)"])
 def test_parseval_rows_fail_where_the_pair_scan_did(pipelines, name):
-    v = pipelines[name].values
-    md, b, b_hat = v["modular"], v["star_gram"], v["dual_star_gram"]
+    # the Parseval pairs are operator-radford's unitarity row, which
+    # plancherel's proof cites; its first failing (i,j) is the pair scan's
+    h, v = pipelines[name].h, pipelines[name].values
+    md, hd, b, b_hat = v["modular"], v["dual"], v["star_gram"], v["dual_star_gram"]
     d = b.rows
     seen = set()
     keys = list(itertools.product(range(d), repeat=2))
@@ -248,7 +251,7 @@ def test_parseval_rows_fail_where_the_pair_scan_did(pipelines, name):
              *((b, _raised(b_hat, *key)) for key in keys)]
     for bb, bh in cases:
         want = _parseval_by_pairs(md.gram, bb, bh)
-        assert _detail(plancherel_check(md, bb, bh)) == want
+        assert _detail(operator_radford_check(h, hd, md, bb, bh)) == want
         seen.add(want)
     assert None in seen and len(seen) > d
 
