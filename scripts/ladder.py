@@ -2,7 +2,7 @@
 """Time the whole pipeline on a fixed ladder of algebras, largest last, for
 one source tree or two.
 
-    python3 scripts/ladder.py [SRC_A [SRC_B]] > ladder.json
+    python3 scripts/ladder.py [--faults] [SRC_A [SRC_B]] > ladder.json
 
 SRC_A and SRC_B are the `src` directories of two checkouts; SRC_A defaults
 to this checkout's.  For each member the trees take turns, A, B, A, B, ...,
@@ -28,6 +28,14 @@ tree, every run's wall and CPU time, the median of each, the median CPU
 time of each stage and the digest, plus whether the digests of the two
 trees are equal.  It is not part of the test suite: the whole ladder takes
 minutes.
+
+--faults runs the fault ladder instead: each of FAULT_MEMBERS clean, then
+with one entry of mult, comult or the antipode raised by 1, at its first
+and at its last nonzero in index order, each timed as above next to the
+clean run.  Every run also takes the sha256 of its CHECK lines, so that
+two trees compare their failing transcripts; the record holds, for each
+member and case, the runs, the median CPU time and its ratio to the clean
+median, and that digest.
 """
 
 import json
@@ -41,6 +49,9 @@ from pathlib import Path
 RUNS = 3
 MEMBER_NAMES = ([f"taft({n})" for n in (*range(4, 13), 16)] + ["sweedler^(x)3", "sweedler^(x)4"]
                 + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96, 128)])
+FAULT_MEMBERS = ["taft(8)", "taft(10)", "sweedler^(x)3", "C[Z48]"]
+FAULTS = [f"{table}:{end}" for table in ("mult", "comult", "antipode")
+          for end in ("first", "last")]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -60,9 +71,30 @@ def build(name: str):
     return h
 
 
-def time_run(name: str) -> dict:
-    """One timed run_pipeline on a freshly built member, with the CPU time
-    of each stage that runs, keyed by the stage's first check name."""
+def corrupt(h, fault: str):
+    """h with one entry raised by 1: fault is "table:first" or "table:last",
+    the table's first or last nonzero entry in index order."""
+    import dataclasses
+
+    from hopfcheck import CYC_ONE, Mat, Tensor3
+
+    table, end = fault.split(":")
+    t = getattr(h, table)
+    if isinstance(t, Tensor3):
+        entries = dict(t.items())
+    else:
+        entries = {(i, j): c for j, col in enumerate(t.images) for i, c in col.support}
+    key = sorted(entries)[0 if end == "first" else -1]
+    entries[key] = entries[key] + CYC_ONE
+    new = Tensor3(h.dim, entries) if isinstance(t, Tensor3) else Mat.of(t.rows, t.cols, entries)
+    return dataclasses.replace(h, **{table: new})
+
+
+def time_run(name: str, fault: str | None = None) -> dict:
+    """One timed run_pipeline on a freshly built member, corrupted by fault
+    when given, with the CPU time of each stage that runs, keyed by the
+    stage's first check name, and the sha256 of the CHECK lines."""
+    import hashlib
     import time
 
     from hopfcheck import pipeline, run_pipeline
@@ -81,11 +113,13 @@ def time_run(name: str) -> dict:
     # run_pipeline reads the module's STAGES when it is called
     pipeline.STAGES = tuple(stage._replace(run=timed(stage.names[0], stage.run))
                             for stage in pipeline.STAGES)
-    h = build(name)
+    h = build(name) if fault is None else corrupt(build(name), fault)
     t0, c0 = time.perf_counter(), time.process_time()
-    run_pipeline(h)
-    return {"dim": h.dim, "wall_s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0,
-            "stage_cpu_s": stage_cpu}
+    res = run_pipeline(h)
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    checks = "\n".join(res.report_lines()).encode()
+    return {"dim": h.dim, "wall_s": wall, "cpu_s": cpu, "stage_cpu_s": stage_cpu,
+            "checks_sha256": hashlib.sha256(checks).hexdigest()}
 
 
 def transcript_sha256(name: str) -> dict:
@@ -112,10 +146,10 @@ def transcript_sha256(name: str) -> dict:
 WORKERS = {"--time": time_run, "--sha256": transcript_sha256}
 
 
-def in_fresh_interpreter(src: str, mode: str, name: str) -> dict:
+def in_fresh_interpreter(src: str, mode: str, *args: str) -> dict:
     """Run this script as a worker under src and return what it prints."""
     env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in BLAS_VARS})
-    out = subprocess.run([sys.executable, __file__, mode, name], env=env, check=True,
+    out = subprocess.run([sys.executable, __file__, mode, *args], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -149,17 +183,46 @@ def measure(name: str, trees: dict) -> dict:
     return record
 
 
+def measure_faults(name: str, trees: dict) -> dict:
+    """The clean member and each of FAULTS, every run in turn over the trees."""
+    cases: dict = {}
+    for fault in [None, *FAULTS]:
+        case = cases[fault or "clean"] = {label: {"cpu_s": [], "checks_sha256": set()}
+                                          for label in trees}
+        for run in range(RUNS):
+            for label, src in trees.items():
+                r = in_fresh_interpreter(src, "--time", name, *([fault] if fault else []))
+                case[label]["cpu_s"].append(round(r["cpu_s"], 3))
+                case[label]["checks_sha256"].add(r["checks_sha256"])
+        for label, side in case.items():
+            side["median_cpu_s"] = round(statistics.median(side["cpu_s"]), 3)
+            side["checks_sha256"] = " ".join(sorted(side["checks_sha256"]))
+            side["vs_clean"] = round(side["median_cpu_s"]
+                                     / max(cases["clean"][label]["median_cpu_s"], 1e-3), 2)
+        if len(trees) == 2:
+            case["checks_equal"] = len({side["checks_sha256"] for side in case.values()}) == 1
+        print(f"{name} {fault or 'clean'}: median cpu "
+              + ", ".join(f"{label} {case[label]['median_cpu_s']} s" for label in trees),
+              file=sys.stderr)
+    return {"dim": r["dim"], "cases": cases}
+
+
 def main(argv: list) -> int:
     if argv and argv[0] in WORKERS:
-        print(json.dumps(WORKERS[argv[0]](argv[1])))
+        print(json.dumps(WORKERS[argv[0]](*argv[1:])))
         return 0
+    faults = argv[:1] == ["--faults"]
+    argv = argv[faults:]
     if len(argv) > 2:
         print(__doc__, file=sys.stderr)
         return 2
     srcs = [str(Path(p).resolve()) for p in argv or [Path(__file__).resolve().parents[1] / "src"]]
     trees = dict(zip("AB", srcs))
-    record = {"python": platform.python_version(), "runs": RUNS, "trees": trees,
-              "members": {name: measure(name, trees) for name in MEMBER_NAMES}}
+    record = {"python": platform.python_version(), "runs": RUNS, "trees": trees}
+    if faults:
+        record["faults"] = {name: measure_faults(name, trees) for name in FAULT_MEMBERS}
+    else:
+        record["members"] = {name: measure(name, trees) for name in MEMBER_NAMES}
     print(json.dumps(record, indent=1))
     return 0
 

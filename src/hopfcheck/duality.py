@@ -134,12 +134,14 @@ def dual_axiom_checks(core: list, hd: HopfData, failure: str | None) -> list:
     a law whose dual is the transpose of a law of h (the table in
     transpose_failure), so the dual check of that name PASSes when the
     certificate holds and FAILs with its detail otherwise.  dual-star is
-    scanned, its product law over hd.generators once the certificate
-    holds (hd is then an algebra, as in full_axiom_suite).
+    scanned, its product law and its coproduct and counit rows over
+    hd.generators once the certificate holds: dual-algebra and
+    dual-bialgebra then pass, as in full_axiom_suite.
     """
     out = [ok("dual-" + c.name) if failure is None else fail("dual-" + c.name, failure)
            for c in core[:5]]
-    star = verify_star(hd, hd.generators if failure is None else None)
+    first = hd.generators if failure is None else None
+    star = verify_star(hd, first, first)
     return out + [Check("dual-star", star.status, star.detail)]
 
 
@@ -195,16 +197,22 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData, phi_solve
     absorb multiplication on the matching side), and both functionals must
     be nonzero multiples of what the generic kernel solver finds on the
     dual.  phi_solver is left_integral(hd).  Returns (psihat, phihat).
+
+    Both invariance rows run over a in h.generators only.  The a with
+    psihat a = eps(a) psihat form a unital subalgebra once A is associative
+    and eps multiplicative, and likewise for a phihat, so the generators
+    decide each row (report.first_failure): h must have passed the axiom
+    suite, as it has wherever run_pipeline reaches this stage.
     """
-    d = h.dim
+    d, first = h.dim, h.generators
     psi_hat = Elem.of(d, ((j, pairing(h.counit, x)) for j, x in enumerate(md.gram_inv.images)))
     phi_hat = Elem.of(d, ((j, pairing(psi_hat, x)) for j, x in enumerate(hd.s_basis)))
     b, eps = h.basis, h.counit_of
     bad = first_failure(
-        d, (1, ("eps.G^-1 is not right invariant at basis {0}", lambda a: h.mul(psi_hat, b(a)),
-                lambda a: scale(eps(b(a)), psi_hat))),
-        (1, ("psihat.S^ is not left invariant at basis {0}", lambda a: h.mul(b(a), phi_hat),
-             lambda a: scale(eps(b(a)), phi_hat))))
+        d, ((1, first), ("eps.G^-1 is not right invariant at basis {0}",
+                         lambda a: h.mul(psi_hat, b(a)), lambda a: scale(eps(b(a)), psi_hat))),
+        ((1, first), ("psihat.S^ is not left invariant at basis {0}",
+                      lambda a: h.mul(b(a), phi_hat), lambda a: scale(eps(b(a)), phi_hat))))
     if bad is not None:
         raise InconsistentWithDirectComputation(f"{h.name}: {bad}")
 

@@ -258,9 +258,11 @@ def same_structure(h1: HopfData, h2: HopfData) -> bool:
 # by report.first_failure in index order.  A bilinear law is one row per
 # first index i, each side a sparse dict keyed by the second index, summed
 # straight from the stored tables.  Its first index runs over `first`, the
-# generators once `algebra` has passed; the theorem in report.first_failure
-# makes that a proof of the whole law with the full scan's first failure.
-# Left as None, it is every basis index.
+# generators once `algebra` has passed; a law between algebra maps whose
+# proof also cites `bialgebra` runs over `hom_first`, the generators once
+# that has passed too.  The theorem in report.first_failure makes either a
+# proof of the whole law with the full scan's first failure.  Left as None,
+# it is every basis index.
 
 
 def sparse_rows(terms) -> dict:
@@ -395,21 +397,26 @@ def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
 _SINGULAR = "antipode matrix is singular"
 
 
-def verify_antipode(h: HopfData) -> Check:
-    """Both antipode convolution laws, plus invertibility of S as a matrix."""
+def verify_antipode(h: HopfData, first: tuple | None = None) -> Check:
+    """Both antipode convolution laws, plus invertibility of S as a matrix.
+    The convolution laws run over k in `first`: the generators once
+    `bialgebra` and `antipode-derived` have passed (report.first_failure),
+    every index when None."""
     b, s, eps = h._basis, h.s_basis, h.counit_of
     return law_check(
         "antipode", h.dim,
-        (1, ("left convolution law fails at basis {0}",
-             lambda k: h.convolve(k, s, b), lambda k: scale(eps(b[k]), h.unit)),
-            ("right convolution law fails at basis {0}",
-             lambda k: h.convolve(k, b, s), lambda k: scale(eps(b[k]), h.unit))),
+        ((1, first), ("left convolution law fails at basis {0}",
+                      lambda k: h.convolve(k, s, b), lambda k: scale(eps(b[k]), h.unit)),
+                     ("right convolution law fails at basis {0}",
+                      lambda k: h.convolve(k, b, s), lambda k: scale(eps(b[k]), h.unit))),
         (0, (_SINGULAR, lambda: h.s_inv is None, lambda: False)))
 
 
-def verify_antipode_derived(h: HopfData, first: tuple | None = None) -> Check:
+def verify_antipode_derived(h: HopfData, first: tuple | None = None,
+                            hom_first: tuple | None = None) -> Check:
     """Consequences of the axioms: S is a unital anti-homomorphism of both
-    structures; S(ab) = S(b)S(a) runs over a in `first` (see above)."""
+    structures; S(ab) = S(b)S(a) runs over a in `first` and
+    D(S(a)) = flip(S(x)S)D(a) over a in `hom_first` (see above)."""
     b, s, eps = h.basis, h.s_basis, h.counit_of
     return law_check(
         "antipode-derived", h.dim,
@@ -418,14 +425,16 @@ def verify_antipode_derived(h: HopfData, first: tuple | None = None) -> Check:
         ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
                       lambda i: image_rows(h, i, s),
                       lambda i: product_rows(h, ((j, s[j], s[i]) for j in range(h.dim))))),
-        (1, ("anti-comultiplicativity fails at basis {0}",
-             lambda k: h.coprod(s[k]), lambda k: h.coprod_map(k, s, s, flip=True))))
+        ((1, hom_first), ("anti-comultiplicativity fails at basis {0}",
+                          lambda k: h.coprod(s[k]), lambda k: h.coprod_map(k, s, s, flip=True))))
 
 
-def verify_star(h: HopfData, first: tuple | None = None) -> Check:
+def verify_star(h: HopfData, first: tuple | None = None,
+                hom_first: tuple | None = None) -> Check:
     """Star axioms: involution, anti-multiplicative, coproduct and counit compatible,
     and the exchange law S(a)^* = S^{-1}(a^*); (ab)^* = b^*a^* runs over a in
-    `first` (see above)."""
+    `first`, and the coproduct and counit compatibility over a in `hom_first`
+    (see above)."""
     if h.star is None:
         return skip("star", "no-star")
     b, eps, st = h.basis, h.counit_of, h.star.images  # st[i] = e_i^*
@@ -436,22 +445,31 @@ def verify_star(h: HopfData, first: tuple | None = None) -> Check:
         ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
                       lambda i: image_rows(h, i, st, conj=True),
                       lambda i: product_rows(h, ((j, st[j], st[i]) for j in range(h.dim))))),
-        (1, ("coproduct compatibility fails at basis {0}",
-             lambda k: h.coprod(st[k]), lambda k: h.coprod_map(k, st, st, conj=True))),
-        (1, ("counit compatibility fails at basis {0}",
-             lambda i: eps(st[i]), lambda i: eps(b(i)).conjugate())),
+        ((1, hom_first), ("coproduct compatibility fails at basis {0}",
+                          lambda k: h.coprod(st[k]), lambda k: h.coprod_map(k, st, st, conj=True))),
+        ((1, hom_first), ("counit compatibility fails at basis {0}",
+                          lambda i: eps(st[i]), lambda i: eps(b(i)).conjugate())),
         (0, (_SINGULAR + ", so S^-1 is undefined", lambda: h.s_inv is None, lambda: False)),
         (1, ("antipode exchange fails at basis {0}",
              lambda i: h.star_of(h.s_basis[i]), lambda i: h.s_inv.apply(st[i]))))
 
 
 def full_axiom_suite(h: HopfData) -> list:
-    """The six axiom checks; the product laws scan the generators only when
-    `algebra` passed, since their reduction rests on associativity."""
+    """The six axiom checks.  A law scans the generators only when the checks
+    its reduction cites have passed, and every index otherwise
+    (report.first_failure): the product laws cite `algebra`; the
+    coproduct and counit rows of `antipode-derived` and `star` cite
+    `bialgebra` too; the convolution laws cite `bialgebra` and
+    `antipode-derived`, so `antipode-derived` is evaluated before
+    `antipode`, and printed after it."""
     algebra = verify_algebra(h)
     first = h.generators if algebra.passed() else None
-    return [algebra, verify_coalgebra(h), verify_bialgebra(h, first),
-            verify_antipode(h), verify_antipode_derived(h, first), verify_star(h, first)]
+    bialgebra = verify_bialgebra(h, first)
+    hom_first = first if bialgebra.passed() else None
+    derived = verify_antipode_derived(h, first, hom_first)
+    antipode = verify_antipode(h, hom_first if derived.passed() else None)
+    return [algebra, verify_coalgebra(h), bialgebra, antipode, derived,
+            verify_star(h, first, hom_first)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +485,19 @@ def is_group_like(h: HopfData, g: Elem, first: tuple | None = None) -> bool:
     whose unit row is eps(g) = 1, so by report.first_failure its first
     slot a may run over `first` = the generators of A, given that A is
     associative and unital: the coalgebra law of h.  None scans every a.
+
+    Of those, only the rows that g reaches are read: a in supp g, or a left
+    factor of D(e_k) for some k in supp g.  Any other row is empty on both
+    sides by construction, on any tables, so the verdict is the scan's.
     """
     rows, at = h.comult.rows, dict(g.support)
+    reach = at.keys() | {a for k in at for a in rows[k]}
     return first_failure(
         h.dim, (0, ("", lambda: h.counit_of(g), lambda: CYC_ONE)),
-        ((1, first), ("", lambda a: sparse_sum((j, x * c) for k, x in g.support
-                                               for j, c in rows[k].get(a, ())),
-                      lambda a: {b: at[a] * y for b, y in g.support} if a in at else {}))
+        ((1, sorted(reach if first is None else reach.intersection(first))),
+         ("", lambda a: sparse_sum((j, x * c) for k, x in g.support
+                                   for j, c in rows[k].get(a, ())),
+          lambda a: {b: at[a] * y for b, y in g.support} if a in at else {}))
     ) is None
 
 

@@ -219,13 +219,20 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
 def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     """Six exact identities; each failure reports its own location.
 
+    modular-sandwich and modular-conjugation run over h.generators only.
+    Each equates two algebra maps or two anti-maps built from S, sigma,
+    sigma' and delta, which report.first_failure reduces to the generators
+    once the axiom suite has passed and sigma and sigma' are verified
+    automorphisms: md must be compute_modular's, which run_pipeline
+    computes only after the axiom suite has passed.
+
     modular-flip is read off stored matrices, one row x at a time keyed by
     y.  With C_x[p][q] the coefficient of e_p (x) e_q in D(e_x) and
     G = md.gram, (id(x)phi)(D(e_x)(1(x)e_y)) = sum_pq C_x[p][q] G[q][y] e_p
     is column y of C_x G, so the left side is S applied to the columns of
     C_x G; the right side (id(x)phi)((1(x)e_x)D(e_y)) pairs the coproduct
     of e_y with row x of G."""
-    s, dim, comult = h.s_basis, h.dim, h.comult.rows
+    s, dim, comult, first = h.s_basis, h.dim, h.comult.rows, h.generators
     sigma, sigma_prime, s2 = md.sigma.images, md.sigma_prime.images, h.s2.images
     want = scale(md.nu.inverse(), md.delta)
     grows = md.gram.row_dicts()  # grows[x] = {y: phi(e_x e_y)}
@@ -246,11 +253,12 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
 
     return [
         law_check("modular-sandwich", dim,
-                  (1, ("fails at basis {0}",
-                       lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])), s.__getitem__))),
+                  ((1, first), ("fails at basis {0}",
+                                lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])),
+                                s.__getitem__))),
         law_check("modular-conjugation", dim,
-                  (1, ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
-                       lambda i: h.mul(sigma_prime[i], md.delta)))),
+                  ((1, first), ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
+                                lambda i: h.mul(sigma_prime[i], md.delta)))),
         law_check("modular-coproduct", dim,
                   (1, ("fails at basis {0}", lambda k: h.coprod(sigma[k]),
                        lambda k: h.coprod_map(k, s2, sigma)))),

@@ -188,9 +188,11 @@ STAGES = (
           lambda h, v: [radford_factorization()]),
     Stage(("s2-conjugation",), ("core", "modular", "delta_hat", "radford_ok"),
           lambda h, v: [counimodular_check(h, v["delta_hat"])]),
+    # its rows run on the generators once radford_ok certifies S^2 as an algebra map
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
-                                         v["group_likes"], v["dual_likes"])]),
+                                         v["group_likes"], v["dual_likes"],
+                                         h.generators if v.get("radford_ok") else None)]),
     Stage(("positivity",), ("modular",), _positivity),
     Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),
           _flag("kac_ok", lambda h, v: [kac_collapse_check(

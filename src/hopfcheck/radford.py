@@ -118,9 +118,18 @@ def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,
-                     likes: list, dual_likes: list) -> Check:
+                     likes: list, dual_likes: list, first: tuple | None = None) -> Check:
     """With group-like square roots on both sides the sandwich halves:
-    S^2(a) = r^-1 (rhat |> a <| rhat^-1) r."""
+    S^2(a) = r^-1 (rhat |> a <| rhat^-1) r, compared for a = e_i, i in
+    `first` (every index when None).
+
+    The right side is an algebra map: rhat and rhat^-1 are characters of A,
+    so rhat |> . and . <| rhat^-1 are (D multiplicative), and r^-1 = S(r).
+    The cached S^2 is one once dual-modular-links' sigma link has held on
+    every column: S^2(a) = deltahat |> sigma(a), with sigma a verified
+    automorphism.  So run_pipeline passes h.generators once that stage has
+    passed (radford_ok), and the generators decide every pair
+    (report.first_failure)."""
     roots = group_like_roots(h, likes, md.delta)
     dual_roots = group_like_roots(hd, dual_likes, delta_hat)
     if not roots or not dual_roots:
@@ -128,7 +137,7 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
 
     def works(root, dual_root):
         root_inv, dual_root_inv = h.antipode_of(root), hd.antipode_of(dual_root)
-        return first_failure(h.dim, (1, (
+        return first_failure(h.dim, ((1, first), (
             "", h.s2.images.__getitem__,
             lambda i: _sandwich(h, root_inv, root, h.basis(i), dual_root, dual_root_inv)))) is None
 

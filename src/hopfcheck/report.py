@@ -169,6 +169,43 @@ def first_failure(dim: int, *groups) -> str | None:
       - rho(xb) = rho(x)rho(b), after rho(1) = 1, for sigma and sigma'.
 
     A group with several rows uses the intersection of their sets X.
+
+    Laws between verified algebra maps.  The argument needs only that X,
+    the set of x that satisfy the law, is a subspace holding 1 and closed
+    under products.  For each law below that holds once the checks it
+    cites have passed in this run, so the law runs over h.generators then,
+    and over every index otherwise, with no unit row of its own:
+
+      law                                    cites
+      m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)  algebra, bialgebra and
+                                             antipode-derived: S(xy) =
+                                             S(y)S(x), D and eps multiplicative
+      D(S(a)) = flip(S(x)S)D(a)              algebra and bialgebra, after
+                                             S(1) = 1 and S(ab) = S(b)S(a),
+                                             earlier rows of antipode-derived
+      D(a*) = D(a)*, eps(a*) = conj(eps(a))  algebra and bialgebra, after
+                                             1* = 1 and (ab)* = b*a*,
+                                             earlier rows of star (dual-star:
+                                             the transposition certificate)
+      sigma(S(sigma'(a))) = S(a)             the axiom suite, and sigma and
+      delta sigma(a) = sigma'(a) delta       sigma' verified automorphisms
+                                             (compute_modular)
+      psihat a = eps(a) psihat,              the axiom suite: A associative,
+      a phihat = eps(a) phihat               eps multiplicative
+      S^2(a) = r^-1(rhat|>a<|rhat^-1)r       dual-modular-links and
+                                             radford-s4 (radford_ok)
+
+    In the last, the right side is an algebra map for characters rhat and
+    group-likes r, and dual-modular-links' sigma link, compared on every
+    column, certifies the cached S^2 as (deltahat|> .) . sigma, a composite
+    of verified maps.  radford-s4, dual-modular-links and modular-coproduct
+    stay on every index: they read the cached S^2, S^4 or sigma^-1 as
+    stored matrices, and nothing before them certifies those as algebra
+    maps, so a defect in one column shows only in that column.  So do
+    modular-flip, a pair law; the unit, counit and coassociativity rows;
+    star's involution and exchange rows, which run before the rows that
+    would cite them or read S^-1; and the right-integral and
+    modular-element rows.
     """
     for head, *rows in groups:
         if head == 0:

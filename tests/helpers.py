@@ -35,6 +35,25 @@ def rebased(h, s):
         antipode=mat(h.antipode, lambda x: x), star=mat(h.star, Cyc.conjugate))
 
 
+def op(h):
+    """H^op: the product reversed, e_i .op e_j = e_j e_i, with antipode S^-1
+    and the same star."""
+    mult = Tensor3(h.dim, {(j, i, k): c for (i, j, k), c in h.mult.items()})
+    return dataclasses.replace(h, name=h.name + "^op", mult=mult, antipode=h.s_inv)
+
+
+def cop(h):
+    """H^cop: the coproduct flipped, D^cop = flip D, with antipode S^-1 and
+    the same star."""
+    comult = Tensor3(h.dim, {(k, j, i): c for (k, i, j), c in h.comult.items()})
+    return dataclasses.replace(h, name=h.name + "^cop", comult=comult, antipode=h.s_inv)
+
+
+def opcop(h):
+    """H^op,cop: both reversed, with antipode S and the same star."""
+    return dataclasses.replace(op(cop(h)), name=h.name + "^opcop", antipode=h.antipode)
+
+
 def products(h) -> tuple:
     """products(h)[i][j] = e_i e_j, a view of the stored row h.mult.rows[i][j]:
     its (k, coeff) terms already are an Elem support (nonzero, increasing
