@@ -90,8 +90,10 @@ def radford_factorization() -> Check:
 
 def counimodular_check(h: HopfData, delta_hat: Elem) -> Check:
     """When the dual modular element is trivial, S^2 is inner-modular:
-    phi(ab) = phi(b S^2(a)), and S^2(a) = r^-1 a r for a group-like root r
-    of delta makes phi( . r) a trace.  deltahat = eps, the unit of the
+    phi(ab) = phi(b S^2(a)), and any r with S^2(a) = r^-1 a r for every a
+    makes phi( . r) a trace.  A root r of delta need not be one: in C[S3]
+    every transposition s has s^2 = 1 = delta and S^2 = id, yet
+    s^-1 c s = c^2 for a 3-cycle c.  deltahat = eps, the unit of the
     dual, is the one comparison; the rest follows from the axiom suite,
     modular-automorphism, dual-modular-links and radford-s4, which have
     passed before this runs.

@@ -52,7 +52,7 @@ LAWS = {
                               "sigma'(a)=delta sigma(a) delta^-1, S^2(delta)=delta, "
                               "composed=S^4"),
     "s2-conjugation": ("deltahat=1^ => phi(ab)=phi(b S^2(a)); "
-                       "r^2=delta => S^2(a)=r^-1 a r, phi(ab r)=phi(ba r)"),
+                       "S^2(a)=r^-1 a r => phi(ab r)=phi(ba r)"),
     "s2-half-power": "S^2(a)=r^-1(rhat|>a<|rhat^-1)r with r^2=delta, rhat^2=deltahat",
     "positivity": "phi(a*a)>0 for a!=0",
     "kac-collapse": "phi>0 => S^2=id, sigma=id, nu=1, delta=1, deltahat=1^, psihat>0",
