@@ -173,39 +173,38 @@ def first_failure(dim: int, *groups) -> str | None:
     Laws between verified algebra maps.  The argument needs only that X,
     the set of x that satisfy the law, is a subspace holding 1 and closed
     under products.  For each law below that holds once the checks it
-    cites have passed in this run, so the law runs over h.generators then,
-    and over every index otherwise, with no unit row of its own:
+    cites have passed in this run, so the law runs over h.generators,
+    with no unit row of its own.  Where a cited check can FAIL and the law
+    still runs (the first three and the last), the law scans every index
+    after such a FAIL; the others run only once their cites have passed.
 
-      law                                    cites
-      m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)  algebra, bialgebra and
-                                             antipode-derived: S(xy) =
-                                             S(y)S(x), D and eps multiplicative
-      D(S(a)) = flip(S(x)S)D(a)              algebra and bialgebra, after
-                                             S(1) = 1 and S(ab) = S(b)S(a),
-                                             earlier rows of antipode-derived
-      D(a*) = D(a)*, eps(a*) = conj(eps(a))  algebra and bialgebra, after
-                                             1* = 1 and (ab)* = b*a*,
-                                             earlier rows of star (dual-star:
-                                             the transposition certificate)
-      sigma(S(sigma'(a))) = S(a)             the axiom suite, and sigma and
-      delta sigma(a) = sigma'(a) delta       sigma' verified automorphisms
-                                             (compute_modular)
-      psihat a = eps(a) psihat,              the axiom suite: A associative,
-      a phihat = eps(a) phihat               eps multiplicative
-      S^2(a) = r^-1(rhat|>a<|rhat^-1)r       dual-modular-links and
-                                             radford-s4 (radford_ok)
+      - m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a), both convolution laws:
+        algebra, bialgebra and antipode-derived (S(xy) = S(y)S(x), D and
+        eps multiplicative).
+      - D(S(a)) = flip(S(x)S)D(a): algebra and bialgebra, after S(1) = 1
+        and S(ab) = S(b)S(a), earlier rows of antipode-derived.
+      - D(a*) = D(a)* and eps(a*) = conj(eps(a)): algebra and bialgebra,
+        after 1* = 1 and (ab)* = b*a*, earlier rows of star; for
+        dual-star, the transposition certificate.
+      - sigma(S(sigma'(a))) = S(a) and delta sigma(a) = sigma'(a) delta:
+        the axiom suite, and sigma and sigma' verified automorphisms
+        (compute_modular).
+      - psihat a = eps(a) psihat and a phihat = eps(a) phihat, the dual
+        integrals' invariance rows: the axiom suite (A associative, eps
+        multiplicative).
+      - S^2(a) = r^-1(rhat|>a<|rhat^-1)r, s2-half-power: dual-modular-links
+        and radford-s4 (radford_ok).  The right side is an algebra map for
+        characters rhat and group-likes r, and dual-modular-links' sigma
+        link, compared on every column, certifies the cached S^2 as
+        (deltahat|> .) . sigma, a composite of verified maps.
 
-    In the last, the right side is an algebra map for characters rhat and
-    group-likes r, and dual-modular-links' sigma link, compared on every
-    column, certifies the cached S^2 as (deltahat|> .) . sigma, a composite
-    of verified maps.  radford-s4, dual-modular-links and modular-coproduct
-    stay on every index: they read the cached S^2, S^4 or sigma^-1 as
-    stored matrices, and nothing before them certifies those as algebra
-    maps, so a defect in one column shows only in that column.  So do
-    modular-flip, a pair law; the unit, counit and coassociativity rows;
-    star's involution and exchange rows, which run before the rows that
-    would cite them or read S^-1; and the right-integral and
-    modular-element rows.
+    radford-s4, dual-modular-links and modular-coproduct stay on every
+    index: they read the cached S^2, S^4 or sigma^-1 as stored matrices,
+    and nothing before them certifies those as algebra maps, so a defect
+    in one column shows only in that column.  So do modular-flip, a pair
+    law; the unit, counit and coassociativity rows; star's involution and
+    exchange rows, which run before the rows that would cite them or read
+    S^-1; and the right-integral and modular-element rows.
     """
     for head, *rows in groups:
         if head == 0:
