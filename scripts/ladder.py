@@ -192,6 +192,7 @@ def measure_faults(name: str, trees: dict) -> dict:
         for run in range(RUNS):
             for label, src in trees.items():
                 r = in_fresh_interpreter(src, "--time", name, *([fault] if fault else []))
+                dim = r["dim"]
                 case[label]["cpu_s"].append(round(r["cpu_s"], 3))
                 case[label]["checks_sha256"].add(r["checks_sha256"])
         for label, side in case.items():
@@ -204,7 +205,7 @@ def measure_faults(name: str, trees: dict) -> dict:
         print(f"{name} {fault or 'clean'}: median cpu "
               + ", ".join(f"{label} {case[label]['median_cpu_s']} s" for label in trees),
               file=sys.stderr)
-    return {"dim": r["dim"], "cases": cases}
+    return {"dim": dim, "cases": cases}
 
 
 def main(argv: list) -> int:
