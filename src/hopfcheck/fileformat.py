@@ -116,8 +116,9 @@ def _rows(raw, d: int, read, where: str):
 
 
 def _matrix(raw, d: int, read, where: str) -> Mat:
+    rows = list(_rows(raw, d, read, where))  # checks raw's shape before d columns exist
     columns: list = [[] for _ in range(d)]
-    for r, entries in _rows(raw, d, read, where):
+    for r, entries in rows:
         for c, x in entries:
             if not x.is_zero():  # an entry such as "0/1" parses to zero
                 columns[c].append((r, x))

@@ -11,9 +11,8 @@ the conjugate-linear T x = Star conj(x), Star = h.star.  So every operator
 statement is an exact identity between matrices over Q(zeta_n).
 
 These stages run only after `algebra` and `star` (and, for the dual,
-`dual-algebra` and `dual-star`) have passed, since a stage that FAILs
-passes no value on (pipeline.run_pipeline), and only once the verdict says
-B is positive definite.  That verdict alone is read in floats (eigenvalues
+`dual-algebra` and `dual-star`) have passed, the checks they cite
+(pipeline.STAGES), and only once the verdict says B is positive definite.  That verdict alone is read in floats (eigenvalues
 of B), and --tolerance is its tolerance.  Most operator laws restate an
 axiom that has then passed exactly; each is proved in its check's
 docstring and not compared again.  The rest are compared entry by entry
@@ -157,7 +156,8 @@ def kac_collapse_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: El
                        psi_hat: Elem, b_hat: Mat, tol: float = 1e-9) -> Check:
     """A positive integral forces the whole modular family to collapse.
     The caller runs this only once phi is known to be positive; b_hat is
-    the star-Gram of psi_hat on hd."""
+    the star-Gram of psi_hat on hd, whose star the dual verdict reads, so
+    the stage cites dual-star."""
     if not h.s2.is_identity():
         return fail("kac-collapse", "S^2 != id")
     if not md.sigma.is_identity() or not md.sigma_prime.is_identity():

@@ -661,7 +661,7 @@ def group_like_closure_check(h: HopfData, likes: list) -> Check:
         `antipode-derived`.  So S(g) is in likes, and S(g) g = eps(g) 1 = 1
         by `antipode`, so it is g's inverse.
 
-    The pipeline runs this stage on h once `core` holds (h's six axiom
-    checks passed) and on the dual once `dual_ok` does (the dual's six).
+    The group-likes stage cites these three checks of h, and
+    dual-group-likes the dual's three (pipeline.STAGES).
     """
     return ok("group-likes")

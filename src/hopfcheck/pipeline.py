@@ -2,17 +2,17 @@
 
 STAGES is the pipeline, run in order.  A Stage gives the names of the
 checks it prints, each stating its law report.LAWS[name]; the keys of
-PipelineResult.values it requires; whether it also needs a positive left
-integral; and run(h, values), which returns its checks and sets its values.
-run_pipeline applies three rules to every stage:
+PipelineResult.values it reads (requires); the checks its proof cites;
+whether it also needs a positive left integral; and run(h, values), which
+returns its checks and sets its values.  run_pipeline applies three rules:
 - Commit: a stage runs on a copy of values, kept only when none of its
   checks FAILs, so a failure is reported once, where it arises, and all
   that depends on it SKIPs.  A SKIP commits: the positivity verdict must.
-  A stage that hands on no object sets a flag (_flag) for the checks whose
-  proofs cite it to require.
 - Skip (_skip_reason): a positivity-gated stage skips with the verdict when
   it is not `positive`, and with `prerequisite-failed` when there is none;
-  else a stage missing a required value skips with `prerequisite-failed`.
+  else a stage skips with `prerequisite-failed` when a value it requires is
+  missing or a check it cites is not in values["passed"] (printed PASS),
+  so no stage that runs without a star cites `star` or `dual-star`.
 - Raise: when run raises a HopfError e, the checks before the one e.stage
   names (before the first, when it names none) PASS, that check FAILs with
   str(e), and the rest SKIP with `prerequisite-failed`; a stage that
@@ -37,11 +37,14 @@ from .hopf import HopfData, find_group_likes, full_axiom_suite, group_like_closu
 from .integrals import (compute_modular, gram_matrix, left_integral, modular_element,
                         modular_identity_checks, star_gram)
 from .radford import counimodular_check, half_power_check, radford_check, radford_factorization
-from .report import FAIL, fail, ok, skip
+from .report import FAIL, PASS, fail, ok, skip
 
 _AXIOMS = ("algebra", "coalgebra", "bialgebra", "antipode", "antipode-derived", "star")
 _INTEGRALS = ("left-integral", "right-integral", "modular-element", "modular-automorphism",
               "modular-automorphism-right", "scaling-constant")
+_TRANSPOSED = tuple("dual-" + name for name in _AXIOMS[:5])
+_S4 = ("dual-modular-links", "radford-s4")
+_ON_STAR = ("algebra", "star")  # what the operator proofs on h's GNS space cite
 _PREREQ = "prerequisite-failed"
 
 
@@ -62,11 +65,12 @@ class Stage(NamedTuple):
     names: tuple
     requires: tuple
     run: Callable
+    cites: tuple = ()
     positive: bool = False
 
 
 def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
-    res = PipelineResult(h=h, values={"tolerance": tol})
+    res = PipelineResult(h=h, values={"tolerance": tol, "passed": frozenset()})
     for stage in STAGES:
         reason = _skip_reason(stage, res.values)
         if reason is not None:
@@ -83,6 +87,7 @@ def run_pipeline(h: HopfData, tol: float = 1e-9) -> PipelineResult:
         res.checks.extend(checks)
         if not any(c.status == FAIL for c in checks):
             res.values = values
+        res.values["passed"] |= {c.name for c in checks if c.status == PASS}
     return res
 
 
@@ -90,7 +95,9 @@ def _skip_reason(stage: Stage, values: dict) -> str | None:
     verdict = values.get("positivity", (None,))[0]
     if stage.positive and verdict != "positive":
         return verdict or _PREREQ
-    return _PREREQ if any(values.get(key) is None for key in stage.requires) else None
+    ready = values["passed"].issuperset(stage.cites) and all(
+        values.get(key) is not None for key in stage.requires)
+    return None if ready else _PREREQ
 
 
 def _axioms(h: HopfData, v: dict) -> list:
@@ -105,8 +112,8 @@ def _axioms(h: HopfData, v: dict) -> list:
 
 def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> list:
     """All group-likes of a, reported as name by their closure check, whose
-    PASS is a proof from the finder's exact count and the axiom checks that
-    gate this stage (see hopf.group_like_closure_check).  Each candidate is
+    PASS is a proof from the finder's exact count and the checks this stage
+    cites (see hopf.group_like_closure_check).  Each candidate is
     confirmed on the generators of dual, which is a's dual once the
     transposition certificate holds, and on every row otherwise (see
     hopf.is_group_like)."""
@@ -121,18 +128,10 @@ def _integrals(h: HopfData, v: dict) -> list:
     return [ok(name) for name in _INTEGRALS]
 
 
-def _flag(key: str, run: Callable) -> Callable:
-    """run, which also sets values[key] = True: the flag commits, so that a
-    later stage may require it, only when none of run's checks FAILs."""
-    def flagged(h: HopfData, v: dict) -> list:
-        v[key] = True
-        return run(h, v)
-    return flagged
-
-
 def _dual_integrals(h: HopfData, v: dict) -> list:
     """The dual left integral, solved once: the kernel cross-check of
-    compute_dual_integrals and dual-modular-element both read it."""
+    compute_dual_integrals and dual-modular-element both read it.  hd's
+    integral theory and the solve on h's generators cite the transposed checks."""
     v["dual_phi"] = left_integral(v["dual"], h.generators)
     v["psi_hat"] = compute_dual_integrals(h, v["modular"], v["dual"], v["dual_phi"])[0]
     return [ok("dual-integrals")]
@@ -164,49 +163,48 @@ def _gns(h: HopfData, v: dict) -> list:
 
 STAGES = (
     Stage(_AXIOMS, (), _axioms),
-    Stage(("group-likes",), ("core",),
-          lambda h, v: _group_likes(h, v["dual"], "group-likes", v, "group_likes")),
+    Stage(("group-likes",), ("dual",),
+          lambda h, v: _group_likes(h, v["dual"], "group-likes", v, "group_likes"),
+          cites=("bialgebra", "antipode", "antipode-derived")),
     Stage(_INTEGRALS, ("dual",), _integrals),
     Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
            "modular-commutation", "modular-scaling", "modular-flip"),
-          ("modular",), _flag("identities_ok",
-                              lambda h, v: modular_identity_checks(h, v["modular"]))),
-    Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",), _flag(
-        "dual_ok", lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"]))),
-    Stage(("dual-group-likes",), ("dual_ok",),
-          lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes")),
-    # the certificate and h's coalgebra check (core[1]), both from _axioms
-    Stage(("pairing-actions",), ("dual_ok",),
-          lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])]),
-    Stage(("dual-integrals",), ("modular", "dual_ok"), _dual_integrals),
+          ("modular",), lambda h, v: modular_identity_checks(h, v["modular"])),
+    Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",),
+          lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])),
+    Stage(("dual-group-likes",), ("dual",),
+          lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes"),
+          cites=("dual-bialgebra", "dual-antipode", "dual-antipode-derived")),
+    Stage(("pairing-actions",), ("core",),
+          lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])], cites=_TRANSPOSED),
+    Stage(("dual-integrals",), ("modular",), _dual_integrals, cites=_TRANSPOSED),
     Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element),
-    Stage(("dual-modular-links", "radford-s4"), ("modular", "delta_hat"), _flag(
-        "radford_ok", lambda h, v: [check(h, v["modular"], v["dual"], v["delta_hat"])
-                                    for check in (dual_modular_links, radford_check)])),
-    # a check that compares nothing requires the values of the checks its proof cites
-    Stage(("radford-factorization",), ("core", "modular", "identities_ok", "radford_ok"),
-          lambda h, v: [radford_factorization()]),
-    Stage(("s2-conjugation",), ("core", "modular", "delta_hat", "radford_ok"),
-          lambda h, v: [counimodular_check(h, v["delta_hat"])]),
-    # its rows run on the generators once radford_ok certifies S^2 as an algebra map
+    Stage(_S4, ("modular", "delta_hat"), lambda h, v: [
+        check(h, v["modular"], v["dual"], v["delta_hat"])
+        for check in (dual_modular_links, radford_check)]),
+    Stage(("radford-factorization",), (), lambda h, v: [radford_factorization()], cites=(
+        "coalgebra", "antipode", "antipode-derived", "modular-element", "modular-conjugation",
+        *_S4)),
+    Stage(("s2-conjugation",), ("delta_hat",), lambda h, v: [counimodular_check(
+        h, v["delta_hat"])], cites=("coalgebra", "antipode-derived", "modular-automorphism", *_S4)),
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
-          lambda h, v: [half_power_check(h, v["modular"], v["dual"], v["delta_hat"],
-                                         v["group_likes"], v["dual_likes"],
-                                         h.generators if v.get("radford_ok") else None)]),
+          lambda h, v: [half_power_check(
+              h, v["modular"], v["dual"], v["delta_hat"], v["group_likes"], v["dual_likes"],
+              h.generators if v["passed"].issuperset(_S4) else None)]),
     Stage(("positivity",), ("modular",), _positivity),
     Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),
-          _flag("kac_ok", lambda h, v: [kac_collapse_check(
-              h, v["modular"], v["dual"], v["delta_hat"], v["psi_hat"], v["dual_star_gram"],
-              v["tolerance"])]), positive=True),
+          lambda h, v: [kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"],
+                                           v["psi_hat"], v["dual_star_gram"], v["tolerance"])],
+          cites=("dual-star",), positive=True),
     # "gns" is the star-Gram that gns_build certified as an inner product
-    Stage(("gns-representation",), ("star_gram",), _gns, positive=True),
-    Stage(("tomita-commutant",), ("gns",),
-          lambda h, v: [tomita_check(h, v["gns"])], positive=True),
-    # the operator identity, on h's GNS space and the dual's
-    Stage(("operator-radford",), ("gns", "dual_star_gram", "kac_ok"),
-          _flag("operator_ok", lambda h, v: [operator_radford_check(
-              h, v["dual"], v["modular"], v["gns"], gns_build(v["dual"], v["dual_star_gram"]))]),
+    Stage(("gns-representation",), ("star_gram",), _gns, cites=_ON_STAR, positive=True),
+    Stage(("tomita-commutant",), ("gns",), lambda h, v: [tomita_check(h, v["gns"])],
+          cites=_ON_STAR, positive=True),
+    Stage(("operator-radford",), ("gns", "dual_star_gram"), lambda h, v: [operator_radford_check(
+        h, v["dual"], v["modular"], v["gns"], gns_build(v["dual"], v["dual_star_gram"]))],
+        cites=(*_ON_STAR, "dual-algebra", "dual-star", "kac-collapse", "tomita-commutant"),
+        positive=True),
+    Stage(("plancherel",), (), lambda h, v: [plancherel_check()], cites=("operator-radford",),
           positive=True),
-    Stage(("plancherel",), ("operator_ok",), lambda h, v: [plancherel_check()], positive=True),
     Stage(("biduality",), ("dual",), lambda h, v: [biduality_check(h, v["dual"])]),
 )

@@ -69,8 +69,8 @@ def radford_check(h: HopfData, md: ModularData, hd: HopfData,
 def radford_factorization() -> Check:
     """Each factor of the fourth-power identity, then their composition:
     each is a law another check has compared, so this compares nothing.
-    It runs once the axiom suite, modular-element, modular-conjugation,
-    dual-modular-links and radford-s4 have passed.
+    It cites coalgebra, antipode, antipode-derived, modular-element,
+    modular-conjugation, dual-modular-links and radford-s4.
 
       - The left and right factors are dual-modular-links' left and right
         action links: the same two comparisons on the basis.
@@ -94,9 +94,9 @@ def counimodular_check(h: HopfData, delta_hat: Elem) -> Check:
     makes phi( . r) a trace.  A root r of delta need not be one: in C[S3]
     every transposition s has s^2 = 1 = delta and S^2 = id, yet
     s^-1 c s = c^2 for a 3-cycle c.  deltahat = eps, the unit of the
-    dual, is the one comparison; the rest follows from the axiom suite,
-    modular-automorphism, dual-modular-links and radford-s4, which have
-    passed before this runs.
+    dual, is the one comparison; the rest follows from the checks it cites:
+    coalgebra, antipode-derived, modular-automorphism, dual-modular-links
+    and radford-s4.
 
       - deltahat^-1 = eps.S = eps by `antipode-derived`, and
         eps|>x = x = x<|eps by the counit law.
@@ -129,8 +129,8 @@ def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem
     so rhat |> . and . <| rhat^-1 are (D multiplicative), and r^-1 = S(r).
     The cached S^2 is one once dual-modular-links' sigma link has held on
     every column: S^2(a) = deltahat |> sigma(a), with sigma a verified
-    automorphism.  So run_pipeline passes h.generators once that stage has
-    passed (radford_ok), and the generators decide every pair
+    automorphism.  So run_pipeline passes h.generators once dual-modular-links
+    and radford-s4 have printed PASS, and the generators decide every pair
     (report.first_failure)."""
     roots = group_like_roots(h, likes, md.delta)
     dual_roots = group_like_roots(hd, dual_likes, delta_hat)

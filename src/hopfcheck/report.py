@@ -193,7 +193,7 @@ def first_failure(dim: int, *groups) -> str | None:
         integrals' invariance rows: the axiom suite (A associative, eps
         multiplicative).
       - S^2(a) = r^-1(rhat|>a<|rhat^-1)r, s2-half-power: dual-modular-links
-        and radford-s4 (radford_ok).  The right side is an algebra map for
+        and radford-s4 (both PASS).  The right side is an algebra map for
         characters rhat and group-likes r, and dual-modular-links' sigma
         link, compared on every column, certifies the cached S^2 as
         (deltahat|> .) . sigma, a composite of verified maps.

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, determinism, fault detection."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -341,6 +342,26 @@ def test_unreadable_files_give_one_error_line(tmp_path, capsys, command, content
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
 
+
+
+@pytest.mark.parametrize("name", ["C[S3]", "sweedler"])
+def test_a_huge_dim_is_rejected_before_anything_is_allocated(tmp_path, zoo, name):
+    # the star is read first, and its d columns were once allocated before
+    # the array's length was checked, so dim = 10**30 raised MemoryError; the
+    # child's address space is capped so that such a defect fails here
+    # instead of exhausting the machine's memory
+    from hopfcheck.fileformat import hopf_to_text
+
+    doc = json.loads(hopf_to_text(zoo[name]))
+    doc["dim"] = d = 10**30
+    p = tmp_path / "huge.hopf"
+    p.write_text(json.dumps(doc))
+    cap = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcheck.cli", "verify", str(p)], capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"error: star: expected a {d}x{d} array"]
 
 def test_internal_value_error_is_not_reported_as_bad_input(sweedler_file, monkeypatch):
     import hopfcheck.cli
