@@ -172,8 +172,7 @@ def verify_pairing(failure: str | None, coalgebra: Check) -> Check:
     Each law thus holds exactly when its certificate row or coalgebra row
     does, so the status is that of scanning every law over every index;
     only a FAIL's detail names the certificate or the coalgebra row.  The
-    pipeline's stage cites the transposed dual checks, which print the
-    certificate."""
+    pipeline's stage cites the transposed dual checks, which print it."""
     if failure is None and not coalgebra.passed():
         failure = coalgebra.detail
     return ok("pairing-actions") if failure is None else fail("pairing-actions", failure)

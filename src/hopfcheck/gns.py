@@ -12,11 +12,12 @@ statement is an exact identity between matrices over Q(zeta_n).
 
 These stages run only after `algebra` and `star` (and, for the dual,
 `dual-algebra` and `dual-star`) have passed, the checks they cite
-(pipeline.STAGES), and only once the verdict says B is positive definite.  That verdict alone is read in floats (eigenvalues
-of B), and --tolerance is its tolerance.  Most operator laws restate an
-axiom that has then passed exactly; each is proved in its check's
-docstring and not compared again.  The rest are compared entry by entry
-through report.law_check.  Each law and the check that decides it:
+(pipeline.STAGES), and only once the verdict says B is positive definite.
+That verdict alone is read in floats (eigenvalues of B), and --tolerance
+is its tolerance.  Most operator laws restate an axiom that has then
+passed exactly; each is proved in its check's docstring and not compared
+again.  The rest are compared entry by entry through report.law_check.
+Each law and the check that decides it:
 
   law                                     decided by
   rep(1) = 1: L_1 = I                     algebra, unit rows

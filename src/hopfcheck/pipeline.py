@@ -182,11 +182,11 @@ STAGES = (
     Stage(_S4, ("modular", "delta_hat"), lambda h, v: [
         check(h, v["modular"], v["dual"], v["delta_hat"])
         for check in (dual_modular_links, radford_check)]),
-    Stage(("radford-factorization",), (), lambda h, v: [radford_factorization()], cites=(
-        "coalgebra", "antipode", "antipode-derived", "modular-element", "modular-conjugation",
-        *_S4)),
-    Stage(("s2-conjugation",), ("delta_hat",), lambda h, v: [counimodular_check(
-        h, v["delta_hat"])], cites=("coalgebra", "antipode-derived", "modular-automorphism", *_S4)),
+    Stage(("radford-factorization",), (), lambda h, v: [radford_factorization()],
+          cites=("coalgebra", "antipode", "antipode-derived", "modular-element",
+                 "modular-conjugation", *_S4)),
+    Stage(("s2-conjugation",), ("delta_hat",), lambda h, v: [counimodular_check(h, v["delta_hat"])],
+          cites=("coalgebra", "antipode-derived", "modular-automorphism", *_S4)),
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(
               h, v["modular"], v["dual"], v["delta_hat"], v["group_likes"], v["dual_likes"],

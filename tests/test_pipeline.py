@@ -40,7 +40,7 @@ def test_a_stage_runs_only_once_every_check_it_cites_has_passed(monkeypatch, zoo
     # reason included; bialgebra cites nothing, so an uncited FAIL leaves it
     # running
     monkeypatch.setattr(pipeline, "STAGES", (
-        Stage(("algebra",), (), lambda h, v: [Check("algebra", status, "made-to-" + status.lower())]),
+        Stage(("algebra",), (), lambda h, v: [Check("algebra", status, "made-" + status.lower())]),
         Stage(("coalgebra",), (), lambda h, v: [ok("coalgebra")], cites=("algebra",)),
         Stage(("bialgebra",), (), lambda h, v: [ok("bialgebra")]),
     ))
