@@ -12,7 +12,8 @@ sides alike and no run inherits another's caches.  A run builds the member
 and times `run_pipeline` by wall time and by process CPU time
 (time.process_time, which leaves out the time the process waits); each run
 is printed to stderr as it ends, and the CPU-time medians after each member.
-Each run also times every stage of `pipeline.STAGES` that runs, by process
+Each run also records its peak RSS (ru_maxrss of its fresh interpreter, so
+building the member counts too), and times every stage of `pipeline.STAGES` that runs, by process
 CPU time, under the name of the stage's first check, so that a growth
 exponent can be fitted per stage over the members of one family.
 
@@ -24,8 +25,8 @@ and kac).  The member file is written to a temporary directory (TMPDIR
 decides where).
 
 The script prints one JSON record: for each member its dim and, for each
-tree, every run's wall and CPU time, the median of each, the median CPU
-time of each stage and the digest, plus whether the digests of the two
+tree, every run's wall and CPU time and peak RSS, the median of each, the
+median CPU time of each stage and the digest, plus whether the digests of the two
 trees are equal.  It is not part of the test suite: the whole ladder takes
 minutes.
 
@@ -48,7 +49,7 @@ from pathlib import Path
 
 RUNS = 3
 MEMBER_NAMES = ([f"taft({n})" for n in (*range(4, 13), 16)] + ["sweedler^(x)3", "sweedler^(x)4"]
-                + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96, 128)])
+                + [f"C[Z{n}]" for n in (18, 24, 36, 48, 96, 128, 256)])
 FAULT_MEMBERS = ["taft(8)", "taft(10)", "sweedler^(x)3", "C[Z48]"]
 FAULTS = [f"{table}:{end}" for table in ("mult", "comult", "antipode")
           for end in ("first", "last")]
@@ -93,8 +94,10 @@ def corrupt(h, fault: str):
 def time_run(name: str, fault: str | None = None) -> dict:
     """One timed run_pipeline on a freshly built member, corrupted by fault
     when given, with the CPU time of each stage that runs, keyed by the
-    stage's first check name, and the sha256 of the CHECK lines."""
+    stage's first check name, the sha256 of the CHECK lines and the
+    process's peak RSS in MB."""
     import hashlib
+    import resource
     import time
 
     from hopfcheck import pipeline, run_pipeline
@@ -119,7 +122,9 @@ def time_run(name: str, fault: str | None = None) -> dict:
     wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     checks = "\n".join(res.report_lines()).encode()
     return {"dim": h.dim, "wall_s": wall, "cpu_s": cpu, "stage_cpu_s": stage_cpu,
-            "checks_sha256": hashlib.sha256(checks).hexdigest()}
+            "checks_sha256": hashlib.sha256(checks).hexdigest(),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def transcript_sha256(name: str) -> dict:
@@ -155,7 +160,8 @@ def in_fresh_interpreter(src: str, mode: str, *args: str) -> dict:
 
 
 def measure(name: str, trees: dict) -> dict:
-    sides = {label: {"runs_s": [], "cpu_s": [], "stage_cpu_s": []} for label in trees}
+    sides = {label: {"runs_s": [], "cpu_s": [], "peak_rss_mb": [], "stage_cpu_s": []}
+             for label in trees}
     dim = None
     for run in range(1, RUNS + 1):
         for label, src in trees.items():
@@ -163,13 +169,15 @@ def measure(name: str, trees: dict) -> dict:
             dim = r["dim"]
             sides[label]["runs_s"].append(round(r["wall_s"], 3))
             sides[label]["cpu_s"].append(round(r["cpu_s"], 3))
+            sides[label]["peak_rss_mb"].append(round(r["peak_rss_mb"], 1))
             sides[label]["stage_cpu_s"].append(r["stage_cpu_s"])
-            print(f"{name} {label} run {run}: {r['wall_s']:.3f} s wall, {r['cpu_s']:.3f} s cpu",
-                  file=sys.stderr)
+            print(f"{name} {label} run {run}: {r['wall_s']:.3f} s wall, {r['cpu_s']:.3f} s cpu, "
+                  f"{r['peak_rss_mb']:.1f} MB peak", file=sys.stderr)
     for label, src in trees.items():
         side = sides[label]
         side["median_s"] = round(statistics.median(side["runs_s"]), 3)
         side["median_cpu_s"] = round(statistics.median(side["cpu_s"]), 3)
+        side["median_peak_rss_mb"] = round(statistics.median(side["peak_rss_mb"]), 1)
         runs = side.pop("stage_cpu_s")
         side["stage_median_cpu_s"] = {stage: round(statistics.median(run[stage] for run in runs
                                                                      if stage in run), 4)

@@ -489,12 +489,17 @@ def is_group_like(h: HopfData, g: Elem, first: tuple | None = None) -> bool:
     Of those, only the rows that g reaches are read: a in supp g, or a left
     factor of D(e_k) for some k in supp g.  Any other row is empty on both
     sides by construction, on any tables, so the verdict is the scan's.
+    Given `first`, each of its indices is tested for reach, and the reach
+    set itself is not built.
     """
     rows, at = h.comult.rows, dict(g.support)
-    reach = at.keys() | {a for k in at for a in rows[k]}
+    if first is None:
+        scan = sorted(at.keys() | {a for k in at for a in rows[k]})
+    else:
+        scan = [a for a in first if a in at or any(a in rows[k] for k in at)]
     return first_failure(
         h.dim, (0, ("", lambda: h.counit_of(g), lambda: CYC_ONE)),
-        ((1, sorted(reach if first is None else reach.intersection(first))),
+        ((1, scan),
          ("", lambda a: sparse_sum((j, x * c) for k, x in g.support
                                    for j, c in rows[k].get(a, ())),
           lambda a: {b: at[a] * y for b, y in g.support} if a in at else {}))
@@ -550,8 +555,9 @@ def _key(g: Elem, n: int) -> tuple:
     return tuple(out)
 
 
-def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
-    """All group-likes of h, counted exactly and confirmed exactly.
+def _group_like_span(h: HopfData) -> tuple:
+    """(free, basis): an exact basis of J^perp = span G(H), each vector 1 at
+    its own free slot, and those slots in order.
 
     G(H) is the set of characters of A = H^* (Montgomery, CBMS 82), where
     e_a^ e_b^ = sum_k comult[k][a][b] e_k^.  Their common kernel is
@@ -559,29 +565,11 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     (Dickson's criterion, characteristic 0).  A[A,A], the span of the e_c v
     for v in [A,A], is already a two-sided ideal: [a,b]c = [a,bc] - b[a,c]
     gives A[A,A]A = A[A,A].  A/J is commutative semisimple, so |G(H)| is
-    n = dim J^perp.  The group-likes span J^perp, where the right-slot
-    operators R_j(e_k) = sum_i comult[k][i][j] e_i commute and R_j g = g_j g,
-    so one eigenproblem on a fixed combination gives each coordinate g_j as
-    an eigenvalue.  It is read off each unit eigenvector v as (R_j v)_p / v_p
-    at its largest coordinate p, where |v_p| >= n^-1/2: d n^2 work, with no
-    inverse of the eigenbasis.  Each is rounded by _exactify and each
-    candidate is confirmed with the exact coproduct, by is_group_like(h, g,
-    first); NumericalFailure is raised unless n of them are, so a returned
-    list is all of G(H).
-
-    The list is sorted by the sort_key of every coordinate, zeros included,
-    over the lcm of the found coefficient orders.  sort_key reads only the
-    stored (order, num, den), so each distinct one is keyed once: the many
-    zeros and roots of unity a group-like list repeats cost one key each.
-    """
-    import numpy as np
-
+    n = dim J^perp, and the group-likes, linearly independent, span it."""
     d = h.dim
     dual_mul = [[[] for _ in range(d)] for _ in range(d)]  # e_a^ e_b^ as (k, coeff)
-    r_ops = np.zeros((d, d, d), dtype=complex)            # r_ops[j][i][k] = comult[k][i][j]
     for (k, a, b), c in h.comult.items():
         dual_mul[a][b].append((k, c))
-        r_ops[b, a, k] += c.to_complex()
 
     def times(a: int, u: dict) -> dict:  # e_a^ u
         return sparse_sum((k, x * c) for b, x in u.items() for k, c in dual_mul[a][b])
@@ -603,25 +591,77 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
         for a in range(d):
             reduce_into(rows, times(a, u))
     free = sorted(set(range(d)) - {p for p, _ in rows})
-    basis = null_basis(rows, d)  # J^perp, each vector 1 at its own free slot
-    n = len(basis)
+    return free, null_basis(rows, d)
 
+
+def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
+    """All group-likes of h, counted exactly and confirmed exactly.
+
+    J^perp = span G(H) and n = |G(H)| = dim J^perp are exact
+    (_group_like_span).  On J^perp the right-slot operators
+    R_j(e_k) = sum_i comult[k][i][j] e_i commute and R_j g = g_j g, so for
+    weights w_j that separate the group-likes' eigenvalues each eigenvector
+    of R = sum_j w_j R_j is a multiple of one group-like g, and eps(g) = 1
+    fixes the multiple.  In the basis W of J^perp, R is the n x n matrix
+    A W, where A[i][k] = sum_j w_j comult[k][i][j] over the free slots i is
+    summed from the coproduct's nonzeros: per weight, O(nnz + d n^2) work
+    and O(d n) floats for A, W and the candidates W v, plus the n x n
+    eigenproblem, which is the only float decision.  No d x d x d array is
+    built.  A vector with eps(W v) near 0 or a coordinate that is not
+    finite, as a degenerate weight gives, is no candidate.
+
+    Each candidate coordinate is rounded to 12 decimals, and each distinct
+    rounded value is handed to _exactify once per call, so the zeros and
+    roots of unity a list repeats are matched once.  Each candidate is
+    confirmed with the exact coproduct, by is_group_like(h, g, first), and
+    NumericalFailure is raised unless n of them are, so a returned list is
+    all of G(H).
+
+    The list is sorted by the sort_key of every coordinate, zeros included,
+    over the lcm of the found coefficient orders.  sort_key reads only the
+    stored (order, num, den), so each distinct one is keyed once: the many
+    zeros and roots of unity a group-like list repeats cost one key each.
+    """
+    import numpy as np
+
+    d = h.dim
+    free, basis = _group_like_span(h)
+    n = len(basis)
     w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
-    ops = r_ops[:, free, :] @ w  # R_j on J^perp, in free-slot coordinates
+    eps = np.array([c.to_complex() for c in h.counit.coords])
+    slot = {i: s for s, i in enumerate(free)}
+    flat, cols, coeffs = [], [], []  # A[slot i][k] gets coeff * w_j at flat = slot i * d + k
+    for (k, i, j), c in h.comult.items():
+        if i in slot:
+            flat.append(slot[i] * d + k)
+            cols.append(j)
+            coeffs.append(c.to_complex())
+    flat, cols, coeffs = np.array(flat, dtype=int), np.array(cols, dtype=int), np.array(coeffs)
     orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
     field = lcm(*orders)  # every candidate coefficient lies in Q(zeta_field)
+    exact: dict = {}  # rounded value -> _exactify's answer
+
+    def exactify(x: complex) -> Cyc | None:
+        if x not in exact:
+            exact[x] = _exactify(x, orders)
+        return exact[x]
+
     found: list = []
     for theta in _WEIGHT_PHASES:
         if len(found) == n:
             break
-        weights = np.exp(2j * np.pi * theta * np.arange(1, d + 1) ** 2)
-        vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))[1]
-        p = np.abs(vecs).argmax(axis=0)
-        values = np.einsum("jmk,km->mj", ops[:, p, :], vecs) / vecs[p, np.arange(n)][:, None]
+        terms = coeffs * np.exp(2j * np.pi * theta * (cols + 1) ** 2)
+        a = np.bincount(flat, terms.real, n * d) + 1j * np.bincount(flat, terms.imag, n * d)
+        candidates = w @ np.linalg.eig(a.reshape(n, d) @ w)[1]
         confirmed: list = []
         seen: set = set()
-        for row in values:
-            coords = [_exactify(complex(x), orders) for x in row]
+        for vec, scale in zip(candidates.T, eps @ candidates):
+            if abs(scale) < 1e-9:
+                continue
+            vec = np.round(vec / scale, 12)
+            if not np.isfinite(vec).all():
+                continue
+            coords = [exactify(x) for x in vec.tolist()]
             if None in coords:
                 continue
             g = Elem.of(d, enumerate(coords))

@@ -190,7 +190,8 @@ STAGES = (
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(
               h, v["modular"], v["dual"], v["delta_hat"], v["group_likes"], v["dual_likes"],
-              h.generators if v["passed"].issuperset(_S4) else None)]),
+              h.generators if v["passed"].issuperset(_S4) else None)],
+          cites=("antipode", "dual-antipode")),
     Stage(("positivity",), ("modular",), _positivity),
     Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),
           lambda h, v: [kac_collapse_check(h, v["modular"], v["dual"], v["delta_hat"],

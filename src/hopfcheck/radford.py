@@ -115,8 +115,14 @@ def counimodular_check(h: HopfData, delta_hat: Elem) -> Check:
 
 
 def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
-    """All group-likes squaring to the target, in the canonical ordering."""
-    return [g for g in likes if h.mul(g, g) == target]
+    """All group-likes squaring to the target, in the canonical ordering.
+
+    For a group-like g, S(g) g = g S(g) = eps(g) 1 = 1 by `antipode`, so
+    g^2 = target exactly when g = target S(g): each group-like costs one
+    product by the target, a group-like too, in place of its square.  The
+    s2-half-power stage cites `antipode` and `dual-antipode` for the two
+    lists it filters."""
+    return [g for g in likes if g == h.mul(target, h.antipode_of(g))]
 
 
 def half_power_check(h: HopfData, md: ModularData, hd: HopfData, delta_hat: Elem,

@@ -141,3 +141,53 @@ def reference_tables(text: str) -> dict:
     out["counit"] = Elem.of(d, vector(doc["counit"], "counit"))
     out["antipode"] = matrix(doc["antipode"], "antipode")
     return out
+
+
+def find_group_likes_by_stack(h, first=None) -> list:
+    """hopf.find_group_likes as it was before its float step read one operator
+    per weight: the d x d x d stack r_ops[j][i][k] = comult[k][i][j] of the
+    right-slot operators, each restricted to J^perp, and every coordinate
+    g_j read off each unit eigenvector v as (R_j v)_p / v_p at its largest
+    coordinate p, each rounded by its own _exactify call.  J^perp, the exact
+    confirmation and the canonical sort are the package's."""
+    import numpy as np
+
+    from hopfcheck import hopf
+    from hopfcheck.cyclotomic import lcm
+    from hopfcheck.errors import NumericalFailure
+
+    d = h.dim
+    free, basis = hopf._group_like_span(h)
+    n = len(basis)
+    r_ops = np.zeros((d, d, d), dtype=complex)
+    for (k, a, b), c in h.comult.items():
+        r_ops[b, a, k] += c.to_complex()
+    w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
+    ops = r_ops[:, free, :] @ w  # R_j on J^perp, in free-slot coordinates
+    orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
+    field = lcm(*orders)
+    found: list = []
+    for theta in hopf._WEIGHT_PHASES:
+        if len(found) == n:
+            break
+        weights = np.exp(2j * np.pi * theta * np.arange(1, d + 1) ** 2)
+        vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))[1]
+        p = np.abs(vecs).argmax(axis=0)
+        values = np.einsum("jmk,km->mj", ops[:, p, :], vecs) / vecs[p, np.arange(n)][:, None]
+        confirmed: list = []
+        seen: set = set()
+        for row in values:
+            coords = [hopf._exactify(complex(x), orders) for x in row]
+            if None in coords:
+                continue
+            g = Elem.of(d, enumerate(coords))
+            key = hopf._key(g, field)
+            if key not in seen:
+                seen.add(key)
+                if hopf.is_group_like(h, g, first):
+                    confirmed.append(g)
+        found = max(found, confirmed, key=len)
+    if len(found) < n:
+        raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
+    key_order = lcm(1, *(c.order for g in found for _, c in g.support))
+    return sorted(found, key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))

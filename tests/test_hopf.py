@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -29,7 +30,7 @@ from hopfcheck import (
     taft,
     tensor_product,
 )
-from hopfcheck.errors import DimMismatch, FormatError
+from hopfcheck.errors import DimMismatch, FormatError, NumericalFailure
 from hopfcheck.zoo import cyclic_table
 from hopfcheck import hopf
 from hopfcheck.hopf import (
@@ -40,7 +41,7 @@ from hopfcheck.hopf import (
     verify_bialgebra,
     verify_coalgebra,
 )
-from helpers import entry, products
+from helpers import cop, entry, find_group_likes_by_stack, op, products
 
 AXIOM_CHECKS = ("algebra", "coalgebra", "bialgebra", "antipode",
                 "antipode-derived", "star")
@@ -706,3 +707,57 @@ def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, z
         tried.clear()
         assert find_group_likes(zoo[name]) == pipelines[name].values["group_likes"]
         assert all(a != b for a, b in itertools.combinations(tried, 2)), name
+
+
+def _stack_members(zoo):
+    """The members the finder is pinned to its d x d x d reference on."""
+    s = sweedler()
+    members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf, op, cop)]
+    members += [f(group_algebra(f"C[Z{n}]", cyclic_table(n)))
+                for n in (12, 24, 48) for f in (lambda h: h, dual_hopf)]
+    members.append(dual_hopf(tensor_product("s3", tensor_product("s2", s, s), s)))
+    return members
+
+
+def test_find_group_likes_matches_the_operator_stack_and_rounds_each_value_once(monkeypatch,
+                                                                               zoo):
+    # one n x n operator per weight must give the lists the stack of the d
+    # right-slot operators gave, and each distinct rounded coordinate must
+    # reach _exactify once per call
+    real = hopf._exactify
+    asked: list = []
+
+    def recording(value, orders):
+        asked.append(value)
+        return real(value, orders)
+
+    members = _stack_members(zoo)
+    want = [find_group_likes_by_stack(h) for h in members]
+    monkeypatch.setattr(hopf, "_exactify", recording)
+    for h, likes in zip(members, want):
+        asked.clear()
+        assert find_group_likes(h) == likes, h.name
+        assert len(asked) == len(set(asked)), h.name
+        assert all(x == complex(round(x.real, 12), round(x.imag, 12)) for x in asked), h.name
+    assert len(members) == 59 and sum(map(len, want)) == 356
+
+
+def test_a_degenerate_weight_fails_the_count_and_raises_nothing(monkeypatch, zoo):
+    # with theta = 0 every weight is 1, and sum_j R_j sends every character of
+    # Z3 but the trivial one to 0, so eigenvectors mix group-likes: each must
+    # be dropped, never rounded, and the count decides
+    members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf)]
+    want = [find_group_likes(h) for h in members]
+    monkeypatch.setattr(hopf, "_WEIGHT_PHASES", (0.0,))
+    failed = set()
+    for h, likes in zip(members, want):
+        try:
+            assert find_group_likes(h) == likes, h.name
+        except NumericalFailure as e:
+            assert re.fullmatch(rf"{re.escape(h.name)}: found \d+ of {len(likes)} group-likes",
+                                str(e))
+            failed.add(h.name)
+    assert {"C[Z3]^", "F(Z3)"} <= failed
+    checks = {c.name: c for c in run_pipeline(zoo["F(Z3)"]).checks}
+    assert checks["group-likes"].status == "FAIL"
+    assert re.fullmatch(r"F\(Z3\): found [0-2] of 3 group-likes", checks["group-likes"].detail)

@@ -105,6 +105,21 @@ def test_group_like_roots():
     assert h.mul(g2, g2) == g
 
 
+def test_group_like_roots_read_through_s_match_the_squares(pipelines):
+    # g^2 = t exactly when g = t S(g), as S(g) = g^-1 for a group-like g;
+    # every group-like of every member and dual serves as a target
+    targets = 0
+    for res in pipelines.values():
+        v = res.values
+        for a, likes in ((res.h, v["group_likes"]), (v["dual"], v["dual_likes"])):
+            for target in likes:
+                want = [g for g in likes if a.mul(g, g) == target]
+                assert group_like_roots(a, likes, target) == want, (a.name, target)
+                targets += 1
+    assert targets == sum(len(res.values["group_likes"]) + len(res.values["dual_likes"])
+                          for res in pipelines.values())
+
+
 def test_taft2_collapses_to_sweedler():
     # q = -1 recovers the four dimensional example exactly, all but its star
     import dataclasses
