@@ -605,10 +605,10 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     fixes the multiple.  In the basis W of J^perp, R is the n x n matrix
     A W, where A[i][k] = sum_j w_j comult[k][i][j] over the free slots i is
     summed from the coproduct's nonzeros: per weight, O(nnz + d n^2) work
-    and O(d n) floats for A, W and the candidates W v, plus the n x n
-    eigenproblem, which is the only float decision.  No d x d x d array is
-    built.  A vector with eps(W v) near 0 or a coordinate that is not
-    finite, as a degenerate weight gives, is no candidate.
+    and O(nnz + d n) floats for the entries, A, W and the candidates W v,
+    plus the n x n eigenproblem, the one float decision.  No d x d x d
+    array is built.  A vector with eps(W v) near 0 or a coordinate that is
+    not finite, as a degenerate weight gives, is no candidate.
 
     Each candidate coordinate is rounded to 12 decimals, and each distinct
     rounded value is handed to _exactify once per call, so the zeros and
