@@ -13,9 +13,10 @@ and times `run_pipeline` by wall time and by process CPU time
 (time.process_time, which leaves out the time the process waits); each run
 is printed to stderr as it ends, and the CPU-time medians after each member.
 Each run also records its peak RSS (ru_maxrss of its fresh interpreter, so
-building the member counts too), and times every stage of `pipeline.STAGES` that runs, by process
-CPU time, under the name of the stage's first check, so that a growth
-exponent can be fitted per stage over the members of one family.
+building the member counts too), and times every stage of `pipeline.STAGES`
+that runs, by process CPU time, under the name of the stage's first check,
+so that a growth exponent can be fitted per stage over the members of one
+family.
 
 Then one more interpreter per tree, not timed, takes the sha256 of what
 `hopfcheck verify` and then `hopfcheck report` print for the member's file.
@@ -26,9 +27,9 @@ decides where).
 
 The script prints one JSON record: for each member its dim and, for each
 tree, every run's wall and CPU time and peak RSS, the median of each, the
-median CPU time of each stage and the digest, plus whether the digests of the two
-trees are equal.  It is not part of the test suite: the whole ladder takes
-minutes.
+median CPU time of each stage and the digest, plus whether the digests of
+the two trees are equal.  It is not part of the test suite: the whole
+ladder takes minutes.
 
 --faults runs the fault ladder instead: each of FAULT_MEMBERS clean, then
 with one entry of mult, comult or the antipode raised by 1, at its first

@@ -709,16 +709,6 @@ def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, z
         assert all(a != b for a, b in itertools.combinations(tried, 2)), name
 
 
-def _stack_members(zoo):
-    """The members the finder is pinned to its d x d x d reference on."""
-    s = sweedler()
-    members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf, op, cop)]
-    members += [f(group_algebra(f"C[Z{n}]", cyclic_table(n)))
-                for n in (12, 24, 48) for f in (lambda h: h, dual_hopf)]
-    members.append(dual_hopf(tensor_product("s3", tensor_product("s2", s, s), s)))
-    return members
-
-
 def test_find_group_likes_matches_the_operator_stack_and_rounds_each_value_once(monkeypatch,
                                                                                zoo):
     # one n x n operator per weight must give the lists the stack of the d
@@ -731,7 +721,11 @@ def test_find_group_likes_matches_the_operator_stack_and_rounds_each_value_once(
         asked.append(value)
         return real(value, orders)
 
-    members = _stack_members(zoo)
+    s = sweedler()
+    members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf, op, cop)]
+    members += [f(group_algebra(f"C[Z{n}]", cyclic_table(n)))
+                for n in (12, 24, 48) for f in (lambda h: h, dual_hopf)]
+    members.append(dual_hopf(tensor_product("s3", tensor_product("s2", s, s), s)))
     want = [find_group_likes_by_stack(h) for h in members]
     monkeypatch.setattr(hopf, "_exactify", recording)
     for h, likes in zip(members, want):
@@ -744,8 +738,9 @@ def test_find_group_likes_matches_the_operator_stack_and_rounds_each_value_once(
 
 def test_a_degenerate_weight_fails_the_count_and_raises_nothing(monkeypatch, zoo):
     # with theta = 0 every weight is 1, and sum_j R_j sends every character of
-    # Z3 but the trivial one to 0, so eigenvectors mix group-likes: each must
-    # be dropped, never rounded, and the count decides
+    # Z3 but the trivial one to 0, so eigenvectors mix group-likes: one with
+    # eps near 0 must be dropped before it is rounded, the rest fail the
+    # exact confirmation, and the count decides
     members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf)]
     want = [find_group_likes(h) for h in members]
     monkeypatch.setattr(hopf, "_WEIGHT_PHASES", (0.0,))
