@@ -489,17 +489,12 @@ def is_group_like(h: HopfData, g: Elem, first: tuple | None = None) -> bool:
     Of those, only the rows that g reaches are read: a in supp g, or a left
     factor of D(e_k) for some k in supp g.  Any other row is empty on both
     sides by construction, on any tables, so the verdict is the scan's.
-    Given `first`, each of its indices is tested for reach, and the reach
-    set itself is not built.
     """
     rows, at = h.comult.rows, dict(g.support)
-    if first is None:
-        scan = sorted(at.keys() | {a for k in at for a in rows[k]})
-    else:
-        scan = [a for a in first if a in at or any(a in rows[k] for k in at)]
+    reach = at.keys() | {a for k in at for a in rows[k]}
     return first_failure(
         h.dim, (0, ("", lambda: h.counit_of(g), lambda: CYC_ONE)),
-        ((1, scan),
+        ((1, sorted(reach if first is None else reach.intersection(first))),
          ("", lambda a: sparse_sum((j, x * c) for k, x in g.support
                                    for j, c in rows[k].get(a, ())),
           lambda a: {b: at[a] * y for b, y in g.support} if a in at else {}))
