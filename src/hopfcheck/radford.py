@@ -121,7 +121,7 @@ def group_like_roots(h: HopfData, likes: list, target: Elem) -> list:
     g^2 = target exactly when g = target S(g): each group-like costs one
     product by the target, a group-like too, in place of its square.  The
     s2-half-power stage cites `antipode` and `dual-antipode` for the two
-    lists it filters."""
+    lists it filters, as the group-like stages that commit them do."""
     return [g for g in likes if g == h.mul(target, h.antipode_of(g))]
 
 
