@@ -27,8 +27,23 @@ def dual_hopf(h: HopfData) -> HopfData:
     dual is the transpose of h's S^-1 (read, or inverted once, on h), so
     no second inverse is computed."""
     d = h.dim
-    mult = Tensor3(d, {(i, j, k): c for (k, i, j), c in h.comult.items()})
-    comult = Tensor3(d, {(k, i, j): c for (i, j, k), c in h.mult.items()})
+    # Each table is read in index order, so every new row is built in its
+    # stored order: comult^(k, i, j) = mult(i, j, k) with i, then j,
+    # increasing; mult^(i, j, k) = comult(k, i, j) with k increasing, its
+    # slots j sorted once per row.
+    mult: list = [{} for _ in range(d)]
+    for k, row in enumerate(h.comult.rows):
+        for i, terms in row.items():
+            mult_i = mult[i]
+            for j, c in terms:
+                mult_i.setdefault(j, []).append((k, c))
+    comult: list = [{} for _ in range(d)]
+    for i, row in enumerate(h.mult.rows):
+        for j, terms in row.items():
+            for k, c in terms:
+                comult[k].setdefault(i, []).append((j, c))
+    mult = Tensor3.from_rows(d, [{j: row[j] for j in sorted(row)} for row in mult])
+    comult = Tensor3.from_rows(d, comult)
     star = None
     if h.star is not None:
         # e_j^* = sum_k conj( coefficient of e_j in S(e_k)^* ) e_k^

@@ -3,9 +3,17 @@ one elimination the package uses.
 
 Elem, Mat and Tensor3 store their nonzeros only, each in one form: an Elem
 its (index, coeff) pairs in increasing index, a Mat the Elem image of each
-basis vector, a Tensor3 the (c, value) pairs of each row (a, b).  Each
-constructor sums or keys its input by index and drops zeros, so equal
-objects compare equal whatever zeros they were built with.
+basis vector, a Tensor3 the (c, value) pairs of each row (a, b).  So equal
+objects compare equal whatever zeros they were built with.  Each
+constructor does only the work its input needs:
+
+  - Elem.of sums repeated indices, drops zeros and sorts;
+  - Mat.of and Tensor3(dim, entries) take a mapping, whose keys are
+    distinct: they range-check, drop zeros and sort, and sum nothing;
+  - transpose, identity, row_dicts, Tensor3.from_rows and the inverse
+    read off the elimination are built in their stored order from input
+    that is already canonical: nothing is summed, sorted or tested for
+    zero.  duality.dual_hopf builds its two tables the same way.
 
 One elimination serves the package, over a sparse row store: each row is
 a {col: coeff} dict of its nonzeros, and the callers hand in supports.
@@ -15,7 +23,7 @@ nonzero entry, its pivot.  That is one inverse per pivot and no other
 division.  reduced_echelon clears each pivot column in the other rows and
 sorts by pivot; both update a row by _subtract, which deletes the entries
 that cancel.  rank, solve_null_space (one Elem per free column) and
-mat_inverse feed the store the rows of m, read as m.transpose().images.
+mat_inverse feed the store the rows of m, read as m.row_dicts().
 
 No output depends on the elimination order.  A row space has exactly one
 set of pivot columns and one reduced echelon form, so the rank, the inverse
@@ -53,7 +61,11 @@ class Elem:
     @staticmethod
     def of(dim: int, pairs) -> "Elem":
         """The vector sum of the (index, value) pairs."""
-        support = tuple(sorted(sparse_sum(pairs).items()))  # the indices are distinct
+        acc: dict = {}
+        for i, v in pairs:
+            old = acc.get(i)
+            acc[i] = v if old is None else old + v
+        support = tuple(sorted([p for p in acc.items() if not p[1].is_zero()]))
         if support and not (0 <= support[0][0] and support[-1][0] < dim):
             raise DimMismatch(f"index outside a length-{dim} vector")
         return Elem(dim, support)
@@ -98,17 +110,20 @@ class Mat:
 
     @staticmethod
     def of(rows: int, cols: int, entries: dict) -> "Mat":
-        """The matrix with entry (i, j) = entries[i, j], zero elsewhere."""
+        """The matrix with entry (i, j) = entries[i, j], zero elsewhere.  The
+        keys are distinct, so nothing is summed: zeros are dropped and each
+        column sorted."""
         columns: list = [[] for _ in range(cols)]
         for (i, j), c in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimMismatch(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
-            columns[j].append((i, c))
-        return Mat(rows, cols, tuple(Elem.of(rows, col) for col in columns))
+            if not c.is_zero():
+                columns[j].append((i, c))
+        return Mat(rows, cols, tuple(Elem(rows, tuple(sorted(col))) for col in columns))
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat.of(n, n, {(i, i): CYC_ONE for i in range(n)})
+        return Mat(n, n, tuple(Elem(n, ((i, CYC_ONE),)) for i in range(n)))
 
     def apply(self, v: Elem) -> Elem:
         """self * v."""
@@ -126,8 +141,10 @@ class Mat:
         return Mat(self.rows, other.cols, tuple(self.apply(x) for x in other.images))
 
     def transpose(self) -> "Mat":
-        return Mat.of(self.cols, self.rows, {(j, i): c for j, col in enumerate(self.images)
-                                             for i, c in col.support})
+        """Each row of self, as row_dicts builds it, is already a canonical
+        support: nothing is summed or sorted."""
+        return Mat(self.cols, self.rows, tuple(Elem(self.cols, tuple(row.items()))
+                                               for row in self.row_dicts()))
 
     def conjugate(self) -> "Mat":
         """Every entry conjugated; conjugate().transpose() is the adjoint."""
@@ -136,8 +153,14 @@ class Mat:
             for col in self.images))
 
     def row_dicts(self) -> list:
-        """Row i as the sparse dict {j: self[i][j]}, for every i."""
-        return [dict(row.support) for row in self.transpose().images]
+        """Row i as the sparse dict {j: self[i][j]}, for every i.  The columns
+        are read in increasing j, so each dict lists its nonzeros in index
+        order."""
+        rows: list = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.images):
+            for i, c in col.support:
+                rows[i][j] = c
+        return rows
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -147,16 +170,31 @@ class Mat:
 class Tensor3:
     """A d x d x d table of scalars t(a, b, c) that stores only its nonzeros:
     rows[a] maps b to the (c, value) pairs with value nonzero, b and c
-    increasing.  Zeros are dropped on construction, so equal tables compare
-    equal whatever the mapping they were built from."""
+    increasing.  The constructor drops zeros, so equal tables compare equal
+    whatever the mapping they were built from; from_rows takes rows already
+    in that form."""
 
     def __init__(self, dim: int, entries: dict):
+        """The table with t(a, b, c) = entries[a, b, c], zero elsewhere: the
+        keys are range-checked and sorted, and zeros dropped."""
         rows: list = [{} for _ in range(dim)]
         for (a, b, c), v in sorted(entries.items()):
             if not (0 <= a < dim and 0 <= b < dim and 0 <= c < dim):
                 raise DimMismatch(f"entry ({a},{b},{c}) outside a {dim}x{dim}x{dim} table")
             if not v.is_zero():
                 rows[a].setdefault(b, []).append((c, v))
+        self._store(dim, rows)
+
+    @classmethod
+    def from_rows(cls, dim: int, rows: list) -> "Tensor3":
+        """The table whose rows[a] already maps b, increasing, to the list of
+        its (c, value) pairs, c increasing and value nonzero; nothing is
+        checked or sorted."""
+        t = cls.__new__(cls)
+        t._store(dim, rows)
+        return t
+
+    def _store(self, dim: int, rows: list) -> None:
         self.dim = dim
         self.rows = [{b: tuple(pairs) for b, pairs in row.items()} for row in rows]
 
@@ -230,10 +268,10 @@ def null_basis(rows: list, ncols: int) -> list:
 
 
 def _row_store(m: Mat) -> list:
-    """A reduce_into row store of m's rows, read off m.transpose()."""
+    """A reduce_into row store of m's rows, read as m.row_dicts()."""
     rows: list = []
-    for row in m.transpose().images:
-        reduce_into(rows, row.support)
+    for row in m.row_dicts():
+        reduce_into(rows, row)
     return rows
 
 
@@ -256,5 +294,9 @@ def mat_inverse(m: Mat) -> "Mat":
     missing = next((c for c, (p, _) in enumerate(rows) if p != c), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
-    return Mat.of(n, n, {(i, k - n): c for i, (_, row) in enumerate(rows)
-                         for k, c in row.items() if k >= n})
+    columns: list = [[] for _ in range(n)]
+    for i, (_, row) in enumerate(rows):  # i increasing: each column is built sorted
+        for k, c in row.items():
+            if k >= n:
+                columns[k - n].append((i, c))
+    return Mat(n, n, tuple(Elem(n, tuple(col)) for col in columns))
