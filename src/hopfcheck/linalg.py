@@ -13,7 +13,8 @@ constructor does only the work its input needs:
   - transpose, identity, row_dicts, Tensor3.from_rows and the inverse
     read off the elimination are built in their stored order from input
     that is already canonical: nothing is summed, sorted or tested for
-    zero.  duality.dual_hopf builds its two tables the same way.
+    zero.  duality.dual_hopf builds its two tables the same way, sorting
+    only the second-slot keys of each product row.
 
 One elimination serves the package, over a sparse row store: each row is
 a {col: coeff} dict of its nonzeros, and the callers hand in supports.

@@ -31,7 +31,7 @@ from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalge
 from hopfcheck.integrals import gram_matrix, star_gram
 from hopfcheck.linalg import Mat, Tensor3
 from hopfcheck.zoo import cyclic_table, group_algebra, taft
-from helpers import entry, mat_from_rows, rebased
+from helpers import cop, entry, mat_from_rows, op, opcop, rebased
 
 
 def vec(*coords):
@@ -68,6 +68,21 @@ def test_double_dual_is_the_identity(zoo):
         hdd = dual_hopf(dual_hopf(h))
         assert same_structure(hdd, h)
         assert hdd.name == h.name
+
+
+def test_dual_tables_are_the_permuted_entries_in_index_order(zoo):
+    """dual_hopf builds its tables row by row; they must be the tables the
+    sorting constructor makes from the permuted entries, and list them in
+    index order."""
+    for base in zoo.values():
+        for h in (base, op(base), cop(base), opcop(base), dual_hopf(base)):
+            hd, d = dual_hopf(h), h.dim
+            assert hd.mult == Tensor3(d, {(i, j, k): c for (k, i, j), c in h.comult.items()})
+            assert hd.comult == Tensor3(d, {(k, i, j): c for (i, j, k), c in h.mult.items()})
+            for t in (hd.mult, hd.comult):
+                keys = [key for key, _ in t.items()]
+                assert keys == sorted(keys), h.name
+                assert all(type(pairs) is tuple for row in t.rows for pairs in row.values())
 
 
 def verify_dual(hd):
@@ -482,3 +497,23 @@ def test_one_run_evaluates_each_shared_law_once(monkeypatch, zoo, name):
     run_pipeline(zoo[name])
     assert calls == {"transpose_failure": 1, "verify_coalgebra": 1, "s2_order": 0,
                      "star_gram": STAR_GRAMS[name]}
+
+
+def test_store_reads_of_canonical_input_sum_nothing(monkeypatch, zoo):
+    """The transpose, the identity, the elimination's row store, the inverse
+    and the dual's tables are read off stored forms that are already
+    canonical, so none of them goes through the summing constructors."""
+    from hopfcheck import linalg
+    from hopfcheck.linalg import mat_inverse, rank
+
+    def summed(*args):
+        raise AssertionError("summed a canonical input")
+
+    monkeypatch.setattr(linalg.Elem, "of", staticmethod(summed))
+    monkeypatch.setattr(linalg, "sparse_sum", summed)
+    for h in zoo.values():
+        s = h.antipode
+        assert s.transpose().transpose() == s
+        assert rank(s) == h.dim
+        assert s.mul(mat_inverse(s)) == Mat.identity(h.dim)
+        assert same_structure(dual_hopf(dual_hopf(h)), h)

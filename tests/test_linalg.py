@@ -255,3 +255,69 @@ def test_one_inverse_per_pivot(monkeypatch):
     assert counts == {"inverse": 3, "div": 0}
     monkeypatch.undo()
     assert sq.mul(inv).is_identity()
+
+
+@st.composite
+def entry_dicts(draw, order, rows=None, cols=None):
+    """(rows, cols, {(i, j): c}) over Q(zeta_order): the keys in random
+    order, some of them absent and some explicit zeros."""
+    r = rows if rows is not None else draw(st.integers(1, 4))
+    c = cols if cols is not None else draw(st.integers(1, 4))
+    span = euler_phi(order)
+    value = st.one_of(st.just(CYC_ZERO), st.lists(st.integers(-1, 1), min_size=span,
+                                                  max_size=span).map(lambda x: _cyc(order, x)))
+    keys = draw(st.permutations([(i, j) for i in range(r) for j in range(c)]))
+    return r, c, {k: draw(value) for k in keys[:draw(st.integers(0, len(keys)))]}
+
+
+def _summed(rows, cols, entries):
+    """The reference Mat: each column summed by Elem.of from the entry dict."""
+    return Mat(rows, cols, tuple(Elem.of(rows, [(i, x) for (i, k), x in entries.items() if k == j])
+                                 for j in range(cols)))
+
+
+def _assert_stored_form(m):
+    for col in m.images:
+        assert [i for i, _ in col.support] == sorted({i for i, _ in col.support})
+        assert not any(x.is_zero() for _, x in col.support)
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_store_constructors_match_the_summed_reference(order, data):
+    r, c, entries = data.draw(entry_dicts(order))
+    m = Mat.of(r, c, entries)
+    assert m == _summed(r, c, entries)
+    t = m.transpose()
+    assert t == _summed(c, r, {(j, i): x for (i, j), x in entries.items()})
+    assert t.transpose() == m
+    assert Mat.identity(r) == _summed(r, r, {(i, i): CYC_ONE for i in range(r)})
+    for x in (m, t, Mat.identity(r)):
+        _assert_stored_form(x)
+    assert solve_null_space(m) == [Elem.of(c, enumerate(v)) for v in _reference_null_space(m)]
+    n, _, sq_entries = data.draw(entry_dicts(order, rows=r, cols=r))
+    sq = Mat.of(n, n, sq_entries)
+    aug = mat_from_rows([row + [CYC_ONE if i == j else CYC_ZERO for j in range(n)]
+                         for i, row in enumerate(_dense_rows(sq))])
+    echelon, pivots = _gauss_jordan(aug)
+    if pivots[:n] == list(range(n)):
+        inv = mat_inverse(sq)
+        _assert_stored_form(inv)
+        assert inv == _summed(n, n, {(i, j): row[n + j] for i, row in enumerate(echelon)
+                                     for j in range(n)})
+    else:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(sq)
+
+
+def test_elem_of_sums_repeated_indices_and_checks_the_range():
+    z = Cyc.root(4)
+    e = Elem.of(3, [(2, z), (0, CYC_ONE), (2, -z), (1, CYC_ZERO), (0, z)])
+    assert e.support == ((0, CYC_ONE + z),)
+    assert Elem.of(2, [(1, z), (0, CYC_ZERO), (1, -z)]).support == ()
+    for pairs in ([(3, CYC_ONE)], [(-1, z)], [(0, z), (3, z), (3, z)]):
+        with pytest.raises(DimMismatch):
+            Elem.of(3, pairs)
+    with pytest.raises(DimMismatch):  # range-checked before its zero is dropped
+        Mat.of(2, 2, {(0, 0): CYC_ONE, (2, 1): CYC_ZERO})
