@@ -193,17 +193,9 @@ class HopfData:
     def tensor_mul(self, t1: dict, t2: dict) -> dict:
         """Multiply two sparse elements of the tensor-square algebra."""
         rows = self.mult.rows
-        acc: dict = {}
-        for (a, b), x in t1.items():
-            for (c, d), y in t2.items():
-                s = x * y
-                for p, cp in rows[a].get(c, ()):
-                    for q, cq in rows[b].get(d, ()):
-                        key = (p, q)
-                        add = s * cp * cq
-                        v = acc.get(key)
-                        acc[key] = add if v is None else v + add
-        return {k: v for k, v in acc.items() if not v.is_zero()}
+        return sparse_sum(((p, q), x * y * cp * cq)
+                          for (a, b), x in t1.items() for (c, d), y in t2.items()
+                          for p, cp in rows[a].get(c, ()) for q, cq in rows[b].get(d, ()))
 
     def coprod_map(self, k: int, f, g, flip: bool = False, conj: bool = False) -> dict:
         """(f(x)g)D(e_k) as a sparse dict, where f[i] and g[i] are the images
@@ -256,38 +248,28 @@ def same_structure(h1: HopfData, h2: HopfData) -> bool:
 # ---------------------------------------------------------------------------
 # axiom verifiers: each law is a table of (detail, lhs, rhs) rows, evaluated
 # by report.first_failure in index order.  A bilinear law is one row per
-# first index i, each side a sparse dict keyed by the second index, summed
-# straight from the stored tables.  Its first index runs over `first`, the
-# generators once `algebra` has passed; a law between algebra maps whose
-# proof also cites `bialgebra` runs over `hom_first`, the generators once
-# that has passed too.  The theorem in report.first_failure makes either a
-# proof of the whole law with the full scan's first failure.  Left as None,
-# it is every basis index.
-
-
-def sparse_rows(terms) -> dict:
-    """Sum (k, n, value) terms into the sparse rows {k: {n: total}}: zero
-    totals are dropped (linalg.sparse_sum), and with them empty rows, so two
-    results compare row by row and report.first_failure's slot is the
-    smallest k at which they differ."""
-    out: dict = {}
-    for (k, n), v in sparse_sum(((k, n), v) for k, n, v in terms).items():
-        out.setdefault(k, {})[n] = v
-    return out
+# first index i, each side one flat linalg.sparse_sum dict keyed by the
+# whole index tuple after i, (j, n) for the coefficient of e_n in the value
+# at (i, j), summed straight from the stored tables.  Its first index runs
+# over `first`, the generators once `algebra` has passed; a law between
+# algebra maps whose proof also cites `bialgebra` runs over `hom_first`, the
+# generators once that has passed too.  The theorem in report.first_failure
+# makes either a proof of the whole law with the full scan's first failure.
+# Left as None, it is every basis index.
 
 
 def image_rows(h: HopfData, i: int, images, conj: bool = False) -> dict:
-    """{j: f(e_i e_j)} as sparse rows, where f(e_m) = images[m]: f of each
-    term (m, c) of the stored row e_i e_j, with c conjugated for a
+    """{(j, n): coefficient of e_n in f(e_i e_j)}, where f(e_m) = images[m]:
+    f of each term (m, c) of the stored row e_i e_j, with c conjugated for a
     conjugate-linear f (conj)."""
-    return sparse_rows((j, n, (c.conjugate() if conj else c) * v)
-                       for j, terms in h.mult.rows[i].items() for m, c in terms
-                       for n, v in images[m].support)
+    return sparse_sum(((j, n), (c.conjugate() if conj else c) * v)
+                      for j, terms in h.mult.rows[i].items() for m, c in terms
+                      for n, v in images[m].support)
 
 
 def product_rows(h: HopfData, factors) -> dict:
-    """{j: x y} as sparse rows, for the (j, x, y) in factors, x and y Elems:
-    the products read off mult.rows with no Elem built per j."""
+    """{(j, n): coefficient of e_n in x y}, for the (j, x, y) in factors, x
+    and y Elems: the products read off mult.rows with no Elem built per j."""
     rows = h.mult.rows
 
     def terms():
@@ -299,8 +281,8 @@ def product_rows(h: HopfData, factors) -> dict:
                     if prod:
                         s = xa * yb
                         for n, v in prod:
-                            yield j, n, s * v
-    return sparse_rows(terms())
+                            yield (j, n), s * v
+    return sparse_sum(terms())
 
 
 def verify_algebra(h: HopfData) -> Check:
@@ -309,12 +291,12 @@ def verify_algebra(h: HopfData) -> Check:
     of associativity by report.first_failure.  The generators are read only
     once the unit rows have passed: their certificate rests on the unit law.
 
-    Associativity runs one row i at a time, each side keyed by the pair
-    (j, k) and read off the stored table: (e_i e_j) e_k sums
+    Associativity runs one row i at a time, each side keyed by (j, k, n)
+    and read off the stored table: (e_i e_j) e_k sums
     c * mult.rows[m][k] over the terms (m, c) of e_i e_j, and e_i (e_j e_k)
     sums c * mult.rows[i][m] over the terms (m, c) of e_j e_k.  The slot is
-    the smallest failing (j, k), so the detail names the first failing
-    triple of the triple scan."""
+    the smallest failing (j, k, n), whose (j, k) is the first failing pair,
+    so the detail names the first failing triple of the triple scan."""
     b, rows = h.basis, h.mult.rows
     detail = first_failure(
         h.dim, (1, ("unit law fails at basis {0}", lambda i: h.mul(h.unit, b(i)), b),
@@ -322,12 +304,12 @@ def verify_algebra(h: HopfData) -> Check:
     ) or first_failure(
         h.dim, ((1, h.generators), (
             "associativity fails at triple ({0},{slot[0]},{slot[1]})",
-            lambda i: sparse_rows(((j, k), n, c * v) for j, terms in rows[i].items()
-                                  for m, c in terms for k, terms2 in rows[m].items()
-                                  for n, v in terms2),
-            lambda i: sparse_rows(((j, k), n, c * v) for j, row in enumerate(rows)
-                                  for k, terms in row.items() for m, c in terms
-                                  for n, v in rows[i].get(m, ())))))
+            lambda i: sparse_sum(((j, k, n), c * v) for j, terms in rows[i].items()
+                                 for m, c in terms for k, terms2 in rows[m].items()
+                                 for n, v in terms2),
+            lambda i: sparse_sum(((j, k, n), c * v) for j, row in enumerate(rows)
+                                 for k, terms in row.items() for m, c in terms
+                                 for n, v in rows[i].get(m, ())))))
     return ok("algebra") if detail is None else fail("algebra", detail)
 
 
@@ -350,19 +332,19 @@ def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
     """Coproduct and counit are unital algebra maps; the product laws run
     over a in `first` (see above).
 
-    Both product laws share one row per i, keyed by (j, part): the part
-    "coproduct" holds D(e_i e_j), a sparse dict {(p, q): coeff}, and the
-    part "counit" the scalar eps(e_i e_j).  "coproduct" sorts before
-    "counit", so at each pair the coproduct part is compared first, and the
-    slot names the pair and the part that fails first."""
+    Both product laws share one row per i: (j, "coproduct", p, q) holds the
+    coefficient of e_p (x) e_q in D(e_i e_j), and (j, "counit") the scalar
+    eps(e_i e_j).  "coproduct" sorts before "counit", so at each pair the
+    coproduct part is compared first, and the slot names the pair and the
+    part that fails first."""
     d, rows, cop = h.dim, h.mult.rows, h.comult.rows
     eps = dict(h.counit.support)
     coprods = [[(p, q, x) for p, terms in row.items() for q, x in terms] for row in cop]
 
     def lhs(i):  # D(e_i e_j) and eps(e_i e_j), from the terms (m, c) of e_i e_j
-        out = sparse_rows(((j, "coproduct"), (p, q), c * x)
-                          for j, terms in rows[i].items() for m, c in terms
-                          for p, q, x in coprods[m])
+        out = sparse_sum(((j, "coproduct", p, q), c * x)
+                         for j, terms in rows[i].items() for m, c in terms
+                         for p, q, x in coprods[m])
         out.update(sparse_sum(((j, "counit"), c * eps[m])
                               for j, terms in rows[i].items() for m, c in terms if m in eps))
         return out
@@ -379,8 +361,8 @@ def verify_bialgebra(h: HopfData, first: tuple | None = None) -> Check:
                             for p, cp in left:
                                 sp = s * cp
                                 for q, cq in right:
-                                    yield (j, "coproduct"), (p, q), sp * cq
-        out = sparse_rows(terms())
+                                    yield (j, "coproduct", p, q), sp * cq
+        out = sparse_sum(terms())
         if i in eps:
             out.update(((j, "counit"), eps[i] * y) for j, y in eps.items())
         return out
@@ -422,7 +404,7 @@ def verify_antipode_derived(h: HopfData, first: tuple | None = None,
         "antipode-derived", h.dim,
         (0, ("S(1) != 1", lambda: h.antipode_of(h.unit), lambda: h.unit)),
         (1, ("eps(S(e_{0})) != eps(e_{0})", lambda i: eps(s[i]), lambda i: eps(b(i)))),
-        ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
+        ((1, first), ("anti-multiplicativity fails at ({0},{slot[0]})",
                       lambda i: image_rows(h, i, s),
                       lambda i: product_rows(h, ((j, s[j], s[i]) for j in range(h.dim))))),
         ((1, hom_first), ("anti-comultiplicativity fails at basis {0}",
@@ -442,7 +424,7 @@ def verify_star(h: HopfData, first: tuple | None = None,
         "star", h.dim,
         (1, ("involution fails at basis {0}", lambda i: h.star_of(st[i]), b)),
         (0, ("1* != 1", lambda: h.star_of(h.unit), lambda: h.unit)),
-        ((1, first), ("anti-multiplicativity fails at ({0},{slot})",
+        ((1, first), ("anti-multiplicativity fails at ({0},{slot[0]})",
                       lambda i: image_rows(h, i, st, conj=True),
                       lambda i: product_rows(h, ((j, st[j], st[i]) for j in range(h.dim))))),
         ((1, hom_first), ("coproduct compatibility fails at basis {0}",

@@ -16,8 +16,7 @@ from .cyclotomic import CYC_ZERO, Cyc
 from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
                      NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
                      RightInvarianceFailed, SingularMatrix)
-from .hopf import (HopfData, act_right, image_rows, is_group_like, product_rows,
-                   sparse_rows)
+from .hopf import HopfData, act_right, image_rows, is_group_like, product_rows
 from .linalg import Elem, Mat, mat_inverse, pairing, scale, solve_null_space, sparse_sum
 from .report import first_failure, law_check
 
@@ -134,15 +133,15 @@ def modular_automorphism(h: HopfData, f: Elem, label: str = "sigma",
     and NotAutomorphism if the result fails to be a unital multiplicative
     bijection.  Multiplicativity rho(ab) = rho(a)rho(b) is checked for a in
     h.generators only, which needs h associative with a unit (the theorem in
-    report.first_failure), one row per a: {b: rho(a b)} against
-    {b: rho(a) rho(b)}, both read off the stored product table.
+    report.first_failure), one row per a: {(b, n): rho(a b)[n]} against
+    {(b, n): (rho(a) rho(b))[n]}, both read off the stored product table.
     """
     g, ginv = gram if gram is not None else faithful_gram(h, f, label)
     rho = ginv.mul(g.transpose())
     images = rho.images
     bad = first_failure(
         h.dim, (0, ("does not fix the unit", lambda: rho.apply(h.unit), lambda: h.unit)),
-        ((1, h.generators), ("is not multiplicative at ({0},{slot})",
+        ((1, h.generators), ("is not multiplicative at ({0},{slot[0]})",
                              lambda i: image_rows(h, i, images),
                              lambda i: product_rows(h, ((j, images[i], images[j])
                                                         for j in range(h.dim))))))
@@ -227,8 +226,9 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     computes only after the axiom suite has passed.
 
     modular-flip is read off stored matrices, one row x at a time keyed by
-    y.  With C_x[p][q] the coefficient of e_p (x) e_q in D(e_x) and
-    G = md.gram, (id(x)phi)(D(e_x)(1(x)e_y)) = sum_pq C_x[p][q] G[q][y] e_p
+    (y, p), the coefficient of e_p in the value at the pair (x, y).  With
+    C_x[p][q] the coefficient of e_p (x) e_q in D(e_x) and G = md.gram,
+    (id(x)phi)(D(e_x)(1(x)e_y)) = sum_pq C_x[p][q] G[q][y] e_p
     is column y of C_x G, so the left side is S applied to the columns of
     C_x G; the right side (id(x)phi)((1(x)e_x)D(e_y)) pairs the coproduct
     of e_y with row x of G."""
@@ -237,16 +237,16 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     want = scale(md.nu.inverse(), md.delta)
     grows = md.gram.row_dicts()  # grows[x] = {y: phi(e_x e_y)}
 
-    def flip_lhs(x):  # {y: S(column y of C_x G)}
-        cxg = sparse_rows((y, p, c * g) for p, terms in comult[x].items()
-                          for q, c in terms for y, g in grows[q].items())
-        return sparse_rows((y, n, v * w) for y, col in cxg.items()
-                           for p, v in col.items() for n, w in s[p].support)
+    def flip_lhs(x):  # {(y, n): S(column y of C_x G)[n]}
+        cxg = sparse_sum(((y, p), c * g) for p, terms in comult[x].items()
+                         for q, c in terms for y, g in grows[q].items())
+        return sparse_sum(((y, n), v * w) for (y, p), v in cxg.items()
+                          for n, w in s[p].support)
 
-    def flip_rhs(x):  # {y: sum_pq D(e_y)[p][q] G[x][q] e_p}
+    def flip_rhs(x):  # {(y, p): sum_q D(e_y)[p][q] G[x][q]}
         gx = grows[x]
-        return sparse_rows((y, p, c * gx[q]) for y, row in enumerate(comult)
-                           for p, terms in row.items() for q, c in terms if q in gx)
+        return sparse_sum(((y, p), c * gx[q]) for y, row in enumerate(comult)
+                          for p, terms in row.items() for q, c in terms if q in gx)
 
     def commutes(x, y):
         return lambda: x.mul(y), lambda: y.mul(x)
@@ -271,5 +271,5 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
                        lambda: md.sigma.apply(md.delta), lambda: want),
                       ("modular element scales wrongly",
                        lambda: md.sigma_prime.apply(md.delta), lambda: want))),
-        law_check("modular-flip", dim, (1, ("fails at pair ({0}, {slot})", flip_lhs, flip_rhs))),
+        law_check("modular-flip", dim, (1, ("fails at pair ({0}, {slot[0]})", flip_lhs, flip_rhs))),
     ]

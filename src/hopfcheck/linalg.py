@@ -7,7 +7,8 @@ basis vector, a Tensor3 the (c, value) pairs of each row (a, b).  So equal
 objects compare equal whatever zeros they were built with.  Each
 constructor does only the work its input needs:
 
-  - Elem.of sums repeated indices, drops zeros and sorts;
+  - Elem.of sums repeated indices through sparse_sum, the package's one
+    accumulator, which drops zero totals; it then sorts and range-checks;
   - Mat.of and Tensor3(dim, entries) take a mapping, whose keys are
     distinct: they range-check, drop zeros and sort, and sum nothing;
   - transpose, identity, row_dicts, Tensor3.from_rows and the inverse
@@ -62,11 +63,7 @@ class Elem:
     @staticmethod
     def of(dim: int, pairs) -> "Elem":
         """The vector sum of the (index, value) pairs."""
-        acc: dict = {}
-        for i, v in pairs:
-            old = acc.get(i)
-            acc[i] = v if old is None else old + v
-        support = tuple(sorted([p for p in acc.items() if not p[1].is_zero()]))
+        support = tuple(sorted(sparse_sum(pairs).items()))
         if support and not (0 <= support[0][0] and support[-1][0] < dim):
             raise DimMismatch(f"index outside a length-{dim} vector")
         return Elem(dim, support)

@@ -123,16 +123,18 @@ def first_failure(dim: int, *groups) -> str | None:
     dropped, so a missing key is zero), and None otherwise.
 
     A law on index pairs or triples is stated at arity 1: one row per first
-    index i, each side a sparse dict keyed by the second index j, or by
-    (j, k) for a triple law (values compared whole, so themselves sparse
-    with zeros dropped).  Then slot is the smallest failing key, and since
-    keys compare lexicographically, the detail names the same first failing
-    tuple, in the same scan order, as a scan over every tuple would
-    (template "... at ({0},{slot})", or "({0},{slot[0]},{slot[1]})").  A
-    law with several parts at each pair keys its dict by (j, part), with
-    the parts ordered as the pair scan compared them.  verify_algebra reads
-    associativity this way, one row i at a time keyed by (j, k), summed
-    straight from the stored table with no Elem built per tuple.
+    index i, each side one flat sparse dict (linalg.sparse_sum) keyed by
+    the whole index tuple after i: j alone when the value at (i, j) is a
+    scalar, (j, n) for the coefficient of e_n in it, (j, k, n) for a triple
+    law.  Then slot is the smallest key at which the sides differ, and
+    since keys compare lexicographically, its leading parts are the first
+    failing j, or (j, k), in the scan order of a scan over every tuple
+    (template "... at ({0},{slot[0]})", or "({0},{slot[0]},{slot[1]})").
+    A law with several parts at each pair puts the part right after j,
+    (j, part, ...), with the parts ordered as the pair scan compared them.
+    verify_algebra reads associativity this way, one row i at a time keyed
+    by (j, k, n), summed straight from the stored table with no Elem built
+    per tuple.
 
     Sides are callables over the HopfData primitives rather than terms of a
     small expression language: each verifier already names its maps, and a

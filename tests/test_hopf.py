@@ -32,7 +32,7 @@ from hopfcheck import (
 )
 from hopfcheck.errors import DimMismatch, FormatError, NumericalFailure
 from hopfcheck.zoo import cyclic_table
-from hopfcheck import hopf
+from hopfcheck import hopf, linalg
 from hopfcheck.hopf import (
     is_group_like,
     same_structure,
@@ -208,7 +208,7 @@ def test_a_row_entry_summing_to_zero_is_no_difference():
     assert len(cancelling) == 2
     assert verify_algebra(h).status == "PASS"
     x = Cyc.rational(5)
-    assert hopf.sparse_rows([(2, 1, x), (2, 1, -x), (0, 0, x)]) == {0: {0: x}}
+    assert linalg.sparse_sum([((2, 1), x), ((2, 1), -x), ((0, 0), x)]) == {(0, 0): x}
     # and the same table with e_2 e_2 off by e_1 fails where the triple scan does
     bad = _hand_built(3, {**mult, (2, 2, 1): 0})
     assert verify_algebra(bad).detail == _triple_scan_detail(bad) != ""
