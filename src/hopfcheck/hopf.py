@@ -575,79 +575,101 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     """All group-likes of h, counted exactly and confirmed exactly.
 
     J^perp = span G(H) and n = |G(H)| = dim J^perp are exact
-    (_group_like_span).  On J^perp the right-slot operators
-    R_j(e_k) = sum_i comult[k][i][j] e_i commute and R_j g = g_j g, so for
-    weights w_j that separate the group-likes' eigenvalues each eigenvector
-    of R = sum_j w_j R_j is a multiple of one group-like g, and eps(g) = 1
-    fixes the multiple.  In the basis W of J^perp, R is the n x n matrix
-    A W, where A[i][k] = sum_j w_j comult[k][i][j] over the free slots i is
-    summed from the coproduct's nonzeros: per weight, O(nnz + d n^2) work
-    and O(nnz + d n) floats for the entries, A, W and the candidates W v,
-    plus the n x n eigenproblem, the one float decision.  No d x d x d
-    array is built.  A vector with eps(W v) near 0 or a coordinate that is
-    not finite, as a degenerate weight gives, is no candidate.
+    (_group_like_span).  Candidates come from two sources, exact first, and
+    each is confirmed with the exact coproduct, by is_group_like(h, g,
+    first), at most once: both feed one set keyed by _key over one field.
+    The finder stops as soon as n are confirmed, and raises
+    NumericalFailure when both sources together give fewer.  Distinct
+    group-likes are linearly independent and lie in J^perp, so n confirmed
+    ones are all of G(H), whichever source gave them.
 
-    Each candidate coordinate is rounded to 12 decimals, and each distinct
-    rounded value is handed to _exactify once per call, so the zeros and
-    roots of unity a list repeats are matched once.  Each candidate is
-    confirmed with the exact coproduct, by is_group_like(h, g, first), and
-    NumericalFailure is raised unless n of them are, so a returned list is
-    all of G(H).
+    Exact candidates.  Each vector v of the basis W of J^perp becomes
+    v / eps(v).  When the basis of h holds the group-likes up to scale, as
+    in C[G], sweedler, taft and their tensor products, or in the dual of
+    F(G), W is G(H) up to those factors, and no float is used.  The
+    normalised vectors are pairwise distinct: each is nonzero at its own
+    free slot and zero at the others.  The walk stops at the first v with
+    eps(v) = 0 or the first candidate that fails, so a basis W that is not
+    group-like costs at most one failed confirmation.
+
+    Float candidates, only while fewer than n are confirmed.  On J^perp
+    the right-slot operators R_j(e_k) = sum_i comult[k][i][j] e_i commute
+    and R_j g = g_j g, so for weights w_j that separate the group-likes'
+    eigenvalues each eigenvector of R = sum_j w_j R_j is a multiple of one
+    group-like g, and eps(g) = 1 fixes the multiple.  In the basis W, R is
+    the n x n matrix A W, where A[i][k] = sum_j w_j comult[k][i][j] over the
+    free slots i is summed from the coproduct's nonzeros: per weight,
+    O(nnz + d n^2) work and O(nnz + d n) floats for the entries, A, W and
+    the candidates W v, plus the n x n eigenproblem, the one float
+    decision.  A vector with eps(W v) near 0 or a coordinate that is not
+    finite, as a degenerate weight gives, is no candidate.  Each candidate
+    coordinate is rounded to 12 decimals, and each distinct rounded value
+    is handed to _exactify once per call, so the zeros and roots of unity
+    a list repeats are matched once.
 
     The list is sorted by the sort_key of every coordinate, zeros included,
     over the lcm of the found coefficient orders.  sort_key reads only the
     stored (order, num, den), so each distinct one is keyed once: the many
     zeros and roots of unity a group-like list repeats cost one key each.
     """
-    import numpy as np
-
     d = h.dim
     free, basis = _group_like_span(h)
     n = len(basis)
-    w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
-    eps = np.array([c.to_complex() for c in h.counit.coords])
-    slot = {i: s for s, i in enumerate(free)}
-    flat, cols, coeffs = [], [], []  # A[slot i][k] gets coeff * w_j at flat = slot i * d + k
-    for (k, i, j), c in h.comult.items():
-        if i in slot:
-            flat.append(slot[i] * d + k)
-            cols.append(j)
-            coeffs.append(c.to_complex())
-    flat, cols, coeffs = np.array(flat, dtype=int), np.array(cols, dtype=int), np.array(coeffs)
     orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
     field = lcm(*orders)  # every candidate coefficient lies in Q(zeta_field)
-    exact: dict = {}  # rounded value -> _exactify's answer
-
-    def exactify(x: complex) -> Cyc | None:
-        if x not in exact:
-            exact[x] = _exactify(x, orders)
-        return exact[x]
-
     found: list = []
-    for theta in _WEIGHT_PHASES:
-        if len(found) == n:
+    seen: set = set()
+
+    def confirm(g: Elem) -> bool:
+        key = _key(g, field)
+        if key in seen:
+            return False
+        seen.add(key)
+        if is_group_like(h, g, first):
+            found.append(g)
+            return True
+        return False
+
+    def float_candidates():
+        import numpy as np
+
+        w = np.array([[c.to_complex() for c in v.coords] for v in basis]).reshape(n, d).T
+        eps = np.array([c.to_complex() for c in h.counit.coords])
+        slot = {i: s for s, i in enumerate(free)}
+        flat, cols, coeffs = [], [], []  # A[slot i][k] gets coeff * w_j at flat = slot i * d + k
+        for (k, i, j), c in h.comult.items():
+            if i in slot:
+                flat.append(slot[i] * d + k)
+                cols.append(j)
+                coeffs.append(c.to_complex())
+        flat, cols, coeffs = np.array(flat, dtype=int), np.array(cols, dtype=int), np.array(coeffs)
+        exact: dict = {}  # rounded value -> _exactify's answer
+        for theta in _WEIGHT_PHASES:
+            terms = coeffs * np.exp(2j * np.pi * theta * (cols + 1) ** 2)
+            a = np.bincount(flat, terms.real, n * d) + 1j * np.bincount(flat, terms.imag, n * d)
+            candidates = w @ np.linalg.eig(a.reshape(n, d) @ w)[1]
+            for vec, counit in zip(candidates.T, eps @ candidates):
+                if abs(counit) < 1e-9:
+                    continue
+                vec = np.round(vec / counit, 12)
+                if not np.isfinite(vec).all():
+                    continue
+                coords = []
+                for x in vec.tolist():
+                    if x not in exact:
+                        exact[x] = _exactify(x, orders)
+                    coords.append(exact[x])
+                if None not in coords:
+                    yield Elem.of(d, enumerate(coords))
+
+    for v in basis:
+        e = h.counit_of(v)
+        if e.is_zero() or not confirm(v if e == CYC_ONE else scale(e.inverse(), v)):
             break
-        terms = coeffs * np.exp(2j * np.pi * theta * (cols + 1) ** 2)
-        a = np.bincount(flat, terms.real, n * d) + 1j * np.bincount(flat, terms.imag, n * d)
-        candidates = w @ np.linalg.eig(a.reshape(n, d) @ w)[1]
-        confirmed: list = []
-        seen: set = set()
-        for vec, scale in zip(candidates.T, eps @ candidates):
-            if abs(scale) < 1e-9:
-                continue
-            vec = np.round(vec / scale, 12)
-            if not np.isfinite(vec).all():
-                continue
-            coords = [exactify(x) for x in vec.tolist()]
-            if None in coords:
-                continue
-            g = Elem.of(d, enumerate(coords))
-            key = _key(g, field)
-            if key not in seen:
-                seen.add(key)
-                if is_group_like(h, g, first):
-                    confirmed.append(g)
-        found = max(found, confirmed, key=len)
+    if len(found) < n:
+        for g in float_candidates():
+            if confirm(g) and len(found) == n:
+                break
     if len(found) < n:
         raise NumericalFailure(f"{h.name}: found {len(found)} of {n} group-likes")
     key_order = reduce(lcm, (c.order for g in found for _, c in g.support), 1)

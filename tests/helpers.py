@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from math import lcm
 
 from hopfcheck import CYC_ZERO, Cyc, Elem, Mat, Tensor3
 from hopfcheck.errors import FormatError
@@ -17,22 +18,24 @@ def mat_from_rows(rows: list) -> Mat:
 
 
 def rebased(h, s):
-    """h in the basis f_i = s[i] e_i, over Q(zeta_8).  With s[i] = 2 + zeta_8^i
-    every table has non-real entries, so a law that drops a conjugation or
-    transposes without it fails on the rebased h though it holds on h."""
+    """h in the basis f_i = s[i] e_i, over h's field with zeta_8 adjoined.
+    With s[i] = 2 + zeta_8^i every table has non-real entries, so a law that
+    drops a conjugation or transposes without it fails on the rebased h
+    though it holds on h.  A member with no star keeps none."""
     d = h.dim
 
     def mat(m, scale):
         return Mat.of(d, d, {(k, i): c * scale(s[i]) / s[k]
                              for i, col in enumerate(m.images) for k, c in col.support})
     return dataclasses.replace(
-        h, field_order=8,
+        h, field_order=lcm(8, h.field_order),
         mult=Tensor3(d, {(i, j, k): c * s[i] * s[j] / s[k] for (i, j, k), c in h.mult.items()}),
         unit=Elem.of(d, ((k, c / s[k]) for k, c in h.unit.support)),
         comult=Tensor3(d, {(k, i, j): c * s[k] / (s[i] * s[j])
                            for (k, i, j), c in h.comult.items()}),
         counit=Elem.of(d, ((i, c * s[i]) for i, c in h.counit.support)),
-        antipode=mat(h.antipode, lambda x: x), star=mat(h.star, Cyc.conjugate))
+        antipode=mat(h.antipode, lambda x: x),
+        star=None if h.star is None else mat(h.star, Cyc.conjugate))
 
 
 def op(h):

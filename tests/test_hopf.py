@@ -41,7 +41,7 @@ from hopfcheck.hopf import (
     verify_bialgebra,
     verify_coalgebra,
 )
-from helpers import cop, entry, find_group_likes_by_stack, op, products
+from helpers import cop, entry, find_group_likes_by_stack, op, products, rebased
 
 AXIOM_CHECKS = ("algebra", "coalgebra", "bialgebra", "antipode",
                 "antipode-derived", "star")
@@ -410,10 +410,17 @@ def test_group_likes_of_a_non_semisimple_dual_of_dimension_64():
 
 
 def test_group_likes_fail_when_candidates_cannot_be_rounded(monkeypatch, zoo):
+    # C[Z2]'s own basis is its group-likes, so group-likes rounds nothing and
+    # passes; the dual's and F(Z2)'s basis is not, and only rounding could
+    # find theirs
     monkeypatch.setattr(hopf, "_exactify", lambda value, orders: None)
     checks = {c.name: c for c in run_pipeline(zoo["C[Z2]"]).checks}
+    assert checks["group-likes"].status == "PASS"
+    assert checks["dual-group-likes"].status == "FAIL"
+    assert checks["dual-group-likes"].detail == "C[Z2]^: found 0 of 2 group-likes"
+    checks = {c.name: c for c in run_pipeline(zoo["F(Z2)"]).checks}
     assert checks["group-likes"].status == "FAIL"
-    assert checks["group-likes"].detail == "C[Z2]: found 0 of 2 group-likes"
+    assert checks["group-likes"].detail == "F(Z2): found 0 of 2 group-likes"
 
 
 # greedy generating sets: basis indices of each zoo member and of its dual
@@ -694,19 +701,125 @@ def test_find_group_likes_returns_the_canonical_sort(pipelines):
     assert [len(found) for found in lists[:3]] == [4, 12, 48]
 
 
+def _exact_side(name: str) -> str:
+    """The side whose basis holds the group-likes up to scale: the dual for
+    F(G), h for C[G], sweedler, taft and the tensor members."""
+    return "dual" if name.startswith("F(") else "h"
+
+
+def _rebase_scales(d: int) -> list:
+    return [Cyc.rational(2) + Cyc.root(8, i) for i in range(d)]
+
+
+def _canonical(likes: list) -> list:
+    key_order = lcm(1, *(c.order for g in likes for _, c in g.support))
+    return sorted(likes, key=lambda g: tuple(c.sort_key(key_order) for c in g.coords))
+
+
+def _c_z2_in_the_basis_1_and_1_plus_g():
+    """C[Z2] in the basis f_0 = 1, f_1 = 1 + g: f_1 f_1 = 2 f_1,
+    D(f_1) = 2 f_0(x)f_0 - f_0(x)f_1 - f_1(x)f_0 + f_1(x)f_1, eps(f_1) = 2,
+    and S and the star are the identity.  Its group-likes are f_0 and
+    f_1 - f_0, so the first basis vector is one and the second is not."""
+    one, two = CYC_ONE, Cyc.rational(2)
+    ident = Mat.of(2, 2, {(0, 0): one, (1, 1): one})
+    return hopf.HopfData(
+        name="C[Z2] in 1, 1+g", dim=2, field_order=1,
+        mult=Tensor3(2, {(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one, (1, 1, 1): two}),
+        unit=Elem.of(2, ((0, one),)),
+        comult=Tensor3(2, {(0, 0, 0): one, (1, 0, 0): two, (1, 0, 1): -one,
+                           (1, 1, 0): -one, (1, 1, 1): one}),
+        counit=Elem.of(2, ((0, one), (1, two))), antipode=ident, star=ident)
+
+
 def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, zoo):
+    # both candidate sources feed one set, so no candidate is confirmed
+    # twice: over every zoo member and its dual, their rebased exact sides,
+    # and a C[Z2] whose exact walk confirms 1 and leaves 1 to the floats;
+    # on the exact sides neither the rounding nor the eigensolver runs
+    import numpy as np
+
     tried: list = []
-    confirm = hopf.is_group_like
+    reached: list = []
+    confirm, real_exactify, real_eig = hopf.is_group_like, hopf._exactify, np.linalg.eig
 
     def recording(h, g, first=None):
         tried.append(g)
         return confirm(h, g, first)
 
+    def exactify(value, orders):
+        reached.append("_exactify")
+        return real_exactify(value, orders)
+
+    def eig(a):
+        reached.append("eig")
+        return real_eig(a)
+
+    members = []  # (algebra, its group-likes, whether its side is exact)
+    for name, h in zoo.items():
+        res = pipelines[name]
+        exact = _exact_side(name)
+        members.append((h, res.values["group_likes"], exact == "h"))
+        members.append((res.values["dual"], res.values["dual_likes"], exact == "dual"))
+        r = rebased(h, _rebase_scales(h.dim))
+        if exact == "h":
+            members.append((r, None, True))
+        else:
+            members.append((dual_hopf(r), None, True))
+    h = _c_z2_in_the_basis_1_and_1_plus_g()
+    assert all(c.passed() for c in full_axiom_suite(h))
+    members.append((h, _canonical([Elem.of(2, ((0, CYC_ONE),)),
+                                   Elem.of(2, ((0, CYC_MINUS_ONE), (1, CYC_ONE)))]), False))
     monkeypatch.setattr(hopf, "is_group_like", recording)
-    for name in ("C[S3]", "F(Z6)", "taft(3)"):
+    monkeypatch.setattr(hopf, "_exactify", exactify)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for a, likes, exact in members:
         tried.clear()
-        assert find_group_likes(zoo[name]) == pipelines[name].values["group_likes"]
-        assert all(a != b for a, b in itertools.combinations(tried, 2)), name
+        reached.clear()
+        found = find_group_likes(a)
+        if likes is not None:
+            assert found == likes, a.name
+        assert all(x != y for x, y in itertools.combinations(tried, 2)), a.name
+        if exact:
+            assert reached == [] and len(tried) == len(found), a.name
+    assert len(members) == 40
+    # f_0 confirmed exactly, f_1 / 2 refused, then of the float candidates
+    # f_0 is skipped as seen and f_1 - f_0 confirmed
+    assert len(tried) == 3 and "eig" in reached
+
+
+def test_group_likes_on_the_exact_side_survive_a_diagonal_rebase(monkeypatch, zoo):
+    # in the basis f_i = s_i e_i, s_i = 2 + zeta_8^i, a group-like sum g_i e_i
+    # of h is sum (g_i / s_i) f_i, and a group-like sum g_i e_i^ of the dual
+    # is sum (g_i s_i) f_i^; on the side whose basis holds the group-likes the
+    # finder must return those images, in the canonical sort, and the stage
+    # must pass, with the rounding made to raise.  The float side is not
+    # asserted on: its candidates do not round in this basis
+    members = dict(zoo)
+    for h in (group_algebra("C[Z12]", cyclic_table(12)), taft(4)):
+        members[h.name] = h
+    cases = []
+    for name, h in members.items():
+        s = _rebase_scales(h.dim)
+        r = rebased(h, s)
+        if _exact_side(name) == "h":
+            images = [Elem.of(h.dim, ((i, c / s[i]) for i, c in g.support))
+                      for g in find_group_likes(h)]
+            cases.append((r, r, images, "group-likes"))
+        else:
+            images = [Elem.of(h.dim, ((i, c * s[i]) for i, c in g.support))
+                      for g in find_group_likes(dual_hopf(h))]
+            cases.append((r, dual_hopf(r), images, "dual-group-likes"))
+
+    def rounding(value, orders):
+        raise NumericalFailure("rounding reached")
+
+    monkeypatch.setattr(hopf, "_exactify", rounding)
+    for r, side, images, stage in cases:
+        assert find_group_likes(side) == _canonical(images), side.name
+        checks = {c.name: c for c in run_pipeline(r).checks}
+        assert checks[stage].passed(), (r.name, checks[stage].line())
+    assert len(cases) == 15 and sum(len(images) for *_, images, _ in cases) == 65
 
 
 def test_find_group_likes_matches_the_operator_stack_and_rounds_each_value_once(monkeypatch,
