@@ -762,10 +762,7 @@ def test_find_group_likes_confirms_each_candidate_once(monkeypatch, pipelines, z
         members.append((h, res.values["group_likes"], exact == "h"))
         members.append((res.values["dual"], res.values["dual_likes"], exact == "dual"))
         r = rebased(h, _rebase_scales(h.dim))
-        if exact == "h":
-            members.append((r, None, True))
-        else:
-            members.append((dual_hopf(r), None, True))
+        members.append((r if exact == "h" else dual_hopf(r), None, True))
     h = _c_z2_in_the_basis_1_and_1_plus_g()
     assert all(c.passed() for c in full_axiom_suite(h))
     members.append((h, _canonical([Elem.of(2, ((0, CYC_ONE),)),
