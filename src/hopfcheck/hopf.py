@@ -39,8 +39,8 @@ from functools import cached_property, reduce
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
 from .errors import (DimMismatch, FormatError, NoStarStructure, NumericalFailure,
                      SingularMatrix)
-from .linalg import (Elem, Mat, Tensor3, mat_inverse, null_basis, pairing, reduce_into,
-                     scale, solve_null_space, sparse_sum)
+from .linalg import (Elem, Mat, RowStore, Tensor3, mat_inverse, null_basis, pairing, scale,
+                     solve_null_space, sparse_sum)
 from .report import Check, fail, first_failure, law_check, ok, skip
 
 
@@ -100,8 +100,9 @@ class HopfData:
 
         Greedy in index order: e_k joins unless it already lies in the span W
         of 1 and the monomials of the indices chosen so far; W is then closed
-        under left multiplication by every chosen generator.  W is an exact
-        echelon of monomials, and its reaching rank dim is the certificate.
+        under left multiplication by every chosen generator.  W is one exact
+        linalg.RowStore of monomials, e_k is tested by its remainder, and
+        W's reaching rank dim is the certificate.
         C[Z_n] gives (1,), C[S3] (1, 3); F(G) needs dim - 1 indices.
 
         The index order is what lets a bilinear law run its first slot over
@@ -113,31 +114,31 @@ class HopfData:
         raised.
         """
         d = self.dim
-        rows: list = []
+        store = RowStore()
         monomials: list = []
         applied: list = []  # applied[m] = how many generators have hit monomials[m]
         gens: list = []
 
         def add(x: Elem) -> None:
-            if reduce_into(rows, x.support):
+            if store.add(x.support) is not None:
                 monomials.append(x)
                 applied.append(0)
 
         add(self.unit)
         for k in range(d):
-            if len(rows) == d:
+            if len(store.rows) == d:
                 break
-            if not reduce_into(list(rows), {k: CYC_ONE}):
+            if not store.remainder({k: CYC_ONE}):
                 continue
             gens.append(k)
             m = 0
-            while m < len(monomials) and len(rows) < d:
+            while m < len(monomials) and len(store.rows) < d:
                 for g in gens[applied[m]:]:
                     add(self.mul(self.basis(g), monomials[m]))
                 applied[m] = len(gens)
                 m += 1
-        if len(rows) != d:
-            raise RuntimeError(f"{self.name}: monomials of {gens} span {len(rows)} of {d}")
+        if len(store.rows) != d:
+            raise RuntimeError(f"{self.name}: monomials of {gens} span {len(store.rows)} of {d}")
         return tuple(gens)
 
     # -- element constructors -------------------------------------------
@@ -542,7 +543,11 @@ def _group_like_span(h: HopfData) -> tuple:
     (Dickson's criterion, characteristic 0).  A[A,A], the span of the e_c v
     for v in [A,A], is already a two-sided ideal: [a,b]c = [a,bc] - b[a,c]
     gives A[A,A]A = A[A,A].  A/J is commutative semisimple, so |G(H)| is
-    n = dim J^perp, and the group-likes, linearly independent, span it."""
+    n = dim J^perp, and the group-likes, linearly independent, span it.
+
+    J is one linalg.RowStore, and the free slots are its columns without a
+    pivot.  A commutator's row is copied as it is added, since later rows
+    clear their pivots from the stored rows in place."""
     d = h.dim
     dual_mul = [[[] for _ in range(d)] for _ in range(d)]  # e_a^ e_b^ as (k, coeff)
     for (k, a, b), c in h.comult.items():
@@ -554,21 +559,18 @@ def _group_like_span(h: HopfData) -> tuple:
     trace = sparse_sum((a, c) for (k, a, b), c in h.comult.items() if k == b)
     form = Mat.of(d, d, sparse_sum(((a, b), c * trace[k])
                                    for (k, a, b), c in h.comult.items() if k in trace))
-    rows: list = []  # semi-echelon basis of J, rad A first
-    for v in solve_null_space(form):
-        reduce_into(rows, v.support)
+    store = RowStore(v.support for v in solve_null_space(form))  # J, rad A first
     commutators = []
     for a in range(d):
         for b in range(a + 1, d):
             if dual_mul[a][b] != dual_mul[b][a]:
                 v = sparse_sum([*dual_mul[a][b], *((k, -c) for k, c in dual_mul[b][a])])
-                if reduce_into(rows, v):
-                    commutators.append(rows[-1][1])
+                if (row := store.add(v)) is not None:
+                    commutators.append(dict(row))
     for u in commutators:
         for a in range(d):
-            reduce_into(rows, times(a, u))
-    free = sorted(set(range(d)) - {p for p, _ in rows})
-    return free, null_basis(rows, d)
+            store.add(times(a, u))
+    return [f for f in range(d) if f not in store.rows], null_basis(store, d)
 
 
 def find_group_likes(h: HopfData, first: tuple | None = None) -> list:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
-from .cyclotomic import CYC_ZERO, Cyc
+from .cyclotomic import Cyc
 from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegral,
                      NotAutomorphism, NotFaithful, NotGroupLike, NotProportional,
                      RightInvarianceFailed, SingularMatrix)
 from .hopf import HopfData, act_right, image_rows, is_group_like, product_rows
-from .linalg import Elem, Mat, mat_inverse, pairing, scale, solve_null_space, sparse_sum
+from .linalg import Elem, Mat, RowStore, mat_inverse, null_basis, pairing, scale, sparse_sum
 from .report import first_failure, law_check
 
 
@@ -26,8 +25,10 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
 
     Row (a, i) is coordinate i of the law at e_a, that is
     (e_i^ phi)(e_a) = epsh(e_i^) phi(e_a) in the dual H* (product
-    (f g)(a) = f(a1) g(a2), unit eps, counit epsh(f) = f(1)).  The rows run
-    over i in `first` only; None is every basis index.
+    (f g)(a) = f(a1) g(a2), unit eps, counit epsh(f) = f(1)).  Each row is
+    summed into one sparse dict and fed straight to a linalg.RowStore, whose
+    null basis is the kernel.  The rows run over i in `first` only; None is
+    every basis index.
 
     Generators of H* suffice.  X = {f : f phi = epsh(f) phi} is a subspace.
     It contains 1^ = eps, by the counit law and eps(1) = 1.  If f, g lie in
@@ -40,17 +41,14 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
     NonUniqueIntegral verdicts.  Pass it only after `coalgebra` and
     `bialgebra` of h have passed; the generator certificate of H* also
     reads its unit law, which is the counit law of h.  C[Z1] has no
-    generators, and the system is 0 x 1 with the whole line as kernel.
+    generators: the store gets no row, and its kernel is the whole line.
     """
-    d = h.dim
-    unit = dict(h.unit.support)
+    d, rows = h.dim, h.comult.rows
+    minus_unit = {i: -c for i, c in h.unit.support}
     slots = range(d) if first is None else first
-    entries: dict = {}
-    for r, (a, i) in enumerate(product(range(d), slots)):
-        entries.update(((r, j), c) for j, c in h.comult.rows[a].get(i, ()))
-        if i in unit:
-            entries[r, a] = entries.get((r, a), CYC_ZERO) - unit[i]
-    basis = solve_null_space(Mat.of(d * len(slots), d, entries))
+    basis = null_basis(RowStore(
+        sparse_sum(rows[a].get(i, ()) + (((a, minus_unit[i]),) if i in minus_unit else ()))
+        for a in range(d) for i in slots), d)
     if not basis:
         raise NoIntegral(f"{h.name}: invariance system has no kernel")
     if len(basis) > 1:

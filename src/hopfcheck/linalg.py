@@ -17,22 +17,23 @@ constructor does only the work its input needs:
     zero.  duality.dual_hopf builds its two tables the same way, sorting
     only the second-slot keys of each product row.
 
-One elimination serves the package, over a sparse row store: each row is
-a {col: coeff} dict of its nonzeros, and the callers hand in supports.
-reduce_into keeps the store semi-echelon: a new vector is reduced against
-the stored rows and what is left is scaled by the inverse of its first
-nonzero entry, its pivot.  That is one inverse per pivot and no other
-division.  reduced_echelon clears each pivot column in the other rows and
-sorts by pivot; both update a row by _subtract, which deletes the entries
-that cancel.  rank, solve_null_space (one Elem per free column) and
-mat_inverse feed the store the rows of m, read as m.row_dicts().
+One elimination serves the package, over one sparse row store: RowStore
+keeps the span of the rows fed to it in reduced echelon form, each row a
+{col: coeff} dict of its nonzeros, and the callers hand in supports.  A
+new vector is reduced against the stored rows, one subtraction per pivot
+key it holds; what is left is scaled by the inverse of its first nonzero
+entry, its pivot, and that pivot is cleared from the other rows.  That is
+one inverse per pivot and no other division, and every update is
+_subtract, which deletes the entries that cancel.  rank, solve_null_space
+(one Elem per free column) and mat_inverse feed a store the rows of m,
+read as m.row_dicts(), and read the store as it stands.
 
 No output depends on the elimination order.  A row space has exactly one
-set of pivot columns and one reduced echelon form, so the rank, the inverse
-(the right half of the reduced echelon form of [M | I]) and the null basis
-(for each free column f in increasing order, the null vector that is 1 at f
-and 0 at the other free columns) are the same values whatever loop
-computes them.
+reduced echelon form, so the store holds the same rows whatever order they
+came in, and the rank, the inverse (the right half of the reduced echelon
+form of [M | I]) and the null basis (for each free column f in increasing
+order, the null vector that is 1 at f and 0 at the other free columns) are
+read from it.
 """
 
 from __future__ import annotations
@@ -221,80 +222,73 @@ def _subtract(v: dict, c: Cyc, row: dict) -> None:
             v[k] = c * y
 
 
-def reduce_into(rows: list, v) -> bool:
-    """Append v, reduced against rows, unless it reduces to zero.  v is a
-    {col: coeff} dict or its (col, coeff) pairs, all nonzero, and is not
-    changed.  rows are (pivot, row) pairs, each row a dict of nonzeros that
-    is 1 at its pivot and has no key before it or at an earlier pivot."""
-    v = dict(v)
-    for p, row in rows:
-        if p in v:
-            _subtract(v, v[p], row)
-    if not v:
-        return False
-    lead = min(v)
-    inv = v[lead].inverse()
-    rows.append((lead, {k: x * inv for k, x in v.items()}))
-    return True
+class RowStore:
+    """A row space in reduced echelon form, kept so as rows arrive: rows
+    maps each pivot to a {col: coeff} dict of nonzeros that is 1 there and
+    has no key before it or at another pivot.  That form is the span's own."""
+
+    def __init__(self, vectors=()):
+        self.rows: dict = {}
+        for v in vectors:
+            self.add(v)
+
+    def remainder(self, v) -> dict:
+        """v (a {col: coeff} dict or its pairs, all nonzero, not changed)
+        less the rows at its pivot keys, as a new dict: empty exactly when v
+        is spanned.  No row has a key at another pivot, so one pass does."""
+        v, rows = dict(v), self.rows
+        for p in [k for k in v if k in rows]:
+            _subtract(v, v[p], rows[p])
+        return v
+
+    def add(self, v) -> dict | None:
+        """Store v's remainder scaled to 1 at its first key, the new pivot,
+        and clear that pivot from the other rows.  Returns the new row, or
+        None when v is spanned."""
+        v = self.remainder(v)
+        if not v:
+            return None
+        lead = min(v)
+        inv = v[lead].inverse()
+        row = {k: x * inv for k, x in v.items()}
+        for other in self.rows.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        self.rows[lead] = row
+        return row
 
 
-def reduced_echelon(rows: list) -> list:
-    """The reduced echelon form of a reduce_into row store, as a new list of
-    (pivot, row) pairs sorted by pivot, each row 0 at every other pivot.
-
-    A row is 0 before its own pivot, so pivot p is cleared from the rows
-    with smaller pivots only, largest p first; the row subtracted is then
-    already 0 at every larger pivot."""
-    rows = [(p, dict(row)) for p, row in sorted(rows, key=lambda pr: pr[0])]
-    for j in reversed(range(len(rows))):
-        p, row = rows[j]
-        for _, other in rows[:j]:
-            if p in other:
-                _subtract(other, other[p], row)
-    return rows
-
-
-def null_basis(rows: list, ncols: int) -> list:
-    """Exact basis of the v with row . v = 0 for every row of a reduce_into
-    row store, as Elems: for each free column f, v[f] = 1 and
-    v[p] = -row_p[f]."""
-    rows = reduced_echelon(rows)
-    pivots = {p for p, _ in rows}
-    return [Elem(ncols, tuple(sorted([(f, CYC_ONE)] + [(p, -row[f]) for p, row in rows
+def null_basis(store: RowStore, ncols: int) -> list:
+    """Exact basis of the v with row . v = 0 for every row of store, as
+    Elems: for each free column f, v[f] = 1 and v[p] = -row_p[f]."""
+    rows = store.rows
+    return [Elem(ncols, tuple(sorted([(f, CYC_ONE)] + [(p, -row[f]) for p, row in rows.items()
                                                        if f in row])))
-            for f in range(ncols) if f not in pivots]
-
-
-def _row_store(m: Mat) -> list:
-    """A reduce_into row store of m's rows, read as m.row_dicts()."""
-    rows: list = []
-    for row in m.row_dicts():
-        reduce_into(rows, row)
-    return rows
+            for f in range(ncols) if f not in rows]
 
 
 def rank(m: Mat) -> int:
-    return len(_row_store(m))
+    return len(RowStore(m.row_dicts()).rows)
 
 
 def solve_null_space(m: Mat) -> list:
     """Exact basis of the right null space, one Elem per free column."""
-    return null_basis(_row_store(m), m.cols)
+    return null_basis(RowStore(m.row_dicts()), m.cols)
 
 
 def mat_inverse(m: Mat) -> "Mat":
     """Exact inverse, the right half of the reduced echelon form of [M | I];
-    raises SingularMatrix when a pivot lands in the right half."""
+    raises SingularMatrix when a column of M holds no pivot."""
     if m.rows != m.cols:
         raise DimMismatch("inverse of a non-square matrix")
     n = m.rows
-    rows = reduced_echelon(_row_store(Mat(n, 2 * n, m.images + Mat.identity(n).images)))
-    missing = next((c for c, (p, _) in enumerate(rows) if p != c), None)
+    rows = RowStore(Mat(n, 2 * n, m.images + Mat.identity(n).images).row_dicts()).rows
+    missing = next((c for c in range(n) if c not in rows), None)
     if missing is not None:
         raise SingularMatrix(f"no pivot in column {missing}")
     columns: list = [[] for _ in range(n)]
-    for i, (_, row) in enumerate(rows):  # i increasing: each column is built sorted
-        for k, c in row.items():
+    for i in range(n):  # i increasing: each column is built sorted
+        for k, c in rows[i].items():
             if k >= n:
                 columns[k - n].append((i, c))
     return Mat(n, n, tuple(Elem(n, tuple(col)) for col in columns))

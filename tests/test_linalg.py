@@ -1,6 +1,7 @@
 """Exact linear algebra over the cyclotomic scalars."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from hopfcheck import CYC_MINUS_ONE, CYC_ONE, CYC_ZERO, Cyc, Elem, Mat
 from hopfcheck.cyclotomic import euler_phi
 from hopfcheck.errors import DimMismatch, SingularMatrix
-from hopfcheck.linalg import mat_inverse, rank, reduce_into, reduced_echelon, solve_null_space
+from hopfcheck import linalg
+from hopfcheck.linalg import RowStore, mat_inverse, rank, solve_null_space
+from hopfcheck.zoo import taft
 from helpers import entry, mat_from_rows
 
 rational = st.fractions(
@@ -201,30 +204,92 @@ def sparse_vectors(draw, order):
     return ncols, vectors
 
 
-@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("order", [1, 4, 12])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_row_store_keeps_nonzeros_only(order, data):
     ncols, vectors = data.draw(sparse_vectors(order))
-    rows = []
+    store = RowStore()
     for v in vectors:
         before = dict(v)
-        reduce_into(rows, v)
+        store.add(v)
         assert v == before  # the caller's vector is not consumed
-    pivots = []
-    for p, row in rows:
+    shuffled = data.draw(st.permutations(vectors))
+    assert RowStore(shuffled).rows == store.rows  # the form is the span's, not the order's
+    for p, row in store.rows.items():
         assert row[p] == CYC_ONE and min(row) == p
-        assert not any(q in row for q in pivots)
+        assert not any(q in row for q in store.rows if q != p)
         assert not any(x.is_zero() for x in row.values())
-        pivots.append(p)
     dense = [[v.get(k, CYC_ZERO) for k in range(ncols)] for v in vectors]
-    assert len(rows) == len(_gauss_jordan(mat_from_rows(dense))[1])
-    echelon = reduced_echelon(rows)
-    assert [p for p, _ in echelon] == sorted(pivots)
-    for p, row in echelon:
-        assert row[p] == CYC_ONE and min(row) == p
-        assert not any(q in row for q in pivots if q != p)
-        assert not any(x.is_zero() for x in row.values())
+    echelon, pivots = _gauss_jordan(mat_from_rows(dense))
+    assert store.rows == {p: {k: x for k, x in enumerate(row) if not x.is_zero()}
+                          for p, row in zip(pivots, echelon)}
+    units = [{k: CYC_ONE} for k in range(ncols)]
+    for v in vectors + units:
+        before = dict(v)
+        left = store.remainder(v)
+        assert v == before
+        spanned = len(_gauss_jordan(mat_from_rows(
+            dense + [[v.get(k, CYC_ZERO) for k in range(ncols)]]))[1]) == len(pivots)
+        assert (not left) == spanned
+
+
+def _count_subtractions(monkeypatch) -> list:
+    """Patch linalg._subtract to append 1 to the returned list per call."""
+    calls = []
+    subtract = linalg._subtract
+
+    def counted(v, c, row):
+        calls.append(1)
+        subtract(v, c, row)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    return calls
+
+
+def test_a_reduction_subtracts_only_the_rows_at_its_pivot_keys(monkeypatch):
+    z = Cyc.root(5)
+    d = 6
+    full = RowStore({j: Cyc.root(7, i * j % 7) for j in range(d)} for i in range(d))  # Vandermonde
+    part = RowStore([{0: CYC_ONE, 2: z, 5: CYC_ONE}, {1: z, 2: Cyc.rational(2), 4: CYC_ONE},
+                     {3: z, 4: CYC_ONE}])
+    assert len(full.rows) == d and sorted(part.rows) == [0, 1, 3]
+    calls = _count_subtractions(monkeypatch)
+    for k in range(d):
+        calls.clear()
+        assert full.remainder({k: CYC_ONE}) == {}
+        assert len(calls) == 1
+    for m in range(4):
+        for keys in combinations(sorted(part.rows), m):
+            calls.clear()
+            part.remainder({2: CYC_ONE, **{k: z for k in keys}, 5: z})
+            assert len(calls) == m
+
+
+def test_generators_build_one_store_and_copy_none(monkeypatch):
+    expected = taft(4).generators
+    h = taft(4)
+    stores, probes = [], []
+    init, remainder = RowStore.__init__, RowStore.remainder
+    calls = _count_subtractions(monkeypatch)
+
+    def counted_init(self, vectors=()):
+        stores.append(self)
+        init(self, vectors)
+
+    def counted_remainder(self, v):
+        before = len(calls)
+        out = remainder(self, v)
+        probes.append((self, len(v), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(RowStore, "__init__", counted_init)
+    monkeypatch.setattr(RowStore, "remainder", counted_remainder)
+    assert h.generators == expected
+    assert len(stores) == 1  # a copy of the store would be a second one
+    assert all(store is stores[0] for store, _, _ in probes)
+    assert all(n <= 1 for _, keys, n in probes if keys == 1)  # e_k meets one row at most
+    assert len(stores[0].rows) == h.dim
 
 
 def test_one_inverse_per_pivot(monkeypatch):
