@@ -238,13 +238,21 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData, phi_solve
 
 
 def dual_modular_links(h: HopfData, md: ModularData, hd: HopfData,
-                       delta_hat: Elem) -> Check:
-    """Identities tying sigma and S^2 to the dual modular element acting on A."""
+                       delta_hat: Elem, first: tuple | None = None) -> Check:
+    """Identities tying sigma and S^2 to the dual modular element acting on
+    A, compared for a = e_i, i in `first` (every index when None).
+
+    Each link equates two characters (the counit link) or two unital
+    algebra maps, given that deltahat and deltahat^-1 are characters of A
+    (dual-modular-element), sigma and sigma' verified automorphisms, and
+    the cached S^2 and sigma^-1 certified as S.S and sigma's inverse
+    (integrals.derived_failure).  So run_pipeline passes h.generators
+    exactly when that certificate holds (report.first_failure)."""
     b, s2, sigma = h.basis, h.s2, md.sigma.images
     delta_hat_inv = hd.antipode_of(delta_hat)
     return law_check(
         "dual-modular-links", h.dim,
-        (1, ("counit link fails at basis {0}", lambda i: h.counit_of(sigma[i]),
+        ((1, first), ("counit link fails at basis {0}", lambda i: h.counit_of(sigma[i]),
              lambda i: pairing(delta_hat_inv, b(i))),
             ("sigma link fails at basis {0}", sigma.__getitem__,
              lambda i: act_left(h, delta_hat_inv, s2.images[i])),

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
 from .errors import (DimMismatch, FormatError, NoStarStructure, NumericalFailure,
@@ -533,43 +534,56 @@ def _key(g: Elem, n: int) -> tuple:
     return tuple(out)
 
 
-def _group_like_span(h: HopfData) -> tuple:
+def _group_like_span(h: HopfData, first: tuple | None = None) -> tuple:
     """(free, basis): an exact basis of J^perp = span G(H), each vector 1 at
     its own free slot, and those slots in order.
 
     G(H) is the set of characters of A = H^* (Montgomery, CBMS 82), where
     e_a^ e_b^ = sum_k comult[k][a][b] e_k^.  Their common kernel is
-    J = rad A + A[A,A].  rad A is the kernel of the trace form Tr L_{ab}
-    (Dickson's criterion, characteristic 0).  A[A,A], the span of the e_c v
-    for v in [A,A], is already a two-sided ideal: [a,b]c = [a,bc] - b[a,c]
-    gives A[A,A]A = A[A,A].  A/J is commutative semisimple, so |G(H)| is
+    J = rad A + I, I the two-sided ideal of A generated by [A,A].  rad A is
+    the kernel of the trace form Tr L_{ab} (Dickson's criterion,
+    characteristic 0).  A/J is commutative semisimple, so |G(H)| is
     n = dim J^perp, and the group-likes, linearly independent, span it.
 
+    I is generated by the commutators [e_a^, e_b^] for a < b in `first`, the
+    generators of A: 1 and their left-nested monomials span A, so A/I' is
+    generated by commuting images and is commutative for I' the ideal of
+    those commutators, which gives I = I'.  None takes every basis index.
+    J is the least subspace W holding rad A (a two-sided ideal already) and
+    those commutators that is closed under left and right products by
+    `first`: every vector that enters W is multiplied on both sides by each
+    generator, and A is associative (the coalgebra law of h), so W is
+    closed under products by monomials, hence by A.  W = J depends only on
+    the span, so a generating set of any size gives the same bytes.
+
     J is one linalg.RowStore, and the free slots are its columns without a
-    pivot.  A commutator's row is copied as it is added, since later rows
-    clear their pivots from the stored rows in place."""
+    pivot.  A row is copied as it is added, since later rows clear their
+    pivots from the stored rows in place."""
     d = h.dim
-    dual_mul = [[[] for _ in range(d)] for _ in range(d)]  # e_a^ e_b^ as (k, coeff)
+    dual_mul: dict = {}  # (a, b) -> e_a^ e_b^ as (k, coeff) pairs
+    trace: dict = {}  # a -> Tr L_{e_a^}
     for (k, a, b), c in h.comult.items():
-        dual_mul[a][b].append((k, c))
-
-    def times(a: int, u: dict) -> dict:  # e_a^ u
-        return sparse_sum((k, x * c) for b, x in u.items() for k, c in dual_mul[a][b])
-
-    trace = sparse_sum((a, c) for (k, a, b), c in h.comult.items() if k == b)
-    form = Mat.of(d, d, sparse_sum(((a, b), c * trace[k])
-                                   for (k, a, b), c in h.comult.items() if k in trace))
+        dual_mul.setdefault((a, b), []).append((k, c))
+        if k == b:
+            trace[a] = trace[a] + c if a in trace else c
+    form = Mat.of(d, d, sparse_sum(((a, b), c * trace[k]) for (a, b), terms in dual_mul.items()
+                                   for k, c in terms if k in trace))
     store = RowStore(v.support for v in solve_null_space(form))  # J, rad A first
-    commutators = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            if dual_mul[a][b] != dual_mul[b][a]:
-                v = sparse_sum([*dual_mul[a][b], *((k, -c) for k, c in dual_mul[b][a])])
-                if (row := store.add(v)) is not None:
-                    commutators.append(dict(row))
-    for u in commutators:
-        for a in range(d):
-            store.add(times(a, u))
+    gens, get = range(d) if first is None else first, dual_mul.get
+    added = []  # every row that entered W past rad A, each to be multiplied by gens
+
+    def add(v: dict) -> None:
+        if (row := store.add(v)) is not None:
+            added.append(dict(row))
+
+    for a, b in combinations(gens, 2):
+        ab, ba = get((a, b), []), get((b, a), [])
+        if ab != ba:
+            add(sparse_sum([*ab, *((k, -c) for k, c in ba)]))
+    for u in added:  # grows as products enter W
+        for a in gens:
+            add(sparse_sum((k, x * c) for b, x in u.items() for k, c in get((a, b), ())))
+            add(sparse_sum((k, x * c) for b, x in u.items() for k, c in get((b, a), ())))
     return [f for f in range(d) if f not in store.rows], null_basis(store, d)
 
 
@@ -577,7 +591,11 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     """All group-likes of h, counted exactly and confirmed exactly.
 
     J^perp = span G(H) and n = |G(H)| = dim J^perp are exact
-    (_group_like_span).  Candidates come from two sources, exact first, and
+    (_group_like_span).  J = rad A + I, and the commutator ideal I is
+    generated by the commutators of `first` alone, the generators of
+    A = H^*, since A is commutative modulo the ideal they generate; J is
+    closed under products by `first`.  None takes every basis index, with
+    the same J.  Candidates come from two sources, exact first, and
     each is confirmed with the exact coproduct, by is_group_like(h, g,
     first), at most once: both feed one set keyed by _key over one field.
     The finder stops as soon as n are confirmed, and raises
@@ -615,7 +633,7 @@ def find_group_likes(h: HopfData, first: tuple | None = None) -> list:
     zeros and roots of unity a group-like list repeats cost one key each.
     """
     d = h.dim
-    free, basis = _group_like_span(h)
+    free, basis = _group_like_span(h, first)
     n = len(basis)
     orders = sorted({lcm(h.field_order, e) for e in range(1, d + 1) if d % e == 0})
     field = lcm(*orders)  # every candidate coefficient lies in Q(zeta_field)

@@ -209,11 +209,35 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
                        gram=gram, gram_inv=gram_inv)
 
 
+def derived_failure(h: HopfData, md: ModularData) -> str | None:
+    """None when the cached S^2, S^4 and sigma^-1 are the maps they stand
+    for, else the first column where one is not: h.s2 against S of each
+    column of S, h.s4 against h.s2 of each column of h.s2, and sigma of
+    each column of md.sigma_inv against e_i, so sigma^-1 is a right
+    inverse of sigma, and a square matrix has no other.
+
+    Once it holds, with the axiom suite passed and sigma a verified
+    automorphism, each cached map is a unital algebra map: S is a unital
+    anti-homomorphism (antipode-derived), so S^2 and S^4 are unital
+    homomorphisms, and so is the inverse of one.  run_pipeline keeps it
+    next to the modular data, as values["not_derived"], and the laws that
+    read those maps run over h.generators exactly when it is None
+    (report.first_failure)."""
+    s, s2, s4 = h.antipode, h.s2, h.s4
+    return first_failure(h.dim, (1, (
+        "cached S^2 is not S.S at column {0}", s2.images.__getitem__,
+        lambda i: s.apply(s.images[i])), (
+        "cached S^4 is not S^2.S^2 at column {0}", s4.images.__getitem__,
+        lambda i: s2.apply(s2.images[i])), (
+        "cached sigma^-1 is not sigma's inverse at column {0}",
+        lambda i: md.sigma.apply(md.sigma_inv.images[i]), h.basis)))
+
+
 # ---------------------------------------------------------------------------
 # the compatibility identities tying the modular data together
 
 
-def modular_identity_checks(h: HopfData, md: ModularData) -> list:
+def modular_identity_checks(h: HopfData, md: ModularData, first: tuple | None = None) -> list:
     """Six exact identities; each failure reports its own location.
 
     modular-sandwich and modular-conjugation run over h.generators only.
@@ -221,7 +245,10 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     sigma' and delta, which report.first_failure reduces to the generators
     once the axiom suite has passed and sigma and sigma' are verified
     automorphisms: md must be compute_modular's, which run_pipeline
-    computes only after the axiom suite has passed.
+    computes only after the axiom suite has passed.  modular-coproduct and
+    the three commutators of modular-commutation, each compared column by
+    column, also read the cached S^2, so they run over `first`: the
+    generators once derived_failure(h, md) is None, every index otherwise.
 
     modular-flip is read off stored matrices, one row x at a time keyed by
     (y, p), the coefficient of e_p in the value at the pair (x, y).  With
@@ -229,11 +256,15 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
     (id(x)phi)(D(e_x)(1(x)e_y)) = sum_pq C_x[p][q] G[q][y] e_p
     is column y of C_x G, so the left side is S applied to the columns of
     C_x G; the right side (id(x)phi)((1(x)e_x)D(e_y)) pairs the coproduct
-    of e_y with row x of G."""
-    s, dim, comult, first = h.s_basis, h.dim, h.comult.rows, h.generators
+    of e_y with row x of G, read from the coproduct's terms bucketed once
+    by their right slot q, so a row costs the terms at q in row x of G."""
+    s, dim, comult, gens = h.s_basis, h.dim, h.comult.rows, h.generators
     sigma, sigma_prime, s2 = md.sigma.images, md.sigma_prime.images, h.s2.images
     want = scale(md.nu.inverse(), md.delta)
     grows = md.gram.row_dicts()  # grows[x] = {y: phi(e_x e_y)}
+    by_right: dict = {}  # q -> the (y, p, c) with c the coefficient of e_p (x) e_q in D(e_y)
+    for (y, p, q), c in h.comult.items():
+        by_right.setdefault(q, []).append((y, p, c))
 
     def flip_lhs(x):  # {(y, n): S(column y of C_x G)[n]}
         cxg = sparse_sum(((y, p), c * g) for p, terms in comult[x].items()
@@ -242,28 +273,27 @@ def modular_identity_checks(h: HopfData, md: ModularData) -> list:
                           for n, w in s[p].support)
 
     def flip_rhs(x):  # {(y, p): sum_q D(e_y)[p][q] G[x][q]}
-        gx = grows[x]
-        return sparse_sum(((y, p), c * gx[q]) for y, row in enumerate(comult)
-                          for p, terms in row.items() for q, c in terms if q in gx)
+        return sparse_sum(((y, p), c * g) for q, g in grows[x].items()
+                          for y, p, c in by_right.get(q, ()))
 
-    def commutes(x, y):
-        return lambda: x.mul(y), lambda: y.mul(x)
+    def commutator(name, x, y):
+        return (1, first), (f"[{name}] != 0", lambda i: x.apply(y.images[i]),
+                            lambda i: y.apply(x.images[i]))
 
     return [
         law_check("modular-sandwich", dim,
-                  ((1, first), ("fails at basis {0}",
-                                lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])),
-                                s.__getitem__))),
+                  ((1, gens), ("fails at basis {0}",
+                               lambda i: md.sigma.apply(h.antipode_of(sigma_prime[i])),
+                               s.__getitem__))),
         law_check("modular-conjugation", dim,
-                  ((1, first), ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
-                                lambda i: h.mul(sigma_prime[i], md.delta)))),
+                  ((1, gens), ("fails at basis {0}", lambda i: h.mul(md.delta, sigma[i]),
+                               lambda i: h.mul(sigma_prime[i], md.delta)))),
         law_check("modular-coproduct", dim,
-                  (1, ("fails at basis {0}", lambda k: h.coprod(sigma[k]),
-                       lambda k: h.coprod_map(k, s2, sigma)))),
-        law_check("modular-commutation", dim,
-                  (0, ("[S^2,sigma] != 0", *commutes(h.s2, md.sigma)),
-                      ("[S^2,sigma'] != 0", *commutes(h.s2, md.sigma_prime)),
-                      ("[sigma,sigma'] != 0", *commutes(md.sigma, md.sigma_prime)))),
+                  ((1, first), ("fails at basis {0}", lambda k: h.coprod(sigma[k]),
+                                lambda k: h.coprod_map(k, s2, sigma)))),
+        law_check("modular-commutation", dim, commutator("S^2,sigma", h.s2, md.sigma),
+                  commutator("S^2,sigma'", h.s2, md.sigma_prime),
+                  commutator("sigma,sigma'", md.sigma, md.sigma_prime)),
         law_check("modular-scaling", dim,
                   (0, ("modular element scales wrongly",
                        lambda: md.sigma.apply(md.delta), lambda: want),

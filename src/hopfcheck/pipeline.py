@@ -34,8 +34,8 @@ from .errors import HopfError
 from .gns import (gns_build, gns_representation_check, kac_collapse_check,
                   operator_radford_check, positivity_verdict, tomita_check)
 from .hopf import HopfData, find_group_likes, full_axiom_suite, group_like_closure_check
-from .integrals import (compute_modular, gram_matrix, left_integral, modular_element,
-                        modular_identity_checks, star_gram)
+from .integrals import (compute_modular, derived_failure, gram_matrix, left_integral,
+                        modular_element, modular_identity_checks, star_gram)
 from .radford import counimodular_check, half_power_check, radford_check, radford_factorization
 from .report import FAIL, PASS, fail, ok, skip
 
@@ -122,10 +122,19 @@ def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> l
 
 
 def _integrals(h: HopfData, v: dict) -> list:
-    """One check per computed object; compute_modular's HopfError names the first that fails."""
+    """One check per computed object; compute_modular's HopfError names the
+    first that fails.  Next to the modular data, the certificate that the
+    cached S^2, S^4 and sigma^-1 are the maps they stand for."""
     first = v["dual"].generators if v["not_transpose"] is None else None
     v["modular"] = compute_modular(h, first)
+    v["not_derived"] = derived_failure(h, v["modular"])
     return [ok(name) for name in _INTEGRALS]
+
+
+def _maps_first(h: HopfData, v: dict) -> tuple | None:
+    """h.generators for the laws that read the cached S^2, S^4 or sigma^-1,
+    once the certificate holds, else None: every index."""
+    return h.generators if v["not_derived"] is None else None
 
 
 def _dual_integrals(h: HopfData, v: dict) -> list:
@@ -169,7 +178,8 @@ STAGES = (
     Stage(_INTEGRALS, ("dual",), _integrals),
     Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
            "modular-commutation", "modular-scaling", "modular-flip"),
-          ("modular",), lambda h, v: modular_identity_checks(h, v["modular"])),
+          ("modular",),
+          lambda h, v: modular_identity_checks(h, v["modular"], _maps_first(h, v))),
     Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",),
           lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])),
     Stage(("dual-group-likes",), ("dual",),
@@ -180,7 +190,7 @@ STAGES = (
     Stage(("dual-integrals",), ("modular",), _dual_integrals, cites=_TRANSPOSED),
     Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element),
     Stage(_S4, ("modular", "delta_hat"), lambda h, v: [
-        check(h, v["modular"], v["dual"], v["delta_hat"])
+        check(h, v["modular"], v["dual"], v["delta_hat"], _maps_first(h, v))
         for check in (dual_modular_links, radford_check)]),
     Stage(("radford-factorization",), (), lambda h, v: [radford_factorization()],
           cites=("coalgebra", "antipode", "antipode-derived", "modular-element",
@@ -190,7 +200,7 @@ STAGES = (
     Stage(("s2-half-power",), ("modular", "delta_hat", "group_likes", "dual_likes"),
           lambda h, v: [half_power_check(
               h, v["modular"], v["dual"], v["delta_hat"], v["group_likes"], v["dual_likes"],
-              h.generators if v["passed"].issuperset(_S4) else None)],
+              _maps_first(h, v))],
           cites=("antipode", "dual-antipode")),
     Stage(("positivity",), ("modular",), _positivity),
     Stage(("kac-collapse",), ("modular", "delta_hat", "dual_star_gram"),

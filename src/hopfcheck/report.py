@@ -177,7 +177,7 @@ def first_failure(dim: int, *groups) -> str | None:
     under products.  For each law below that holds once the checks it
     cites have passed in this run, so the law runs over h.generators,
     with no unit row of its own.  Where a cited check can FAIL and the law
-    still runs (the first three and the last), the law scans every index
+    still runs (the first three), the law scans every index
     after such a FAIL; the others run only once their cites have passed.
 
       - m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a), both convolution laws:
@@ -194,19 +194,38 @@ def first_failure(dim: int, *groups) -> str | None:
       - psihat a = eps(a) psihat and a phihat = eps(a) phihat, the dual
         integrals' invariance rows: the axiom suite (A associative, eps
         multiplicative).
-      - S^2(a) = r^-1(rhat|>a<|rhat^-1)r, s2-half-power: dual-modular-links
-        and radford-s4 (both PASS).  The right side is an algebra map for
-        characters rhat and group-likes r, and dual-modular-links' sigma
-        link, compared on every column, certifies the cached S^2 as
-        (deltahat|> .) . sigma, a composite of verified maps.
 
-    radford-s4, dual-modular-links and modular-coproduct stay on every
-    index: they read the cached S^2, S^4 or sigma^-1 as stored matrices,
-    and nothing before them certifies those as algebra maps, so a defect
-    in one column shows only in that column.  So do modular-flip, a pair
-    law; the unit, counit and coassociativity rows; star's involution and
-    exchange rows, which run before the rows that would cite them or read
-    S^-1; and the right-integral and modular-element rows.
+    The laws below read the cached S^2, S^4 or sigma^-1 as stored
+    matrices, so a defect in one column shows only in that column unless
+    those are certified: integrals.derived_failure checks, column by
+    column, that they equal S.S, S^2.S^2 and sigma's inverse.  Then they
+    are unital algebra maps (S is a unital anti-homomorphism by
+    antipode-derived), and each law below runs over h.generators; when the
+    certificate fails, it scans every index.  Each runs only once the axiom
+    suite has passed, with sigma and sigma' verified automorphisms and
+    delta a verified group-like (compute_modular).  Those that act by
+    deltahat or by a dual group-like rhat run only once the transposition
+    certificate holds and it is a verified group-like of hd, so it and its
+    inverse are characters of A, and f|>. and .<|f are algebra maps for a
+    character f (D multiplicative).
+
+      - S^4(a) = delta^-1(deltahat|>a<|deltahat^-1)delta, radford-s4:
+        conjugation by the group-like delta is an algebra map.
+      - dual-modular-links: the counit link equates two characters,
+        eps.sigma and deltahat^-1; the sigma, left and right action links
+        equate composites of sigma, sigma^-1, sigma', S^2 and the actions.
+      - D(sigma(a)) = (S^2(x)sigma)D(a), modular-coproduct: both sides are
+        algebra maps into A(x)A.
+      - [S^2,sigma] = [S^2,sigma'] = [sigma,sigma'] = 0,
+        modular-commutation: each commutator compares two composites
+        column by column, one group per commutator, in that order.
+      - S^2(a) = r^-1(rhat|>a<|rhat^-1)r, s2-half-power: the right side is
+        an algebra map for characters rhat and group-likes r.
+
+    modular-flip, a pair law, stays on every index.  So do the unit,
+    counit and coassociativity rows; star's involution and exchange rows,
+    which run before the rows that would cite them or read S^-1; and the
+    right-integral and modular-element rows.
     """
     for head, *rows in groups:
         if head == 0:

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from hopfcheck import run_pipeline, standard_zoo
+
+# pyproject's pythonpath puts src on this process's path; the tests that run
+# `python -m hopfcheck.cli` in a child process get it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -126,11 +126,12 @@ def test_a_failed_cite_skips_the_citing_check(monkeypatch, zoo, pipelines, membe
         f"CHECK {stage.names[0]} SKIP:prerequisite-failed ")
 
 
-@pytest.mark.parametrize("cited", [None, "dual-modular-links", "radford-s4"])
+@pytest.mark.parametrize("cited", [None, "dual-modular-links", "radford-s4", "not_derived"])
 def test_s2_half_power_runs_on_the_generators_only_once_its_gate_passes(monkeypatch, zoo,
                                                                         cited):
-    # the generators decide s2-half-power once dual-modular-links and
-    # radford-s4 have printed PASS; a FAIL at either gives the full scan
+    # the generators decide s2-half-power once the cached S^2 is certified as
+    # S.S (integrals.derived_failure), whatever dual-modular-links and
+    # radford-s4 print; a certificate that fails gives the full scan
     seen = []
     real = pipeline.half_power_check
 
@@ -139,12 +140,15 @@ def test_s2_half_power_runs_on_the_generators_only_once_its_gate_passes(monkeypa
         return real(*args)
 
     monkeypatch.setattr(pipeline, "half_power_check", recording)
-    if cited is not None:
+    if cited == "not_derived":
+        monkeypatch.setattr(pipeline, "derived_failure", lambda h, md: "made to fail")
+    elif cited is not None:
         _fail_at(monkeypatch, cited)
     h = zoo["C[Z6]"]
     checks = {c.name: c for c in run_pipeline(h).checks}
     assert checks["s2-half-power"].passed()
-    assert seen == [h.generators if cited is None else None]
+    assert seen == [None if cited == "not_derived" else h.generators]
+
 
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
