@@ -252,14 +252,15 @@ def dual_modular_links(h: HopfData, md: ModularData, hd: HopfData,
     delta_hat_inv = hd.antipode_of(delta_hat)
     return law_check(
         "dual-modular-links", h.dim,
-        ((1, first), ("counit link fails at basis {0}", lambda i: h.counit_of(sigma[i]),
-             lambda i: pairing(delta_hat_inv, b(i))),
-            ("sigma link fails at basis {0}", sigma.__getitem__,
-             lambda i: act_left(h, delta_hat_inv, s2.images[i])),
-            ("left action link fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
-             lambda i: s2.apply(md.sigma_inv.images[i])),
-            ("right action link fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
-             lambda i: s2.apply(md.sigma_prime.images[i]))))
+        ((1, first),
+         ("counit link fails at basis {0}", lambda i: h.counit_of(sigma[i]),
+          lambda i: pairing(delta_hat_inv, b(i))),
+         ("sigma link fails at basis {0}", sigma.__getitem__,
+          lambda i: act_left(h, delta_hat_inv, s2.images[i])),
+         ("left action link fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
+          lambda i: s2.apply(md.sigma_inv.images[i])),
+         ("right action link fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
+          lambda i: s2.apply(md.sigma_prime.images[i]))))
 
 
 def plancherel_check() -> Check:

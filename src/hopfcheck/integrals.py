@@ -219,10 +219,10 @@ def derived_failure(h: HopfData, md: ModularData) -> str | None:
     Once it holds, with the axiom suite passed and sigma a verified
     automorphism, each cached map is a unital algebra map: S is a unital
     anti-homomorphism (antipode-derived), so S^2 and S^4 are unital
-    homomorphisms, and so is the inverse of one.  run_pipeline keeps it
-    next to the modular data, as values["not_derived"], and the laws that
-    read those maps run over h.generators exactly when it is None
-    (report.first_failure)."""
+    homomorphisms, and so is sigma^-1, the inverse of one.  run_pipeline
+    keeps it next to the modular data, as values["not_derived"], and the
+    laws that read those maps run over h.generators exactly when it is
+    None (report.first_failure)."""
     s, s2, s4 = h.antipode, h.s2, h.s4
     return first_failure(h.dim, (1, (
         "cached S^2 is not S.S at column {0}", s2.images.__getitem__,

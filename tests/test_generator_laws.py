@@ -8,7 +8,8 @@ built on purpose: an antipode g^i -> g^(ki) on C[Z_n], a star that swaps
 two idempotents of F(Z6), a modular automorphism or modular element
 swapped for another, a bent psihat or phihat, and every pair of square
 roots of the modular elements.  Single-entry corruptions add inputs that
-FAIL a cited check; those must get the full scan.  The reduced and the
+FAIL a cited check, or a cached S^2, S^4 or sigma^-1 that fails its
+certificate; those must get the full scan.  The reduced and the
 full scan must give the same detail, byte for byte, PASS included.
 """
 
@@ -18,14 +19,15 @@ import itertools
 import pytest
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Mat, Tensor3, dual_hopf, run_pipeline
-from hopfcheck.duality import compute_dual_integrals, dual_axiom_checks
+from hopfcheck.duality import compute_dual_integrals, dual_axiom_checks, dual_modular_links
 from hopfcheck.errors import HopfError, InconsistentWithDirectComputation
-from hopfcheck.hopf import (find_group_likes, full_axiom_suite, is_group_like, same_structure,
-                            verify_algebra, verify_antipode, verify_antipode_derived,
-                            verify_bialgebra, verify_coalgebra, verify_star)
-from hopfcheck.integrals import modular_identity_checks
+from hopfcheck.hopf import (act_left, act_right, find_group_likes, full_axiom_suite,
+                            is_group_like, same_structure, verify_algebra, verify_antipode,
+                            verify_antipode_derived, verify_bialgebra, verify_coalgebra,
+                            verify_star)
+from hopfcheck.integrals import derived_failure, modular_identity_checks
 from hopfcheck.linalg import Elem, pairing, scale, sparse_sum
-from hopfcheck.radford import half_power_check
+from hopfcheck.radford import half_power_check, radford_check
 from hopfcheck.report import first_failure, law_check
 from hopfcheck.zoo import cyclic_table, function_algebra, group_algebra, symmetric_table_s3
 from helpers import entry
@@ -304,3 +306,92 @@ def test_group_likeness_matches_the_scan_of_every_row(zoo):
                                                         for a in bad.comult.rows[k]}
                     outside += bool(lost) and not want
     assert count > 1500 and outside > 0
+
+
+def _cached_map_laws_by_full_scans(h, md, hd, delta_hat):
+    """radford-s4, dual-modular-links, modular-coproduct and
+    modular-commutation as they were stated over every basis index, the
+    commutators as whole matrix products."""
+    b, s2, sigma = h.basis, h.s2, md.sigma.images
+    delta_hat_inv = hd.antipode_of(delta_hat)
+
+    def sandwich(i):
+        inner = act_left(h, delta_hat, act_right(h, b(i), delta_hat_inv))
+        return h.mul_many(md.delta_inv, inner, md.delta)
+
+    def commutes(x, y):
+        return lambda: x.mul(y), lambda: y.mul(x)
+
+    return [
+        law_check("radford-s4", h.dim, (1, ("fails at basis {0}", h.s4.images.__getitem__,
+                                            sandwich))),
+        law_check("dual-modular-links", h.dim, (1, (
+            "counit link fails at basis {0}", lambda i: h.counit_of(sigma[i]),
+            lambda i: pairing(delta_hat_inv, b(i))), (
+            "sigma link fails at basis {0}", sigma.__getitem__,
+            lambda i: act_left(h, delta_hat_inv, s2.images[i])), (
+            "left action link fails at basis {0}", lambda i: act_left(h, delta_hat, b(i)),
+            lambda i: s2.apply(md.sigma_inv.images[i])), (
+            "right action link fails at basis {0}", lambda i: act_right(h, b(i), delta_hat_inv),
+            lambda i: s2.apply(md.sigma_prime.images[i])))),
+        law_check("modular-coproduct", h.dim, (1, (
+            "fails at basis {0}", lambda k: h.coprod(sigma[k]),
+            lambda k: h.coprod_map(k, s2.images, sigma)))),
+        law_check("modular-commutation", h.dim, (
+            0, ("[S^2,sigma] != 0", *commutes(s2, md.sigma)),
+            ("[S^2,sigma'] != 0", *commutes(s2, md.sigma_prime)),
+            ("[sigma,sigma'] != 0", *commutes(md.sigma, md.sigma_prime))))]
+
+
+def _cached_map_laws(h, md, hd, delta_hat, first):
+    modular = modular_identity_checks(h, md, first)
+    return [radford_check(h, md, hd, delta_hat, first),
+            dual_modular_links(h, md, hd, delta_hat, first), *modular[2:4]]
+
+
+@pytest.mark.parametrize("name", ["C[Z3]", "C[S3]", "taft(3)"])
+def test_a_raised_cached_map_fails_its_certificate_and_gets_the_full_scan(pipelines, zoo, name):
+    # a raised entry of the cached S^4 or sigma^-1 fails derived_failure, so
+    # the four laws that read them scan every index, as the pipeline's gate
+    # picks; on the generators alone some raised column would go unseen
+    h, v = zoo[name], pipelines[name].values
+    md, hd, delta_hat = v["modular"], v["dual"], v["delta_hat"]
+    assert derived_failure(h, md) is None
+    cases = []
+    for key in itertools.product(range(h.dim), repeat=2):
+        h2 = dataclasses.replace(h)
+        h2.__dict__["s4"] = _raised(h.s4, *key)
+        cases.append((h2, md))
+        md2 = dataclasses.replace(md)
+        md2.__dict__["sigma_inv"] = _raised(md.sigma_inv, *key)
+        cases.append((h, md2))
+    differs = 0
+    for bad, bent in cases:
+        assert derived_failure(bad, bent) is not None
+        want = _cached_map_laws_by_full_scans(bad, bent, hd, delta_hat)
+        assert _lines(_cached_map_laws(bad, bent, hd, delta_hat, None)) == _lines(want), name
+        reduced = _cached_map_laws(bad, bent, hd, delta_hat, bad.generators)
+        differs += _lines(reduced) != _lines(want)
+    assert differs > 0
+
+
+@pytest.mark.parametrize("name", ["C[S3]", "F(S3)", "sweedler", "taft(3)",
+                                  "sweedler(x)C[Z2]"])
+def test_the_cached_map_laws_match_their_full_scans(pipelines, zoo, name):
+    # wherever the certificate holds on a swapped md, the generators give
+    # the full scan's lines, FAILs included; a swapped sigma keeps the
+    # sigma^-1 read off the Gram, so the certificate refuses it
+    h, v = zoo[name], pipelines[name].values
+    hd, delta_hat = v["dual"], v["delta_hat"]
+    held = failed = 0
+    for md in _modular_swaps(h, v):
+        want = _cached_map_laws_by_full_scans(h, md, hd, delta_hat)
+        assert _lines(_cached_map_laws(h, md, hd, delta_hat, None)) == _lines(want), name
+        if derived_failure(h, md) is None:
+            held += 1
+            got = _cached_map_laws(h, md, hd, delta_hat, h.generators)
+            assert _lines(got) == _lines(want), name
+            failed += any(c.status == "FAIL" for c in want)
+    assert held > 0
+    if name in ("C[S3]", "taft(3)"):
+        assert failed > 0

@@ -31,7 +31,7 @@ from hopfcheck import (
     tensor_product,
 )
 from hopfcheck.errors import DimMismatch, FormatError, NumericalFailure
-from hopfcheck.zoo import cyclic_table
+from hopfcheck.zoo import cyclic_table, function_algebra
 from hopfcheck import hopf, linalg
 from hopfcheck.hopf import (
     is_group_like,
@@ -41,7 +41,7 @@ from hopfcheck.hopf import (
     verify_bialgebra,
     verify_coalgebra,
 )
-from helpers import cop, entry, find_group_likes_by_stack, op, products, rebased
+from helpers import cop, entry, find_group_likes_by_stack, op, opcop, products, rebased
 
 AXIOM_CHECKS = ("algebra", "coalgebra", "bialgebra", "antipode",
                 "antipode-derived", "star")
@@ -866,3 +866,57 @@ def test_a_degenerate_weight_fails_the_count_and_raises_nothing(monkeypatch, zoo
     checks = {c.name: c for c in run_pipeline(zoo["F(Z3)"]).checks}
     assert checks["group-likes"].status == "FAIL"
     assert re.fullmatch(r"F\(Z3\): found [0-2] of 3 group-likes", checks["group-likes"].detail)
+
+
+def _a4_table() -> list:
+    """A4 as the even permutations of 0..3 in lexicographic order, identity
+    first; table[i][j] is the index of p_i p_j, (p_i p_j)(x) = p_i(p_j(x))."""
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    return [[even.index(tuple(p[q[x]] for x in range(4))) for q in even] for p in even]
+
+
+def test_the_commutators_of_the_generators_give_the_span_of_every_pair(zoo):
+    # J = rad A + I, I the commutator ideal of A = H^*.  The commutators of
+    # the generators of A, closed under products by them on both sides, must
+    # give the span that every basis pair gives, on every zoo member and its
+    # dual, op, cop and op-cop, the diagonal rebase of each, five tensor
+    # pairs and F(A4).  A is C[S3] for F(S3) and C[A4] for F(A4), semisimple
+    # (Maschke), so rad A = 0 and J is I alone: n = 2 and 3 group-likes,
+    # not 6 and 12.  In C[A4] the one commutator of the two generators has
+    # rank 2 in the 3-dimensional block, so the left ideal it generates is
+    # not two-sided, and only both closures reach J
+    s3, a4 = zoo["F(S3)"], function_algebra("F(A4)", _a4_table())
+    members = [f(h) for h in zoo.values() for f in (lambda h: h, dual_hopf, op, cop, opcop)]
+    members += [rebased(h, _rebase_scales(h.dim)) for h in zoo.values()]
+    members += [tensor_product(f"{a}(x){b}", zoo[a], zoo[b])
+                for a, b in (("sweedler", "C[S3]"), ("F(S3)", "F(Z2)"), ("taft(2)", "F(Z3)"),
+                             ("F(S3)", "sweedler"), ("C[Z3]", "F(Z3)"))]
+    members.append(a4)
+    for a in members:
+        first = dual_hopf(a).generators
+        assert hopf._group_like_span(a, first) == hopf._group_like_span(a), a.name
+    assert len(members) == 84
+    assert dual_hopf(a4).generators == (1, 3)
+    assert [len(hopf._group_like_span(f, dual_hopf(f).generators)[1]) for f in (s3, a4)] == [2, 3]
+
+
+def test_the_commutator_pass_compares_the_pairs_of_first_only(monkeypatch):
+    # on the dual of taft(4), A = taft(4) has the generators g and x: one
+    # pair is compared, not the 120 basis pairs, and the group-likes agree
+    pairs: list = []
+
+    def recording(seq, r):
+        for pair in itertools.combinations(seq, r):
+            pairs.append(pair)
+            yield pair
+
+    h = taft(4)
+    hd = dual_hopf(h)
+    monkeypatch.setattr(hopf, "combinations", recording)
+    reduced = hopf._group_like_span(hd, h.generators)
+    assert pairs == [h.generators] and len(h.generators) == 2
+    pairs.clear()
+    assert hopf._group_like_span(hd) == reduced
+    assert len(pairs) == 16 * 15 // 2
+    assert find_group_likes(hd, h.generators) == find_group_likes(hd)
