@@ -240,14 +240,11 @@ def compute_dual_integrals(h: HopfData, md: ModularData, hd: HopfData, phi_solve
 def dual_modular_links(h: HopfData, md: ModularData, hd: HopfData,
                        delta_hat: Elem, first: tuple | None = None) -> Check:
     """Identities tying sigma and S^2 to the dual modular element acting on
-    A, compared for a = e_i, i in `first` (every index when None).
-
-    Each link equates two characters (the counit link) or two unital
-    algebra maps, given that deltahat and deltahat^-1 are characters of A
-    (dual-modular-element), sigma and sigma' verified automorphisms, and
-    the cached S^2 and sigma^-1 certified as S.S and sigma's inverse
-    (integrals.derived_failure).  So run_pipeline passes h.generators
-    exactly when that certificate holds (report.first_failure)."""
+    A, for a = e_i, i in `first`, every index when None.  Each link equates
+    two characters or two unital algebra maps once
+    integrals.derived_failure certifies the cached S^2 and sigma^-1, so
+    run_pipeline then passes h.generators (the proof is in
+    report.first_failure)."""
     b, s2, sigma = h.basis, h.s2, md.sigma.images
     delta_hat_inv = hd.antipode_of(delta_hat)
     return law_check(

@@ -62,15 +62,10 @@ def _sandwich(h: HopfData, left: Elem, right: Elem, a: Elem, dual_left: Elem,
 def radford_check(h: HopfData, md: ModularData, hd: HopfData,
                   delta_hat: Elem, first: tuple | None = None) -> Check:
     """S^4(a) = delta^-1 (deltahat |> a <| deltahat^-1) delta for a = e_i,
-    i in `first` (every index when None).
-
-    Both sides are unital algebra maps once the cached S^4 is S^2.S^2 and
-    S^2 is S.S (integrals.derived_failure): S^4 by antipode-derived; the
-    right side because deltahat and deltahat^-1 are characters of A
-    (deltahat is group-like in hd, checked by dual-modular-element) and D
-    is multiplicative, and delta^-1 = S(delta) inverts the group-like
-    delta.  So run_pipeline passes h.generators exactly when that
-    certificate holds (report.first_failure)."""
+    i in `first`, every index when None.  Both sides are unital algebra
+    maps once integrals.derived_failure certifies the cached S^4, so
+    run_pipeline then passes h.generators (the proof is in
+    report.first_failure)."""
     delta_hat_inv = hd.antipode_of(delta_hat)
     return law_check("radford-s4", h.dim, ((1, first), (
         "fails at basis {0}", h.s4.images.__getitem__,
