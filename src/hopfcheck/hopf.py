@@ -565,7 +565,7 @@ def _group_like_span(h: HopfData, first: tuple | None = None) -> tuple:
     for (k, a, b), c in h.comult.items():
         dual_mul.setdefault((a, b), []).append((k, c))
         if k == b:
-            trace[a] = trace[a] + c if a in trace else c
+            trace[a] = trace.get(a, CYC_ZERO) + c
     form = Mat.of(d, d, sparse_sum(((a, b), c * trace[k]) for (a, b), terms in dual_mul.items()
                                    for k, c in terms if k in trace))
     store = RowStore(v.support for v in solve_null_space(form))  # J, rad A first
