@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 from .cyclotomic import CYC_ONE, CYC_ZERO, Cyc, lcm
 from .errors import (DimMismatch, FormatError, NoStarStructure, NumericalFailure,
@@ -89,6 +89,16 @@ class HopfData:
             return mat_inverse(self.antipode)
         except SingularMatrix:
             return None
+
+    @cached_property
+    def by_right(self) -> list:
+        """by_right[q] lists the (k, p, c) with c the coefficient of
+        e_p (x) e_q in D(e_k): the coproduct's nonzeros bucketed once by
+        their right slot, in index order."""
+        out: list = [[] for _ in range(self.dim)]
+        for (k, p, q), c in self.comult.items():
+            out[q].append((k, p, c))
+        return out
 
     @property
     def s_basis(self) -> tuple:
@@ -293,16 +303,29 @@ def verify_algebra(h: HopfData) -> Check:
     of associativity by report.first_failure.  The generators are read only
     once the unit rows have passed: their certificate rests on the unit law.
 
+    The unit law is one arity-0 row keyed by (i, side, n), the coefficient
+    of e_n in 1 e_i (side 0) or e_i 1 (side 1), read off mult.rows against
+    e_i on both sides, so its slot names the first failing i, left before
+    right, as a scan of i would.
+
     Associativity runs one row i at a time, each side keyed by (j, k, n)
     and read off the stored table: (e_i e_j) e_k sums
     c * mult.rows[m][k] over the terms (m, c) of e_i e_j, and e_i (e_j e_k)
     sums c * mult.rows[i][m] over the terms (m, c) of e_j e_k.  The slot is
     the smallest failing (j, k, n), whose (j, k) is the first failing pair,
     so the detail names the first failing triple of the triple scan."""
-    b, rows = h.basis, h.mult.rows
+    d, rows, unit = h.dim, h.mult.rows, h.unit.support
+
+    def unit_rows():  # {(i, side, n): coefficient of e_n in 1 e_i, side 0, or e_i 1, side 1}
+        left = (((i, 0, n), u * v) for m, u in unit for i, terms in rows[m].items()
+                for n, v in terms)
+        right = (((i, 1, n), u * v) for i in range(d) for m, u in unit
+                 for n, v in rows[i].get(m, ()))
+        return sparse_sum(chain(left, right))
+
     detail = first_failure(
-        h.dim, (1, ("unit law fails at basis {0}", lambda i: h.mul(h.unit, b(i)), b),
-                   ("unit law fails at basis {0}", lambda i: h.mul(b(i), h.unit), b))
+        d, (0, ("unit law fails at basis {slot[0]}", unit_rows,
+                lambda: {(i, side, i): CYC_ONE for i in range(d) for side in (0, 1)}))
     ) or first_failure(
         h.dim, ((1, h.generators), (
             "associativity fails at triple ({0},{slot[0]},{slot[1]})",

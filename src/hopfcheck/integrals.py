@@ -17,7 +17,7 @@ from .errors import (HopfError, InconsistentSystem, NoIntegral, NonUniqueIntegra
                      RightInvarianceFailed, SingularMatrix)
 from .hopf import HopfData, act_right, image_rows, is_group_like, product_rows
 from .linalg import Elem, Mat, RowStore, mat_inverse, null_basis, pairing, scale, sparse_sum
-from .report import first_failure, law_check
+from .report import decide_then_locate, first_failure, law_check
 
 
 def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
@@ -56,20 +56,72 @@ def left_integral(h: HopfData, first: tuple | None = None) -> Elem:
     return scale(basis[0].support[0][1].inverse(), basis[0])
 
 
-def right_integral(h: HopfData, phi: Elem) -> Elem:
-    """psi = phi . S, then confirm (psi (x) id) D(a) = psi(a) 1 on the basis."""
+def _absorbs(h: HopfData, f: Elem, g: Elem, first: tuple) -> bool:
+    """f e_j^ = e_j^(g) f in H* for every j in first, one row per j: the
+    functional {a: (f e_j^)(e_a)} = {a: sum_p D(e_a)[p][j] f_p}, read from
+    the coproduct's terms with right slot j (h.by_right), against g_j f."""
+    at, g_at, by_right = dict(f.support), dict(g.support), h.by_right
+    return first_failure(h.dim, ((1, first), (
+        "f e_{0}^ != g_{0} f", lambda j: sparse_sum((a, c * at[p]) for a, p, c in by_right[j]
+                                                    if p in at),
+        lambda j: {a: g_at[j] * x for a, x in f.support} if j in g_at else {}))) is None
+
+
+def right_integral(h: HopfData, phi: Elem, first: tuple | None = None) -> Elem:
+    """psi = phi . S, then confirm (psi (x) id) D(a) = psi(a) 1 for every a.
+
+    Paired with f in H*, the law at a reads (psi f)(a) = f(1) psi(a), so it
+    holds exactly when psi f = f(1) psi for every f.  X = {f : psi f =
+    f(1) psi} is a subspace.  It holds eps, as psi eps = psi by the counit
+    law and eps(1) = 1.  For f, g in X, psi(fg) = (psi f)g = f(1) psi g =
+    f(1)g(1) psi = (fg)(1) psi, since H* is associative (coassociativity)
+    and (fg)(1) = f(1)g(1) (D(1) = 1 (x) 1).  So the rows j in `first`, the
+    generators of H* (dual_hopf(h).generators), decide the law: psi e_j^
+    against e_j^(1) psi (_absorbs).  Pass it only where left_integral gets
+    it.  When a row fails, or first is None, the law is scanned at every
+    basis index, which names the first failing a (decide_then_locate)."""
     psi = Elem.of(h.dim, ((i, pairing(phi, x)) for i, x in enumerate(h.s_basis)))
     b = h.basis
-    bad = first_failure(h.dim, (1, ("{0}", lambda a: act_right(h, b(a), psi),
-                                    lambda a: scale(pairing(psi, b(a)), h.unit))))
+    bad = decide_then_locate(
+        first is not None and _absorbs(h, psi, h.unit, first), None,
+        lambda: first_failure(h.dim, (1, ("{0}", lambda a: act_right(h, b(a), psi),
+                                          lambda a: scale(pairing(psi, b(a)), h.unit)))))
     if bad is not None:
         raise RightInvarianceFailed(f"{h.name}: phi.S is not right invariant at basis {bad}")
     return psi
 
 
 def modular_element(h: HopfData, phi: Elem, first: tuple | None = None) -> Elem:
-    """The group-like with (phi (x) id) D(a) = phi(a) delta for every a.
-    first is handed to is_group_like: the generators of the dual, or None."""
+    """The group-like delta with (phi (x) id) D(a) = phi(a) delta for every a.
+
+    Paired with f in H*, the law at a reads (phi f)(a) = f(delta) phi(a).
+    delta is read off the first row with phi(a) != 0 and confirmed with
+    is_group_like(h, delta, first).  Then X = {f : phi f = f(delta) phi}
+    holds eps, as eps(delta) = 1, and is closed under products:
+    phi(fg) = (phi f)g = f(delta)g(delta) phi = (fg)(delta) phi, by
+    coassociativity and D(delta) = delta (x) delta.  So with first the
+    generators of H* (dual_hopf(h).generators), the rows phi e_j^ against
+    delta_j phi, j in first, decide the law (_absorbs), with the same
+    cites as right_integral.  When delta is not group-like or a row fails,
+    or first is None, every row is scanned in index order and the first
+    that disagrees is named (decide_then_locate)."""
+    delta = None
+    if first is not None and phi.support:
+        lead, c = phi.support[0]
+        delta = scale(c.inverse(), act_right(h, h.basis(lead), phi))
+    delta = decide_then_locate(
+        delta is not None and is_group_like(h, delta, first) and _absorbs(h, phi, delta, first),
+        delta, lambda: _modular_scan(h, phi, first))
+    # phi . S = phi( . delta) pins the convention down; check it on the basis
+    bad = first_failure(h.dim, (1, ("{0}", lambda i: pairing(phi, h.s_basis[i]),
+                                    lambda i: pairing(phi, h.mul(h.basis(i), delta)))))
+    if bad is not None:
+        raise InconsistentSystem(f"{h.name}: phi(S(a)) != phi(a delta) at basis {bad}")
+    return delta
+
+
+def _modular_scan(h: HopfData, phi: Elem, first: tuple | None) -> Elem:
+    """modular_element's law at every basis index, then is_group_like."""
     delta = None
     for a in range(h.dim):
         v = act_right(h, h.basis(a), phi)
@@ -86,11 +138,6 @@ def modular_element(h: HopfData, phi: Elem, first: tuple | None = None) -> Elem:
         raise InconsistentSystem(f"{h.name}: zero integral")
     if not is_group_like(h, delta, first):
         raise NotGroupLike(f"{h.name}: modular element is not group-like")
-    # phi . S = phi( . delta) pins the convention down; check it on the basis
-    bad = first_failure(h.dim, (1, ("{0}", lambda i: pairing(phi, h.s_basis[i]),
-                                    lambda i: pairing(phi, h.mul(h.basis(i), delta)))))
-    if bad is not None:
-        raise InconsistentSystem(f"{h.name}: phi(S(a)) != phi(a delta) at basis {bad}")
     return delta
 
 
@@ -182,15 +229,16 @@ def compute_modular(h: HopfData, first: tuple | None = None) -> ModularData:
     check in .stage.  The Gram of phi is inverted once, for sigma and for
     gram_inv.  h must pass `algebra` first (run_pipeline runs this only
     after the whole axiom suite passed): sigma and sigma' are checked
-    multiplicative on generators only.  first is handed to left_integral
-    and modular_element: the dual's generators (dual_hopf(h).generators),
-    once `coalgebra` and `bialgebra` have passed too, or None for the full
-    invariance system and group-like scan."""
+    multiplicative on generators only.  first is handed to left_integral,
+    right_integral and modular_element: the dual's generators
+    (dual_hopf(h).generators), once `coalgebra`, `bialgebra` and the
+    transposition certificate hold, or None for the full invariance system
+    and the scans of every index."""
     stage = "left-integral"
     try:
         phi = left_integral(h, first)
         stage = "right-integral"
-        psi = right_integral(h, phi)
+        psi = right_integral(h, phi, first)
         stage = "modular-element"
         delta = modular_element(h, phi, first)
         stage = "modular-automorphism"
@@ -261,10 +309,7 @@ def modular_identity_checks(h: HopfData, md: ModularData, first: tuple | None = 
     s, dim, comult, gens = h.s_basis, h.dim, h.comult.rows, h.generators
     sigma, sigma_prime, s2 = md.sigma.images, md.sigma_prime.images, h.s2.images
     want = scale(md.nu.inverse(), md.delta)
-    grows = md.gram.row_dicts()  # grows[x] = {y: phi(e_x e_y)}
-    by_right: dict = {}  # q -> the (y, p, c) with c the coefficient of e_p (x) e_q in D(e_y)
-    for (y, p, q), c in h.comult.items():
-        by_right.setdefault(q, []).append((y, p, c))
+    grows, by_right = md.gram.row_dicts(), h.by_right  # grows[x] = {y: phi(e_x e_y)}
 
     def flip_lhs(x):  # {(y, n): S(column y of C_x G)[n]}
         cxg = sparse_sum(((y, p), c * g) for p, terms in comult[x].items()
@@ -274,7 +319,7 @@ def modular_identity_checks(h: HopfData, md: ModularData, first: tuple | None = 
 
     def flip_rhs(x):  # {(y, p): sum_q D(e_y)[p][q] G[x][q]}
         return sparse_sum(((y, p), c * g) for q, g in grows[x].items()
-                          for y, p, c in by_right.get(q, ()))
+                          for y, p, c in by_right[q])
 
     def commutator(name, x, y):
         return (1, first), (f"[{name}] != 0", lambda i: x.apply(y.images[i]),

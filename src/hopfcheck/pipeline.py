@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from .duality import (biduality_check, compute_dual_integrals, dual_axiom_checks,
-                      dual_hopf, dual_modular_links, plancherel_check,
+                      dual_hopf, dual_modular_links, plancherel_check, star_failure,
                       transpose_failure, verify_pairing)
 from .errors import HopfError
 from .gns import (gns_build, gns_representation_check, kac_collapse_check,
@@ -102,11 +102,14 @@ def _skip_reason(stage: Stage, values: dict) -> str | None:
 
 def _axioms(h: HopfData, v: dict) -> list:
     """h's suite; once it passes, the dual and its transposition certificate,
-    which decides whether A's integrals may be solved on hd's generators."""
+    which decides whether A's integrals may be solved on hd's generators,
+    and its star certificate: with both, dual-star and biduality hold
+    unscanned (duality.dual_axiom_checks, duality.biduality_check)."""
     core = full_axiom_suite(h)
     if not any(c.status == FAIL for c in core):  # a failed suite never builds its dual
         v["core"], v["dual"] = core, dual_hopf(h)
         v["not_transpose"] = transpose_failure(h, v["dual"])
+        v["not_star"] = star_failure(h, v["dual"])
     return core
 
 
@@ -123,8 +126,11 @@ def _group_likes(a: HopfData, dual: HopfData, name: str, v: dict, key: str) -> l
 
 def _integrals(h: HopfData, v: dict) -> list:
     """One check per computed object; compute_modular's HopfError names the
-    first that fails.  Next to the modular data, the certificate that the
-    cached S^2, S^4 and sigma^-1 are the maps they stand for."""
+    first that fails.  The left-integral system and the right-integral and
+    modular-element rows run on hd's generators, which decide them once the
+    transposition certificate holds and the cited coalgebra and bialgebra
+    have passed.  Next to the modular data, the certificate that the cached
+    S^2, S^4 and sigma^-1 are the maps they stand for."""
     first = v["dual"].generators if v["not_transpose"] is None else None
     v["modular"] = compute_modular(h, first)
     v["not_derived"] = derived_failure(h, v["modular"])
@@ -147,6 +153,8 @@ def _dual_integrals(h: HopfData, v: dict) -> list:
 
 
 def _dual_modular_element(h: HopfData, v: dict) -> list:
+    """deltahat, its rows decided on h's generators, the generators of
+    (H*)* = A, as the cited transposed checks allow."""
     v["delta_hat"] = modular_element(v["dual"], v["dual_phi"], h.generators)
     return [ok("dual-modular-element")]
 
@@ -175,20 +183,21 @@ STAGES = (
     Stage(("group-likes",), ("dual",),
           lambda h, v: _group_likes(h, v["dual"], "group-likes", v, "group_likes"),
           cites=("bialgebra", "antipode", "antipode-derived")),
-    Stage(_INTEGRALS, ("dual",), _integrals),
+    Stage(_INTEGRALS, ("dual",), _integrals, cites=("coalgebra", "bialgebra")),
     Stage(("modular-sandwich", "modular-conjugation", "modular-coproduct",
            "modular-commutation", "modular-scaling", "modular-flip"),
           ("modular",),
           lambda h, v: modular_identity_checks(h, v["modular"], _maps_first(h, v))),
     Stage(tuple("dual-" + name for name in _AXIOMS), ("dual",),
-          lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"])),
+          lambda h, v: dual_axiom_checks(v["core"], v["dual"], v["not_transpose"],
+                                         v["not_star"] is None)),
     Stage(("dual-group-likes",), ("dual",),
           lambda h, v: _group_likes(v["dual"], h, "dual-group-likes", v, "dual_likes"),
           cites=("dual-bialgebra", "dual-antipode", "dual-antipode-derived")),
     Stage(("pairing-actions",), ("core",),
           lambda h, v: [verify_pairing(v["not_transpose"], v["core"][1])], cites=_TRANSPOSED),
     Stage(("dual-integrals",), ("modular",), _dual_integrals, cites=_TRANSPOSED),
-    Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element),
+    Stage(("dual-modular-element",), ("dual_phi",), _dual_modular_element, cites=_TRANSPOSED),
     Stage(_S4, ("modular", "delta_hat"), lambda h, v: [
         check(h, v["modular"], v["dual"], v["delta_hat"], _maps_first(h, v))
         for check in (dual_modular_links, radford_check)]),
@@ -217,5 +226,6 @@ STAGES = (
         positive=True),
     Stage(("plancherel",), (), lambda h, v: [plancherel_check()], cites=("operator-radford",),
           positive=True),
-    Stage(("biduality",), ("dual",), lambda h, v: [biduality_check(h, v["dual"])]),
+    Stage(("biduality",), ("dual",), lambda h, v: [biduality_check(
+        h, v["dual"], v["not_transpose"] is None and v["not_star"] is None)]),
 )

@@ -4,6 +4,7 @@ each check states (LAWS), and the one evaluator every exact law goes through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 
 PASS = "PASS"
@@ -222,10 +223,28 @@ def first_failure(dim: int, *groups) -> str | None:
       - S^2(a) = r^-1(rhat|>a<|rhat^-1)r, s2-half-power: the right side is
         an algebra map for characters rhat and group-likes r.
 
+    Laws decided on generators of H*, located on every index.  Paired with
+    f in H*, (psi(x)id)D(a) = psi(a)1 at every a reads psi f = f(1) psi
+    (product (fg)(a) = f(a1) g(a2)), and (phi(x)id)D(a) = phi(a)delta
+    reads phi f = f(delta) phi.  X = {f : psi f = f(1) psi} is a subspace
+    holding eps (the counit law) and closed under products:
+    psi(fg) = (psi f)g = f(1) psi g = (fg)(1) psi, by coassociativity and
+    D(1) = 1(x)1.  The delta version holds eps since eps(delta) = 1 and is
+    closed since (fg)(delta) = f(delta)g(delta), which needs
+    D(delta) = delta(x)delta.  So one row per generator index j of H*,
+    psi e_j^ against e_j^(1) psi and phi e_j^ against delta_j phi, decides
+    each law (integrals.right_integral, integrals.modular_element): on A
+    once `coalgebra`, `bialgebra` and the transposition certificate hold,
+    on the dual once the transposed checks have passed (pipeline.STAGES).
+    Neither row names the first failing a, so a failing row hands over to
+    the scan of every index (decide_then_locate).  dual-star and biduality
+    are decided the same way by a certificate, the star transpose
+    duality.star_failure next to the transposition certificate; their
+    proofs are in duality.dual_axiom_checks and duality.biduality_check.
+
     modular-flip, a pair law, stays on every index.  So do the unit,
-    counit and coassociativity rows; star's involution and exchange rows,
-    which run before the rows that would cite them or read S^-1; and the
-    right-integral and modular-element rows.
+    counit and coassociativity rows, and star's involution and exchange
+    rows, which run before the rows that would cite them or read S^-1.
     """
     for head, *rows in groups:
         if head == 0:
@@ -243,6 +262,20 @@ def first_failure(dim: int, *groups) -> str | None:
                                    if left.get(k) != right.get(k))
                     return template.format(*idx, slot=slot)
     return None
+
+
+def decide_then_locate(decided: bool, held, locate: Callable):
+    """held when decided, else locate().
+
+    decided is a cheap, exact decision that the law holds: its rows on
+    generators (first_failure), or a certificate that the dual's star is
+    the one Van Daele's construction gives (duality.star_failure).  held
+    is what the law returns when it holds.  locate runs the law as it ran
+    before any decision: the scan of every index, or the rebuild, that
+    names the first failure.  So a decision only ever skips work on a law
+    that holds; every verdict it does not prove, and every FAIL detail,
+    exception and transcript, is locate's, byte for byte."""
+    return held if decided else locate()
 
 
 def law_check(name: str, dim: int, *groups) -> Check:

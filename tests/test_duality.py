@@ -24,7 +24,8 @@ from hopfcheck import (
     run_pipeline,
     sweedler,
 )
-from hopfcheck.duality import dual_axiom_checks, dual_name, transpose_failure, verify_pairing
+from hopfcheck.duality import (dual_axiom_checks, dual_name, star_failure, transpose_failure,
+                               verify_pairing)
 from hopfcheck.errors import NoIntegral
 from hopfcheck.gns import operator_radford_check
 from hopfcheck.hopf import Elem, full_axiom_suite, same_structure, verify_coalgebra
@@ -467,6 +468,62 @@ def test_a_failed_dual_left_integral_fails_once_and_skips_its_dependant(monkeypa
 
 
 # star-Grams per run: phi's and psihat's on a positive member, phi's alone
+def test_the_certificates_decide_dual_star_and_biduality(monkeypatch, zoo):
+    # on a valid member the transposition and star certificates hold, so
+    # dual-star and biduality PASS with no scan of the dual's star and no
+    # second dual; the verdicts are those of the scan and the rebuild
+    from hopfcheck import duality
+
+    for h in zoo.values():
+        hd = dual_hopf(h)
+        assert star_failure(h, hd) is None, h.name
+        assert biduality_check(h, hd, True) == biduality_check(h, hd), h.name
+        core = full_axiom_suite(h)
+        assert dual_axiom_checks(core, hd, None, True) == dual_axiom_checks(core, hd, None)
+
+    def never(*args):
+        raise AssertionError("scanned what the certificates decide")
+
+    monkeypatch.setattr(duality, "verify_star", never)
+    monkeypatch.setattr(duality, "dual_hopf", never)
+    for h in zoo.values():
+        lines = {c.name: c.line() for c in run_pipeline(h).checks}
+        assert lines["biduality"].startswith("CHECK biduality PASS "), h.name
+        want = "PASS" if h.star is not None else "SKIP:no-star"
+        assert lines["dual-star"].split()[2] == want, h.name
+
+
+@pytest.mark.parametrize("name", ["C[S3]", "sweedler"])
+def test_a_dual_with_a_raised_star_entry_gets_the_scan_and_the_rebuild(monkeypatch, zoo, name):
+    from hopfcheck import duality, pipeline
+
+    h = zoo[name]
+    real_star = duality.verify_star
+    calls = []
+
+    def broken_dual(x):  # entry (0, 0) of the dual's star is raised by 1
+        hd = dual_hopf(x)
+        entries = {(i, j): c for j, col in enumerate(hd.star.images) for i, c in col.support}
+        star = Mat.of(hd.dim, hd.dim, {**entries, (0, 0): entry(hd.star, 0, 0) + CYC_ONE})
+        return dataclasses.replace(hd, star=star)
+
+    def counted(*args):
+        calls.append(args[0].name)
+        return real_star(*args)
+
+    monkeypatch.setattr(pipeline, "dual_hopf", broken_dual)
+    monkeypatch.setattr(duality, "verify_star", counted)
+    bad = broken_dual(h)
+    assert transpose_failure(h, bad) is None
+    assert star_failure(h, bad) == "star transpose fails at (0,0)"
+    checks = {c.name: c for c in run_pipeline(h).checks}
+    want = real_star(bad, bad.generators)
+    assert (checks["dual-star"].status, checks["dual-star"].detail) == (want.status, want.detail)
+    assert checks["dual-star"].status == "FAIL"
+    assert calls == [bad.name]
+    assert checks["biduality"].line().endswith(" ! structure tensors differ")
+
+
 # where phi is not positive, none without a star
 STAR_GRAMS = {"sweedler": 1, "C[Z3]": 2, "taft(2)": 0, "taft(3)": 0}
 

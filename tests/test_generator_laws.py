@@ -19,18 +19,22 @@ import itertools
 import pytest
 
 from hopfcheck import CYC_ONE, CYC_ZERO, Mat, Tensor3, dual_hopf, run_pipeline
-from hopfcheck.duality import compute_dual_integrals, dual_axiom_checks, dual_modular_links
+from hopfcheck import integrals
+from hopfcheck.duality import (compute_dual_integrals, dual_axiom_checks, dual_modular_links,
+                               star_failure)
 from hopfcheck.errors import HopfError, InconsistentWithDirectComputation
 from hopfcheck.hopf import (act_left, act_right, find_group_likes, full_axiom_suite,
                             is_group_like, same_structure, verify_algebra, verify_antipode,
                             verify_antipode_derived, verify_bialgebra, verify_coalgebra,
                             verify_star)
-from hopfcheck.integrals import derived_failure, modular_identity_checks
+from hopfcheck.integrals import (derived_failure, left_integral, modular_element,
+                                 modular_identity_checks, right_integral)
 from hopfcheck.linalg import Elem, pairing, scale, sparse_sum
 from hopfcheck.radford import half_power_check, radford_check
 from hopfcheck.report import first_failure, law_check
-from hopfcheck.zoo import cyclic_table, function_algebra, group_algebra, symmetric_table_s3
-from helpers import entry
+from hopfcheck.zoo import (cyclic_table, function_algebra, group_algebra, standard_zoo,
+                          symmetric_table_s3, taft)
+from helpers import cop, entry, op, opcop
 
 
 def _raised(m, r, c):
@@ -125,16 +129,20 @@ def test_the_dual_star_matches_its_full_scan(pipelines, name, table):
     # dual_axiom_checks runs dual-star's product law and its coproduct and
     # counit rows on hd.generators once the certificate holds.  The dual of
     # C[G] is F(G) on the point idempotents, with the identity as star; a
-    # star that swaps two points, or raises one entry, replaces it
-    v = pipelines[name].values
+    # star that swaps two points, or raises one entry, replaces it, fails
+    # the star certificate and so gets the scan
+    h, v = pipelines[name].h, pipelines[name].values
     hd = v["dual"]
     assert same_structure(hd, dataclasses.replace(function_algebra(name, table),
                                                   name=hd.name))
+    assert star_failure(h, hd) is None
     swaps = [dataclasses.replace(hd, star=_swap(hd.dim, a, b))
              for a, b in itertools.combinations(range(hd.dim), 2)]
     seen = set()
     for bad in [*swaps, *_matrix_corruptions(hd, "star")]:
-        got = dual_axiom_checks(v["core"], bad, None)[-1]
+        not_star = star_failure(h, bad)
+        assert not_star is not None
+        got = dual_axiom_checks(v["core"], bad, None, not_star is None)[-1]
         want = verify_star(bad, bad.generators)
         assert (got.status, got.detail) == (want.status, want.detail)
         seen.add(want.detail.split(" fails")[0])
@@ -395,3 +403,96 @@ def test_the_cached_map_laws_match_their_full_scans(pipelines, zoo, name):
     assert held > 0
     if name in ("C[S3]", "taft(3)"):
         assert failed > 0
+
+
+def _decision_members():
+    """Every zoo member with its op, cop, op-cop and dual, then taft(4) and
+    C[Z12], each with the generators of its dual."""
+    members = [derive(h) for h in standard_zoo() for derive in (lambda h: h, op, cop, opcop,
+                                                                dual_hopf)]
+    members += [taft(4), group_algebra("C[Z12]", cyclic_table(12))]
+    return [(h, dual_hopf(h).generators) for h in members]
+
+
+DECISION_MEMBERS = _decision_members()
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the HopfError it raises."""
+    try:
+        return f(*args)
+    except HopfError as e:
+        return type(e), str(e)
+
+
+def _raised_coordinate(f, k):
+    return Elem.of(f.dim, [*f.support, (k, CYC_ONE)])
+
+
+def test_the_integral_rows_on_generators_match_their_full_scans():
+    # right_integral and modular_element decide their law on the generators
+    # of H*; a raised coordinate of phi, or of psi = phi.S (fed in as
+    # psi.S^-1), must give the full scan's value or exception, byte for byte
+    failed = set()
+    for h, first in DECISION_MEMBERS:
+        phi = left_integral(h, first)
+        psi = right_integral(h, phi, first)
+        assert psi == right_integral(h, phi), h.name
+        assert modular_element(h, phi, first) == modular_element(h, phi), h.name
+        s_inv = h.s_inv.images
+        for k in range(h.dim):
+            bent_psi = _raised_coordinate(psi, k)
+            for f in (_raised_coordinate(phi, k), Elem.of(h.dim, (
+                    (i, pairing(bent_psi, x)) for i, x in enumerate(s_inv)))):
+                for law in (right_integral, modular_element):
+                    want = _outcome(law, h, f)
+                    assert _outcome(law, h, f, first) == want, (h.name, k)
+                    if isinstance(want, tuple):
+                        failed.add(want[0].__name__)
+    assert failed == {"RightInvarianceFailed", "InconsistentSystem"}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "C[S3]", "taft(3)"])
+def test_a_raised_comultiplication_entry_gets_the_full_integral_scan(zoo, name):
+    # the pipeline hands the dual's generators over only once coalgebra and
+    # bialgebra pass (and the transposition certificate holds), and then
+    # both paths agree; without that gate some raised entry would go unseen
+    h = zoo[name]
+    phi = left_integral(h)
+    first = dual_hopf(h).generators
+    missed = 0
+    for bad in _comult_corruptions(h):
+        suite = full_axiom_suite(bad)
+        gate = dual_hopf(bad).generators if suite[1].passed() and suite[2].passed() else None
+        for law in (right_integral, modular_element):
+            want = _outcome(law, bad, phi)
+            assert _outcome(law, bad, phi, gate) == want, name
+            missed += _outcome(law, bad, phi, first) != want
+    assert missed > 0
+
+
+def test_the_integral_rows_read_one_row_per_generator(monkeypatch):
+    # on taft(4) the generators of H* are 7 of 16 indices and those of
+    # (H*)* = A are 2; on C[Z12]'s dual the one generator of C[Z12] decides
+    rows = []
+    real = integrals.first_failure
+
+    def recording(dim, *groups):
+        rows.extend((rs[0][0], len(head[1]) if isinstance(head, tuple) else dim)
+                    for head, *rs in groups)
+        return real(dim, *groups)
+
+    monkeypatch.setattr(integrals, "first_failure", recording)
+    law = "f e_{0}^ != g_{0} f"
+    for h, want in ((taft(4), (7, 2)), (group_algebra("C[Z12]", cyclic_table(12)), (11, 1))):
+        hd = dual_hopf(h)
+        for x, first, n in ((h, hd.generators, want[0]), (hd, h.generators, want[1])):
+            assert len(first) == n
+            phi = left_integral(x, first)
+            del rows[:]
+            right_integral(x, phi, first)
+            assert rows == [(law, n)], x.name
+            del rows[:]
+            modular_element(x, phi, first)
+            # the second group is the convention phi.S = phi( . delta), on every index
+            assert rows == [(law, n), ("{0}", h.dim)], x.name

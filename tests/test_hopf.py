@@ -184,6 +184,26 @@ def test_row_associativity_fails_where_the_triple_scan_did(zoo):
     assert heads == {"unit law fails", "associativity fails"}
 
 
+def test_the_unit_row_fails_where_the_index_scan_did(zoo):
+    # the unit law is one row keyed by (i, side, n); raising or dropping a
+    # coordinate of the unit names the first failing i of the scan of i, and
+    # so do hand-built products where e_0 fails as a unit on one side only
+    cases = []
+    for h in (taft(3), zoo["sweedler"], zoo["C[S3]"]):
+        cases += [dataclasses.replace(h, unit=Elem.of(h.dim, [*h.unit.support, (k, CYC_ONE)]))
+                  for k in range(h.dim)]
+        cases.append(dataclasses.replace(h, unit=Elem.of(h.dim, ())))
+    unit = {**{(0, i, i): 1 for i in range(3)}, **{(i, 0, i): 1 for i in range(3)}}
+    for left, right in ((2, None), (None, 2), (2, 1), (1, 2)):
+        bent = {**unit, **({(0, left, left): 0} if left else {}),
+                **({(right, 0, right): 0} if right else {})}
+        cases.append(_hand_built(3, bent))
+    details = [(verify_algebra(bad).detail, _triple_scan_detail(bad)) for bad in cases]
+    assert all(got == want != "" for got, want in details)
+    assert {want for _, want in details[-4:]} == {"unit law fails at basis 1",
+                                                 "unit law fails at basis 2"}
+
+
 def _hand_built(dim, mult):
     """A unital algebra on a basis whose first vector is the unit; verify_algebra
     reads only the product and the unit, so the coalgebra fields are filler."""
@@ -226,7 +246,7 @@ def test_associativity_reads_rows_without_multiplying(monkeypatch):
 
     monkeypatch.setattr(hopf.HopfData, "mul", counting_mul)
     assert verify_algebra(h).passed()
-    assert len(calls) == 2 * h.dim  # the unit-law rows, and nothing per triple
+    assert calls == []  # the unit rows and associativity both read mult.rows
 
 
 def test_products_are_the_stored_rows(zoo):

@@ -105,6 +105,17 @@ def test_every_cite_names_a_check_an_earlier_stage_prints():
     assert {cited for cited, _ in EDGES} <= set(_BINDINGS)
 
 
+def test_the_integral_rows_on_generators_are_edges_of_the_walk():
+    # A's integral rows run on the generators of H*, whose proof reads
+    # coassociativity, the counit law and D(1) = 1(x)1; the dual's run on
+    # h.generators, as the transposed checks allow
+    edges = {(cited, stage.names[0]) for cited, stage in EDGES}
+    want = {("coalgebra", "left-integral"), ("bialgebra", "left-integral")}
+    for stage in ("dual-integrals", "dual-modular-element"):
+        want |= {(name, stage) for name in pipeline._TRANSPOSED}
+    assert want <= edges
+
+
 # C[S3] is positive, so every stage runs; on taft(3), which has no star, a
 # positivity-gated stage skips with the verdict before its cites are read,
 # so there the walk covers the other stages
