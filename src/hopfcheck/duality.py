@@ -48,15 +48,20 @@ def dual_hopf(h: HopfData) -> HopfData:
     comult = Tensor3.from_rows(d, comult)
     star = None
     if h.star is not None:
-        # e_j^* = sum_k conj( coefficient of e_j in S(e_k)^* ) e_k^
-        star = Mat.of(d, d, {(k, j): c.conjugate() for k, x in enumerate(h.s_basis)
-                             for j, c in h.star_of(x).support})
+        star = Mat.of(d, d, {(k, j): c for k, row in enumerate(_dual_star_rows(h))
+                             for j, c in row.items()})
     hd = HopfData(
         name=dual_name(h.name), dim=d, field_order=h.field_order,
         mult=mult, unit=h.counit, comult=comult, counit=h.unit,
         antipode=h.antipode.transpose(), star=star)
     hd.s_inv = None if h.s_inv is None else h.s_inv.transpose()
     return hd
+
+
+def _dual_star_rows(h: HopfData) -> list:
+    """Row k of the dual's star: {j: conj(coefficient of e_j in S(e_k)^*)},
+    so that e_j^* = sum_k conj(e_j^(S(e_k)^*)) e_k^."""
+    return [{j: c.conjugate() for j, c in h.star_of(x).support} for x in h.s_basis]
 
 
 def transpose_failure(h: HopfData, hd: HopfData) -> str | None:
@@ -147,14 +152,15 @@ def star_failure(h: HopfData, hd: HopfData) -> str | None:
     the coefficient of e_j in S(e_k)^*: (e_j^)^*(e_k) = conj(e_j^(S(e_k)^*)),
     the star f^*(a) = conj(f(S(a)^*)) under which the dual of a Hopf
     *-algebra is one (Van Daele, Adv. Math. 140, 1998).  None also when
-    neither carries a star.  Like transpose_failure, it reads hd's stored
-    star, and S(e_k)^* once per k; dual_axiom_checks and biduality_check
-    decide dual-star and biduality from the two certificates."""
+    neither carries a star.  Like transpose_failure, it compares stored
+    rows with the rows dual_hopf builds (_dual_star_rows); dual_axiom_checks
+    and biduality_check decide dual-star and biduality from the two
+    certificates."""
     if h.star is None or hd.star is None:
         return None if h.star is hd.star else "star transpose fails: exactly one side has a star"
-    return first_failure(h.dim, (1, (
-        "star transpose fails at ({0},{slot})", hd.star.row_dicts().__getitem__,
-        lambda k: {j: c.conjugate() for j, c in h.star_of(h.s_basis[k]).support})))
+    return first_failure(h.dim, (1, ("star transpose fails at ({0},{slot})",
+                                     hd.star.row_dicts().__getitem__,
+                                     _dual_star_rows(h).__getitem__)))
 
 
 def dual_axiom_checks(core: list, hd: HopfData, failure: str | None,

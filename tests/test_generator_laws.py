@@ -414,9 +414,6 @@ def _decision_members():
     return [(h, dual_hopf(h).generators) for h in members]
 
 
-DECISION_MEMBERS = _decision_members()
-
-
 def _outcome(f, *args):
     """f's value, or the type and message of the HopfError it raises."""
     try:
@@ -434,7 +431,7 @@ def test_the_integral_rows_on_generators_match_their_full_scans():
     # of H*; a raised coordinate of phi, or of psi = phi.S (fed in as
     # psi.S^-1), must give the full scan's value or exception, byte for byte
     failed = set()
-    for h, first in DECISION_MEMBERS:
+    for h, first in _decision_members():
         phi = left_integral(h, first)
         psi = right_integral(h, phi, first)
         assert psi == right_integral(h, phi), h.name
@@ -495,4 +492,4 @@ def test_the_integral_rows_read_one_row_per_generator(monkeypatch):
             del rows[:]
             modular_element(x, phi, first)
             # the second group is the convention phi.S = phi( . delta), on every index
-            assert rows == [(law, n), ("{0}", h.dim)], x.name
+            assert rows == [(law, n), ("{0}", x.dim)], x.name
